@@ -55,7 +55,7 @@ is not clearly converging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -63,8 +63,8 @@ from scipy.optimize import brentq
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
                         branch_sqrt, fresnel, kinematics, noise_factor)
-from .quadrature import (ConvergenceError, QuadratureSpec, _integrate_vector,
-                         integrate_angular)
+from .quadrature import (ConvergenceError, QuadratureSpec, integrate_angular,
+                         integrate_radial)
 
 __all__ = [
     "ExperimentConfig",
@@ -400,7 +400,7 @@ def _integrand(k_perp, cfg, kind):
             f"|k_perp| = {kappa:.6e} outside the open propagating disc "
             f"(0, {kap_max:.6e})")
     work = cfg if cfg.chi2.kind == kind else \
-        _replace_chi2(cfg, Chi2Geometry(kind=kind, d=cfg.chi2.d))
+        replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
     ch = _Channels(work, modes, np.asarray(kappa))
     phi = np.arctan2(ky, kx)
     b = _polarization_sum(work, ch, phi)
@@ -410,15 +410,6 @@ def _integrand(k_perp, cfg, kind):
                        + ch.kin_i.q_z * work.z_idler))
     w = b / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z) * ch.slab * phase
     return np.asarray(w, dtype=complex).reshape(2, 2)
-
-
-def _replace_chi2(cfg, chi2):
-    return ExperimentConfig(
-        crystal=cfg.crystal, chi2=chi2, pump_field=cfg.pump_field,
-        pump_frequency=cfg.pump_frequency, z_signal=cfg.z_signal,
-        z_idler=cfg.z_idler, signal_frequency=cfg.signal_frequency,
-        idler_frequency=cfg.idler_frequency, pump_z=cfg.pump_z,
-        offset=cfg.offset)
 
 
 def integrand_typeI(k_perp, cfg):
@@ -534,19 +525,25 @@ def _tail_terms(slow, phase, theta0, h):
     return boundary, ratio, n3
 
 
-def _integrate_full_range(slow, phase, cfg, modes, tol):
-    thetas = np.linspace(0.0, 0.5 * np.pi, 513)
+def _integrate_head(slow, phase, cfg, modes, upper, rel_tol):
+    """GK15 integral of slow(theta) e^{i psi_rel} over [0, upper].
+
+    Seed panels span _PANEL_CYCLES cycles of the fastest phase (detector
+    plus slab) found on a 513-point grid over [0, upper]. Worst-first
+    refinement needs room for a few full sweeps over the seed partition
+    when tol is tight; the budget allows for that.
+    """
+    thetas = np.linspace(0.0, upper, 513)
     rate_max = float(np.max(np.abs(phase.psi_prime(thetas))
                             + _slab_phase_rate(cfg, modes, thetas)))
     cap = _PANEL_CYCLES * _TWO_PI / max(rate_max, 1.0)
-    n_seed = int(np.ceil(0.5 * np.pi / cap))
-    spec = QuadratureSpec(rel_tol=tol, max_subdivisions=6 * n_seed + 8000)
+    n_seed = int(np.ceil(upper / cap))
+    spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=6 * n_seed + 8000)
 
     def f(theta):
         return np.asarray(slow(theta)) * np.exp(1j * phase.psi_rel(theta))
 
-    vec, err = _integrate_vector(f, 0.0, 0.5 * np.pi, spec, max_panel=cap)
-    return vec * np.exp(1j * phase.psi_ref), err
+    return integrate_radial(f, 0.0, upper, spec, max_panel=cap)
 
 
 def _integrate_oscillatory(slow, phase, cfg, modes, tol):
@@ -554,50 +551,46 @@ def _integrate_oscillatory(slow, phase, cfg, modes, tol):
 
     slow maps a theta array to an (m, n) stack and must already contain
     the dkappa/dtheta measure. Returns (vector of m integrals, error
-    estimate). Raises ConvergenceError when neither the tail closure nor
-    a full-range sweep can reach tol.
+    estimate). The tail closure is checked before the head is integrated,
+    so no head is computed for a kept-cycle count that gets escalated; the
+    full range is the head with upper = pi/2 and no tail. Raises
+    ConvergenceError when neither the tail closure nor a full-range sweep
+    can reach tol; the value it carries includes the tail and the
+    e^{i Psi(0)} reference phase.
     """
     cycles = phase.cycles()
     kept = _KEPT_CYCLES
-    while True:
-        if cycles <= 1.5 * kept:
-            return _integrate_full_range(slow, phase, cfg, modes, tol)
-
+    upper, rel_tol, tail, err_tail = 0.5 * np.pi, tol, 0.0, 0.0
+    while cycles > 1.5 * kept:
         theta_c = brentq(lambda t: phase.psi_rel(t) + _TWO_PI * kept,
                          1e-14, 0.5 * np.pi, xtol=1e-13, rtol=8.9e-16)
         h_fd = min(1e-5, theta_c / 16.0)
-
-        rate_c = abs(phase.psi_prime(theta_c)) \
-            + _slab_phase_rate(cfg, modes, theta_c)
-        cap = _PANEL_CYCLES * _TWO_PI / rate_c
-        n_seed = int(np.ceil(theta_c / cap))
-        # Worst-first refinement needs room for a few full sweeps over the
-        # seed partition when tol is tight; budget accordingly.
-        spec = QuadratureSpec(rel_tol=0.5 * tol,
-                              max_subdivisions=6 * n_seed + 8000)
-
-        def f(theta):
-            return np.asarray(slow(theta)) * np.exp(1j * phase.psi_rel(theta))
-
-        head, err_head = _integrate_vector(f, 0.0, theta_c, spec,
-                                           max_panel=cap)
         top, ratio_top, n3_top = _tail_terms(slow, phase, 0.5 * np.pi, h_fd)
         bot, ratio_bot, n3_bot = _tail_terms(slow, phase, theta_c, h_fd)
         ratio = max(ratio_top, ratio_bot)
         if ratio <= _TAIL_RATIO_LIMIT:
+            upper, rel_tol = theta_c, 0.5 * tol
             tail = top - bot
             err_tail = (n3_top + n3_bot) * min(1.0, ratio)
-            return (head + tail) * np.exp(1j * phase.psi_ref), \
-                err_head + err_tail
+            break
         if kept < _KEPT_CYCLES_MAX:
             kept *= 4
             continue
         if cycles < _FULL_RANGE_CYCLES:
-            return _integrate_full_range(slow, phase, cfg, modes, tol)
+            break
         raise ConvergenceError(
             "radial tail closure not converging (series ratio "
             f"{ratio:.2e} with {kept} kept cycles of {cycles:.3e})",
             None, np.inf)
+
+    ref = np.exp(1j * phase.psi_ref)
+    try:
+        head, err_head = _integrate_head(slow, phase, cfg, modes, upper,
+                                         rel_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), (exc.value + tail) * ref,
+                               exc.error + err_tail) from exc
+    return (head + tail) * ref, err_head + err_tail
 
 
 # ---------------------------------------------------------------------------
@@ -627,51 +620,40 @@ def amplitude_numeric(cfg, tol=1e-6):
             ch = _Channels(cfg, modes, kap)
             g = _radial_reduced(cfg, modes, ch, kap)
             return (g * kap_max * np.cos(theta))[None, :]
+    else:
+        dx, dy = cfg.offset
 
-        try:
-            vec, err = _integrate_oscillatory(slow, phase, cfg, modes, tol)
-        except ConvergenceError as exc:
-            raise _scaled_convergence_error(exc, cfg, modes, pattern)
-        matrix = _prefactor(cfg, modes) * vec[0] * pattern
-        return BiphotonAmplitude.from_matrix(matrix)
+        def slow(theta):
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+            kap = kap_max * np.sin(theta)
+            ch = _Channels(cfg, modes, kap)
 
-    dx, dy = cfg.offset
+            def over_angle(phi):
+                p = phi[:, None]
+                b = _polarization_sum(cfg, ch, p)
+                shift = np.exp(1j * kap * (dx * np.cos(p) + dy * np.sin(p)))
+                return b * shift[..., None, None]
 
-    def slow(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kap = kap_max * np.sin(theta)
-        ch = _Channels(cfg, modes, kap)
+            avg = integrate_angular(over_angle, rel_tol=0.1 * tol)  # (n, 2, 2)
+            weight = ch.slab / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z) \
+                * kap * kap_max * np.cos(theta)
+            g = avg * weight[:, None, None]
+            return g.reshape(theta.size, 4).T
 
-        def over_angle(phi):
-            p = phi[:, None]
-            b = _polarization_sum(cfg, ch, p)
-            shift = np.exp(1j * kap * (dx * np.cos(p) + dy * np.sin(p)))
-            return b * shift[..., None, None]
+    pref = _prefactor(cfg, modes)
 
-        avg = integrate_angular(over_angle, rel_tol=0.1 * tol)   # (n, 2, 2)
-        weight = ch.slab / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z) \
-            * kap * kap_max * np.cos(theta)
-        g = avg * weight[:, None, None]
-        return g.reshape(theta.size, 4).T
+    def matrix(vec):
+        if cfg.collinear:
+            return pref * vec[0] * pattern
+        return pref * vec.reshape(2, 2)
 
     try:
-        vec, err = _integrate_oscillatory(slow, phase, cfg, modes, tol)
+        vec, _ = _integrate_oscillatory(slow, phase, cfg, modes, tol)
     except ConvergenceError as exc:
-        raise _scaled_convergence_error(exc, cfg, modes, None)
-    matrix = _prefactor(cfg, modes) * vec.reshape(2, 2)
-    return BiphotonAmplitude.from_matrix(matrix)
-
-
-def _scaled_convergence_error(exc, cfg, modes, pattern):
-    """Re-raise quadrature failures at amplitude scale."""
-    pref = _prefactor(cfg, modes)
-    value = None
-    if exc.value is not None:
-        raw = np.asarray(exc.value)
-        value = pref * (raw[0] * pattern if pattern is not None
-                        else raw.reshape(2, 2))
-    error = abs(pref) * exc.error if np.isfinite(exc.error) else np.inf
-    return ConvergenceError(str(exc), value, error)
+        value = None if exc.value is None else matrix(exc.value)
+        raise ConvergenceError(str(exc), value, abs(pref) * exc.error) \
+            from exc
+    return BiphotonAmplitude.from_matrix(matrix(vec))
 
 
 def amplitude_farfield(cfg):

@@ -23,9 +23,9 @@ import sys
 
 from .amplitude import amplitude_farfield, amplitude_numeric, rate
 from .quadrature import ConvergenceError
-from .scan import (PRESET_NAMES, ConfigError, ScanError, emit, load_config,
-                   preset, preset_text, run_scan, scan_request_from_config,
-                   __version__)
+from .scan import (_SCHEMA_VERSION, PRESET_NAMES, ConfigError, ScanError,
+                   emit, load_config, preset, preset_text, run_scan,
+                   scan_request_from_config, __version__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +116,7 @@ def _cmd_rate(args):
         data = (",".join(header) + "\n" + ",".join(row) + "\n").encode()
     else:
         import json
-        doc = {"schema_version": 1,
+        doc = {"schema_version": _SCHEMA_VERSION,
                "metadata": {"method": args.method, "tol": args.tol},
                "rate": r}
         for name, v in entries:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import j0, j1, jv
 
 from .materials import TE, TM, CrystalSlab, C_LIGHT, fresnel, kinematics
-from .quadrature import QuadratureSpec, _integrate_vector
+from .quadrature import QuadratureSpec, integrate_radial
 
 __all__ = [
     "WaveFunction",
@@ -275,7 +275,7 @@ def scattering_green_point(r_d, r_A, omega, crystal, spec=None):
         s, c = np.sin(theta), np.cos(theta)
         return profile(q * s) * (q * c)
 
-    val_p, _ = _integrate_vector(prop, 0.0, 0.5 * np.pi, spec, max_panel=cap)
+    val_p, _ = integrate_radial(prop, 0.0, 0.5 * np.pi, spec, max_panel=cap)
 
     # Evanescent tail: q_z = i tau, kappa dkappa = tau dtau. The vacuum gap
     # z_d - L/2 controls the decay whatever the crystal does.
@@ -285,8 +285,8 @@ def scattering_green_point(r_d, r_A, omega, crystal, spec=None):
         kap = np.sqrt(q * q + tau * tau)
         return profile(kap) * (tau / kap)
 
-    val_e, _ = _integrate_vector(evan, 0.0, tau_max, spec,
-                                 max_panel=tau_max / 16.0)
+    val_e, _ = integrate_radial(evan, 0.0, tau_max, spec,
+                                max_panel=tau_max / 16.0)
 
     gxx, gyy, gxz, gzx, gzz = val_p + val_e
     green = np.array([[gxx, 0j, gxz],

@@ -6,14 +6,13 @@ threading), and the error estimate is returned to the caller instead of
 being trusted silently. Those three requirements rule out scipy.quad, so
 the driver is a small Gauss-Kronrod 7/15 panel scheme of our own.
 
-Two features matter for the physics integrals downstream:
-
-* ``max_panel`` seeds the initial partition so no panel is wider than a
-  prescribed fraction of the local oscillation period (the caller knows
-  the phase rates, this module does not);
-* the optional sin-theta endpoint substitution regularizes inverse
-  square-root behaviour at the upper limit, where the radial integrals
-  have their sqrt(q^2 - kappa^2) branch point.
+The driver integrates one function or a stack of functions sharing their
+abscissae (the tensor components of one Green function, the four entries
+of one amplitude matrix). ``max_panel`` seeds the initial partition so no
+panel is wider than a prescribed fraction of the local oscillation period
+(the caller knows the phase rates, this module does not). The
+sqrt(q^2 - kappa^2) branch point at the edge of the propagating disc is
+the caller's to regularize, by the kappa = q sin(theta) map.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
     abs_floor: float = 0.0
     max_subdivisions: int = 4000
-    endpoint_substitution: bool = False
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -78,117 +76,36 @@ class QuadratureSpec:
 
 
 def _panel(f, a, b):
-    """One GK15 evaluation: (kronrod, |kronrod - gauss|, resabs)."""
+    """One GK15 evaluation: (kronrod, 1-norm of kronrod - gauss, resabs).
+
+    f(x) is an (n,) array or an (m, n) stack; kronrod has shape () or (m,).
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid + half * _XGK
-    y = np.asarray(f(x), dtype=complex)
-    kron = half * np.sum(_WGK * y)
-    gauss = half * np.sum(_WG * y[_GAUSS_IDX])
-    resabs = half * float(np.sum(_WGK * np.abs(y)))
-    return kron, abs(kron - gauss), resabs
+    y = np.asarray(f(mid + half * _XGK), dtype=complex)
+    kron = half * (y @ _WGK)
+    gauss = half * (y[..., _GAUSS_IDX] @ _WG)
+    err = float(np.sum(np.abs(kron - gauss)))
+    resabs = half * float(np.sum(_WGK * np.atleast_2d(np.abs(y)).sum(axis=0)))
+    return kron, err, resabs
 
 
 def integrate_radial(f, a, b, spec=None, max_panel=None):
     """Adaptive integral of a complex-valued f over [a, b].
 
-    f must accept a numpy array of abscissae and return values elementwise.
-    Returns (value, error_estimate). Panels are bisected worst-first until
-    the summed error estimate drops below max(rel_tol*|value|, abs_floor)
-    or the error is provably at the roundoff floor of the integrand; a
-    spent subdivision budget raises ConvergenceError with the best value.
+    f maps an (n,) array of abscissae either to an (n,) array, giving a
+    scalar integral, or to an (m, n) stack of integrands sharing those
+    abscissae, giving the (m,) vector of integrals. Returns (value,
+    error_estimate). Error control uses the 1-norm over the stack, so
+    entries much smaller than the vector as a whole are not chased to
+    relative precision individually. Panels are bisected worst-first
+    until the summed error estimate drops below
+    max(rel_tol*|value|_1, abs_floor) or the error is provably at the
+    roundoff floor of the integrand; a spent subdivision budget raises
+    ConvergenceError with the best value (None when the seed partition
+    alone exceeds the budget).
 
     ``max_panel`` caps the seed panel width (oscillation control).
-    ``spec.endpoint_substitution`` applies x = a + (b-a) sin(theta), which
-    absorbs an inverse-square-root singularity at the upper endpoint.
-    """
-    spec = spec or QuadratureSpec()
-    if not b > a:
-        raise ValueError("integration requires b > a")
-
-    if spec.endpoint_substitution:
-        width = b - a
-
-        def g(theta):
-            return np.asarray(f(a + width * np.sin(theta)), dtype=complex) \
-                * width * np.cos(theta)
-
-        inner = QuadratureSpec(rel_tol=spec.rel_tol, abs_floor=spec.abs_floor,
-                               max_subdivisions=spec.max_subdivisions,
-                               endpoint_substitution=False)
-        return integrate_radial(g, 0.0, 0.5 * np.pi, inner, max_panel=max_panel)
-
-    n_seed = 1
-    if max_panel is not None and max_panel > 0:
-        n_seed = max(1, int(np.ceil((b - a) / max_panel)))
-        if n_seed > spec.max_subdivisions:
-            raise ConvergenceError(
-                f"seed partition ({n_seed} panels) exceeds the subdivision "
-                f"budget ({spec.max_subdivisions})", 0.0 + 0.0j, np.inf)
-    edges = np.linspace(a, b, n_seed + 1)
-
-    # Heap of (-error, insertion_order, lo, hi, value, resabs); the counter
-    # makes tie-breaking, and therefore the result, deterministic.
-    heap = []
-    counter = 0
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    resabs_total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, resabs = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, resabs))
-        counter += 1
-        total += val
-        err_total += err
-        resabs_total += resabs
-
-    n_panels = n_seed
-    while True:
-        target = max(spec.rel_tol * abs(total), spec.abs_floor)
-        roundoff = 50.0 * np.finfo(float).eps * resabs_total
-        if err_total <= target or err_total <= roundoff:
-            return total, err_total
-        if n_panels >= spec.max_subdivisions:
-            raise ConvergenceError(
-                f"subdivision budget ({spec.max_subdivisions}) exhausted at "
-                f"error {err_total:.3e} (target {target:.3e})",
-                total, err_total)
-        neg_err, _, lo, hi, val, resabs = heapq.heappop(heap)
-        total -= val
-        err_total += neg_err  # neg_err = -err
-        resabs_total -= resabs
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sval, serr, sres = _panel(f, sub_lo, sub_hi)
-            heapq.heappush(heap, (-serr, counter, sub_lo, sub_hi, sval, sres))
-            counter += 1
-            total += sval
-            err_total += serr
-            resabs_total += sres
-        n_panels += 1
-
-
-def _panel_vec(f, a, b):
-    """GK15 evaluation of a stacked integrand; f(x) has shape (m, len(x))."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * _XGK), dtype=complex)
-    kron = half * (y @ _WGK)
-    gauss = half * (y[:, _GAUSS_IDX] @ _WG)
-    err = float(np.sum(np.abs(kron - gauss)))
-    resabs = half * float(np.sum(_WGK * np.sum(np.abs(y), axis=0)))
-    return kron, err, resabs
-
-
-def _integrate_vector(f, a, b, spec=None, max_panel=None):
-    """Worst-first refinement for several integrands sharing abscissae.
-
-    Same driver as integrate_radial, but f maps an (n,) array of abscissae
-    to an (m, n) complex array and the result is the (m,) vector of
-    integrals. Error control uses the 1-norm over components, so entries
-    much smaller than the vector as a whole are not chased to relative
-    precision individually. Internal helper for the Green tensor evaluator,
-    which integrates five tensor components against one set of panels.
     """
     spec = spec or QuadratureSpec()
     if not b > a:
@@ -203,13 +120,15 @@ def _integrate_vector(f, a, b, spec=None, max_panel=None):
                 f"budget ({spec.max_subdivisions})", None, np.inf)
     edges = np.linspace(a, b, n_seed + 1)
 
+    # Heap of (-error, insertion_order, lo, hi, value, resabs); the counter
+    # makes tie-breaking, and therefore the result, deterministic.
     heap = []
     counter = 0
     total = None
     err_total = 0.0
     resabs_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, resabs = _panel_vec(f, lo, hi)
+        val, err, resabs = _panel(f, lo, hi)
         heapq.heappush(heap, (-err, counter, lo, hi, val, resabs))
         counter += 1
         total = val if total is None else total + val
@@ -230,11 +149,11 @@ def _integrate_vector(f, a, b, spec=None, max_panel=None):
                 total, err_total)
         neg_err, _, lo, hi, val, resabs = heapq.heappop(heap)
         total = total - val
-        err_total += neg_err
+        err_total += neg_err  # neg_err = -err
         resabs_total -= resabs
         mid = 0.5 * (lo + hi)
         for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sval, serr, sres = _panel_vec(f, sub_lo, sub_hi)
+            sval, serr, sres = _panel(f, sub_lo, sub_hi)
             heapq.heappush(heap, (-serr, counter, sub_lo, sub_hi, sval, sres))
             counter += 1
             total = total + sval

@@ -402,6 +402,11 @@ def test_unreachable_tolerance_raises_with_partial_result():
     exc = info.value
     assert np.shape(exc.value) == (2, 2)
     assert np.isfinite(exc.error)
+    # The carried value is an amplitude estimate: head plus tail, with the
+    # reference phase restored.
+    good = amplitude_numeric(cfg, tol=1e-6).matrix
+    dev = np.linalg.norm(exc.value - good) / np.linalg.norm(good)
+    assert dev <= 1e-6
     with pytest.raises(ValueError):
         amplitude_numeric(cfg, tol=0.0)
 
