@@ -42,6 +42,12 @@ components enter either contraction.
 
 Integration strategy
 --------------------
+The polarization sum is a trig polynomial of degree <= 4 in phi, so its
+angular integral against the offset phase e^{i kappa rho cos(phi - psi)}
+is exact in J0, J2 and J4 of kappa rho (Jacobi-Anger, DLMF 10.12), times
+constant 2x2 matrices of psi. Every detector placement is then one radial
+integral of a short stack of rows, the matrices applied to its result.
+
 Only the sector propagating in vacuum (kappa < min(q_s, q_i)) reaches the
 detectors; evanescent contributions die over macroscopic z gaps well below
 double precision. The substitution kappa = kappa_max sin(theta) removes the
@@ -55,16 +61,17 @@ is not clearly converging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import j0, jv
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
                         branch_sqrt, fresnel, kinematics, noise_factor)
-from .quadrature import (ConvergenceError, QuadratureSpec, integrate_angular,
-                         integrate_radial)
+from .quadrature import ConvergenceError, QuadratureSpec, integrate_radial
 
 __all__ = [
     "ExperimentConfig",
@@ -122,6 +129,15 @@ class ExperimentConfig:
     offset: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        off = (float(self.offset[0]), float(self.offset[1]))
+        object.__setattr__(self, "offset", off)
+        for name in ("pump_field", "pump_frequency", "signal_frequency",
+                     "idler_frequency", "z_signal", "z_idler", "pump_z"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(off[0]) and math.isfinite(off[1])):
+            raise ValueError("offset must be finite")
         if self.pump_field <= 0:
             raise ValueError("pump_field must be positive")
         if self.pump_frequency <= 0:
@@ -150,8 +166,6 @@ class ExperimentConfig:
         if self.z_signal <= half or self.z_idler <= half:
             raise ValueError("detectors must sit beyond the exit face, "
                              "z > +L/2")
-        off = (float(self.offset[0]), float(self.offset[1]))
-        object.__setattr__(self, "offset", off)
 
     @property
     def degenerate(self):
@@ -173,17 +187,16 @@ class PhaseMatch:
 
 @dataclass(frozen=True)
 class BiphotonAmplitude:
-    """2x2 amplitude matrix over detector polarizations, with its rate."""
+    """2x2 amplitude matrix over detector polarizations; rate() reads it."""
 
     matrix: np.ndarray
-    rate: float
 
     @classmethod
     def from_matrix(cls, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("amplitude matrix must be 2x2")
-        return cls(matrix=m, rate=float(np.sum(np.abs(m) ** 2)))
+        return cls(matrix=m)
 
 
 def rate(amp):
@@ -320,74 +333,70 @@ class _Channels:
         self.c_i = self.kin_i.k_z / self.kin_i.k
 
 
-def _reduced_bracket(chi2, ch):
-    """Angular average of the polarization sum, over the channel X factors.
+def _angular_matrices(cfg):
+    """Constant 2x2 matrix of each angular row, psi the offset direction."""
+    psi = np.arctan2(cfg.offset[1], cfg.offset[0])
+    c2, s2 = np.cos(2.0 * psi), np.sin(2.0 * psi)
+    c4, s4 = np.cos(4.0 * psi), np.sin(4.0 * psi)
+    if cfg.chi2.kind == "I":
+        mats = [cfg.chi2.pattern, [[c2, s2], [s2, -c2]]]
+    else:
+        mats = [cfg.chi2.pattern, 2.0 * s2 * np.eye(2),
+                [[s4, -c4], [-c4, -s4]], [[0.0, 2.0 * c2], [-2.0 * c2, 0.0]]]
+    return np.array(mats, dtype=complex)
 
-    Pattern "I" pairs equal source polarizations and leaves
-    X_TE,TE + (c_s c_i)^2 X_TM,TM on the unit matrix; pattern "II" pairs
-    exchanged ones and leaves all four channels on the exchange matrix,
-    the crossed ones weighted by single-mode cosines squared.
+
+def _angular_rows(cfg, ch, kappa, rho):
+    """Rows of the angular integral, detector phase excluded.
+
+    kappa/(4 pi k_zs k_zi) csinc e^{i sk L/2} (an extra 1/2 for pattern
+    "II") times a channel sum and its Bessel factor of kappa rho. With
+    TT = X_TE,TE, MM = (c_s c_i)^2 X_TM,TM, EM = c_i^2 X_TE,TM and
+    ME = c_s^2 X_TM,TE the rows are (TT+MM) J0, (TT-MM) J2 for "I" and
+    (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II".
+    On axis J_n(0) = 0 for n > 0, so only the J0 row is returned.
     """
     cc = ch.c_s * ch.c_i
-    if chi2.kind == "I":
-        return ch.x[(TE, TE)] + cc * cc * ch.x[(TM, TM)]
-    return (ch.x[(TE, TE)] + ch.c_s * ch.c_s * ch.x[(TM, TE)]
-            + ch.c_i * ch.c_i * ch.x[(TE, TM)] + cc * cc * ch.x[(TM, TM)])
-
-
-def _radial_reduced(cfg, modes, ch, kappa):
-    """Reduced radial integrand, detector phase excluded.
-
-    kappa/(4 pi k_zs k_zi) csinc e^{i sk L/2} [bracket] for pattern "I",
-    with an extra 1/2 for pattern "II". Multiplying by the polarization
-    pattern matrix and e^{i(q_zs z_s + q_zi z_i)} restores the full
-    angular integral of the 2-D integrand.
-    """
+    tt = ch.x[(TE, TE)]
+    mm = cc * cc * ch.x[(TM, TM)]
     denom = 4.0 * np.pi * ch.kin_s.k_z * ch.kin_i.k_z
     if cfg.chi2.kind == "II":
         denom = 2.0 * denom
-    return kappa / denom * ch.slab * _reduced_bracket(cfg.chi2, ch)
+        me = ch.c_s * ch.c_s * ch.x[(TM, TE)]
+        em = ch.c_i * ch.c_i * ch.x[(TE, TM)]
+        first = tt + me + em + mm
+    else:
+        first = tt + mm
+    weight = kappa / denom * ch.slab
+    if rho == 0.0:
+        return (weight * first)[None, :]
+    arg = kappa * rho
+    j2 = jv(2, arg)
+    rows = [weight * first * j0(arg), weight * (tt - mm) * j2]
+    if cfg.chi2.kind == "II":
+        rows += [weight * ((tt + mm) - (em + me)) * jv(4, arg),
+                 weight * (em - me) * j2]
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
 # Full 2-D integrands
 # ---------------------------------------------------------------------------
 
-def _legs(ch, phi):
-    """Transverse field legs at +u (signal) and -u (idler).
-
-    phi and the channel kappa arrays broadcast; each leg is a pair of
-    transverse components. TM legs use the in-crystal direction cosines.
-    """
-    s, c = np.sin(phi), np.cos(phi)
-    legs_s = {TE: (s, -c), TM: (-ch.c_s * c, -ch.c_s * s)}
-    legs_i = {TE: (-s, c), TM: (ch.c_i * c, ch.c_i * s)}
-    return legs_s, legs_i
-
-
 def _polarization_sum(cfg, ch, phi):
     """B_{lambda mu}(u): detector dyads times pattern-contracted sources.
 
-    Returns an array with trailing shape (2, 2); leading axes broadcast
-    from phi and the channel kappa. Smooth through kappa -> 0 because all
-    legs are unit vectors.
+    a[sigma, j] and b[sigma, j] are the transverse field legs of the
+    signal at +u and the idler at -u, the TM legs with the in-crystal
+    direction cosines. Each channel weighs its detector dyad by the chi2
+    contraction of its source legs and by its X factor.
     """
-    legs_s, legs_i = _legs(ch, phi)
-    pattern = cfg.chi2.pattern
-    shape = np.broadcast_shapes(np.shape(legs_s[TE][0]), np.shape(ch.c_s),
-                                np.shape(ch.c_i))
-    out = np.zeros(shape + (2, 2), dtype=complex)
-    for sig_s in (TE, TM):
-        a = legs_s[sig_s]
-        for sig_i in (TE, TM):
-            b = legs_i[sig_i]
-            chi = sum(pattern[al, be] * a[al] * b[be]
-                      for al in (0, 1) for be in (0, 1))
-            weight = chi * ch.x[(sig_s, sig_i)]
-            for lam in (0, 1):
-                for mu in (0, 1):
-                    out[..., lam, mu] += a[lam] * b[mu] * weight
-    return out
+    s, c = np.sin(phi), np.cos(phi)
+    a = np.array([[s, -c], [-ch.c_s * c, -ch.c_s * s]])
+    b = np.array([[-s, c], [ch.c_i * c, ch.c_i * s]])
+    x = np.array([[ch.x[(p, q)] for q in (TE, TM)] for p in (TE, TM)])
+    return np.einsum("sl,tm,sa,ab,tb,st->lm", a, b, a, cfg.chi2.pattern,
+                     b, x)
 
 
 def _integrand(k_perp, cfg, kind):
@@ -600,9 +609,9 @@ def _integrate_oscillatory(slow, phase, cfg, modes, tol):
 def amplitude_numeric(cfg, tol=1e-6):
     """Biphoton amplitude by quadrature over the propagating disc.
 
-    Collinear detectors use the angular-averaged radial form; displaced
-    detectors integrate the full 2-D integrand with the angular average
-    nested inside the radial engine. tol is the relative tolerance
+    The angular integral is in closed form, so every detector placement
+    feeds one radial engine with the rows of _angular_rows, and the row
+    matrices are applied to its result. tol is the relative tolerance
     requested of the quadrature; failure to converge raises
     ConvergenceError carrying the achieved estimate.
     """
@@ -611,41 +620,19 @@ def amplitude_numeric(cfg, tol=1e-6):
     modes = _Modes(cfg)
     phase = _DetectorPhase(cfg, modes)
     kap_max = phase.kap_max
-    pattern = cfg.chi2.pattern.astype(complex)
+    rho = float(np.hypot(*cfg.offset))
 
-    if cfg.collinear:
-        def slow(theta):
-            theta = np.atleast_1d(np.asarray(theta, dtype=float))
-            kap = kap_max * np.sin(theta)
-            ch = _Channels(cfg, modes, kap)
-            g = _radial_reduced(cfg, modes, ch, kap)
-            return (g * kap_max * np.cos(theta))[None, :]
-    else:
-        dx, dy = cfg.offset
-
-        def slow(theta):
-            theta = np.atleast_1d(np.asarray(theta, dtype=float))
-            kap = kap_max * np.sin(theta)
-            ch = _Channels(cfg, modes, kap)
-
-            def over_angle(phi):
-                p = phi[:, None]
-                b = _polarization_sum(cfg, ch, p)
-                shift = np.exp(1j * kap * (dx * np.cos(p) + dy * np.sin(p)))
-                return b * shift[..., None, None]
-
-            avg = integrate_angular(over_angle, rel_tol=0.1 * tol)  # (n, 2, 2)
-            weight = ch.slab / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z) \
-                * kap * kap_max * np.cos(theta)
-            g = avg * weight[:, None, None]
-            return g.reshape(theta.size, 4).T
+    def slow(theta):
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        kap = kap_max * np.sin(theta)
+        ch = _Channels(cfg, modes, kap)
+        return _angular_rows(cfg, ch, kap, rho) * kap_max * np.cos(theta)
 
     pref = _prefactor(cfg, modes)
+    matrices = _angular_matrices(cfg)
 
     def matrix(vec):
-        if cfg.collinear:
-            return pref * vec[0] * pattern
-        return pref * vec.reshape(2, 2)
+        return np.tensordot(pref * vec, matrices[:len(vec)], 1)
 
     try:
         vec, _ = _integrate_oscillatory(slow, phase, cfg, modes, tol)

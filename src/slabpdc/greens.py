@@ -126,8 +126,9 @@ class Chi2Geometry:
         if self.kind not in ("I", "II"):
             raise ValueError(f"conversion type must be 'I' or 'II', "
                              f"got {self.kind!r}")
-        if not self.d > 0:
-            raise ValueError("susceptibility strength d must be positive")
+        if not 0 < self.d < np.inf:
+            raise ValueError("susceptibility strength d must be positive "
+                             "and finite")
 
     @property
     def pattern(self):

@@ -71,6 +71,8 @@ class MaterialDispersion:
             raise ValueError("omega, n_real, n_imag must have equal length")
         if om.size == 0:
             raise ValueError("empty dispersion table")
+        if not np.isfinite(np.concatenate((om, nr, ni))).all():
+            raise ValueError("dispersion samples must be finite")
         if om.size > 1 and not np.all(np.diff(om) > 0):
             raise ValueError("samples must be strictly increasing in omega")
         if np.any(ni < 0):
@@ -354,8 +356,8 @@ class CrystalSlab:
     length: float = 2e-3
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("crystal length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("crystal length must be positive and finite")
 
     def index(self, omega):
         return dispersion_eval(self.material, omega)

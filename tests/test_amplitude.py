@@ -1,23 +1,27 @@
 """Biphoton amplitude pipeline: configs, slab factors, quadrature routes.
 
 The load-bearing checks are the cross-route agreements: phi-quadrature of
-the 2-D integrands against the reduced radial forms rebuilt here from
-public pieces, and the numeric disc integral against the closed far-field
-form, which must also converge toward it as the detectors recede.
+the 2-D integrands against the library's closed-form angular rows and the
+reduced radial forms rebuilt here from public pieces, and the numeric disc
+integral against the closed far-field form, which must also converge
+toward it as the detectors recede.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slabpdc.amplitude import (BiphotonAmplitude, ExperimentConfig,
-                               PhaseMatch, amplitude_farfield,
+                               PhaseMatch, _angular_matrices, _angular_rows,
+                               _Channels, _Modes, amplitude_farfield,
                                amplitude_numeric, complex_sinc,
                                integrand_typeI, integrand_typeII,
                                phase_terms, rate, sinc_profile, x_factor)
 from slabpdc.greens import Chi2Geometry
 from slabpdc.materials import (TE, TEM, TM, C_LIGHT, CrystalSlab,
-                               bbo_ordinary, dispersion_eval, fresnel,
-                               kinematics, vacuum)
+                               MaterialDispersion, bbo_ordinary,
+                               dispersion_eval, fresnel, kinematics, vacuum)
 from slabpdc.quadrature import ConvergenceError, integrate_angular
 
 OMEGA = 3.54e15      # degenerate split frequency [rad/s]
@@ -90,6 +94,23 @@ def test_positivity_checks():
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
                          pump_field=1e5, pump_frequency=-1.0,
                          z_signal=1.0, z_idler=1.0)
+    cfg = make_cfg()
+    for change in (dict(pump_field=np.nan), dict(pump_field=np.inf),
+                   dict(pump_frequency=np.inf),
+                   dict(signal_frequency=np.nan), dict(idler_frequency=np.inf),
+                   dict(z_signal=np.nan), dict(z_idler=np.inf),
+                   dict(pump_z=-np.inf), dict(offset=(np.nan, 0.0)),
+                   dict(offset=(0.0, -np.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            replace(cfg, **change)
+    for build in (lambda: CrystalSlab(length=np.inf),
+                  lambda: CrystalSlab(length=np.nan),
+                  lambda: Chi2Geometry("I", d=np.inf),
+                  lambda: MaterialDispersion.constant(np.nan),
+                  lambda: MaterialDispersion.constant(1.6, np.inf),
+                  lambda: bbo_ordinary().with_absorption(np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +289,56 @@ def _reduced_radial(cfg, kind, kappa):
     return kappa / denom * slab * bracket * detector
 
 
+def _closed_form(cfg, kind, kappa):
+    """Library angular rows contracted with their matrices, detector phase
+    included."""
+    cfg = replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
+    ch = _Channels(cfg, _Modes(cfg), np.array([kappa]))
+    rows = _angular_rows(cfg, ch, kappa, np.hypot(*cfg.offset))[:, 0]
+    matrices = _angular_matrices(cfg)[:len(rows)]
+    detector = np.exp(1j * (ch.kin_s.q_z * cfg.z_signal
+                            + ch.kin_i.q_z * cfg.z_idler))[0]
+    return np.tensordot(rows, matrices, 1) * detector
+
+
 def test_integrand_angular_average_matches_reduced_form():
-    cfg = make_cfg(z=0.7)
-    cfg = ExperimentConfig(crystal=cfg.crystal, chi2=cfg.chi2,
-                           pump_field=cfg.pump_field,
-                           pump_frequency=cfg.pump_frequency,
-                           z_signal=0.7, z_idler=0.9)
+    """phi quadrature of the 2-D integrands against the closed forms.
+
+    On axis the ring matches both the library rows and the reduced form
+    rebuilt from public pieces. Off axis a 20 um offset at psi = 0.3 rad and
+    a split away from degeneracy (so the (EM - ME) row is not zero) exercise
+    every row matrix; z stays small there because at z ~ 0.8 m the ring's
+    own detector-phase rounding is near the 1e-9 bound.
+    """
+    base = make_cfg()
+    collinear = replace(base, z_signal=0.7, z_idler=0.9)
+    displaced = replace(make_cfg(omega_s=1.05 * OMEGA, omega_i=0.95 * OMEGA),
+                        z_signal=5e-3, z_idler=7e-3,
+                        offset=(2e-5 * np.cos(0.3), 2e-5 * np.sin(0.3)))
     rng = np.random.default_rng(31)
-    kap_max = min(cfg.signal_frequency, cfg.idler_frequency) / C_LIGHT
     patterns = {"I": np.eye(2), "II": np.array([[0.0, 1.0], [1.0, 0.0]])}
     integrands = {"I": integrand_typeI, "II": integrand_typeII}
-    for _ in range(6):
-        kappa = rng.uniform(0.02, 0.98) * kap_max
-        for kind in ("I", "II"):
-            def ring(phis):
-                out = np.empty(np.shape(phis) + (2, 2), dtype=complex)
-                for j, p in np.ndenumerate(phis):
-                    k_perp = (kappa * np.cos(p), kappa * np.sin(p))
-                    out[j] = integrands[kind](k_perp, cfg)
-                return out.reshape(np.shape(phis) + (4,))
+    for cfg, bound, rings in ((collinear, 1e-6, 6), (displaced, 1e-9, 3)):
+        kap_max = min(cfg.signal_frequency, cfg.idler_frequency) / C_LIGHT
+        for _ in range(rings):
+            kappa = rng.uniform(0.02, 0.98) * kap_max
+            for kind in ("I", "II"):
+                def ring(phis):
+                    out = np.empty(np.shape(phis) + (2, 2), dtype=complex)
+                    for j, p in np.ndenumerate(phis):
+                        k_perp = (kappa * np.cos(p), kappa * np.sin(p))
+                        out[j] = integrands[kind](k_perp, cfg)
+                    return out.reshape(np.shape(phis) + (4,))
 
-            got = kappa * integrate_angular(ring, rel_tol=1e-10)
-            want = _reduced_radial(cfg, kind, kappa) * patterns[kind]
-            dev = np.max(np.abs(got.reshape(2, 2) - want))
-            assert dev <= 1e-6 * np.max(np.abs(want)), (kind, kappa)
+                got = (kappa * integrate_angular(ring, rel_tol=1e-10)
+                       ).reshape(2, 2)
+                wants = [_closed_form(cfg, kind, kappa)]
+                if cfg.collinear:
+                    wants.append(_reduced_radial(cfg, kind, kappa)
+                                 * patterns[kind])
+                for want in wants:
+                    dev = np.max(np.abs(got - want))
+                    assert dev <= bound * np.max(np.abs(want)), (kind, kappa)
 
 
 def test_integrand_domain_guards():
@@ -413,7 +460,6 @@ def test_unreachable_tolerance_raises_with_partial_result():
 
 def test_amplitude_container():
     amp = BiphotonAmplitude.from_matrix([[1.0, 0.0], [0.0, 1j]])
-    assert amp.rate == pytest.approx(2.0)
     assert rate(amp) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         BiphotonAmplitude.from_matrix(np.zeros((3, 3)))
@@ -425,4 +471,4 @@ def test_vacuum_crystal_amplitude_is_finite():
         chi2=Chi2Geometry("I", d=1e-12), pump_field=1e5,
         pump_frequency=2.0 * OMEGA, z_signal=1.0, z_idler=1.0)
     amp = amplitude_farfield(cfg)
-    assert np.isfinite(amp.rate) and amp.rate > 0.0
+    assert np.isfinite(rate(amp)) and rate(amp) > 0.0
