@@ -468,13 +468,6 @@ class _DetectorPhase:
     def kappa(self, theta):
         return self.kap_max * np.sin(theta)
 
-    def psi(self, theta):
-        kap = self.kappa(theta)
-        total = 0.0
-        for q, z in self.parts:
-            total = total + z * np.sqrt(np.maximum(q * q - kap * kap, 0.0))
-        return total
-
     def psi_rel(self, theta):
         kap = self.kappa(theta)
         kap2 = kap * kap
@@ -615,7 +608,7 @@ def amplitude_numeric(cfg, tol=1e-6):
     requested of the quadrature; failure to converge raises
     ConvergenceError carrying the achieved estimate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     modes = _Modes(cfg)
     phase = _DetectorPhase(cfg, modes)

@@ -7,10 +7,13 @@ Three subcommands over the scan layer:
     slabpdc preset fig5 [--format csv] [--out fig5.csv]
 
 ``rate`` evaluates one biphoton amplitude and prints the coincidence rate
-plus the four matrix entries. ``scan`` runs the sweep defined by the
-config's scan keys. ``preset`` runs a bundled figure-reproduction sweep
-(fig3, fig4, fig5, fig6); ``--dump-config`` prints its config text instead
-of running it, as a starting point for edits.
+plus the four matrix entries: an axis-less one-point result, written by
+the same :func:`slabpdc.scan.emit` as the sweeps (text is one
+``name = value`` line per column; JSON inlines the row after
+``metadata``). ``scan`` runs the sweep defined by the config's scan keys.
+``preset`` runs a bundled figure-reproduction sweep (fig3, fig4, fig5,
+fig6); ``--dump-config`` prints its config text instead of running it, as
+a starting point for edits.
 
 Exit codes: 0 on success, 1 on any validation or usage error, 2 when the
 numeric quadrature fails to converge.
@@ -21,10 +24,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .amplitude import amplitude_farfield, amplitude_numeric, rate
 from .quadrature import ConvergenceError
-from .scan import (_SCHEMA_VERSION, PRESET_NAMES, ConfigError, ScanError,
-                   emit, load_config, preset, preset_text, run_scan,
+from .scan import (PRESET_NAMES, ConfigError, ScanError, emit, load_config,
+                   point_result, preset, preset_text, run_scan,
                    scan_request_from_config, __version__)
 
 
@@ -94,58 +96,21 @@ def _read_config(path):
 
 def _cmd_rate(args):
     cfg = load_config(_read_config(args.config))
-    if args.method == "farfield":
-        amp = amplitude_farfield(cfg)
+    return emit(point_result(cfg, args.method, args.tol), format=args.format)
+
+
+def _cmd_sweep(args):
+    if args.command == "scan":
+        req = scan_request_from_config(_read_config(args.config),
+                                       method=args.method, tol=args.tol)
+    elif args.dump_config:
+        return preset_text(args.name).encode()
     else:
-        amp = amplitude_numeric(cfg, tol=args.tol)
-    r = rate(amp)
-    entries = [("amplitude_xx", complex(amp.matrix[0, 0])),
-               ("amplitude_xy", complex(amp.matrix[0, 1])),
-               ("amplitude_yx", complex(amp.matrix[1, 0])),
-               ("amplitude_yy", complex(amp.matrix[1, 1]))]
-    if args.format == "text":
-        lines = [f"rate = {r!r}"]
-        lines += [f"{name} = {v!r}" for name, v in entries]
-        data = ("\n".join(lines) + "\n").encode()
-    elif args.format == "csv":
-        header = ["rate"]
-        row = [repr(r)]
-        for name, v in entries:
-            header += [name + "_re", name + "_im"]
-            row += [repr(v.real), repr(v.imag)]
-        data = (",".join(header) + "\n" + ",".join(row) + "\n").encode()
-    else:
-        import json
-        doc = {"schema_version": _SCHEMA_VERSION,
-               "metadata": {"method": args.method, "tol": args.tol},
-               "rate": r}
-        for name, v in entries:
-            doc[name + "_re"] = v.real
-            doc[name + "_im"] = v.imag
-        data = (json.dumps(doc, indent=2) + "\n").encode()
-    _write(data, args.out)
-    return 0
+        req = preset(args.name, method=args.method, tol=args.tol)
+    return emit(run_scan(req), format=args.format)
 
 
-def _cmd_scan(args):
-    req = scan_request_from_config(_read_config(args.config),
-                                   method=args.method, tol=args.tol)
-    result = run_scan(req)
-    _write(emit(result, format=args.format), args.out)
-    return 0
-
-
-def _cmd_preset(args):
-    if args.dump_config:
-        _write(preset_text(args.name).encode(), args.out)
-        return 0
-    req = preset(args.name, method=args.method, tol=args.tol)
-    result = run_scan(req)
-    _write(emit(result, format=args.format), args.out)
-    return 0
-
-
-_COMMANDS = {"rate": _cmd_rate, "scan": _cmd_scan, "preset": _cmd_preset}
+_COMMANDS = {"rate": _cmd_rate, "scan": _cmd_sweep, "preset": _cmd_sweep}
 
 
 def main(argv=None):
@@ -155,18 +120,13 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except ConvergenceError as exc:
-        print(f"slabpdc: convergence failure: {exc}", file=sys.stderr)
-        return 2
-    except ScanError as exc:
-        cause = exc.__cause__
+        _write(_COMMANDS[args.command](args), args.out)
+        return 0
+    except (ConvergenceError, ScanError, ValueError) as exc:
+        cause = exc.__cause__ if isinstance(exc, ScanError) else exc
         if isinstance(cause, ConvergenceError):
             print(f"slabpdc: convergence failure: {exc}", file=sys.stderr)
             return 2
-        print(f"slabpdc: error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
         print(f"slabpdc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,17 +53,23 @@ absorption noise factors entering the coincidence rate.
 
 Emission
 --------
-CSV: one header row (axis first), one row per point, shortest round-trip
-decimal for every float. JSON: object with ``schema_version``, ``metadata``
-and ``rows``. Complex observables are serialized as paired ``_re`` / ``_im``
-columns in both formats. Output is byte-deterministic for identical config
-text: the executor evaluates points in axis order and merges by index (any
-replacement executor must preserve that order).
+:func:`emit` is the one serializer, for sweeps and for the axis-less
+one-point result of :func:`point_result` (a rate and its 2x2 amplitude).
+CSV: one header row (axis first, when there is one), one row per point,
+shortest round-trip decimal for every float. JSON: object with
+``schema_version`` and ``metadata``, then the sweep's ``rows`` list or the
+single axis-less row inlined. Complex observables are serialized as paired
+``_re`` / ``_im`` columns in both formats. Text, for axis-less results
+only: one ``name = repr(value)`` line per column, complex values whole.
+Output is byte-deterministic for identical config text: the executor
+evaluates points in axis order and merges by index (any replacement
+executor must preserve that order).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,6 +88,7 @@ _AXES = ("n_imag", "crystal_length", "delta_k", "frequency")
 _OBSERVABLE_NAMES = ("rate_I", "rate_II", "rate_ratio_to_lossless",
                      "sinc_profile", "a_factor_gain", "amplitude_matrix")
 _METHODS = ("farfield", "numeric")
+_MATRIX_LABELS = ("xx", "xy", "yx", "yy")   # row-major 2x2 entries
 
 _LENGTH_KEYS = frozenset({"crystal_length", "z_signal", "z_idler", "pump_z",
                           "offset_x", "offset_y"})
@@ -354,6 +361,8 @@ class ScanRequest:
             raise ValueError(f"axis must be one of {_AXES}, got "
                              f"'{self.axis}'")
         start, stop, count = self.range
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("scan range bounds must be finite")
         if not int(count) == count or int(count) < 2:
             raise ValueError("scan_count must be an integer >= 2")
         if not start < stop:
@@ -429,9 +438,12 @@ def scan_request_from_config(text, method="farfield", tol=1e-6):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Evaluated sweep: axis grid, named columns, row-per-point values."""
+    """Evaluated sweep: axis grid, named columns, row-per-point values.
 
-    axis: str
+    ``axis`` is None (and ``axis_values`` empty) for a one-point result.
+    """
+
+    axis: str | None
     axis_values: tuple
     columns: tuple
     rows: tuple           # rows[i][j] pairs with columns[j]
@@ -441,6 +453,18 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+def _amplitude(cfg, method, tol):
+    """The one place the farfield/numeric route is picked."""
+    if method == "farfield":
+        return amplitude_farfield(cfg)
+    return amplitude_numeric(cfg, tol=tol)
+
+
+def _matrix_cells(matrix):
+    return [(f"amplitude_{lab}", complex(v))
+            for lab, v in zip(_MATRIX_LABELS, np.ravel(matrix))]
+
 
 class _AxisPoint:
     """Everything evaluable at one axis value, built lazily and cached."""
@@ -476,11 +500,9 @@ class _AxisPoint:
     def amplitude(self, kind, lossless=False):
         key = (kind, lossless)
         if key not in self._amps:
-            cfg = self.config(kind=kind, lossless=lossless)
-            if self.req.method == "farfield":
-                self._amps[key] = amplitude_farfield(cfg)
-            else:
-                self._amps[key] = amplitude_numeric(cfg, tol=self.req.tol)
+            self._amps[key] = _amplitude(
+                self.config(kind=kind, lossless=lossless), self.req.method,
+                self.req.tol)
         return self._amps[key]
 
     def phase_match(self):
@@ -532,10 +554,7 @@ def _emit_gain(pt):
 
 
 def _emit_matrix(pt):
-    a = pt.amplitude(pt.req.base.chi2.kind).matrix
-    labels = ("xx", "xy", "yx", "yy")
-    return [(f"amplitude_{lab}", complex(a[i, j]))
-            for lab, (i, j) in zip(labels, ((0, 0), (0, 1), (1, 0), (1, 1)))]
+    return _matrix_cells(pt.amplitude(pt.req.base.chi2.kind).matrix)
 
 
 _OBSERVABLES = {
@@ -595,6 +614,18 @@ def run_scan(req):
                         columns=columns, rows=tuple(rows), metadata=metadata)
     assert len(result.rows) == count
     return result
+
+
+def point_result(cfg, method="farfield", tol=1e-6):
+    """One amplitude and its rate, as an axis-less :class:`ScanResult`."""
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    amp = _amplitude(cfg, method, tol)
+    cells = [("rate", rate(amp))] + _matrix_cells(amp.matrix)
+    return ScanResult(axis=None, axis_values=(),
+                      columns=tuple(name for name, _ in cells),
+                      rows=(tuple(value for _, value in cells),),
+                      metadata={"method": method, "tol": tol})
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +696,7 @@ PRESET_NAMES = tuple(sorted(_PRESET_TEXTS))
 
 def preset(name, method="farfield", tol=1e-6):
     """Named figure-reproduction request (see :data:`PRESET_NAMES`)."""
-    if name not in _PRESET_TEXTS:
-        raise ValueError(f"unknown preset '{name}' (have: "
-                         + ", ".join(PRESET_NAMES) + ")")
-    return scan_request_from_config(_PRESET_TEXTS[name], method=method,
+    return scan_request_from_config(preset_text(name), method=method,
                                     tol=tol)
 
 
@@ -684,44 +712,42 @@ def preset_text(name):
 # Emission
 # ---------------------------------------------------------------------------
 
-def _expand_columns(result):
-    """Flatten complex columns into _re/_im pairs; floats pass through."""
-    names = [result.axis]
-    pick = []               # (column index, attribute or None)
-    for j, name in enumerate(result.columns):
-        if result.rows and isinstance(result.rows[0][j], complex):
-            names.extend([name + "_re", name + "_im"])
-            pick.append((j, "real"))
-            pick.append((j, "imag"))
+def _flat_row(result, i):
+    """Row i as (name, float) pairs: axis first, complex split _re/_im."""
+    out = ([] if result.axis is None
+           else [(result.axis, result.axis_values[i])])
+    for name, v in zip(result.columns, result.rows[i]):
+        if isinstance(v, complex):
+            out += [(name + "_re", float(v.real)),
+                    (name + "_im", float(v.imag))]
         else:
-            names.append(name)
-            pick.append((j, None))
-    return names, pick
-
-
-def _flat_row(result, i, pick):
-    row = [result.axis_values[i]]
-    for j, part in pick:
-        v = result.rows[i][j]
-        row.append(float(getattr(v, part)) if part else float(v))
-    return row
+            out.append((name, float(v)))
+    return out
 
 
 def emit(result, format="csv"):
-    """Serialize a :class:`ScanResult` to bytes (``csv`` or ``json``)."""
-    names, pick = _expand_columns(result)
+    """Serialize a :class:`ScanResult` to bytes (``csv`` or ``json``).
+
+    An axis-less result has no axis column, inlines its one row in the JSON
+    document and also takes ``text``: ``name = repr(value)`` per column.
+    """
+    if format == "text" and result.axis is None:
+        (row,) = result.rows
+        return "".join(f"{name} = {v!r}\n"
+                       for name, v in zip(result.columns, row)).encode()
+    flat = [_flat_row(result, i) for i in range(len(result.rows))]
     if format == "csv":
-        lines = [",".join(names)]
-        for i in range(len(result.rows)):
-            lines.append(",".join(repr(v) for v in _flat_row(result, i,
-                                                             pick)))
+        lines = [",".join(name for name, _ in flat[0])]
+        lines += [",".join(repr(v) for _, v in row) for row in flat]
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
-        rows = []
-        for i in range(len(result.rows)):
-            rows.append(dict(zip(names, _flat_row(result, i, pick))))
         doc = {"schema_version": _SCHEMA_VERSION,
-               "metadata": result.metadata,
-               "rows": rows}
+               "metadata": result.metadata}
+        if result.axis is None:
+            (row,) = flat
+            doc.update(row)
+        else:
+            doc["rows"] = [dict(row) for row in flat]
         return (json.dumps(doc, indent=2) + "\n").encode()
-    raise ValueError(f"format must be csv or json, got '{format}'")
+    raise ValueError(f"format must be csv or json (or text for an axis-less "
+                     f"result), got '{format}'")

@@ -454,8 +454,9 @@ def test_unreachable_tolerance_raises_with_partial_result():
     good = amplitude_numeric(cfg, tol=1e-6).matrix
     dev = np.linalg.norm(exc.value - good) / np.linalg.norm(good)
     assert dev <= 1e-6
-    with pytest.raises(ValueError):
-        amplitude_numeric(cfg, tol=0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            amplitude_numeric(cfg, tol=bad)
 
 
 def test_amplitude_container():

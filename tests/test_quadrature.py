@@ -90,6 +90,12 @@ def test_seed_partition_over_budget_carries_no_value():
         assert info.value.error == np.inf
 
 
+def test_spec_rejects_unusable_tolerance():
+    for tol in (0.0, -1e-8, np.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # Angular doubling
 # ---------------------------------------------------------------------------

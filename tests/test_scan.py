@@ -185,6 +185,10 @@ def test_request_validation():
     with pytest.raises(ValueError, match="start < stop"):
         ScanRequest(base=base, axis="n_imag", range=(1, 0, 5),
                     observables=("rate_I",))
+    for bounds in ((0.0, np.inf), (np.nan, 1e-5), (-np.inf, 1e-5)):
+        with pytest.raises(ValueError, match="finite"):
+            ScanRequest(base=base, axis="n_imag", range=(*bounds, 3),
+                        observables=("rate_I",))
     with pytest.raises(ValueError, match="observable"):
         ScanRequest(base=base, axis="n_imag", range=(0, 1, 5),
                     observables=())
@@ -374,6 +378,9 @@ def test_emit_format_guard():
     result = run_scan(scan_request_from_config(SCAN_TEXT))
     with pytest.raises(ValueError, match="format"):
         emit(result, format="xml")
+    # the text form is for axis-less results only
+    with pytest.raises(ValueError, match="format"):
+        emit(result, format="text")
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +405,33 @@ def test_cli_rate_text(tmp_path):
 
 def test_cli_rate_csv_and_json(tmp_path):
     cfg = _write_cfg(tmp_path, "n_imag = 1e-6\n")
-    out_csv = tmp_path / "rate.csv"
-    out_json = tmp_path / "rate.json"
-    assert main(["rate", "--config", cfg, "--format", "csv",
-                 "--out", str(out_csv)]) == 0
-    header, row = out_csv.read_text().splitlines()
+    text = {}
+    for fmt in ("text", "csv", "json"):
+        out = tmp_path / f"rate.{fmt}"
+        assert main(["rate", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        text[fmt] = out.read_text()
+    header, row = text["csv"].splitlines()
     assert header.split(",")[0] == "rate"
     assert len(header.split(",")) == len(row.split(",")) == 9
-    assert main(["rate", "--config", cfg, "--format", "json",
-                 "--out", str(out_json)]) == 0
-    doc = json.loads(out_json.read_text())
+    from_csv = dict(zip(header.split(","), map(float, row.split(","))))
+    doc = json.loads(text["json"])
     assert doc["rate"] > 0.0 and doc["metadata"]["method"] == "farfield"
+    assert "rows" not in doc
+    from_json = {k: v for k, v in doc.items()
+                 if k not in ("schema_version", "metadata")}
+    # the text form keeps each complex entry whole: compare by parts
+    from_text = {}
+    for line in text["text"].splitlines():
+        name, value = line.split(" = ")
+        if name == "rate":
+            from_text[name] = float(value)
+        else:
+            z = complex(value)
+            from_text[name + "_re"], from_text[name + "_im"] = z.real, z.imag
+    assert list(from_csv) == list(from_json) == list(from_text)
+    assert from_csv == from_json == from_text
+    assert from_csv["amplitude_xx_re"] != 0.0
 
 
 def test_cli_scan_csv(tmp_path):
@@ -431,6 +454,8 @@ def test_cli_validation_failures_exit_1(tmp_path):
     assert main(["rate", "--config", str(tmp_path / "absent.cfg")]) == 1
     no_scan = _write_cfg(tmp_path, "n_imag = 1e-6\n", name="plain.cfg")
     assert main(["scan", "--config", no_scan]) == 1
+    assert main(["rate", "--config", no_scan, "--method", "numeric",
+                 "--tol", "nan"]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["preset", "fig7"]) == 1
     assert main([]) == 1
