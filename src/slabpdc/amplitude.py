@@ -531,9 +531,10 @@ def _integrate_head(slow, phase, cfg, modes, upper, rel_tol):
     """GK15 integral of slow(theta) e^{i psi_rel} over [0, upper].
 
     Seed panels span _PANEL_CYCLES cycles of the fastest phase (detector
-    plus slab) found on a 513-point grid over [0, upper]. Worst-first
-    refinement needs room for a few full sweeps over the seed partition
-    when tol is tight; the budget allows for that.
+    plus slab) found on a 513-point grid over [0, upper]. integrate_radial
+    evaluates them in node blocks and refines in worst-first rounds; when
+    tol is tight a round can bisect most of the partition, so the budget
+    leaves room for a few full sweeps over the seed panels.
     """
     thetas = np.linspace(0.0, upper, 513)
     rate_max = float(np.max(np.abs(phase.psi_prime(thetas))

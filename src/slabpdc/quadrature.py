@@ -13,11 +13,16 @@ panel is wider than a prescribed fraction of the local oscillation period
 (the caller knows the phase rates, this module does not). The
 sqrt(q^2 - kappa^2) branch point at the edge of the propagating disc is
 the caller's to regularize, by the kappa = q sin(theta) map.
+
+The integrand is called on blocks of up to _BLOCK_PANELS panels, not once
+per 15-node panel: the whole seed partition first, then the children of
+each refinement round. A per-node integrand costs about 10 us a node in
+15-node calls and under 1 us in calls of thousands of nodes, so the call
+count, not the node count, set the cost of the one-panel driver.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +50,11 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+
+# Panels per integrand call. One call over the ~21k-node seed partition of
+# an amplitude raised its peak RSS from 84 to 93 MB; 128 panels (1920
+# nodes) stay within 1 MB of 32-panel blocks at the speed of one call.
+_BLOCK_PANELS = 128
 
 
 class ConvergenceError(RuntimeError):
@@ -75,19 +85,31 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-def _panel(f, a, b):
-    """One GK15 evaluation: (kronrod, 1-norm of kronrod - gauss, resabs).
+def _panels(f, lo, hi):
+    """GK15 on the panels [lo[j], hi[j]], calling f once per block of panels.
 
-    f(x) is an (n,) array or an (m, n) stack; kronrod has shape () or (m,).
+    Returns (kronrod, err, resabs), one column per panel: kronrod is (p,)
+    for an (n,) integrand and (m, p) for an (m, n) stack, err is the 1-norm
+    of kronrod - gauss over the stack and resabs the GK15 integral of the
+    summed |f|. Blocks hold at most _BLOCK_PANELS panels, so the node arrays
+    the integrand builds stay small however long the partition is.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * _XGK), dtype=complex)
-    kron = half * (y @ _WGK)
-    gauss = half * (y[..., _GAUSS_IDX] @ _WG)
-    err = float(np.sum(np.abs(kron - gauss)))
-    resabs = half * float(np.sum(_WGK * np.atleast_2d(np.abs(y)).sum(axis=0)))
-    return kron, err, resabs
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    kron, err, resabs = [], [], []
+    for s in range(0, len(lo), _BLOCK_PANELS):
+        h = half[s:s + _BLOCK_PANELS]
+        x = (mid[s:s + _BLOCK_PANELS, None] + h[:, None] * _XGK).ravel()
+        y = np.asarray(f(x), dtype=complex)
+        shape = y.shape[:-1] + (len(h),)
+        y = y.reshape(-1, len(h), 15)
+        k = h * (y @ _WGK)
+        g = h * (y[..., _GAUSS_IDX] @ _WG)
+        kron.append(k.reshape(shape))
+        err.append(np.abs(k - g).sum(axis=0))
+        resabs.append(h * (np.abs(y).sum(axis=0) @ _WGK))
+    return (np.concatenate(kron, axis=-1), np.concatenate(err),
+            np.concatenate(resabs))
 
 
 def integrate_radial(f, a, b, spec=None, max_panel=None):
@@ -98,10 +120,13 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     abscissae, giving the (m,) vector of integrals. Returns (value,
     error_estimate). Error control uses the 1-norm over the stack, so
     entries much smaller than the vector as a whole are not chased to
-    relative precision individually. Panels are bisected worst-first
-    until the summed error estimate drops below
-    max(rel_tol*|value|_1, abs_floor) or the error is provably at the
-    roundoff floor of the integrand; a spent subdivision budget raises
+    relative precision individually. The seed partition is evaluated at
+    once; refinement then runs in rounds until the summed error estimate
+    drops to the goal: target = max(rel_tol*|value|_1, abs_floor), or the
+    roundoff floor of the integrand if that is larger. Each round bisects,
+    worst first, the fewest panels whose errors add up to more than
+    err_total - goal, within the subdivision budget, and evaluates all
+    their children in one blocked pass. A spent budget raises
     ConvergenceError with the best value (None when the seed partition
     alone exceeds the budget).
 
@@ -120,46 +145,38 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
                 f"budget ({spec.max_subdivisions})", None, np.inf)
     edges = np.linspace(a, b, n_seed + 1)
 
-    # Heap of (-error, insertion_order, lo, hi, value, resabs); the counter
-    # makes tie-breaking, and therefore the result, deterministic.
-    heap = []
-    counter = 0
-    total = None
-    err_total = 0.0
-    resabs_total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, resabs = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, resabs))
-        counter += 1
-        total = val if total is None else total + val
-        err_total += err
-        resabs_total += resabs
-
-    n_panels = n_seed
+    # Panel j is [edges[j], edges[j + 1]] and column j of val, err and
+    # resabs, so a round is a few array operations and one blocked pass.
+    val, err, resabs = _panels(f, edges[:-1], edges[1:])
     while True:
+        total = val.sum(axis=-1)
+        err_total = float(err.sum())
         target = max(spec.rel_tol * float(np.sum(np.abs(total))),
                      spec.abs_floor)
-        roundoff = 50.0 * np.finfo(float).eps * resabs_total
-        if err_total <= target or err_total <= roundoff:
+        goal = max(target, 50.0 * np.finfo(float).eps * float(resabs.sum()))
+        if err_total <= goal:
             return total, err_total
-        if n_panels >= spec.max_subdivisions:
+        room = spec.max_subdivisions - len(err)
+        if room <= 0:
             raise ConvergenceError(
                 f"subdivision budget ({spec.max_subdivisions}) exhausted at "
                 f"error {err_total:.3e} (target {target:.3e})",
                 total, err_total)
-        neg_err, _, lo, hi, val, resabs = heapq.heappop(heap)
-        total = total - val
-        err_total += neg_err  # neg_err = -err
-        resabs_total -= resabs
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sval, serr, sres = _panel(f, sub_lo, sub_hi)
-            heapq.heappush(heap, (-serr, counter, sub_lo, sub_hi, sval, sres))
-            counter += 1
-            total = total + sval
-            err_total += serr
-            resabs_total += sres
-        n_panels += 1
+        # The stable sort makes ties, and therefore the result, deterministic.
+        worst = np.argsort(-err, kind="stable")
+        need = np.searchsorted(np.cumsum(err[worst]), err_total - goal,
+                               side="right") + 1
+        pick = np.sort(worst[:min(need, room)])
+        # A picked panel gets a new column before its own; both columns
+        # then hold its two children.
+        edges = np.insert(edges, pick + 1,
+                          0.5 * (edges[pick] + edges[pick + 1]))
+        val = np.insert(val, pick, 0.0, axis=-1)
+        err = np.insert(err, pick, 0.0)
+        resabs = np.insert(resabs, pick, 0.0)
+        kids = ((pick + np.arange(len(pick)))[:, None] + [0, 1]).ravel()
+        val[..., kids], err[kids], resabs[kids] = _panels(
+            f, edges[kids], edges[kids + 1])
 
 
 def integrate_angular(f, rel_tol=1e-10, abs_floor=0.0, max_doublings=16):

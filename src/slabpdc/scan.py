@@ -344,6 +344,14 @@ def load_config(text):
 # Scan requests
 # ---------------------------------------------------------------------------
 
+def _check_route(method, tol):
+    """Reject an unknown method or a tol that is not > 0 (NaN included)."""
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
 @dataclass(frozen=True)
 class ScanRequest:
     """One-axis sweep: what to vary, over which grid, measuring what."""
@@ -379,10 +387,7 @@ class ScanRequest:
         if len(set(obs)) != len(obs):
             raise ValueError("duplicate observable")
         object.__setattr__(self, "observables", obs)
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        _check_route(self.method, self.tol)
         if self.axis == "delta_k":
             extra = [o for o in obs if o != "sinc_profile"]
             if extra:
@@ -467,12 +472,18 @@ def _matrix_cells(matrix):
 
 
 class _AxisPoint:
-    """Everything evaluable at one axis value, built lazily and cached."""
+    """Everything evaluable at one axis value, built lazily and cached.
 
-    def __init__(self, req, x):
+    ``lossless_amps`` is shared by every point of one scan: on the n_imag
+    axis the lossless config does not depend on the axis value, so its
+    amplitude is computed once per conversion type.
+    """
+
+    def __init__(self, req, x, lossless_amps):
         self.req = req
         self.x = float(x)
         self._amps = {}
+        self._amps_lossless = lossless_amps if req.axis == "n_imag" else {}
 
     def config(self, kind=None, lossless=False):
         cfg, x = self.req.base, self.x
@@ -498,12 +509,12 @@ class _AxisPoint:
         return replace(cfg, **changes)
 
     def amplitude(self, kind, lossless=False):
-        key = (kind, lossless)
-        if key not in self._amps:
-            self._amps[key] = _amplitude(
+        amps = self._amps_lossless if lossless else self._amps
+        if kind not in amps:
+            amps[kind] = _amplitude(
                 self.config(kind=kind, lossless=lossless), self.req.method,
                 self.req.tol)
-        return self._amps[key]
+        return amps[kind]
 
     def phase_match(self):
         cfg = self.config()
@@ -578,9 +589,10 @@ def run_scan(req):
     axis_values = np.linspace(start, stop, count)
     columns = None
     rows = []
+    lossless_amps = {}
     for i, x in enumerate(axis_values):
         try:
-            pt = _AxisPoint(req, x)
+            pt = _AxisPoint(req, x, lossless_amps)
             cells = []
             for name in req.observables:
                 cells.extend(_OBSERVABLES[name](pt))
@@ -618,8 +630,7 @@ def run_scan(req):
 
 def point_result(cfg, method="farfield", tol=1e-6):
     """One amplitude and its rate, as an axis-less :class:`ScanResult`."""
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
+    _check_route(method, tol)
     amp = _amplitude(cfg, method, tol)
     cells = [("rate", rate(amp))] + _matrix_cells(amp.matrix)
     return ScanResult(axis=None, axis_values=(),

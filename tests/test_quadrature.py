@@ -5,6 +5,8 @@ values, the reported error estimates must actually bound the true errors
 (with bounded slack), and repeated runs must be bit-identical.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,52 @@ def test_seed_partition_over_budget_carries_no_value():
             integrate_radial(f, 0.0, 1.0, spec, max_panel=0.1)
         assert info.value.value is None
         assert info.value.error == np.inf
+
+
+def _counted(f):
+    """f and the list of node counts it was called with."""
+    sizes = []
+
+    def g(x):
+        sizes.append(len(x))
+        return f(x)
+    return g, sizes
+
+
+def test_seed_partition_evaluated_in_blocks():
+    # 1400 unit panels converge on the seed: 11 calls of <= 128 panels each
+    g, sizes = _counted(np.cos)
+    val, _ = integrate_radial(g, 0.0, 1400.0, max_panel=1.0)
+    assert val == pytest.approx(np.sin(1400.0), rel=1e-12)
+    assert len(sizes) == math.ceil(1400 / 128)
+    assert max(sizes) <= 128 * 15
+    assert sum(sizes) == 1400 * 15
+
+
+def test_refinement_spends_budget_without_exceeding_it():
+    g, sizes = _counted(lambda x: np.sin(300.0 * x) / (1e-3 + x))
+    spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=100)
+    with pytest.raises(ConvergenceError, match="exhausted") as info:
+        integrate_radial(g, 0.0, 1.0, spec, max_panel=0.05)
+    # every bisection evaluates two children and adds one panel
+    n_seed = 20
+    panels = n_seed + (sum(sizes) // 15 - n_seed) // 2
+    assert panels == spec.max_subdivisions
+    # a few rounds, one integrand call each, not one call per panel
+    assert 2 < len(sizes) < 10
+    assert max(sizes) <= 128 * 15
+    assert info.value.value is not None
+    assert np.isfinite(info.value.error)
+
+
+def test_scalar_and_single_row_stack_agree():
+    def f(x):
+        return np.exp(1j * 37.0 * x) / (1.0 + x * x)
+
+    val, err = integrate_radial(f, 0.0, 10.0)
+    vals, errs = integrate_radial(lambda x: f(x)[None, :], 0.0, 10.0)
+    assert vals.shape == (1,)
+    assert val == vals[0] and err == errs
 
 
 def test_spec_rejects_unusable_tolerance():

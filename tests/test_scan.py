@@ -10,6 +10,8 @@ import json
 import numpy as np
 import pytest
 
+from slabpdc import scan
+from slabpdc.amplitude import amplitude_farfield
 from slabpdc.cli import main
 from slabpdc.materials import DispersionRangeError
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
@@ -240,6 +242,20 @@ def test_ratio_scan_rows():
                for a, b in zip(ratios_I[1:], ratios_II[1:]))
 
 
+def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
+    # On the n_imag axis the lossless config is the same at every point.
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return amplitude_farfield(cfg)
+
+    monkeypatch.setattr(scan, "amplitude_farfield", counted)
+    result = run_scan(scan_request_from_config(SCAN_TEXT))
+    count = len(result.rows)
+    assert len(calls) == 2 * count + 2
+
+
 def test_scan_determinism():
     a = run_scan(scan_request_from_config(SCAN_TEXT))
     b = run_scan(scan_request_from_config(SCAN_TEXT))
@@ -454,8 +470,10 @@ def test_cli_validation_failures_exit_1(tmp_path):
     assert main(["rate", "--config", str(tmp_path / "absent.cfg")]) == 1
     no_scan = _write_cfg(tmp_path, "n_imag = 1e-6\n", name="plain.cfg")
     assert main(["scan", "--config", no_scan]) == 1
-    assert main(["rate", "--config", no_scan, "--method", "numeric",
-                 "--tol", "nan"]) == 1
+    for method in ("numeric", "farfield"):
+        for tol in ("nan", "-1"):
+            assert main(["rate", "--config", no_scan, "--method", method,
+                         "--tol", tol]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["preset", "fig7"]) == 1
     assert main([]) == 1
