@@ -48,15 +48,27 @@ is exact in J0, J2 and J4 of kappa rho (Jacobi-Anger, DLMF 10.12), times
 constant 2x2 matrices of psi. Every detector placement is then one radial
 integral of a short stack of rows, the matrices applied to its result.
 
-Only the sector propagating in vacuum (kappa < min(q_s, q_i)) reaches the
-detectors; evanescent contributions die over macroscopic z gaps well below
-double precision. The substitution kappa = kappa_max sin(theta) removes the
+amplitude_numeric integrates only the sector propagating in vacuum,
+kappa < min(q_s, q_i). The evanescent sector it leaves out is small but not
+negligible: its integral measured 4e-5 of the amplitude for a 0.1 mm slab
+with detectors 0.15 mm out, and 2e-6 to 5e-6 for a 2 mm slab at 3 mm and
+for a split at 3 cm, so the route is only as good as that at close range.
+The substitution kappa = kappa_max sin(theta) removes the
 1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
 oscillates ~q z / 2 pi times over the disc, so the radial integral keeps an
 exact head of K phase cycles (Gauss-Kronrod panels sized to the local phase
 rate) and closes the tail with a three-term integration-by-parts series in
 1/(i Psi'), with the series ratio monitored and K escalated if the closure
 is not clearly converging.
+
+Stacked points
+--------------
+A sweep varies one scalar of the config. The frequency-level kernels
+(dispersion, kinematics, Fresnel and X factors, noise factors, the far-field
+form) broadcast over a leading axis of m sweep points, so _Modes and
+farfield_matrices evaluate a whole sweep at once; amplitude_farfield is the
+one-point case. Every kernel works elementwise, so a point's value does not
+depend on the points stacked with it.
 """
 
 from __future__ import annotations
@@ -70,7 +82,8 @@ from scipy.special import j0, jv
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        branch_sqrt, fresnel, kinematics, noise_factor)
+                        branch_sqrt, fresnel, kinematics, noise_factor,
+                        reject)
 from .quadrature import ConvergenceError, QuadratureSpec, integrate_radial
 
 __all__ = [
@@ -85,7 +98,11 @@ __all__ = [
     "integrand_typeII",
     "amplitude_numeric",
     "amplitude_farfield",
+    "farfield_matrices",
+    "check_farfield",
+    "check_point",
     "rate",
+    "rates",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -131,50 +148,71 @@ class ExperimentConfig:
     def __post_init__(self):
         off = (float(self.offset[0]), float(self.offset[1]))
         object.__setattr__(self, "offset", off)
-        for name in ("pump_field", "pump_frequency", "signal_frequency",
-                     "idler_frequency", "z_signal", "z_idler", "pump_z"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if not (math.isfinite(off[0]) and math.isfinite(off[1])):
-            raise ValueError("offset must be finite")
-        if self.pump_field <= 0:
-            raise ValueError("pump_field must be positive")
-        if self.pump_frequency <= 0:
-            raise ValueError("pump_frequency must be positive")
-        half = 0.5 * self.crystal.length
-        if self.signal_frequency is None and self.idler_frequency is None:
-            object.__setattr__(self, "signal_frequency",
-                               0.5 * self.pump_frequency)
-            object.__setattr__(self, "idler_frequency",
-                               0.5 * self.pump_frequency)
-        elif self.signal_frequency is None or self.idler_frequency is None:
-            raise ValueError("give both split frequencies or neither")
-        if self.signal_frequency <= 0 or self.idler_frequency <= 0:
-            raise ValueError("split frequencies must be positive")
-        mismatch = abs(self.signal_frequency + self.idler_frequency
-                       - self.pump_frequency)
-        if mismatch > 1e-12 * self.pump_frequency:
-            raise ValueError(
-                "energy conservation violated: signal + idler differs from "
-                f"the pump frequency by {mismatch:.3e} rad/s")
-        if self.pump_z is None:
-            object.__setattr__(self, "pump_z", -half)
-        elif self.pump_z > -half:
-            raise ValueError("pump_z must lie on the incidence side, "
-                             "z <= -L/2")
-        if self.z_signal <= half or self.z_idler <= half:
-            raise ValueError("detectors must sit beyond the exit face, "
-                             "z > +L/2")
+        sig, idl, pump_z = check_point(
+            self.crystal.length, self.pump_field, self.pump_frequency,
+            self.signal_frequency, self.idler_frequency, self.z_signal,
+            self.z_idler, self.pump_z, off)
+        object.__setattr__(self, "signal_frequency", sig)
+        object.__setattr__(self, "idler_frequency", idl)
+        object.__setattr__(self, "pump_z", pump_z)
 
     @property
     def degenerate(self):
-        return abs(self.signal_frequency - self.idler_frequency) \
-            <= 1e-12 * self.pump_frequency
+        return _degenerate(self.signal_frequency, self.idler_frequency,
+                           self.pump_frequency)
 
     @property
     def collinear(self):
         return self.offset == (0.0, 0.0)
+
+
+def check_point(length, pump_field, pump_frequency, signal_frequency,
+                idler_frequency, z_signal, z_idler, pump_z, offset):
+    """The checks of one ExperimentConfig, on one point or on m stacked.
+
+    Any number may be an array over axis points; a failing check raises at
+    the first point that fails it (``materials.reject``). Returns the split
+    frequencies and the pump plane with their defaults filled in: an even
+    split, and the entry face -L/2.
+    """
+    for name, value in (("pump_field", pump_field),
+                        ("pump_frequency", pump_frequency),
+                        ("signal_frequency", signal_frequency),
+                        ("idler_frequency", idler_frequency),
+                        ("z_signal", z_signal), ("z_idler", z_idler),
+                        ("pump_z", pump_z)):
+        if value is not None:
+            reject((value != value) | (abs(value) == math.inf), ValueError,
+                   lambda i: f"{name} must be finite")
+    if not (math.isfinite(offset[0]) and math.isfinite(offset[1])):
+        raise ValueError("offset must be finite")
+    reject(pump_field <= 0, ValueError,
+           lambda i: "pump_field must be positive")
+    reject(pump_frequency <= 0, ValueError,
+           lambda i: "pump_frequency must be positive")
+    half = 0.5 * length
+    if signal_frequency is None and idler_frequency is None:
+        signal_frequency = idler_frequency = 0.5 * pump_frequency
+    elif signal_frequency is None or idler_frequency is None:
+        raise ValueError("give both split frequencies or neither")
+    reject((signal_frequency <= 0) | (idler_frequency <= 0), ValueError,
+           lambda i: "split frequencies must be positive")
+    mismatch = abs(signal_frequency + idler_frequency - pump_frequency)
+    reject(mismatch > 1e-12 * pump_frequency, ValueError,
+           lambda i: "energy conservation violated: signal + idler differs "
+           f"from the pump frequency by {np.ravel(mismatch)[i]:.3e} rad/s")
+    if pump_z is None:
+        pump_z = -half
+    else:
+        reject(pump_z > -half, ValueError,
+               lambda i: "pump_z must lie on the incidence side, z <= -L/2")
+    reject((z_signal <= half) | (z_idler <= half), ValueError,
+           lambda i: "detectors must sit beyond the exit face, z > +L/2")
+    return signal_frequency, idler_frequency, pump_z
+
+
+def _degenerate(omega_s, omega_i, omega_p):
+    return abs(omega_s - omega_i) <= 1e-12 * omega_p
 
 
 @dataclass(frozen=True)
@@ -201,7 +239,12 @@ class BiphotonAmplitude:
 
 def rate(amp):
     """Coincidence count rate R = sum_{lambda mu} |A_{lambda mu}|^2."""
-    return float(np.sum(np.abs(np.asarray(amp.matrix)) ** 2))
+    return float(rates(amp.matrix))
+
+
+def rates(matrices):
+    """rate() of every 2x2 matrix in a (..., 2, 2) stack."""
+    return np.sum(np.abs(np.asarray(matrices)) ** 2, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +279,7 @@ def sinc_profile(pm, length):
     parts of the pump and split-mode wave numbers cancel in dk, the minima
     return to zero while the overall e^{-Im(sk) L} decay remains.
     """
-    if length <= 0:
-        raise ValueError("length must be positive")
+    reject(length <= 0, ValueError, lambda i: "length must be positive")
     w = 0.5 * pm.delta_k * length
     envelope = np.exp(0.5j * pm.sigma_k * length)
     val = np.abs(complex_sinc(w)) ** 2 * np.abs(envelope) ** 2
@@ -267,24 +309,38 @@ def x_factor(sigma_s, sigma_i, fres_pump, fres_s, fres_i, sigma_k, length):
 # ---------------------------------------------------------------------------
 
 class _Modes:
-    """Frequency-level constants of one config: indices, pump set, noise."""
+    """Frequency-level constants: indices, pump set, noise.
 
-    def __init__(self, cfg):
-        crystal = cfg.crystal
-        self.n_s = crystal.index(cfg.signal_frequency)
-        self.n_i = crystal.index(cfg.idler_frequency)
-        self.n_p = crystal.index(cfg.pump_frequency)
-        self.eps_s = self.n_s * self.n_s
-        self.eps_i = self.n_i * self.n_i
-        self.eps_p = self.n_p * self.n_p
-        self.kin_p = kinematics(cfg.pump_frequency, self.n_p)
-        self.fres_p = fresnel(TEM, self.kin_p, self.eps_p, crystal.length)
-        self.q_s = cfg.signal_frequency / C_LIGHT
-        self.q_i = cfg.idler_frequency / C_LIGHT
-        self.k_s = self.n_s * cfg.signal_frequency / C_LIGHT
-        self.k_i = self.n_i * cfg.idler_frequency / C_LIGHT
+    Built from the three frequencies, their indices, the slab length and
+    the pump plane. Each may be a scalar (one config, ``_Modes.of``) or an
+    (m,) array over the axis points of a sweep; every attribute then
+    broadcasts over that leading axis.
+    """
+
+    def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length,
+                 pump_z):
+        self.omega_s, self.omega_i = omega_s, omega_i
+        self.length, self.pump_z = length, pump_z
+        self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
+        self.eps_s = n_s * n_s
+        self.eps_i = n_i * n_i
+        self.eps_p = n_p * n_p
+        self.kin_p = kinematics(omega_p, n_p)
+        self.fres_p = fresnel(TEM, self.kin_p, self.eps_p, length)
+        self.q_s = omega_s / C_LIGHT
+        self.q_i = omega_i / C_LIGHT
+        self.k_s = n_s * omega_s / C_LIGHT
+        self.k_i = n_i * omega_i / C_LIGHT
         self.noise = (np.conj(noise_factor(self.eps_s))
                       * np.conj(noise_factor(self.eps_i)))
+
+    @classmethod
+    def of(cls, cfg):
+        index = cfg.crystal.index
+        om_s, om_i, om_p = (cfg.signal_frequency, cfg.idler_frequency,
+                            cfg.pump_frequency)
+        return cls(om_s, om_i, om_p, index(om_s), index(om_i), index(om_p),
+                   cfg.crystal.length, cfg.pump_z)
 
 
 def _prefactor(cfg, modes):
@@ -294,11 +350,11 @@ def _prefactor(cfg, modes):
     * A*(w_s) A*(w_i). The pump reference phase is carried exactly even
     though it cancels in the rate.
     """
-    om_s, om_i = cfg.signal_frequency, cfg.idler_frequency
-    return (HBAR * cfg.pump_field * cfg.crystal.length * cfg.chi2.d
+    om_s, om_i = modes.omega_s, modes.omega_i
+    return (HBAR * cfg.pump_field * modes.length * cfg.chi2.d
             / (4j * np.pi * EPS0)
             * (om_s * om_s * om_i * om_i / C_LIGHT ** 4)
-            * np.exp(1j * modes.kin_p.q * cfg.pump_z)
+            * np.exp(1j * modes.kin_p.q * modes.pump_z)
             * modes.noise)
 
 
@@ -310,13 +366,11 @@ class _Channels:
     csinc(dk L/2) e^{i sk L/2}.
     """
 
-    def __init__(self, cfg, modes, kappa):
-        length = cfg.crystal.length
+    def __init__(self, modes, kappa):
+        length = modes.length
         zeros = np.zeros_like(kappa)
-        self.kin_s = kinematics(cfg.signal_frequency, modes.n_s,
-                                (kappa, zeros))
-        self.kin_i = kinematics(cfg.idler_frequency, modes.n_i,
-                                (kappa, zeros))
+        self.kin_s = kinematics(modes.omega_s, modes.n_s, (kappa, zeros))
+        self.kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
         fres_s = {TE: fresnel(TE, self.kin_s, modes.eps_s, length),
                   TM: fresnel(TM, self.kin_s, modes.eps_s, length)}
         fres_i = {TE: fresnel(TE, self.kin_i, modes.eps_i, length),
@@ -384,7 +438,8 @@ def _angular_rows(cfg, ch, kappa, rho):
 # ---------------------------------------------------------------------------
 
 def _polarization_sum(cfg, ch, phi):
-    """B_{lambda mu}(u): detector dyads times pattern-contracted sources.
+    """B_{lambda mu}(u) at n samples: detector dyads times pattern-contracted
+    sources, shape (n, 2, 2).
 
     a[sigma, j] and b[sigma, j] are the transverse field legs of the
     signal at +u and the idler at -u, the TM legs with the in-crystal
@@ -395,40 +450,43 @@ def _polarization_sum(cfg, ch, phi):
     a = np.array([[s, -c], [-ch.c_s * c, -ch.c_s * s]])
     b = np.array([[-s, c], [ch.c_i * c, ch.c_i * s]])
     x = np.array([[ch.x[(p, q)] for q in (TE, TM)] for p in (TE, TM)])
-    return np.einsum("sl,tm,sa,ab,tb,st->lm", a, b, a, cfg.chi2.pattern,
-                     b, x)
+    return np.einsum("sln,tmn,san,ab,tbn,stn->nlm", a, b, a,
+                     cfg.chi2.pattern, b, x)
 
 
 def _integrand(k_perp, cfg, kind):
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    kappa = float(np.hypot(kx, ky))
-    modes = _Modes(cfg)
+    kx = np.asarray(k_perp[0], dtype=float)
+    ky = np.asarray(k_perp[1], dtype=float)
+    shape = kx.shape
+    kx, ky = np.atleast_1d(kx), np.atleast_1d(ky)
+    kappa = np.hypot(kx, ky)
+    modes = _Modes.of(cfg)
     kap_max = min(modes.q_s, modes.q_i)
-    if not 0.0 < kappa < kap_max:
-        raise ValueError(
-            f"|k_perp| = {kappa:.6e} outside the open propagating disc "
-            f"(0, {kap_max:.6e})")
+    reject(~((0.0 < kappa) & (kappa < kap_max)), ValueError,
+           lambda i: f"|k_perp| = {kappa[i]:.6e} outside the open "
+           f"propagating disc (0, {kap_max:.6e})")
     work = cfg if cfg.chi2.kind == kind else \
         replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
-    ch = _Channels(work, modes, np.asarray(kappa))
-    phi = np.arctan2(ky, kx)
-    b = _polarization_sum(work, ch, phi)
+    ch = _Channels(modes, kappa)
+    b = _polarization_sum(work, ch, np.arctan2(ky, kx))
     dx, dy = work.offset
     phase = np.exp(1j * (kx * dx + ky * dy)) \
         * np.exp(1j * (ch.kin_s.q_z * work.z_signal
                        + ch.kin_i.q_z * work.z_idler))
-    w = b / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z) * ch.slab * phase
-    return np.asarray(w, dtype=complex).reshape(2, 2)
+    w = ch.slab * phase / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z)
+    return (b * w[:, None, None]).reshape(shape + (2, 2))
 
 
 def integrand_typeI(k_perp, cfg):
-    """Pattern-"I" transverse-plane integrand at one wave vector.
+    """Pattern-"I" transverse-plane integrand at one or more wave vectors.
 
     The 2x2 matrix under the d^2k integral of the amplitude: slab phase,
     detector propagation phases, transverse offset phase, and the
     polarization sum with equal-polarization chi2 pairing. The amplitude
-    prefactor (pump drive, noise factors, L, d) is not included. k_perp
-    must lie strictly inside the vacuum propagating disc.
+    prefactor (pump drive, noise factors, L, d) is not included. k_perp is
+    one vector (k_x, k_y), giving a (2, 2) matrix, or a (2, n) stack,
+    giving (n, 2, 2); every vector must lie strictly inside the vacuum
+    propagating disc.
     """
     return _integrand(k_perp, cfg, "I")
 
@@ -611,7 +669,7 @@ def amplitude_numeric(cfg, tol=1e-6):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    modes = _Modes(cfg)
+    modes = _Modes.of(cfg)
     phase = _DetectorPhase(cfg, modes)
     kap_max = phase.kap_max
     rho = float(np.hypot(*cfg.offset))
@@ -619,7 +677,7 @@ def amplitude_numeric(cfg, tol=1e-6):
     def slow(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kap = kap_max * np.sin(theta)
-        ch = _Channels(cfg, modes, kap)
+        ch = _Channels(modes, kap)
         return _angular_rows(cfg, ch, kap, rho) * kap_max * np.cos(theta)
 
     pref = _prefactor(cfg, modes)
@@ -637,30 +695,33 @@ def amplitude_numeric(cfg, tol=1e-6):
     return BiphotonAmplitude.from_matrix(matrix(vec))
 
 
-def amplitude_farfield(cfg):
-    """Closed-form leading-order amplitude for distant on-axis detectors.
+def check_farfield(cfg, omega_s, omega_i, omega_p):
+    """Reject what the far-field form does not cover, point by point.
 
-    Requires the degenerate (signal frequency = idler frequency) collinear
-    configuration; anything else must go through amplitude_numeric. The
-    transverse integral is evaluated by its kappa = 0 endpoint
-    contribution, which turns the detector phases into the spherical
-    factor e^{i q (z_s + z_i)}/(z_s + z_i) and samples the slab factors at
-    normal incidence, where the TE and TM channels coincide pairwise
-    (X+ for equal, X- for crossed polarizations).
+    The frequencies may be arrays over axis points; cfg supplies the
+    detector offset.
     """
-    if not cfg.degenerate:
-        raise ValueError("far-field form needs a degenerate split; use "
-                         "amplitude_numeric for distinct frequencies")
+    reject(np.logical_not(_degenerate(omega_s, omega_i, omega_p)), ValueError,
+           lambda i: "far-field form needs a degenerate split; use "
+           "amplitude_numeric for distinct frequencies")
     if not cfg.collinear:
         raise ValueError("far-field form needs zero transverse offset; use "
                          "amplitude_numeric for displaced detectors")
-    modes = _Modes(cfg)
-    length = cfg.crystal.length
-    omega = cfg.signal_frequency
-    q = omega / C_LIGHT
+
+
+def farfield_matrices(cfg, modes):
+    """The far-field closed form at every point of modes, shape (..., 2, 2).
+
+    cfg supplies the conversion type, the drive and the detector distances;
+    modes the frequencies, indices, slab length and pump plane, as scalars
+    (one (2, 2) matrix) or as (m,) arrays over axis points ((m, 2, 2)).
+    The points must pass check_farfield.
+    """
+    length = modes.length
+    q = modes.q_s
     k = modes.k_s
 
-    kin0 = kinematics(omega, modes.n_s)
+    kin0 = kinematics(modes.omega_s, modes.n_s)
     fres_te = fresnel(TE, kin0, modes.eps_s, length)
     fres_tm = fresnel(TM, kin0, modes.eps_s, length)
     pm = phase_terms(kin0, kin0, modes.kin_p)
@@ -676,8 +737,24 @@ def amplitude_farfield(cfg):
     core = _prefactor(cfg, modes) * (-1j) * q / (_TWO_PI * k * k) \
         * slab * reach
     if cfg.chi2.kind == "I":
-        matrix = core * x_plus * np.eye(2)
-    else:
-        matrix = 0.5 * core * (x_plus + x_minus) \
-            * np.array([[0.0, 1.0], [1.0, 0.0]])
-    return BiphotonAmplitude.from_matrix(matrix)
+        return np.multiply.outer(core * x_plus, np.eye(2))
+    return np.multiply.outer(0.5 * core * (x_plus + x_minus),
+                             np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def amplitude_farfield(cfg):
+    """Closed-form leading-order amplitude for distant on-axis detectors.
+
+    Requires the degenerate (signal frequency = idler frequency) collinear
+    configuration; anything else must go through amplitude_numeric. The
+    transverse integral is evaluated by its kappa = 0 endpoint
+    contribution, which turns the detector phases into the spherical
+    factor e^{i q (z_s + z_i)}/(z_s + z_i) and samples the slab factors at
+    normal incidence, where the TE and TM channels coincide pairwise
+    (X+ for equal, X- for crossed polarizations). This is the one-point
+    case of farfield_matrices.
+    """
+    check_farfield(cfg, cfg.signal_frequency, cfg.idler_frequency,
+                   cfg.pump_frequency)
+    return BiphotonAmplitude.from_matrix(farfield_matrices(cfg,
+                                                           _Modes.of(cfg)))

@@ -155,27 +155,63 @@ def material_from_table(text, name="table"):
     return MaterialDispersion.from_wavelength_samples(samples, name=name)
 
 
+def reject(bad, error, message):
+    """Raise ``error(message(i))`` at the first point i where ``bad`` holds.
+
+    ``bad`` is a bool for one point or a bool array over m stacked axis
+    points; ``message`` formats the text for point i. The exception carries
+    i as ``index`` (0 for one point), so a check applied to a stack rejects
+    the same point, with the same message, as its one-point form would.
+    """
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+    elif not bad:
+        return
+    else:
+        i = 0
+    exc = error(message(i))
+    exc.index = i
+    raise exc
+
+
 def dispersion_eval(material, omega):
     """Complex refractive index n'(omega) + i n''(omega).
 
     Linear interpolation in omega between samples; evaluation exactly at a
-    sample returns the sample. Raises DispersionRangeError outside the
-    sampled interval (with a hair of slack for rounding at the edges).
+    sample returns the sample. omega may be an array of axis points, which
+    gives an array of indices. Raises DispersionRangeError outside the
+    sampled interval (with a hair of slack for rounding at the edges); its
+    ``index`` is the first offending point.
     """
-    if omega <= 0:
-        raise DispersionRangeError(f"omega must be positive, got {omega}")
-    if material.unbounded or material.omega.size == 1:
-        return complex(material.n_real[0], material.n_imag[0])
+    w = np.asarray(omega, dtype=float)
+    bounded = not (material.unbounded or material.omega.size == 1)
     lo, hi = material.omega_min, material.omega_max
     slack = _RANGE_SLACK * hi
-    if omega < lo - slack or omega > hi + slack:
-        raise DispersionRangeError(
-            f"omega = {omega:.6e} rad/s outside the sampled range "
-            f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
-    w = min(max(omega, lo), hi)
-    nr = float(np.interp(w, material.omega, material.n_real))
-    ni = float(np.interp(w, material.omega, material.n_imag))
-    return complex(nr, ni)
+    bad = w <= 0
+    if bounded:
+        bad = bad | (w < lo - slack) | (w > hi + slack)
+
+    def message(i):
+        x = np.ravel(omega)[i]
+        if x <= 0:
+            return f"omega must be positive, got {x}"
+        return (f"omega = {x:.6e} rad/s outside the sampled range "
+                f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
+
+    reject(bad, DispersionRangeError, message)
+    if not bounded:
+        n = complex(material.n_real[0], material.n_imag[0])
+        return n if w.ndim == 0 else np.full(w.shape, n)
+    # np.interp holds the edge samples past the ends, within the slack
+    nr = np.interp(w, material.omega, material.n_real)
+    ni = np.interp(w, material.omega, material.n_imag)
+    if w.ndim == 0:
+        return complex(float(nr), float(ni))
+    n = np.empty(w.shape, dtype=complex)
+    n.real, n.imag = nr, ni
+    return n
 
 
 def absorption_to_n_imag(fraction, omega, convention="intensity", length=0.01):
@@ -204,18 +240,18 @@ def absorption_to_n_imag(fraction, omega, convention="intensity", length=0.01):
 
 @dataclass(frozen=True)
 class ModeKinematics:
-    """Wave-vector data for one mode at one frequency.
+    """Wave-vector data for one mode at one frequency, or at m stacked ones.
 
     k and k_z are in-crystal (complex for lossy media), q and q_z in vacuum.
     k_perp is the real transverse vector (k_x, k_y). The exact identity
     k_z^2 + |k_perp|^2 = k^2 holds by construction.
     """
 
-    omega: float
-    k: complex
-    k_z: complex
-    q: float
-    q_z: complex
+    omega: float | np.ndarray
+    k: complex | np.ndarray
+    k_z: complex | np.ndarray
+    q: float | np.ndarray
+    q_z: complex | np.ndarray
     k_perp: tuple = (0.0, 0.0)
 
     @property
@@ -243,19 +279,19 @@ def kinematics(omega, n, k_perp=(0.0, 0.0)):
 
     k = n omega/c, q = omega/c, longitudinal components by the Im >= 0
     branch rule. Valid for any transverse vector, including the evanescent
-    sector |k_perp| > q.
+    sector |k_perp| > q. omega and n may be arrays over axis points, and
+    k_perp may be arrays over nodes; all of them broadcast together.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    reject(omega <= 0, ValueError, lambda i: "omega must be positive")
     kx, ky = np.asarray(k_perp[0], dtype=float), np.asarray(k_perp[1], dtype=float)
     if kx.ndim == 0:
         kx, ky = float(kx), float(ky)
     kap2 = kx * kx + ky * ky
-    k = complex(n) * omega / C_LIGHT
+    k = (n + 0j) * omega / C_LIGHT
     q = omega / C_LIGHT
     k_z = branch_sqrt(k * k - kap2)
     q_z = branch_sqrt(q * q - kap2)
-    return ModeKinematics(omega=float(omega), k=k, k_z=k_z, q=q, q_z=q_z,
+    return ModeKinematics(omega=omega, k=k, k_z=k_z, q=q, q_z=q_z,
                           k_perp=(kx, ky))
 
 
@@ -320,11 +356,18 @@ def fresnel(sigma, kin, eps, length):
 # Local-field correction and the absorption noise factor
 # ---------------------------------------------------------------------------
 
+def _complex(eps):
+    """eps as a Python complex for one point, a complex array for a stack."""
+    if isinstance(eps, np.ndarray) and eps.ndim:
+        return eps.astype(complex, copy=False)
+    return complex(eps)
+
+
 def local_field(eps):
     """Local-field correction L[eps] = (2/(9 eps0)) (eps - 1)/eps."""
-    eps = complex(eps)
-    if eps == 0:
-        raise ZeroDivisionError("local_field singular at eps = 0")
+    eps = _complex(eps)
+    reject(eps == 0, ZeroDivisionError,
+           lambda i: "local_field singular at eps = 0")
     return (2.0 / (9.0 * EPS0)) * (eps - 1.0) / eps
 
 
@@ -334,14 +377,18 @@ def noise_factor(eps):
     Equals 1 - (4 i / 9) eps'' (eps - 1)/eps; reduces to exactly 1 for a
     lossless medium (eps'' = 0). The amplitude prefactor carries the complex
     conjugate A* once per down-converted mode, so count rates scale with
-    |A(omega_s)|^2 |A(omega_i)|^2.
+    |A(omega_s)|^2 |A(omega_i)|^2. eps may be an array over axis points.
     """
-    eps = complex(eps)
-    if eps == 0:
-        raise ZeroDivisionError("noise_factor singular at eps = 0")
-    if eps.imag == 0.0:
-        return 1.0 + 0.0j
-    return 1.0 - 2j * EPS0 * eps.imag * local_field(eps)
+    eps = _complex(eps)
+    reject(eps == 0, ZeroDivisionError,
+           lambda i: "noise_factor singular at eps = 0")
+    lossless = eps.imag == 0.0
+    if isinstance(eps, complex):
+        if lossless:
+            return 1.0 + 0.0j
+        return 1.0 - 2j * EPS0 * eps.imag * local_field(eps)
+    return np.where(lossless, 1.0 + 0.0j,
+                    1.0 - 2j * EPS0 * eps.imag * local_field(eps))
 
 
 # ---------------------------------------------------------------------------

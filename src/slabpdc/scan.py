@@ -61,9 +61,11 @@ shortest round-trip decimal for every float. JSON: object with
 single axis-less row inlined. Complex observables are serialized as paired
 ``_re`` / ``_im`` columns in both formats. Text, for axis-less results
 only: one ``name = repr(value)`` line per column, complex values whole.
-Output is byte-deterministic for identical config text: the executor
-evaluates points in axis order and merges by index (any replacement
-executor must preserve that order).
+Output is byte-deterministic for identical config text. :func:`run_scan`
+evaluates each observable as one column over the whole axis; the kernels
+work elementwise, so a cell depends only on its own point, and a sweep
+fails at the point, and with the error, where that point's own config
+fails.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .amplitude import (ExperimentConfig, PhaseMatch, amplitude_farfield,
-                        amplitude_numeric, phase_terms, rate, sinc_profile)
+from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
+                        amplitude_numeric, check_farfield, check_point,
+                        farfield_matrices, phase_terms, rates, sinc_profile)
 from .greens import Chi2Geometry
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
-                        dispersion_eval, kinematics, noise_factor)
+                        kinematics, noise_factor)
 
 __version__ = "0.1.0"
 
@@ -115,11 +118,17 @@ class ConfigError(ValueError):
 
 
 class ScanError(RuntimeError):
-    """A scan aborted mid-sweep; carries the completed-point diagnostics."""
+    """A scan aborted mid-sweep; carries the completed-point diagnostics.
 
-    def __init__(self, message, completed, cause):
+    ``rows`` holds the ``completed`` rows before the failing point, every
+    observable filled in, and ``columns`` names their cells.
+    """
+
+    def __init__(self, message, completed, cause, rows=(), columns=()):
         super().__init__(message)
         self.completed = completed
+        self.rows = rows
+        self.columns = columns
         self.__cause__ = cause
 
 
@@ -459,11 +468,121 @@ class ScanResult:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _amplitude(cfg, method, tol):
-    """The one place the farfield/numeric route is picked."""
-    if method == "farfield":
-        return amplitude_farfield(cfg)
-    return amplitude_numeric(cfg, tol=tol)
+class _Sweep:
+    """Points [0, m) of a sweep, stacked: the input of every column.
+
+    The axis sets the stacked inputs once: ``n_imag`` puts a frequency-flat
+    n'' on every mode, ``crystal_length`` sets the slab (the pump plane
+    stays on its entry face), ``frequency`` the degenerate point
+    (x, x, 2x). What the axis leaves alone stays a scalar; indices are at
+    least (1,) arrays, so a column that does not depend on the axis value
+    (the lossless one on the ``n_imag`` axis) is evaluated once and
+    broadcast. The stack passes each point's ExperimentConfig checks
+    (``check_point``); the ``ScanRequest`` range checks already cover those
+    of the material and the slab. With ``axis=None`` it is the one point of
+    ``base``. ``memo`` keeps numeric amplitudes by (kind, lossless, point)
+    across the sweeps of one scan.
+    """
+
+    def __init__(self, base, axis, x, method, tol, memo):
+        self.base, self.axis, self.x = base, axis, x
+        self.method, self.tol, self.memo = method, tol, memo
+        self.count = 1 if x is None else len(x)
+        self.length = x if axis == "crystal_length" else base.crystal.length
+        if axis == "frequency":
+            self.omega_p, sig, idl = 2.0 * x, x, x
+        else:
+            self.omega_p, sig, idl = (base.pump_frequency,
+                                      base.signal_frequency,
+                                      base.idler_frequency)
+        pump_z = None if axis == "crystal_length" else base.pump_z
+        self.omega_s, self.omega_i, self.pump_z = check_point(
+            self.length, base.pump_field, self.omega_p, sig, idl,
+            base.z_signal, base.z_idler, pump_z, base.offset)
+        self.n_imag = x if axis == "n_imag" else None
+        self._modes = {}
+        self._amps = {}
+
+    def index(self, omega, lossless=False):
+        """Complex indices at omega, an (m,) or (1,) array."""
+        n = np.atleast_1d(self.base.crystal.index(omega))
+        if lossless or self.n_imag is not None:
+            n = n.real + 1j * (0.0 if lossless else self.n_imag)
+        return n
+
+    def modes(self, lossless=False):
+        if lossless not in self._modes:
+            omegas = (self.omega_s, self.omega_i, self.omega_p)
+            self._modes[lossless] = _Modes(
+                *omegas, *(self.index(w, lossless) for w in omegas),
+                self.length, self.pump_z)
+        return self._modes[lossless]
+
+    def config(self, kind, i=None, lossless=False):
+        """The ExperimentConfig of point i; without i, of what every point
+        shares (conversion type, drive, detectors)."""
+        base = self.base
+        chi2 = replace(base.chi2, kind=kind)
+        if i is None:
+            return replace(base, chi2=chi2) if chi2 != base.chi2 else base
+
+        def at(value):
+            return float(value[i]) if np.ndim(value) else value
+
+        material = base.crystal.material
+        if lossless or self.n_imag is not None:
+            material = material.with_absorption(
+                0.0 if lossless else at(self.n_imag))
+        return replace(base, chi2=chi2,
+                       crystal=CrystalSlab(material=material,
+                                           length=at(self.length)),
+                       pump_frequency=at(self.omega_p),
+                       signal_frequency=at(self.omega_s),
+                       idler_frequency=at(self.omega_i),
+                       pump_z=at(self.pump_z))
+
+    def amplitude(self, kind, lossless=False):
+        key = (kind, lossless)
+        if key not in self._amps:
+            self._amps[key] = _amplitude(self, kind, lossless)
+        return self._amps[key]
+
+
+def _per_point(f, count):
+    """[f(0), ..., f(count - 1)]; an error carries its point as ``index``."""
+    out = []
+    for i in range(count):
+        try:
+            out.append(f(i))
+        except Exception as exc:
+            exc.index = i
+            raise
+    return out
+
+
+def _amplitude(sweep, kind, lossless=False):
+    """2x2 amplitudes of one conversion type at the points of a sweep.
+
+    The one place the farfield/numeric route is picked. Shape (m, 2, 2),
+    or (1, 2, 2) where every point has the same config. The far field is
+    one evaluation of the closed form over the stack. The numeric route
+    calls amplitude_numeric once per point, and once in all for the
+    lossless config of an ``n_imag`` axis, which does not depend on n''.
+    """
+    if sweep.method == "farfield":
+        cfg = sweep.config(kind)
+        check_farfield(cfg, sweep.omega_s, sweep.omega_i, sweep.omega_p)
+        return farfield_matrices(cfg, sweep.modes(lossless))
+
+    def numeric(i):
+        key = (kind, lossless, i)
+        if key not in sweep.memo:
+            sweep.memo[key] = amplitude_numeric(
+                sweep.config(kind, i, lossless), tol=sweep.tol).matrix
+        return sweep.memo[key]
+
+    shared = lossless and sweep.axis == "n_imag"
+    return np.array(_per_point(numeric, 1 if shared else sweep.count))
 
 
 def _matrix_cells(matrix):
@@ -471,143 +590,95 @@ def _matrix_cells(matrix):
             for lab, v in zip(_MATRIX_LABELS, np.ravel(matrix))]
 
 
-class _AxisPoint:
-    """Everything evaluable at one axis value, built lazily and cached.
+def _rate_columns(kind):
+    def columns(sw):
+        return [rates(sw.amplitude(kind))]
+    return columns
 
-    ``lossless_amps`` is shared by every point of one scan: on the n_imag
-    axis the lossless config does not depend on the axis value, so its
-    amplitude is computed once per conversion type.
-    """
 
-    def __init__(self, req, x, lossless_amps):
-        self.req = req
-        self.x = float(x)
-        self._amps = {}
-        self._amps_lossless = lossless_amps if req.axis == "n_imag" else {}
+def _ratio_columns(sw):
+    return [rates(sw.amplitude(kind)) / rates(sw.amplitude(kind, True))
+            for kind in ("I", "II")]
 
-    def config(self, kind=None, lossless=False):
-        cfg, x = self.req.base, self.x
-        crystal = cfg.crystal
-        material = crystal.material
-        axis = self.req.axis
-        if axis == "n_imag":
-            material = material.with_absorption(0.0 if lossless else x)
-        elif lossless:
-            material = material.with_absorption(0.0)
-        if axis == "crystal_length":
-            crystal = CrystalSlab(material=material, length=x)
-        else:
-            crystal = CrystalSlab(material=material, length=crystal.length)
-        changes = {"crystal": crystal}
-        if axis == "frequency":
-            changes.update(pump_frequency=2.0 * x, signal_frequency=x,
-                           idler_frequency=x)
-        if axis == "crystal_length":
-            changes["pump_z"] = None     # keep the pump on the back face
-        if kind is not None and kind != cfg.chi2.kind:
-            changes["chi2"] = replace(cfg.chi2, kind=kind)
-        return replace(cfg, **changes)
 
-    def amplitude(self, kind, lossless=False):
-        amps = self._amps_lossless if lossless else self._amps
-        if kind not in amps:
-            amps[kind] = _amplitude(
-                self.config(kind=kind, lossless=lossless), self.req.method,
-                self.req.tol)
-        return amps[kind]
+def _sinc_columns(sw):
+    kin = [kinematics(w, sw.index(w))
+           for w in (sw.omega_s, sw.omega_i, sw.omega_p)]
+    pm = phase_terms(*kin)
+    if sw.axis == "delta_k":
+        # the axis value is the real half-phase dk L/2; absorption keeps
+        # its grip on the imaginary parts
+        dk = 2.0 * sw.x / sw.length + 1j * np.imag(pm.delta_k)
+        pm = PhaseMatch(delta_k=dk, sigma_k=pm.sigma_k)
+    return [sinc_profile(pm, sw.length)]
 
-    def phase_match(self):
-        cfg = self.config()
-        index = cfg.crystal.index
-        kin = [kinematics(w, index(w)) for w in
-               (cfg.signal_frequency, cfg.idler_frequency,
-                cfg.pump_frequency)]
-        pm = phase_terms(*kin)
-        if self.req.axis == "delta_k":
-            # the axis value is the real half-phase dk L/2; absorption keeps
-            # its grip on the imaginary parts
-            L = cfg.crystal.length
-            dk = 2.0 * self.x / L + 1j * np.imag(pm.delta_k)
-            pm = PhaseMatch(delta_k=dk, sigma_k=pm.sigma_k)
-        return pm
 
-    def noise_gain(self):
-        cfg = self.config()
-        eps = cfg.crystal.eps
-        a = noise_factor(eps(cfg.signal_frequency)) \
-            * noise_factor(eps(cfg.idler_frequency))
+def _gain_columns(sw):
+    # Scalar noise_factor arithmetic, point by point: |a|^2 - 1 cancels
+    # about 11 digits at small n'', so the column keeps the rounding of
+    # the one-point formula rather than that of the vector kernels.
+    n_s, n_i = (np.broadcast_to(sw.index(w), (sw.count,)).tolist()
+                for w in (sw.omega_s, sw.omega_i))
+
+    def gain(i):
+        a = noise_factor(n_s[i] * n_s[i]) * noise_factor(n_i[i] * n_i[i])
         return float(abs(a) ** 2 - 1.0)
+    return [_per_point(gain, sw.count)]
 
 
-def _emit_rate(kind):
-    def cells(pt):
-        return [(f"rate_{kind}", rate(pt.amplitude(kind)))]
-    return cells
+def _matrix_columns(sw):
+    matrices = sw.amplitude(sw.base.chi2.kind)
+    return list(matrices.reshape(-1, 4).T)
 
 
-def _emit_ratio(pt):
-    out = []
-    for kind in ("I", "II"):
-        num = rate(pt.amplitude(kind))
-        den = rate(pt.amplitude(kind, lossless=True))
-        out.append((f"rate_ratio_to_lossless_{kind}", num / den))
-    return out
-
-
-def _emit_sinc(pt):
-    length = pt.x if pt.req.axis == "crystal_length" \
-        else pt.req.base.crystal.length
-    return [("sinc_profile", sinc_profile(pt.phase_match(), length))]
-
-
-def _emit_gain(pt):
-    return [("a_factor_gain", pt.noise_gain())]
-
-
-def _emit_matrix(pt):
-    return _matrix_cells(pt.amplitude(pt.req.base.chi2.kind).matrix)
-
-
+# observable: (its column names, the function computing those columns)
 _OBSERVABLES = {
-    "rate_I": _emit_rate("I"),
-    "rate_II": _emit_rate("II"),
-    "rate_ratio_to_lossless": _emit_ratio,
-    "sinc_profile": _emit_sinc,
-    "a_factor_gain": _emit_gain,
-    "amplitude_matrix": _emit_matrix,
+    "rate_I": (("rate_I",), _rate_columns("I")),
+    "rate_II": (("rate_II",), _rate_columns("II")),
+    "rate_ratio_to_lossless": (("rate_ratio_to_lossless_I",
+                                "rate_ratio_to_lossless_II"),
+                               _ratio_columns),
+    "sinc_profile": (("sinc_profile",), _sinc_columns),
+    "a_factor_gain": (("a_factor_gain",), _gain_columns),
+    "amplitude_matrix": (tuple(f"amplitude_{lab}" for lab in _MATRIX_LABELS),
+                         _matrix_columns),
 }
 
 
 def run_scan(req):
     """Evaluate a :class:`ScanRequest` into a :class:`ScanResult`.
 
-    Points are pure functions of (request, axis value); the serial executor
-    here evaluates them in axis order. Any error aborts the sweep and is
-    re-raised as :class:`ScanError` with the completed-point count attached.
+    Each observable is one column over all axis points (:class:`_Sweep`),
+    in request order. A point fails exactly where its own config would:
+    stacked checks raise at the first failing point, and the points before
+    it are evaluated again until they all pass, so a failure that an
+    earlier check hid is still found first. Any error aborts the sweep and
+    is re-raised as :class:`ScanError`, with the completed rows attached.
     """
     start, stop, count = req.range
     axis_values = np.linspace(start, stop, count)
-    columns = None
-    rows = []
-    lossless_amps = {}
-    for i, x in enumerate(axis_values):
+    names = tuple(name for obs in req.observables
+                  for name in _OBSERVABLES[obs][0])
+    memo = {}
+    done, error = count, None
+    columns = [[] for _ in names]
+    while done:
         try:
-            pt = _AxisPoint(req, x, lossless_amps)
-            cells = []
-            for name in req.observables:
-                cells.extend(_OBSERVABLES[name](pt))
+            sweep = _Sweep(req.base, req.axis, axis_values[:done],
+                           req.method, req.tol, memo)
+            columns = [np.broadcast_to(col, (done,)).tolist()
+                       for obs in req.observables
+                       for col in _OBSERVABLES[obs][1](sweep)]
+            break
         except Exception as exc:
-            raise ScanError(
-                f"scan aborted at axis point {i} ({req.axis} = {x!r}) "
-                f"after {len(rows)} completed rows: {exc}",
-                completed=len(rows), cause=exc) from exc
-        names = tuple(name for name, _ in cells)
-        if columns is None:
-            columns = names
-        elif names != columns:
-            raise ScanError(
-                f"inconsistent columns at axis point {i}", len(rows), None)
-        rows.append(tuple(value for _, value in cells))
+            done, error = min(getattr(exc, "index", 0), done - 1), exc
+    rows = tuple(zip(*columns))
+    if error is not None:
+        raise ScanError(
+            f"scan aborted at axis point {done} ({req.axis} = "
+            f"{axis_values[done]!r}) after {done} completed rows: {error}",
+            completed=done, cause=error, rows=rows, columns=names) \
+            from error
 
     metadata = {
         "tool": f"slabpdc {__version__}",
@@ -621,18 +692,16 @@ def run_scan(req):
         "tol": req.tol,
         "config": dict(req.echo),
     }
-    result = ScanResult(axis=req.axis,
-                        axis_values=tuple(float(v) for v in axis_values),
-                        columns=columns, rows=tuple(rows), metadata=metadata)
-    assert len(result.rows) == count
-    return result
+    return ScanResult(axis=req.axis, axis_values=tuple(axis_values.tolist()),
+                      columns=names, rows=rows, metadata=metadata)
 
 
 def point_result(cfg, method="farfield", tol=1e-6):
     """One amplitude and its rate, as an axis-less :class:`ScanResult`."""
     _check_route(method, tol)
-    amp = _amplitude(cfg, method, tol)
-    cells = [("rate", rate(amp))] + _matrix_cells(amp.matrix)
+    (matrix,) = _amplitude(_Sweep(cfg, None, None, method, tol, {}),
+                           cfg.chi2.kind)
+    cells = [("rate", float(rates(matrix)))] + _matrix_cells(matrix)
     return ScanResult(axis=None, axis_values=(),
                       columns=tuple(name for name, _ in cells),
                       rows=(tuple(value for _, value in cells),),

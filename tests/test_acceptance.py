@@ -200,10 +200,8 @@ def test_criterion_4_angular_reduction_oracle():
         kappa = rng.uniform(0.02, 0.98) * kap_max
         for kind in ("I", "II"):
             def ring(phis):
-                out = np.empty(np.shape(phis) + (2, 2), dtype=complex)
-                for j, p in np.ndenumerate(phis):
-                    k_perp = (kappa * np.cos(p), kappa * np.sin(p))
-                    out[j] = integrands[kind](k_perp, cfg)
+                k_perp = (kappa * np.cos(phis), kappa * np.sin(phis))
+                out = integrands[kind](k_perp, cfg)
                 return out.reshape(np.shape(phis) + (4,))
 
             got = (kappa * integrate_angular(ring, rel_tol=1e-9)

@@ -293,7 +293,7 @@ def _closed_form(cfg, kind, kappa):
     """Library angular rows contracted with their matrices, detector phase
     included."""
     cfg = replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
-    ch = _Channels(cfg, _Modes(cfg), np.array([kappa]))
+    ch = _Channels(_Modes.of(cfg), np.array([kappa]))
     rows = _angular_rows(cfg, ch, kappa, np.hypot(*cfg.offset))[:, 0]
     matrices = _angular_matrices(cfg)[:len(rows)]
     detector = np.exp(1j * (ch.kin_s.q_z * cfg.z_signal
@@ -324,10 +324,8 @@ def test_integrand_angular_average_matches_reduced_form():
             kappa = rng.uniform(0.02, 0.98) * kap_max
             for kind in ("I", "II"):
                 def ring(phis):
-                    out = np.empty(np.shape(phis) + (2, 2), dtype=complex)
-                    for j, p in np.ndenumerate(phis):
-                        k_perp = (kappa * np.cos(p), kappa * np.sin(p))
-                        out[j] = integrands[kind](k_perp, cfg)
+                    k_perp = (kappa * np.cos(phis), kappa * np.sin(phis))
+                    out = integrands[kind](k_perp, cfg)
                     return out.reshape(np.shape(phis) + (4,))
 
                 got = (kappa * integrate_angular(ring, rel_tol=1e-10)
@@ -348,6 +346,30 @@ def test_integrand_domain_guards():
     kap_max = OMEGA / C_LIGHT
     with pytest.raises(ValueError, match="propagating disc"):
         integrand_typeII((1.01 * kap_max, 0.0), cfg)
+    # a stack is checked at every sample
+    stack = np.array([[0.5, 0.2, 1.01, 0.3], [0.0, 0.1, 0.0, 0.2]]) * kap_max
+    with pytest.raises(ValueError, match="propagating disc") as info:
+        integrand_typeI(stack, cfg)
+    assert info.value.index == 2
+
+
+def test_stacked_integrand_matches_single_calls():
+    rng = np.random.default_rng(7)
+    displaced = replace(make_cfg(omega_s=1.05 * OMEGA, omega_i=0.95 * OMEGA),
+                        z_signal=5e-3, z_idler=7e-3, offset=(2e-5, -1e-5))
+    for cfg in (make_cfg(), displaced):
+        kap_max = min(cfg.signal_frequency, cfg.idler_frequency) / C_LIGHT
+        kappa = rng.uniform(0.02, 0.98, 9) * kap_max
+        phi = rng.uniform(0.0, 2.0 * np.pi, 9)
+        stack = np.array([kappa * np.cos(phi), kappa * np.sin(phi)])
+        for integrand in (integrand_typeI, integrand_typeII):
+            got = integrand(stack, cfg)
+            assert got.shape == (9, 2, 2)
+            for j in range(9):
+                one = integrand((stack[0, j], stack[1, j]), cfg)
+                assert one.shape == (2, 2)
+                assert np.max(np.abs(got[j] - one)) \
+                    <= 1e-14 * np.max(np.abs(one))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,32 @@ def test_dispersion_range_error():
         dispersion_eval(mat, -1.0)
 
 
+def test_dispersion_eval_over_axis_points():
+    mat = bbo_ordinary().with_absorption(3e-6)
+    omegas = np.linspace(2e15, 7e15, 9)
+    stacked = dispersion_eval(mat, omegas)
+    assert stacked.shape == (9,)
+    assert stacked.tolist() == [dispersion_eval(mat, w)
+                                for w in omegas.tolist()]
+    vac = dispersion_eval(vacuum(), omegas)
+    assert vac.shape == (9,) and np.all(vac == 1.0)
+
+
+def test_dispersion_eval_rejects_the_first_bad_point():
+    mat = bbo_ordinary()
+    omegas = np.array([3e15, 1e16, -1.0, 5e15])
+    with pytest.raises(DispersionRangeError) as stacked:
+        dispersion_eval(mat, omegas)
+    assert stacked.value.index == 1
+    with pytest.raises(DispersionRangeError) as single:
+        dispersion_eval(mat, 1e16)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(DispersionRangeError) as stacked:
+        dispersion_eval(mat, omegas[2:])
+    assert stacked.value.index == 0
+    assert str(stacked.value) == "omega must be positive, got -1.0"
+
+
 def test_constant_material_unbounded():
     mat = MaterialDispersion.constant(1.5, 2e-6)
     assert dispersion_eval(mat, 1e12) == 1.5 + 2e-6j
@@ -151,6 +177,18 @@ def test_kinematics_evanescent_sector():
     kin = kinematics(OMEGA, 1.0, (1.5 * OMEGA / C_LIGHT, 0.0))
     assert kin.q_z.real == pytest.approx(0.0, abs=1e-9)
     assert kin.q_z.imag > 0.0
+
+
+def test_kinematics_over_axis_points():
+    omegas = np.array([3.0e15, 3.54e15, 4.0e15])
+    n = np.array([1.66 + 1e-6j, 1.67 + 2e-6j, 1.68 + 0j])
+    kin = kinematics(omegas, n)
+    for j in range(3):
+        one = kinematics(float(omegas[j]), complex(n[j]))
+        assert kin.k[j] == pytest.approx(one.k, rel=1e-15)
+        assert kin.k_z[j] == pytest.approx(one.k_z, rel=1e-15)
+    with pytest.raises(ValueError, match="positive"):
+        kinematics(np.array([1e15, 0.0]), 1.5)
 
 
 def test_kinematics_array_transverse():

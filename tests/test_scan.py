@@ -10,10 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from slabpdc import scan
-from slabpdc.amplitude import amplitude_farfield
+from slabpdc import amplitude, scan
+from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
-from slabpdc.materials import DispersionRangeError
+from slabpdc.materials import DispersionRangeError, kinematics
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
                           emit, load_config, preset, preset_text, run_scan,
                           scan_request_from_config)
@@ -243,17 +243,38 @@ def test_ratio_scan_rows():
 
 
 def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
-    # On the n_imag axis the lossless config is the same at every point.
+    # On the n_imag axis the lossless config is the same at every point, so
+    # the numeric route computes it once per conversion type.
     calls = []
 
-    def counted(cfg):
+    def counted(cfg, tol):
         calls.append(cfg)
-        return amplitude_farfield(cfg)
+        return amplitude_numeric(cfg, tol=tol)
 
-    monkeypatch.setattr(scan, "amplitude_farfield", counted)
-    result = run_scan(scan_request_from_config(SCAN_TEXT))
+    monkeypatch.setattr(scan, "amplitude_numeric", counted)
+    result = run_scan(scan_request_from_config(SCAN_TEXT, method="numeric"))
     count = len(result.rows)
     assert len(calls) == 2 * count + 2
+
+
+def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
+        monkeypatch):
+    # The far field evaluates each column over the whole axis at once.
+    def kernel_calls(count):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kinematics(*args, **kwargs)
+
+        monkeypatch.setattr(amplitude, "kinematics", counted)
+        text = SCAN_TEXT.replace("scan_count = 5", f"scan_count = {count}")
+        result = run_scan(scan_request_from_config(text))
+        monkeypatch.undo()
+        assert len(result.rows) == count
+        return len(calls)
+
+    assert kernel_calls(5) == kernel_calls(50) > 0
 
 
 def test_scan_determinism():
@@ -276,6 +297,83 @@ observables = rate_I
         run_scan(scan_request_from_config(text))
     assert info.value.completed == 3
     assert isinstance(info.value.__cause__, DispersionRangeError)
+    # the completed rows are kept, every observable filled in
+    assert info.value.columns == ("rate_I",)
+    assert len(info.value.rows) == 3
+    for x, (got,) in zip(np.linspace(3.3e15, 3.6e15, 4).tolist(),
+                         info.value.rows):
+        want = rate(amplitude_farfield(load_config(f"frequency = {x!r}\n")))
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_detector_inside_slab_aborts_at_its_point():
+    # L = 4 mm puts the exit face at z = 2 mm, on the signal detector
+    text = """\
+z_signal = 2 mm
+scan_axis = crystal_length
+scan_start = 1 mm
+scan_stop = 5 mm
+scan_count = 5
+observables = rate_I, sinc_profile
+"""
+    with pytest.raises(ScanError, match="axis point 3") as info:
+        run_scan(scan_request_from_config(text))
+    assert info.value.completed == 3
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "exit face" in str(info.value.__cause__)
+    assert len(info.value.rows) == 3
+    assert info.value.columns == ("rate_I", "sinc_profile")
+
+
+def test_scan_fails_at_the_first_failing_point_with_its_own_error():
+    # The detector check fails from point 3 on, but every point is out of
+    # the dispersion range, which point 0 meets first: the sweep must fail
+    # there, with the error the point's own config raises.
+    text = """\
+frequency = 1e16
+z_signal = 2 mm
+scan_axis = crystal_length
+scan_start = 1 mm
+scan_stop = 5 mm
+scan_count = 5
+observables = rate_I
+"""
+    with pytest.raises(ScanError, match="axis point 0") as info:
+        run_scan(scan_request_from_config(text))
+    assert info.value.completed == 0 and info.value.rows == ()
+    with pytest.raises(DispersionRangeError) as point:
+        amplitude_farfield(load_config("frequency = 1e16\nz_signal = 2 mm\n"
+                                       "crystal_length = 1 mm\n"))
+    assert type(info.value.__cause__) is type(point.value)
+    assert str(info.value.__cause__) == str(point.value)
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("axis, start, stop", [
+    ("n_imag", 0.0, 1e-4),
+    ("crystal_length", 1.5e-3, 2.5e-3),
+    ("frequency", 3.3e15, 3.5e15),
+])
+def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop):
+    base = f"conversion = {kind}\nn_imag = 2e-6\nz_signal = 0.4\n" \
+        "z_idler = 0.6\n"
+    text = base + (f"scan_axis = {axis}\nscan_start = {start!r}\n"
+                   f"scan_stop = {stop!r}\nscan_count = 7\n"
+                   "observables = amplitude_matrix, rate_I, rate_II\n")
+    result = run_scan(scan_request_from_config(text))
+    for x, row in zip(result.axis_values, result.rows):
+        point = base.replace("n_imag = 2e-6\n", "") if axis == "n_imag" \
+            else base
+        cfg = load_config(point + f"{axis} = {x!r}\n")
+        want = amplitude_farfield(cfg).matrix
+        got = np.array(row[:4]).reshape(2, 2)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        for kind_r, got_rate in zip(("I", "II"), row[4:]):
+            cfg_r = load_config(point.replace(f"conversion = {kind}",
+                                              f"conversion = {kind_r}")
+                                + f"{axis} = {x!r}\n")
+            want_rate = rate(amplitude_farfield(cfg_r))
+            assert abs(got_rate - want_rate) <= 1e-10 * want_rate
 
 
 def test_sinc_profile_on_delta_k_axis():
@@ -337,6 +435,46 @@ def test_preset_fig3_minima_lifted_by_unbalanced_absorption():
     assert floors.size >= 3
     # pump absorbing harder than the daughters: minima strictly above zero
     assert np.min(floors) > 1e-6
+
+
+# First, middle and last cell of every preset column, and the column's
+# largest magnitude, as computed point by point before the sweeps were
+# stacked. Cells must stay within 1e-10 of that magnitude.
+_PRESET_CELLS = {
+    "fig3": {"sinc_profile": (0.5254369687305248, 0.0007708954464057436,
+                              0.000188350337300433, 0.5254369687305248)},
+    "fig4": {"a_factor_gain": (0.0, 1.1017542156377402e-06,
+                               4.363061297363302e-06,
+                               4.363061297363302e-06)},
+    "fig5": {"rate_ratio_to_lossless_I": (1.0, 0.5581709824726281,
+                                          0.33828841374461577, 1.0),
+             "rate_ratio_to_lossless_II": (1.0, 0.564662799854258,
+                                           0.3444533877571493, 1.0)},
+    "fig6": {"rate_I": (1.0341606477095316e-35, 2.315897294701636e-35,
+                        2.0686430070862425e-35, 7.35225690073667e-35),
+             "rate_II": (1.0668361332511533e-35, 2.269600963946418e-35,
+                         2.110802117820428e-35, 7.576785723772652e-35),
+             "rate_ratio_to_lossless_I": (0.9204098669809199,
+                                          0.927570895761807,
+                                          0.926434100301554,
+                                          0.9338623226876668),
+             "rate_ratio_to_lossless_II": (0.9177034052133086,
+                                           0.9294324316781778,
+                                           0.9244917157179305,
+                                           0.9337530538178492)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_CELLS))
+def test_preset_cells_frozen(name):
+    result = run_scan(preset(name))
+    n = len(result.rows)
+    assert set(result.columns) == set(_PRESET_CELLS[name])
+    for j, column in enumerate(result.columns):
+        *cells, scale = _PRESET_CELLS[name][column]
+        got = [result.rows[i][j] for i in (0, n // 2, n - 1)]
+        for a, b in zip(got, cells):
+            assert abs(a - b) <= 1e-10 * scale, (column, a, b)
 
 
 def test_preset_fig6_beats():
