@@ -676,7 +676,8 @@ def run_scan(req):
     if error is not None:
         raise ScanError(
             f"scan aborted at axis point {done} ({req.axis} = "
-            f"{axis_values[done]!r}) after {done} completed rows: {error}",
+            f"{float(axis_values[done])!r}) after {done} completed rows: "
+            f"{error}",
             completed=done, cause=error, rows=rows, columns=names) \
             from error
 

@@ -1,0 +1,87 @@
+"""scipy is loaded only by the routes that call it.
+
+The far-field route (``preset``, ``scan``, the default ``rate``) needs no
+Bessel function and no root finder, so a ``slabpdc`` process on it must
+not pay for importing scipy. The numeric route, the Green tensor and the
+Weyl oracle import it on first use, and that first call must give the same
+numbers as any later one. Each test runs a fresh interpreter, since the
+test process itself has long since loaded scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import slabpdc
+from slabpdc import (C_LIGHT, CrystalSlab, amplitude_numeric, load_config,
+                     scattering_green_point, vacuum, weyl_oracle)
+
+_SRC = str(Path(slabpdc.__file__).resolve().parent.parent)
+_TESTS = str(Path(__file__).resolve().parent)
+
+# Type II with a displaced detector, so the J2 and J4 angular rows run.
+_DISPLACED_II = """\
+conversion = II
+z_signal = 100 mm
+z_idler = 100 mm
+offset_x = 5000 nm
+offset_y = 3000 nm
+"""
+
+
+def _child(code, tmp_path):
+    """Run ``code`` in a fresh interpreter; return its stdout as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, _TESTS, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def deferred_values():
+    """First calls of every route that imports scipy inside a function."""
+    amp = amplitude_numeric(load_config(_DISPLACED_II))
+    green = scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
+                                   50.0 * C_LIGHT,
+                                   CrystalSlab(material=vacuum(),
+                                               length=2e-3))
+    weyl = weyl_oracle(1.0, 0.3, 50.0)
+    return [amp.matrix, green, np.array(weyl)]
+
+
+def test_farfield_cli_loads_no_scipy(tmp_path):
+    (tmp_path / "exp.cfg").write_text("n_imag = 1e-6\n")
+    code = """\
+import json, sys
+import slabpdc, slabpdc.cli as cli
+assert cli.main(["preset", "fig4", "--out", "fig4.csv"]) == 0
+assert cli.main(["rate", "--config", "exp.cfg", "--out", "rate.txt"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    assert _child(code, tmp_path) == []
+
+
+def test_deferred_routes_match_on_first_call(tmp_path):
+    code = """\
+import json, sys
+import numpy as np
+from test_imports import deferred_values
+before = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+np.savez("values.npz", *deferred_values())
+print(json.dumps({"before": before,
+                  "special": "scipy.special" in sys.modules,
+                  "optimize": "scipy.optimize" in sys.modules}))
+"""
+    report = _child(code, tmp_path)
+    assert report == {"before": [], "special": True, "optimize": True}
+    with np.load(tmp_path / "values.npz") as first:
+        got = [first[f"arr_{i}"] for i in range(len(first.files))]
+    for g, w in zip(got, deferred_values(), strict=True):
+        assert np.array_equal(g, w)

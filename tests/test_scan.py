@@ -319,6 +319,7 @@ observables = rate_I, sinc_profile
     with pytest.raises(ScanError, match="axis point 3") as info:
         run_scan(scan_request_from_config(text))
     assert info.value.completed == 3
+    assert "(crystal_length = 0.004) after 3 completed rows" in str(info.value)
     assert isinstance(info.value.__cause__, ValueError)
     assert "exit face" in str(info.value.__cause__)
     assert len(info.value.rows) == 3
