@@ -61,23 +61,32 @@ rate) and closes the tail with a three-term integration-by-parts series in
 1/(i Psi'), with the series ratio monitored and K escalated if the closure
 is not clearly converging.
 
+The far field is the leading term of the same integral, not a formula of
+its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
+lemma in s = kappa^2) from the on-axis row of _angular_rows on the
+normal-incidence channels, for collinear detectors at any split. The terms
+it leaves out fall off like 1/z.
+
 Stacked points
 --------------
 A sweep varies one scalar of the config. The frequency-level kernels
-(dispersion, kinematics, Fresnel and X factors, noise factors, the far-field
-form) broadcast over a leading axis of m sweep points, so _Modes and
-farfield_matrices evaluate a whole sweep at once; amplitude_farfield is the
-one-point case. Every kernel works elementwise, so a point's value does not
-depend on the points stacked with it.
+(dispersion, kinematics, Fresnel and X factors, noise factors) broadcast
+over a leading axis of m sweep points, and so does _Channels at kappa = 0:
+_Modes.normal holds it once per mode set for both conversion types, and
+farfield_matrices evaluates a whole sweep at once; amplitude_farfield is
+the one-point case. Every kernel works elementwise, so a point's value does
+not depend on the points stacked with it.
 
-scipy is imported inside _angular_rows and _integrate_oscillatory, the only
-numeric-route code that calls it, so the far-field route never loads it: a
-module-level scipy import would add about 0.55 s and 47 MB to every slabpdc
-process. New numeric code (a path route included) follows the same rule.
+scipy is imported inside _angular_rows (past its on-axis return) and
+_integrate_oscillatory, the only code that calls it, so the far-field route
+never loads it: a module-level scipy import would add about 0.55 s and
+47 MB to every slabpdc process. New numeric code (a path route included)
+follows the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -102,7 +111,6 @@ __all__ = [
     "amplitude_numeric",
     "amplitude_farfield",
     "farfield_matrices",
-    "check_farfield",
     "check_point",
     "rate",
     "rates",
@@ -160,11 +168,6 @@ class ExperimentConfig:
         object.__setattr__(self, "pump_z", pump_z)
 
     @property
-    def degenerate(self):
-        return _degenerate(self.signal_frequency, self.idler_frequency,
-                           self.pump_frequency)
-
-    @property
     def collinear(self):
         return self.offset == (0.0, 0.0)
 
@@ -212,10 +215,6 @@ def check_point(length, pump_field, pump_frequency, signal_frequency,
     reject((z_signal <= half) | (z_idler <= half), ValueError,
            lambda i: "detectors must sit beyond the exit face, z > +L/2")
     return signal_frequency, idler_frequency, pump_z
-
-
-def _degenerate(omega_s, omega_i, omega_p):
-    return abs(omega_s - omega_i) <= 1e-12 * omega_p
 
 
 @dataclass(frozen=True)
@@ -345,6 +344,11 @@ class _Modes:
         return cls(om_s, om_i, om_p, index(om_s), index(om_i), index(om_p),
                    cfg.crystal.length, cfg.pump_z)
 
+    @functools.cached_property
+    def normal(self):
+        """_Channels at normal incidence, kappa = 0; shared by both types."""
+        return _Channels(self, 0.0)
+
 
 def _prefactor(cfg, modes):
     """Common amplitude prefactor: pump drive, z-integral length, noise.
@@ -404,14 +408,15 @@ def _angular_matrices(cfg):
 
 
 def _angular_rows(cfg, ch, kappa, rho):
-    """Rows of the angular integral, detector phase excluded.
+    """Rows of the angular integral per unit kappa, detector phase excluded.
 
-    kappa/(4 pi k_zs k_zi) csinc e^{i sk L/2} (an extra 1/2 for pattern
+    1/(4 pi k_zs k_zi) csinc e^{i sk L/2} (an extra 1/2 for pattern
     "II") times a channel sum and its Bessel factor of kappa rho. With
     TT = X_TE,TE, MM = (c_s c_i)^2 X_TM,TM, EM = c_i^2 X_TE,TM and
     ME = c_s^2 X_TM,TE the rows are (TT+MM) J0, (TT-MM) J2 for "I" and
     (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II".
-    On axis J_n(0) = 0 for n > 0, so only the J0 row is returned.
+    On axis J_n(0) = 0 for n > 0, so only the J0 row is returned; the
+    radial measure kappa dkappa is the caller's.
     """
     cc = ch.c_s * ch.c_i
     tt = ch.x[(TE, TE)]
@@ -424,9 +429,9 @@ def _angular_rows(cfg, ch, kappa, rho):
         first = tt + me + em + mm
     else:
         first = tt + mm
-    weight = kappa / denom * ch.slab
+    weight = ch.slab / denom
     if rho == 0.0:
-        return (weight * first)[None, :]
+        return np.asarray(weight * first)[None]
     from scipy.special import j0, jv
 
     arg = kappa * rho
@@ -685,7 +690,8 @@ def amplitude_numeric(cfg, tol=1e-6):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kap = kap_max * np.sin(theta)
         ch = _Channels(modes, kap)
-        return _angular_rows(cfg, ch, kap, rho) * kap_max * np.cos(theta)
+        return _angular_rows(cfg, ch, kap, rho) \
+            * (kap * kap_max * np.cos(theta))
 
     pref = _prefactor(cfg, modes)
     matrices = _angular_matrices(cfg)
@@ -702,66 +708,40 @@ def amplitude_numeric(cfg, tol=1e-6):
     return BiphotonAmplitude.from_matrix(matrix(vec))
 
 
-def check_farfield(cfg, omega_s, omega_i, omega_p):
-    """Reject what the far-field form does not cover, point by point.
-
-    The frequencies may be arrays over axis points; cfg supplies the
-    detector offset.
-    """
-    reject(np.logical_not(_degenerate(omega_s, omega_i, omega_p)), ValueError,
-           lambda i: "far-field form needs a degenerate split; use "
-           "amplitude_numeric for distinct frequencies")
-    if not cfg.collinear:
-        raise ValueError("far-field form needs zero transverse offset; use "
-                         "amplitude_numeric for displaced detectors")
-
-
 def farfield_matrices(cfg, modes):
-    """The far-field closed form at every point of modes, shape (..., 2, 2).
+    """The far-field amplitude at every point of modes, shape (..., 2, 2).
 
     cfg supplies the conversion type, the drive and the detector distances;
     modes the frequencies, indices, slab length and pump plane, as scalars
     (one (2, 2) matrix) or as (m,) arrays over axis points ((m, 2, 2)).
-    The points must pass check_farfield.
+
+    This is the kappa = 0 endpoint term of amplitude_numeric's integral
+    (Watson's lemma in s = kappa^2). Near the axis the detector phase is
+    Psi = psi0 - s Z/2 + O(s^2), with psi0 = q_s z_s + q_i z_i and
+    Z = z_s/q_s + z_i/q_i, so with the J0 row r(kappa) of _angular_rows
+
+        int_0 r(kappa) e^{i Psi} kappa dkappa ~ r(0) e^{i psi0} / (i Z),
+
+    times the prefactor and the chi2 pattern. It holds for collinear
+    detectors at any split; displaced ones need amplitude_numeric.
     """
-    length = modes.length
-    q = modes.q_s
-    k = modes.k_s
-
-    kin0 = kinematics(modes.omega_s, modes.n_s)
-    fres_te = fresnel(TE, kin0, modes.eps_s, length)
-    fres_tm = fresnel(TM, kin0, modes.eps_s, length)
-    pm = phase_terms(kin0, kin0, modes.kin_p)
-    x_plus = x_factor(TE, TE, modes.fres_p, fres_te, fres_te,
-                      pm.sigma_k, length)
-    x_minus = x_factor(TE, TM, modes.fres_p, fres_te, fres_tm,
-                       pm.sigma_k, length)
-
-    z_sum = cfg.z_signal + cfg.z_idler
-    slab = complex_sinc(0.5 * pm.delta_k * length) \
-        * np.exp(0.5j * pm.sigma_k * length)
-    reach = np.exp(1j * q * z_sum) / z_sum
-    core = _prefactor(cfg, modes) * (-1j) * q / (_TWO_PI * k * k) \
-        * slab * reach
-    if cfg.chi2.kind == "I":
-        return np.multiply.outer(core * x_plus, np.eye(2))
-    return np.multiply.outer(0.5 * core * (x_plus + x_minus),
-                             np.array([[0.0, 1.0], [1.0, 0.0]]))
+    if not cfg.collinear:
+        raise ValueError("far-field form needs zero transverse offset; use "
+                         "amplitude_numeric for displaced detectors")
+    (row,) = _angular_rows(cfg, modes.normal, 0.0, 0.0)
+    psi0 = modes.q_s * cfg.z_signal + modes.q_i * cfg.z_idler
+    spread = cfg.z_signal / modes.q_s + cfg.z_idler / modes.q_i
+    return np.multiply.outer(
+        _prefactor(cfg, modes) * row * np.exp(1j * psi0) / (1j * spread),
+        cfg.chi2.pattern)
 
 
 def amplitude_farfield(cfg):
-    """Closed-form leading-order amplitude for distant on-axis detectors.
+    """Leading-order amplitude for distant collinear detectors.
 
-    Requires the degenerate (signal frequency = idler frequency) collinear
-    configuration; anything else must go through amplitude_numeric. The
-    transverse integral is evaluated by its kappa = 0 endpoint
-    contribution, which turns the detector phases into the spherical
-    factor e^{i q (z_s + z_i)}/(z_s + z_i) and samples the slab factors at
-    normal incidence, where the TE and TM channels coincide pairwise
-    (X+ for equal, X- for crossed polarizations). This is the one-point
-    case of farfield_matrices.
+    The one-point case of farfield_matrices: the kappa = 0 endpoint term
+    r(0) e^{i psi0} / (i Z) of the transverse integral, at any split.
+    Displaced detectors must go through amplitude_numeric.
     """
-    check_farfield(cfg, cfg.signal_frequency, cfg.idler_frequency,
-                   cfg.pump_frequency)
     return BiphotonAmplitude.from_matrix(farfield_matrices(cfg,
                                                            _Modes.of(cfg)))

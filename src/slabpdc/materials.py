@@ -224,6 +224,9 @@ def absorption_to_n_imag(fraction, omega, convention="intensity", length=0.01):
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
+    for name, value in (("omega", omega), ("length", length)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive")
     if fraction == 0.0:
         return 0.0
     decay = -np.log(1.0 - fraction)

@@ -77,8 +77,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
-                        amplitude_numeric, check_farfield, check_point,
-                        farfield_matrices, phase_terms, rates, sinc_profile)
+                        amplitude_numeric, check_point, farfield_matrices,
+                        phase_terms, rates, sinc_profile)
 from .greens import Chi2Geometry
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
                         kinematics, noise_factor)
@@ -380,7 +380,8 @@ class ScanRequest:
         start, stop, count = self.range
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("scan range bounds must be finite")
-        if not int(count) == count or int(count) < 2:
+        if not (math.isfinite(count) and int(count) == count
+                and count >= 2):
             raise ValueError("scan_count must be an integer >= 2")
         if not start < stop:
             raise ValueError("scan range needs start < stop")
@@ -565,14 +566,13 @@ def _amplitude(sweep, kind, lossless=False):
 
     The one place the farfield/numeric route is picked. Shape (m, 2, 2),
     or (1, 2, 2) where every point has the same config. The far field is
-    one evaluation of the closed form over the stack. The numeric route
+    one evaluation of the kappa = 0 endpoint term over the stack, on the
+    normal-incidence channels that both types share. The numeric route
     calls amplitude_numeric once per point, and once in all for the
     lossless config of an ``n_imag`` axis, which does not depend on n''.
     """
     if sweep.method == "farfield":
-        cfg = sweep.config(kind)
-        check_farfield(cfg, sweep.omega_s, sweep.omega_i, sweep.omega_p)
-        return farfield_matrices(cfg, sweep.modes(lossless))
+        return farfield_matrices(sweep.config(kind), sweep.modes(lossless))
 
     def numeric(i):
         key = (kind, lossless, i)

@@ -54,7 +54,7 @@ def test_default_split_is_degenerate_collinear():
     assert cfg.signal_frequency == OMEGA
     assert cfg.idler_frequency == OMEGA
     assert cfg.pump_z == -0.5 * cfg.crystal.length
-    assert cfg.degenerate and cfg.collinear
+    assert cfg.signal_frequency == cfg.idler_frequency and cfg.collinear
 
 
 def test_energy_conservation_enforced():
@@ -294,7 +294,7 @@ def _closed_form(cfg, kind, kappa):
     included."""
     cfg = replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
     ch = _Channels(_Modes.of(cfg), np.array([kappa]))
-    rows = _angular_rows(cfg, ch, kappa, np.hypot(*cfg.offset))[:, 0]
+    rows = kappa * _angular_rows(cfg, ch, kappa, np.hypot(*cfg.offset))[:, 0]
     matrices = _angular_matrices(cfg)[:len(rows)]
     detector = np.exp(1j * (ch.kin_s.q_z * cfg.z_signal
                             + ch.kin_i.q_z * cfg.z_idler))[0]
@@ -397,13 +397,33 @@ def test_farfield_agreement_improves_with_distance():
     assert devs[1] < 0.2 * devs[0]
 
 
-def test_farfield_requires_degenerate_collinear():
-    lop = make_cfg(omega_s=3.0e15, omega_i=2.0 * OMEGA - 3.0e15, z=1.0)
-    with pytest.raises(ValueError, match="amplitude_numeric"):
-        amplitude_farfield(lop)
+def test_farfield_rejects_displaced_detectors():
     shifted = make_cfg(offset=(1e-4, 0.0), z=1.0)
     with pytest.raises(ValueError, match="amplitude_numeric"):
         amplitude_farfield(shifted)
+
+
+def test_farfield_matches_numeric_off_degeneracy():
+    """The kappa = 0 endpoint term covers split frequencies as well as the
+    degenerate point: within 2e-3 of the disc integral at 1 m, for equal
+    and unequal detector distances, and closing in like 1/z. The signal
+    and idler differ by ``split`` of the pump frequency."""
+    at_1m = ((1.0, 1.0), (1.0, 0.6))
+    for split, places in ((0.03, at_1m), (0.15, at_1m + ((0.1, 0.1),))):
+        om_s, om_i = OMEGA * (1.0 - split), OMEGA * (1.0 + split)
+        for kind in ("I", "II"):
+            devs = {}
+            for z_s, z_i in places:
+                cfg = replace(make_cfg(kind=kind, omega_s=om_s, omega_i=om_i),
+                              z_signal=z_s, z_idler=z_i)
+                far = amplitude_farfield(cfg).matrix
+                num = amplitude_numeric(cfg, tol=1e-7).matrix
+                devs[z_s, z_i] = (np.linalg.norm(far - num)
+                                  / np.linalg.norm(num))
+            assert devs[1.0, 1.0] <= 2e-3 and devs[1.0, 0.6] <= 2e-3, \
+                (split, kind, devs)
+            if split == 0.15:
+                assert devs[1.0, 1.0] < 0.2 * devs[0.1, 0.1], (kind, devs)
 
 
 def test_amplitude_scales_linearly_in_drive_and_strength():

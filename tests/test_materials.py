@@ -143,6 +143,12 @@ def test_absorption_validation():
         absorption_to_n_imag(-0.1, OMEGA)
     with pytest.raises(ValueError):
         absorption_to_n_imag(0.1, OMEGA, convention="per-mile")
+    for omega in (-OMEGA, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            absorption_to_n_imag(0.1, omega)
+    for length in (-0.01, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="length"):
+            absorption_to_n_imag(0.1, OMEGA, length=length)
 
 
 # ---------------------------------------------------------------------------

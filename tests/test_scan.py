@@ -125,7 +125,7 @@ def test_split_pair_accepted():
     cfg = load_config("signal_frequency = 3.0e15\n"
                       "idler_frequency = 4.08e15\n")
     assert cfg.pump_frequency == pytest.approx(7.08e15)
-    assert not cfg.degenerate
+    assert cfg.signal_frequency != cfg.idler_frequency
 
 
 def test_absorption_keys():
@@ -181,9 +181,10 @@ def test_request_validation():
     with pytest.raises(ValueError, match="axis"):
         ScanRequest(base=base, axis="bogus", range=(0, 1, 5),
                     observables=("rate_I",))
-    with pytest.raises(ValueError, match=">= 2"):
-        ScanRequest(base=base, axis="n_imag", range=(0, 1, 1),
-                    observables=("rate_I",))
+    for count in (1, np.inf, np.nan):
+        with pytest.raises(ValueError, match=">= 2"):
+            ScanRequest(base=base, axis="n_imag", range=(0, 1, count),
+                        observables=("rate_I",))
     with pytest.raises(ValueError, match="start < stop"):
         ScanRequest(base=base, axis="n_imag", range=(1, 0, 5),
                     observables=("rate_I",))
@@ -277,6 +278,22 @@ def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
     assert kernel_calls(5) == kernel_calls(50) > 0
 
 
+def test_farfield_ratio_scan_shares_normal_channels_between_types(
+        monkeypatch):
+    # Both conversion types read one normal-incidence evaluation per mode
+    # set: two mode sets (absorbing and lossless), not four columns.
+    built = []
+
+    def counted(modes, kappa):
+        built.append(modes)
+        return channels(modes, kappa)
+
+    channels = amplitude._Channels
+    monkeypatch.setattr(amplitude, "_Channels", counted)
+    run_scan(scan_request_from_config(SCAN_TEXT))
+    assert len(built) == len({id(m) for m in built}) == 2
+
+
 def test_scan_determinism():
     a = run_scan(scan_request_from_config(SCAN_TEXT))
     b = run_scan(scan_request_from_config(SCAN_TEXT))
@@ -356,25 +373,30 @@ observables = rate_I
     ("frequency", 3.3e15, 3.5e15),
 ])
 def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop):
-    base = f"conversion = {kind}\nn_imag = 2e-6\nz_signal = 0.4\n" \
+    degenerate = f"conversion = {kind}\nn_imag = 2e-6\nz_signal = 0.4\n" \
         "z_idler = 0.6\n"
-    text = base + (f"scan_axis = {axis}\nscan_start = {start!r}\n"
-                   f"scan_stop = {stop!r}\nscan_count = 7\n"
-                   "observables = amplitude_matrix, rate_I, rate_II\n")
-    result = run_scan(scan_request_from_config(text))
-    for x, row in zip(result.axis_values, result.rows):
+    bases = [degenerate]
+    if axis != "frequency":      # that axis sets the degenerate point
+        bases.append(degenerate + "signal_frequency = 3.44e15\n"
+                     "idler_frequency = 3.64e15\n")
+    for base in bases:
+        text = base + (f"scan_axis = {axis}\nscan_start = {start!r}\n"
+                       f"scan_stop = {stop!r}\nscan_count = 7\n"
+                       "observables = amplitude_matrix, rate_I, rate_II\n")
+        result = run_scan(scan_request_from_config(text))
         point = base.replace("n_imag = 2e-6\n", "") if axis == "n_imag" \
             else base
-        cfg = load_config(point + f"{axis} = {x!r}\n")
-        want = amplitude_farfield(cfg).matrix
-        got = np.array(row[:4]).reshape(2, 2)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-        for kind_r, got_rate in zip(("I", "II"), row[4:]):
-            cfg_r = load_config(point.replace(f"conversion = {kind}",
-                                              f"conversion = {kind_r}")
-                                + f"{axis} = {x!r}\n")
-            want_rate = rate(amplitude_farfield(cfg_r))
-            assert abs(got_rate - want_rate) <= 1e-10 * want_rate
+        for x, row in zip(result.axis_values, result.rows):
+            cfg = load_config(point + f"{axis} = {x!r}\n")
+            want = amplitude_farfield(cfg).matrix
+            got = np.array(row[:4]).reshape(2, 2)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            for kind_r, got_rate in zip(("I", "II"), row[4:]):
+                cfg_r = load_config(point.replace(f"conversion = {kind}",
+                                                  f"conversion = {kind_r}")
+                                    + f"{axis} = {x!r}\n")
+                want_rate = rate(amplitude_farfield(cfg_r))
+                assert abs(got_rate - want_rate) <= 1e-10 * want_rate
 
 
 def test_sinc_profile_on_delta_k_axis():
@@ -549,13 +571,20 @@ def _write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 def test_cli_rate_text(tmp_path):
-    cfg = _write_cfg(tmp_path, "frequency = 3.54e15\nn_imag = 1e-6\n")
-    out = tmp_path / "rate.txt"
-    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("rate = ")
-    assert float(lines[0].split("=")[1]) > 0.0
-    assert lines[1].startswith("amplitude_xx = ")
+    # the default far-field route covers split frequencies too
+    for text in ("frequency = 3.54e15\nn_imag = 1e-6\n",
+                 "signal_frequency = 3.44e15\nidler_frequency = 3.64e15\n"
+                 "n_imag = 1e-6\n"):
+        out = tmp_path / "rate.txt"
+        assert main(["rate", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        name, value = lines[0].split(" = ")
+        assert name == "rate"
+        # the CLI evaluates a one-point stack, which may round differently
+        want = rate(amplitude_farfield(load_config(text)))
+        assert float(value) == pytest.approx(want, rel=1e-14) and want > 0.0
+        assert lines[1].startswith("amplitude_xx = ")
 
 
 def test_cli_rate_csv_and_json(tmp_path):
