@@ -61,6 +61,13 @@ rate) and closes the tail with a three-term integration-by-parts series in
 1/(i Psi'), with the series ratio monitored and K escalated if the closure
 is not clearly converging.
 
+About 21k integrand nodes go into one amplitude, so the per-node kernel
+(_Channels, then _angular_rows) sets its cost. A node takes two complex
+exponentials, e^{i k_z L/2} of each split mode; every slab phase is a
+product of them and of the pump's, with half the rounding error of exp of
+the rounded sum sk L/2 (_Channels). The Bessel rows avoid jv, which would
+cost several times the rest of the node (_bessel_even).
+
 The far field is the leading term of the same integral, not a formula of
 its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
 lemma in s = kappa^2) from the on-axis row of _angular_rows on the
@@ -77,11 +84,11 @@ farfield_matrices evaluates a whole sweep at once; amplitude_farfield is
 the one-point case. Every kernel works elementwise, so a point's value does
 not depend on the points stacked with it.
 
-scipy is imported inside _angular_rows (past its on-axis return) and
-_integrate_oscillatory, the only code that calls it, so the far-field route
-never loads it: a module-level scipy import would add about 0.55 s and
-47 MB to every slabpdc process. New numeric code (a path route included)
-follows the same rule.
+scipy is imported inside _bessel_even (reached past the on-axis return of
+_angular_rows) and _integrate_oscillatory, the only code that calls it, so
+the far-field route never loads it: a module-level scipy import would add
+about 0.55 s and 47 MB to every slabpdc process. New numeric code (a path
+route included) follows the same rule.
 """
 
 from __future__ import annotations
@@ -128,6 +135,11 @@ _KEPT_CYCLES_MAX = 8192
 _FULL_RANGE_CYCLES = 2.0e4
 _TAIL_RATIO_LIMIT = 0.1
 _PANEL_CYCLES = 0.75          # GK15 panels per detector-phase cycle
+
+# J_n(x) = (x/2)^n sum_k c_k (-x^2/4)^k with c_k = 1/(k! (k+n)!), highest
+# k first for Horner; 14 terms reach the last bit for x < 3.
+_BESSEL_SERIES = {n: [1.0 / (math.factorial(k) * math.factorial(k + n))
+                      for k in range(13, -1, -1)] for n in (2, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +341,7 @@ class _Modes:
         self.eps_p = n_p * n_p
         self.kin_p = kinematics(omega_p, n_p)
         self.fres_p = fresnel(TEM, self.kin_p, self.eps_p, length)
+        self.h_p = np.exp(0.5j * self.kin_p.k_z * length)
         self.q_s = omega_s / C_LIGHT
         self.q_i = omega_i / C_LIGHT
         self.k_s = n_s * omega_s / C_LIGHT
@@ -365,30 +378,69 @@ def _prefactor(cfg, modes):
             * modes.noise)
 
 
+def _split_factors(kin, eps, h):
+    """Fresnel pieces of one split mode at its half-slab phase h.
+
+    h = e^{i k_z L/2}. Returns {polarization: (r, t m)} with the TE and TM
+    coefficients of ``fresnel`` and M = 1/(1 - r^2 h^4), so both
+    polarizations share one exponential.
+    """
+    kz, qz = kin.k_z, kin.q_z
+    h2 = h * h
+    h4 = h2 * h2
+    out = {}
+    for sigma, load, lift in ((TE, qz, 2.0 * kz),
+                              (TM, eps * qz, 2.0 * (kin.k / kin.q) * kz)):
+        inv = 1.0 / (kz + load)
+        r = (kz - load) * inv
+        out[sigma] = (r, lift * inv / (1.0 - r * r * h4))
+    return out
+
+
 class _Channels:
     """kappa-dependent pieces shared by every integration path.
 
     Vectorized over kappa. Holds the split-mode kinematics, the four X
     factors keyed by (signal, idler) polarization, and the slab phase
     csinc(dk L/2) e^{i sk L/2}.
+
+    A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
+    h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
+    _Modes. Every L-scale phase is a product of them: M = 1/(1 - r^2 h^4)
+    for both polarizations of a mode, the slab phase
+    e^{i sk L/2} = h_p h_s h_i and the back-face loop e^{i sk L}, its
+    square. Each factor carries the rounding of its own k_z L/2 only,
+    while exp of the rounded sum sk L/2 also carries the rounding of that
+    sum: on a 2 mm slab the product is within 8.6e-12 of the 40-digit
+    phase and the exp of the sum 1.7e-11 (the loop, 1.7e-11 and 3.4e-11).
+    The X factors are (t m)_p (t m)_s (t m)_i (1 + r_p r_s r_i e^{i sk L})
+    with the coefficients of ``fresnel``; they match ``x_factor`` of the
+    public pieces to 5e-12.
     """
 
     def __init__(self, modes, kappa):
-        length = modes.length
         zeros = np.zeros_like(kappa)
         self.kin_s = kinematics(modes.omega_s, modes.n_s, (kappa, zeros))
         self.kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
-        fres_s = {TE: fresnel(TE, self.kin_s, modes.eps_s, length),
-                  TM: fresnel(TM, self.kin_s, modes.eps_s, length)}
-        fres_i = {TE: fresnel(TE, self.kin_i, modes.eps_i, length),
-                  TM: fresnel(TM, self.kin_i, modes.eps_i, length)}
         pm = phase_terms(self.kin_s, self.kin_i, modes.kin_p)
         self.pm = pm
-        self.x = {(a, b): x_factor(a, b, modes.fres_p, fres_s[a], fres_i[b],
-                                   pm.sigma_k, length)
-                  for a in (TE, TM) for b in (TE, TM)}
-        self.slab = complex_sinc(0.5 * pm.delta_k * length) \
-            * np.exp(0.5j * pm.sigma_k * length)
+        half_l = 0.5j * modes.length
+        h_s = np.exp(half_l * self.kin_s.k_z)
+        h_i = np.exp(half_l * self.kin_i.k_z)
+        sig = _split_factors(self.kin_s, modes.eps_s, h_s)
+        idl = _split_factors(self.kin_i, modes.eps_i, h_i)
+        half = modes.h_p * h_s * h_i
+        fres_p = modes.fres_p
+        loop = fres_p.r23 * half * half
+        tm_p = fres_p.t * fres_p.m
+        self.x = {}
+        for a in (TE, TM):
+            r_s, tm_s = sig[a]
+            lead, turn = tm_p * tm_s, loop * r_s
+            for b in (TE, TM):
+                r_i, tm_i = idl[b]
+                self.x[(a, b)] = lead * tm_i * (1.0 + turn * r_i)
+        self.slab = complex_sinc(0.5 * pm.delta_k * modes.length) * half
         # In-crystal direction cosines of the TM legs.
         self.c_s = self.kin_s.k_z / self.kin_s.k
         self.c_i = self.kin_i.k_z / self.kin_i.k
@@ -432,15 +484,44 @@ def _angular_rows(cfg, ch, kappa, rho):
     weight = ch.slab / denom
     if rho == 0.0:
         return np.asarray(weight * first)[None]
-    from scipy.special import j0, jv
-
-    arg = kappa * rho
-    j2 = jv(2, arg)
-    rows = [weight * first * j0(arg), weight * (tt - mm) * j2]
+    bessel = _bessel_even(kappa * rho, cfg.chi2.kind == "II")
+    rows = [weight * first * bessel[0], weight * (tt - mm) * bessel[1]]
     if cfg.chi2.kind == "II":
-        rows += [weight * ((tt + mm) - (em + me)) * jv(4, arg),
-                 weight * (em - me) * j2]
+        rows += [weight * ((tt + mm) - (em + me)) * bessel[2],
+                 weight * (em - me) * bessel[1]]
     return np.stack(rows)
+
+
+def _bessel_even(x, with_j4):
+    """[J0, J2] of x >= 0, and J4 with with_j4, without scipy's jv.
+
+    J0 is scipy's j0. For x >= 3, J2 = 2 J1/x - J0 and
+    J4 = (48/x^3 - 8/x) J1 + (1 - 24/x^2) J0 from j0 and j1; below that
+    the J4 form cancels (6e-15 absolute at x = 1, 2e-3 relative at 1e-6),
+    and J2, J4 come from their power series in x^2/4, 14 terms. Against
+    30-digit values both forms stay within 2e-16 absolute below x = 8 and
+    within 1.3e-15, the error of j0 and j1 themselves, up to x = 400;
+    jv(n, x) costs several times as much, most for x < 12.
+    """
+    from scipy.special import j0, j1
+
+    x = np.atleast_1d(x)
+    b0, b1 = j0(x), j1(x)
+    small = x < 3.0
+    inv = 1.0 / np.where(small, 3.0, x)
+    out = [b0, 2.0 * inv * b1 - b0]
+    if with_j4:
+        inv2 = inv * inv
+        out.append((48.0 * inv2 - 8.0) * inv * b1 + (1.0 - 24.0 * inv2) * b0)
+    if small.any():
+        half = 0.5 * x[small]
+        y = -half * half
+        for n, row in zip((2, 4), out[1:]):
+            acc = 0.0
+            for c in _BESSEL_SERIES[n]:
+                acc = acc * y + c
+            row[small] = acc * half ** n
+    return out
 
 
 # ---------------------------------------------------------------------------

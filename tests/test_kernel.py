@@ -1,0 +1,256 @@
+"""The per-node kernel of the numeric route against its references.
+
+_Channels fuses the public slab pieces (kinematics, fresnel, x_factor,
+phase_terms, complex_sinc) into two exponentials per node; here it is
+checked against their plain composition, against 40-digit values, and for
+the node counts of the radial route it feeds. _bessel_even is checked
+against scipy's jv.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from slabpdc import amplitude
+from slabpdc.amplitude import (_angular_rows, _bessel_even, _Channels,
+                               _Modes, _split_factors, amplitude_numeric,
+                               complex_sinc, phase_terms, x_factor)
+from slabpdc.materials import (C_LIGHT, TE, TM, branch_sqrt, fresnel,
+                               kinematics)
+from test_amplitude import OMEGA, make_cfg
+
+# Index triples (signal, idler, pump): lossless, uniform absorption, and
+# absorption split between the daughters and the pump.
+_LOSSES = {
+    "lossless": (1.65 + 0j, 1.652 + 0j, 1.67 + 0j),
+    "uniform": (1.65 + 1e-6j, 1.652 + 1e-6j, 1.67 + 1e-6j),
+    "split": (1.65 + 2e-6j, 1.652 + 4e-6j, 1.67 + 1.5e-5j),
+}
+_SPLIT = (OMEGA * (1.0 - 0.04), OMEGA * (1.0 + 0.04))
+
+
+def _modes(loss, length, m=None):
+    """_Modes at a 4% split; with m, stacked over m slightly shifted points."""
+    n_s, n_i, n_p = _LOSSES[loss]
+    om_s, om_i = _SPLIT
+    if m is not None:
+        shift = 1.0 + 1e-3 * np.arange(m)
+        om_s, om_i = om_s * shift, om_i * shift
+        n_s, n_i, n_p = (n * shift for n in (n_s, n_i, n_p))
+    return _Modes(om_s, om_i, om_s + om_i, n_s, n_i, n_p, length,
+                  -0.5 * length)
+
+
+def _public_channels(modes, kappa):
+    """_Channels' attributes composed from the public kernels."""
+    zeros = np.zeros_like(kappa)
+    length = modes.length
+    kin_s = kinematics(modes.omega_s, modes.n_s, (kappa, zeros))
+    kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
+    fres_s = {p: fresnel(p, kin_s, modes.eps_s, length) for p in (TE, TM)}
+    fres_i = {p: fresnel(p, kin_i, modes.eps_i, length) for p in (TE, TM)}
+    pm = phase_terms(kin_s, kin_i, modes.kin_p)
+    return SimpleNamespace(
+        kin_s=kin_s, kin_i=kin_i, pm=pm,
+        x={(a, b): x_factor(a, b, modes.fres_p, fres_s[a], fres_i[b],
+                            pm.sigma_k, length)
+           for a in (TE, TM) for b in (TE, TM)},
+        slab=complex_sinc(0.5 * pm.delta_k * length)
+        * np.exp(0.5j * pm.sigma_k * length),
+        c_s=kin_s.k_z / kin_s.k, c_i=kin_i.k_z / kin_i.k)
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)
+                        / np.maximum(np.abs(want), 1e-300)))
+
+
+# ---------------------------------------------------------------------------
+# Fused kernel against the public composition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("length", [1e-4, 2e-3])
+def test_channels_match_public_composition(loss, length):
+    modes = _modes(loss, length)
+    kap_max = min(modes.q_s, modes.q_i)
+    kappa = kap_max * np.concatenate(
+        (np.linspace(0.0, 0.999, 400), 1.0 - np.geomspace(1e-3, 1e-9, 40)))
+    ch = _Channels(modes, kappa)
+    ref = _public_channels(modes, kappa)
+    for attr in ("kin_s", "kin_i"):
+        for field in ("k", "k_z", "q_z"):
+            assert np.array_equal(getattr(getattr(ch, attr), field),
+                                  getattr(getattr(ref, attr), field))
+    assert np.array_equal(ch.pm.delta_k, ref.pm.delta_k)
+    assert np.array_equal(ch.pm.sigma_k, ref.pm.sigma_k)
+    assert np.array_equal(ch.c_s, ref.c_s)
+    assert np.array_equal(ch.c_i, ref.c_i)
+    for key in ref.x:
+        assert _rel(ch.x[key], ref.x[key]) <= 1e-10
+    assert _rel(ch.slab, ref.slab) <= 1e-10
+    # The rows the radial engine integrates, for both conversion types, on
+    # axis and off, relative to each row's largest value: TT - MM and its
+    # kin cancel to zero on the axis.
+    for kind in ("I", "II"):
+        cfg = make_cfg(kind=kind)
+        for rho in (0.0, 7e-6):
+            got = _angular_rows(cfg, ch, kappa, rho)
+            want = _angular_rows(cfg, ref, kappa, rho)
+            assert np.all(np.max(np.abs(got - want), axis=1)
+                          <= 1e-10 * np.max(np.abs(want), axis=1))
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("length", [1e-4, 2e-3])
+def test_stacked_normal_channels_match_public_composition(loss, length):
+    modes = _modes(loss, length, m=5)
+    ch = modes.normal
+    ref = _public_channels(modes, 0.0)
+    assert np.shape(ch.slab) == (5,)
+    for key in ref.x:
+        assert _rel(ch.x[key], ref.x[key]) <= 1e-10
+    assert _rel(ch.slab, ref.slab) <= 1e-10
+
+
+def test_vacuum_channels_are_unity():
+    modes = _Modes(OMEGA, OMEGA, 2.0 * OMEGA, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j,
+                   2e-3, -1e-3)
+    ch = _Channels(modes, np.array([0.0, 1e5, 0.5 * modes.q_s]))
+    for x in ch.x.values():
+        assert np.array_equal(x, np.ones(3))
+
+
+def test_vacuum_qz_is_branch_sqrt_bit_for_bit():
+    q = OMEGA / C_LIGHT
+    # Propagating, grazing and evanescent transverse wave numbers.
+    kappa = q * np.concatenate((np.linspace(0.0, 2.0, 2001),
+                                [1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
+    kin = kinematics(OMEGA, 1.65 + 1e-6j, (kappa, np.zeros_like(kappa)))
+    want = branch_sqrt(q * q - kappa * kappa)
+    assert np.array_equal(kin.q_z, want)
+    assert np.array_equal(np.signbit(kin.q_z.imag), np.signbit(want.imag))
+    assert np.array_equal(np.signbit(kin.q_z.real), np.signbit(want.real))
+    for kap in (0.0, 0.5 * q, 1.5 * q):
+        one = kinematics(OMEGA, 1.65, (kap, 0.0)).q_z
+        assert isinstance(one, complex)
+        assert one == branch_sqrt(q * q - kap * kap)
+    stacked = kinematics(OMEGA * np.array([1.0, 2.0]), 1.65)
+    assert np.array_equal(stacked.q_z, branch_sqrt(stacked.q ** 2 + 0j))
+
+
+# ---------------------------------------------------------------------------
+# Fused kernel against 40-digit values
+# ---------------------------------------------------------------------------
+
+def _mp_node(modes, kappa):
+    """slab, X and the split-mode (r, t M) at one node, 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c, length, kap = mp.mpf(C_LIGHT), mp.mpf(modes.length), mp.mpf(kappa)
+
+    def index(n):
+        return mp.mpc(n.real, n.imag)
+
+    def mode(n, omega):
+        n = index(n)
+        q = mp.mpf(omega) / c
+        k = n * q
+        kz = mp.sqrt(k * k - kap * kap)
+        qz = mp.sqrt(q * q - kap * kap)
+        eps = n * n
+        out = {}
+        for sigma, load, lift in ((TE, qz, 2 * kz), (TM, eps * qz, 2 * n * kz)):
+            r = (kz - load) / (kz + load)
+            m = 1 / (1 - r * r * mp.exp(2j * kz * length))
+            out[sigma] = (r, lift / (kz + load) * m)
+        return kz, out
+
+    kz_s, sig = mode(modes.n_s, modes.omega_s)
+    kz_i, idl = mode(modes.n_i, modes.omega_i)
+    n_p = index(modes.n_p)
+    k_p = n_p * mp.mpf(modes.omega_s + modes.omega_i) / c
+    r_p = (n_p - 1) / (n_p + 1)
+    tm_p = 2 / (n_p + 1) / (1 - r_p * r_p * mp.exp(2j * k_p * length))
+    sigma_k, delta_k = k_p + kz_s + kz_i, k_p - kz_s - kz_i
+    w = delta_k * length / 2
+    slab = mp.sin(w) / w * mp.exp(0.5j * sigma_k * length)
+    loop = r_p * mp.exp(1j * sigma_k * length)
+    x = {(a, b): tm_p * sig[a][1] * idl[b][1] * (1 + loop * sig[a][0]
+                                                 * idl[b][0])
+         for a in (TE, TM) for b in (TE, TM)}
+    return complex(slab), {k: complex(v) for k, v in x.items()}, \
+        {p: tuple(complex(v) for v in sig[p]) for p in (TE, TM)}
+
+
+@pytest.mark.parametrize("loss", ["lossless", "split"])
+def test_channels_match_40_digit_values(loss):
+    # The phases run to sk L = 1.7e5 rad for the 2 mm slab: the fused
+    # products stay within 2e-11 of the 40-digit slab factor, X factors
+    # and t M (measured worst 1.0e-11).
+    modes = _modes(loss, 2e-3)
+    kap_max = min(modes.q_s, modes.q_i)
+    kappa = kap_max * np.array([0.0, 0.3, 0.8, 0.99, 0.999])
+    ch = _Channels(modes, kappa)
+    h_s = np.exp(0.5j * modes.length * ch.kin_s.k_z)
+    split = _split_factors(ch.kin_s, modes.eps_s, h_s)
+    for j, kap in enumerate(kappa):
+        slab, x, sig = _mp_node(modes, kap)
+        assert abs(ch.slab[j] - slab) <= 2e-11 * abs(slab)
+        for key, want in x.items():
+            assert abs(ch.x[key][j] - want) <= 2e-11 * abs(want)
+        for p in (TE, TM):
+            r, tm = split[p]
+            assert abs(r[j] - sig[p][0]) <= 1e-14 * max(abs(sig[p][0]), 1.0)
+            assert abs(tm[j] - sig[p][1]) <= 2e-11 * abs(sig[p][1])
+
+
+# ---------------------------------------------------------------------------
+# Bessel rows
+# ---------------------------------------------------------------------------
+
+def test_bessel_rows_match_jv():
+    # Across the switch at x = 3 between the power series and the
+    # recurrence from j0 and j1, and past the x = 8 switch of scipy's own.
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate((np.geomspace(1e-6, 2.0, 300),
+                        np.linspace(2.0, 12.0, 2001),
+                        np.linspace(12.0, 400.0, 4000),
+                        np.nextafter(3.0, [0.0, 4.0]), [3.0, 8.0]))
+    rows = _bessel_even(x, True)
+    assert len(rows) == 3 and len(_bessel_even(x, False)) == 2
+    assert np.array_equal(rows[0], special.j0(x))
+    for n, got in ((2, rows[1]), (4, rows[2])):
+        want = special.jv(n, x)
+        assert np.max(np.abs(got - want)) <= 5e-15
+        big = np.abs(want) > 1e-3
+        assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) \
+            <= 2e-12
+        # The series keeps its relative accuracy down to x = 1e-6.
+        small = x < 3.0
+        assert np.max(np.abs(got[small] - want[small])
+                      / np.abs(want[small])) <= 2e-14
+
+
+# ---------------------------------------------------------------------------
+# Route guard
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg, nodes", [
+    (make_cfg(kind="I", z=1.0), 20523),
+    (make_cfg(kind="I", length=1e-4, z=1.5e-4), 20715),
+    (make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6)), 20748),
+], ids=["collinear-1m", "thin-full-range", "displaced-II"])
+def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
+    # A kernel change that moves the adaptive partition shows here first.
+    counted = []
+    channels = amplitude._Channels
+
+    def counting(modes, kappa):
+        counted.append(np.size(kappa))
+        return channels(modes, kappa)
+
+    monkeypatch.setattr(amplitude, "_Channels", counting)
+    amplitude_numeric(cfg, tol=1e-6)
+    assert sum(counted) == nodes
