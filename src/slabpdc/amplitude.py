@@ -82,7 +82,9 @@ over a leading axis of m sweep points, and so does _Channels at kappa = 0:
 _Modes.normal holds it once per mode set for both conversion types, and
 farfield_matrices evaluates a whole sweep at once; amplitude_farfield is
 the one-point case. Every kernel works elementwise, so a point's value does
-not depend on the points stacked with it.
+not depend on the points stacked with it. The numeric route integrates
+point by point on the same split: _numeric_matrix takes the config the
+points share and one point's _Modes, sliced from the checked stack.
 
 scipy is imported inside _bessel_even (reached past the on-axis return of
 _angular_rows) and _integrate_oscillatory, the only code that calls it, so
@@ -95,7 +97,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,7 +295,8 @@ def sinc_profile(pm, length):
     parts of the pump and split-mode wave numbers cancel in dk, the minima
     return to zero while the overall e^{-Im(sk) L} decay remains.
     """
-    reject(length <= 0, ValueError, lambda i: "length must be positive")
+    reject(np.logical_not((length > 0) & (length < np.inf)), ValueError,
+           lambda i: "length must be positive and finite")
     w = 0.5 * pm.delta_k * length
     envelope = np.exp(0.5j * pm.sigma_k * length)
     val = np.abs(complex_sinc(w)) ** 2 * np.abs(envelope) ** 2
@@ -333,7 +336,7 @@ class _Modes:
 
     def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length,
                  pump_z):
-        self.omega_s, self.omega_i = omega_s, omega_i
+        self.omega_s, self.omega_i, self.omega_p = omega_s, omega_i, omega_p
         self.length, self.pump_z = length, pump_z
         self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
         self.eps_s = n_s * n_s
@@ -528,7 +531,7 @@ def _bessel_even(x, with_j4):
 # Full 2-D integrands
 # ---------------------------------------------------------------------------
 
-def _polarization_sum(cfg, ch, phi):
+def _polarization_sum(pattern, ch, phi):
     """B_{lambda mu}(u) at n samples: detector dyads times pattern-contracted
     sources, shape (n, 2, 2).
 
@@ -541,8 +544,7 @@ def _polarization_sum(cfg, ch, phi):
     a = np.array([[s, -c], [-ch.c_s * c, -ch.c_s * s]])
     b = np.array([[-s, c], [ch.c_i * c, ch.c_i * s]])
     x = np.array([[ch.x[(p, q)] for q in (TE, TM)] for p in (TE, TM)])
-    return np.einsum("sln,tmn,san,ab,tbn,stn->nlm", a, b, a,
-                     cfg.chi2.pattern, b, x)
+    return np.einsum("sln,tmn,san,ab,tbn,stn->nlm", a, b, a, pattern, b, x)
 
 
 def _integrand(k_perp, cfg, kind):
@@ -556,14 +558,12 @@ def _integrand(k_perp, cfg, kind):
     reject(~((0.0 < kappa) & (kappa < kap_max)), ValueError,
            lambda i: f"|k_perp| = {kappa[i]:.6e} outside the open "
            f"propagating disc (0, {kap_max:.6e})")
-    work = cfg if cfg.chi2.kind == kind else \
-        replace(cfg, chi2=Chi2Geometry(kind=kind, d=cfg.chi2.d))
     ch = _Channels(modes, kappa)
-    b = _polarization_sum(work, ch, np.arctan2(ky, kx))
-    dx, dy = work.offset
+    b = _polarization_sum(Chi2Geometry(kind).pattern, ch, np.arctan2(ky, kx))
+    dx, dy = cfg.offset
     phase = np.exp(1j * (kx * dx + ky * dy)) \
-        * np.exp(1j * (ch.kin_s.q_z * work.z_signal
-                       + ch.kin_i.q_z * work.z_idler))
+        * np.exp(1j * (ch.kin_s.q_z * cfg.z_signal
+                       + ch.kin_i.q_z * cfg.z_idler))
     w = ch.slab * phase / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z)
     return (b * w[:, None, None]).reshape(shape + (2, 2))
 
@@ -641,13 +641,13 @@ class _DetectorPhase:
         return -self.psi_rel(0.5 * np.pi) / _TWO_PI
 
 
-def _slab_phase_rate(cfg, modes, theta):
+def _slab_phase_rate(modes, theta):
     """Upper bound on the theta rate of the L-scale slab phases."""
     kap = min(modes.q_s, modes.q_i) * np.sin(theta)
     dkap = min(modes.q_s, modes.q_i) * np.cos(theta)
     kzs = branch_sqrt(modes.k_s * modes.k_s - kap * kap)
     kzi = branch_sqrt(modes.k_i * modes.k_i - kap * kap)
-    return cfg.crystal.length * kap * dkap \
+    return modes.length * kap * dkap \
         * (1.0 / abs(kzs) + 1.0 / abs(kzi))
 
 
@@ -676,7 +676,7 @@ def _tail_terms(slow, phase, theta0, h):
     return boundary, ratio, n3
 
 
-def _integrate_head(slow, phase, cfg, modes, upper, rel_tol):
+def _integrate_head(slow, phase, modes, upper, rel_tol):
     """GK15 integral of slow(theta) e^{i psi_rel} over [0, upper].
 
     Seed panels span _PANEL_CYCLES cycles of the fastest phase (detector
@@ -687,7 +687,7 @@ def _integrate_head(slow, phase, cfg, modes, upper, rel_tol):
     """
     thetas = np.linspace(0.0, upper, 513)
     rate_max = float(np.max(np.abs(phase.psi_prime(thetas))
-                            + _slab_phase_rate(cfg, modes, thetas)))
+                            + _slab_phase_rate(modes, thetas)))
     cap = _PANEL_CYCLES * _TWO_PI / max(rate_max, 1.0)
     n_seed = int(np.ceil(upper / cap))
     spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=6 * n_seed + 8000)
@@ -698,7 +698,7 @@ def _integrate_head(slow, phase, cfg, modes, upper, rel_tol):
     return integrate_radial(f, 0.0, upper, spec, max_panel=cap)
 
 
-def _integrate_oscillatory(slow, phase, cfg, modes, tol):
+def _integrate_oscillatory(slow, phase, modes, tol):
     """Head-plus-tail evaluation of int_0^{pi/2} slow(theta) e^{i Psi} dtheta.
 
     slow maps a theta array to an (m, n) stack and must already contain
@@ -739,8 +739,7 @@ def _integrate_oscillatory(slow, phase, cfg, modes, tol):
 
     ref = np.exp(1j * phase.psi_ref)
     try:
-        head, err_head = _integrate_head(slow, phase, cfg, modes, upper,
-                                         rel_tol)
+        head, err_head = _integrate_head(slow, phase, modes, upper, rel_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), (exc.value + tail) * ref,
                                exc.error + err_tail) from exc
@@ -751,18 +750,14 @@ def _integrate_oscillatory(slow, phase, cfg, modes, tol):
 # Amplitudes
 # ---------------------------------------------------------------------------
 
-def amplitude_numeric(cfg, tol=1e-6):
-    """Biphoton amplitude by quadrature over the propagating disc.
+def _numeric_matrix(cfg, modes, tol):
+    """amplitude_numeric's (2, 2) matrix at the one point of modes.
 
-    The angular integral is in closed form, so every detector placement
-    feeds one radial engine with the rows of _angular_rows, and the row
-    matrices are applied to its result. tol is the relative tolerance
-    requested of the quadrature; failure to converge raises
-    ConvergenceError carrying the achieved estimate.
+    As for farfield_matrices, cfg supplies the conversion type, the drive
+    and the detectors, and modes (here Python scalars) all the rest, so a
+    sweep passes the config its points share and each point's slice of
+    its checked stack.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    modes = _Modes.of(cfg)
     phase = _DetectorPhase(cfg, modes)
     kap_max = phase.kap_max
     rho = float(np.hypot(*cfg.offset))
@@ -781,12 +776,27 @@ def amplitude_numeric(cfg, tol=1e-6):
         return np.tensordot(pref * vec, matrices[:len(vec)], 1)
 
     try:
-        vec, _ = _integrate_oscillatory(slow, phase, cfg, modes, tol)
+        vec, _ = _integrate_oscillatory(slow, phase, modes, tol)
     except ConvergenceError as exc:
         value = None if exc.value is None else matrix(exc.value)
         raise ConvergenceError(str(exc), value, abs(pref) * exc.error) \
             from exc
-    return BiphotonAmplitude.from_matrix(matrix(vec))
+    return matrix(vec)
+
+
+def amplitude_numeric(cfg, tol=1e-6):
+    """Biphoton amplitude by quadrature over the propagating disc.
+
+    The angular integral is in closed form, so every detector placement
+    feeds one radial engine with the rows of _angular_rows, and the row
+    matrices are applied to its result. tol is the relative tolerance
+    requested of the quadrature; failure to converge raises
+    ConvergenceError carrying the achieved estimate.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return BiphotonAmplitude.from_matrix(
+        _numeric_matrix(cfg, _Modes.of(cfg), tol))
 
 
 def farfield_matrices(cfg, modes):

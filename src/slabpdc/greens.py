@@ -229,6 +229,8 @@ def scattering_green_point(r_d, r_A, omega, crystal, spec=None):
     """
     r_d = np.asarray(r_d, dtype=float)
     r_A = np.asarray(r_A, dtype=float)
+    if not (np.isfinite(r_d).all() and np.isfinite(r_A).all()):
+        raise ValueError("source and detector points must be finite")
     length = crystal.length
     half = 0.5 * length
     z_d = float(r_d[2])

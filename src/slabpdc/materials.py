@@ -189,14 +189,16 @@ def dispersion_eval(material, omega):
     bounded = not (material.unbounded or material.omega.size == 1)
     lo, hi = material.omega_min, material.omega_max
     slack = _RANGE_SLACK * hi
-    bad = w <= 0
+    bad = np.logical_not((w > 0) & (w < np.inf))
     if bounded:
         bad = bad | (w < lo - slack) | (w > hi + slack)
 
     def message(i):
         x = np.ravel(omega)[i]
-        if x <= 0:
+        if not x > 0:
             return f"omega must be positive, got {x}"
+        if not bounded:
+            return f"omega must be finite, got {x}"
         return (f"omega = {x:.6e} rad/s outside the sampled range "
                 f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
 
@@ -285,7 +287,8 @@ def kinematics(omega, n, k_perp=(0.0, 0.0)):
     sector |k_perp| > q. omega and n may be arrays over axis points, and
     k_perp may be arrays over nodes; all of them broadcast together.
     """
-    reject(omega <= 0, ValueError, lambda i: "omega must be positive")
+    reject(np.logical_not((omega > 0) & (omega < np.inf)), ValueError,
+           lambda i: "omega must be positive and finite")
     kx, ky = np.asarray(k_perp[0], dtype=float), np.asarray(k_perp[1], dtype=float)
     if kx.ndim == 0:
         kx, ky = float(kx), float(ky)

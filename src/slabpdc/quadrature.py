@@ -222,8 +222,10 @@ def weyl_oracle(z, rho, q, spec=None):
     spherical wave; the point of the op is to give downstream Green-tensor
     code an independent, brute-force reference.
     """
-    if z <= 0:
-        raise ValueError("weyl_oracle requires z > 0")
+    if not 0 < z < np.inf:
+        raise ValueError("weyl_oracle requires finite z > 0")
+    if not (np.isfinite(rho) and np.isfinite(q)):
+        raise ValueError("weyl_oracle requires finite rho and q")
     from scipy.special import j0
 
     spec = spec or QuadratureSpec()

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
-                        amplitude_numeric, check_point, farfield_matrices,
+                        _numeric_matrix, check_point, farfield_matrices,
                         phase_terms, rates, sinc_profile)
 from .greens import Chi2Geometry
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
@@ -88,8 +88,6 @@ __version__ = "0.1.0"
 _SCHEMA_VERSION = 1
 
 _AXES = ("n_imag", "crystal_length", "delta_k", "frequency")
-_OBSERVABLE_NAMES = ("rate_I", "rate_II", "rate_ratio_to_lossless",
-                     "sinc_profile", "a_factor_gain", "amplitude_matrix")
 _METHODS = ("farfield", "numeric")
 _MATRIX_LABELS = ("xx", "xy", "yx", "yy")   # row-major 2x2 entries
 
@@ -97,6 +95,9 @@ _LENGTH_KEYS = frozenset({"crystal_length", "z_signal", "z_idler", "pump_z",
                           "offset_x", "offset_y"})
 _FREQUENCY_KEYS = frozenset({"frequency", "pump_frequency",
                              "signal_frequency", "idler_frequency"})
+# suffix dimension of a key, and of the scan axis of that name
+_DIMENSIONS = {**dict.fromkeys(_LENGTH_KEYS, "length"),
+               **dict.fromkeys(_FREQUENCY_KEYS, "frequency")}
 _NUMBER_KEYS = frozenset({"coupling", "pump_field", "n_imag", "n_imag_pump",
                           "scan_start", "scan_stop", "scan_count"})
 _WORD_KEYS = frozenset({"material", "conversion", "scan_axis", "observables"})
@@ -209,11 +210,12 @@ def _parse_quantity(key, value, line, col, *, dimension):
     raise ConfigError(f"key '{key}': unknown suffix '{suffix}'", line, col)
 
 
-def _number(pairs, key, default=None, *, dimension="none"):
+def _number(pairs, key, default=None):
     if key not in pairs:
         return default
     value, line, col = pairs[key]
-    return _parse_quantity(key, value, line, col, dimension=dimension)
+    return _parse_quantity(key, value, line, col,
+                           dimension=_DIMENSIONS.get(key, "none"))
 
 
 def _split_absorption(material, n_low, n_high, omega_cut):
@@ -245,11 +247,11 @@ def _resolve(text):
                           line, col)
     material = BUILTIN_MATERIALS[name]()
 
-    length = _number(pairs, "crystal_length", 2e-3, dimension="length")
-    freq = _number(pairs, "frequency", dimension="frequency")
-    pump = _number(pairs, "pump_frequency", dimension="frequency")
-    sig = _number(pairs, "signal_frequency", dimension="frequency")
-    idl = _number(pairs, "idler_frequency", dimension="frequency")
+    length = _number(pairs, "crystal_length", 2e-3)
+    freq = _number(pairs, "frequency")
+    pump = _number(pairs, "pump_frequency")
+    sig = _number(pairs, "signal_frequency")
+    idl = _number(pairs, "idler_frequency")
     if freq is not None and (sig is not None or idl is not None):
         _, line, col = pairs["frequency"]
         raise ConfigError("give either 'frequency' or the explicit "
@@ -267,10 +269,6 @@ def _resolve(text):
         pump = sig + idl
 
     kind = pairs.get("conversion", ("I", None, None))[0]
-    if kind not in ("I", "II"):
-        _, line, col = pairs["conversion"]
-        raise ConfigError(f"conversion must be I or II, got '{kind}'",
-                          line, col)
 
     n_imag = _number(pairs, "n_imag")
     n_imag_pump = _number(pairs, "n_imag_pump")
@@ -291,16 +289,11 @@ def _resolve(text):
 
     coupling = _number(pairs, "coupling", 1e-12)
     pump_field = _number(pairs, "pump_field", 1e5)
-    z_signal = _number(pairs, "z_signal", 1.0, dimension="length")
-    z_idler = _number(pairs, "z_idler", 1.0, dimension="length")
-    pump_z = _number(pairs, "pump_z", dimension="length")
-    off_x = _number(pairs, "offset_x", 0.0, dimension="length")
-    off_y = _number(pairs, "offset_y", 0.0, dimension="length")
-
-    if length is not None and length <= 0.0:
-        line, col = (pairs["crystal_length"][1:]
-                     if "crystal_length" in pairs else (None, None))
-        raise ConfigError("crystal_length must be positive", line, col)
+    z_signal = _number(pairs, "z_signal", 1.0)
+    z_idler = _number(pairs, "z_idler", 1.0)
+    pump_z = _number(pairs, "pump_z")
+    off_x = _number(pairs, "offset_x", 0.0)
+    off_y = _number(pairs, "offset_y", 0.0)
 
     try:
         cfg = ExperimentConfig(
@@ -391,9 +384,9 @@ class ScanRequest:
         if not obs:
             raise ValueError("at least one observable is required")
         for name in obs:
-            if name not in _OBSERVABLE_NAMES:
+            if name not in _OBSERVABLES:
                 raise ValueError(f"unknown observable '{name}' (have: "
-                                 + ", ".join(_OBSERVABLE_NAMES) + ")")
+                                 + ", ".join(_OBSERVABLES) + ")")
         if len(set(obs)) != len(obs):
             raise ValueError("duplicate observable")
         object.__setattr__(self, "observables", obs)
@@ -422,17 +415,12 @@ def scan_request_from_config(text, method="farfield", tol=1e-6):
         raise ConfigError("scan definition incomplete; missing: "
                           + ", ".join(missing))
 
-    axis, line, col = scan_pairs["scan_axis"]
-    if axis not in _AXES:
-        raise ConfigError(f"scan_axis must be one of {', '.join(_AXES)}; "
-                          f"got '{axis}'", line, col)
-    dim = {"crystal_length": "length", "frequency": "frequency"}.get(
-        axis, "none")
+    axis = scan_pairs["scan_axis"][0]
     bounds = []
     for key in ("scan_start", "scan_stop"):
         value, kline, kcol = scan_pairs[key]
         bounds.append(_parse_quantity(key, value, kline, kcol,
-                                      dimension=dim))
+                                      dimension=_DIMENSIONS.get(axis, "none")))
     count_s, kline, kcol = scan_pairs["scan_count"]
     try:
         count = int(count_s)
@@ -480,9 +468,9 @@ class _Sweep:
     (the lossless one on the ``n_imag`` axis) is evaluated once and
     broadcast. The stack passes each point's ExperimentConfig checks
     (``check_point``); the ``ScanRequest`` range checks already cover those
-    of the material and the slab. With ``axis=None`` it is the one point of
-    ``base``. ``memo`` keeps numeric amplitudes by (kind, lossless, point)
-    across the sweeps of one scan.
+    of the material and the slab; a point is not checked again. With
+    ``axis=None`` it is the one point of ``base``. ``memo`` keeps numeric
+    amplitudes by (kind, lossless, point) across the sweeps of one scan.
     """
 
     def __init__(self, base, axis, x, method, tol, memo):
@@ -511,36 +499,28 @@ class _Sweep:
             n = n.real + 1j * (0.0 if lossless else self.n_imag)
         return n
 
-    def modes(self, lossless=False):
+    def modes(self, lossless=False, i=None):
+        """The _Modes of the stack; with i, point i's own, sliced from it
+        in Python scalars, so that its arithmetic is that of ``_Modes.of``
+        on the point's own config."""
         if lossless not in self._modes:
             omegas = (self.omega_s, self.omega_i, self.omega_p)
             self._modes[lossless] = _Modes(
                 *omegas, *(self.index(w, lossless) for w in omegas),
                 self.length, self.pump_z)
-        return self._modes[lossless]
+        m = self._modes[lossless]
+        if i is None:
+            return m
+        return _Modes(*(np.broadcast_to(v, (self.count,))[i].tolist()
+                        for v in (m.omega_s, m.omega_i, m.omega_p, m.n_s,
+                                  m.n_i, m.n_p, m.length, m.pump_z)))
 
-    def config(self, kind, i=None, lossless=False):
-        """The ExperimentConfig of point i; without i, of what every point
-        shares (conversion type, drive, detectors)."""
+    def config(self, kind):
+        """The ExperimentConfig of what every point shares: conversion
+        type, drive and detectors."""
         base = self.base
         chi2 = replace(base.chi2, kind=kind)
-        if i is None:
-            return replace(base, chi2=chi2) if chi2 != base.chi2 else base
-
-        def at(value):
-            return float(value[i]) if np.ndim(value) else value
-
-        material = base.crystal.material
-        if lossless or self.n_imag is not None:
-            material = material.with_absorption(
-                0.0 if lossless else at(self.n_imag))
-        return replace(base, chi2=chi2,
-                       crystal=CrystalSlab(material=material,
-                                           length=at(self.length)),
-                       pump_frequency=at(self.omega_p),
-                       signal_frequency=at(self.omega_s),
-                       idler_frequency=at(self.omega_i),
-                       pump_z=at(self.pump_z))
+        return replace(base, chi2=chi2) if chi2 != base.chi2 else base
 
     def amplitude(self, kind, lossless=False):
         key = (kind, lossless)
@@ -568,17 +548,19 @@ def _amplitude(sweep, kind, lossless=False):
     or (1, 2, 2) where every point has the same config. The far field is
     one evaluation of the kappa = 0 endpoint term over the stack, on the
     normal-incidence channels that both types share. The numeric route
-    calls amplitude_numeric once per point, and once in all for the
-    lossless config of an ``n_imag`` axis, which does not depend on n''.
+    integrates once per point, and once in all for the lossless modes of
+    an ``n_imag`` axis, which do not depend on n''.
     """
+    # the stack first, so that a bad point fails at its own index
+    cfg, stack = sweep.config(kind), sweep.modes(lossless)
     if sweep.method == "farfield":
-        return farfield_matrices(sweep.config(kind), sweep.modes(lossless))
+        return farfield_matrices(cfg, stack)
 
     def numeric(i):
         key = (kind, lossless, i)
         if key not in sweep.memo:
-            sweep.memo[key] = amplitude_numeric(
-                sweep.config(kind, i, lossless), tol=sweep.tol).matrix
+            sweep.memo[key] = _numeric_matrix(
+                cfg, sweep.modes(lossless, i), sweep.tol)
         return sweep.memo[key]
 
     shared = lossless and sweep.axis == "n_imag"

@@ -188,8 +188,9 @@ def test_sinc_profile_balanced_absorption_keeps_zero_minima():
     assert sinc_profile(pm_min, LENGTH) < 1e-12
     assert sinc_profile(pm_top, LENGTH) == pytest.approx(
         np.exp(-47.2 * LENGTH), rel=1e-12)
-    with pytest.raises(ValueError):
-        sinc_profile(pm_top, 0.0)
+    for length in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="length"):
+            sinc_profile(pm_top, length)
 
 
 # ---------------------------------------------------------------------------

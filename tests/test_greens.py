@@ -282,3 +282,10 @@ def test_green_geometry_validation():
     with pytest.raises(ValueError):
         scattering_green_point((0.0, 0.0, 1.0e-4), (0.0, 0.0, 0.0),
                                omega, crystal)
+    for r_d, r_A, w in (((np.nan, 0.0, 1.0), (0.0, 0.0, 0.0), omega),
+                        ((0.0, 0.0, 1.0), (0.0, np.inf, 0.0), omega),
+                        ((0.0, 0.0, np.nan), (0.0, 0.0, 0.0), omega),
+                        ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), np.nan),
+                        ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), np.inf)):
+        with pytest.raises(ValueError, match="finite|positive"):
+            scattering_green_point(r_d, r_A, w, crystal)

@@ -45,6 +45,10 @@ def test_dispersion_range_error():
         dispersion_eval(mat, 1e16)
     with pytest.raises(DispersionRangeError):
         dispersion_eval(mat, -1.0)
+    for material, omega in ((mat, np.nan), (vacuum(), np.nan),
+                            (vacuum(), np.inf)):
+        with pytest.raises(DispersionRangeError, match="positive|finite"):
+            dispersion_eval(material, omega)
 
 
 def test_dispersion_eval_over_axis_points():
@@ -193,8 +197,10 @@ def test_kinematics_over_axis_points():
         one = kinematics(float(omegas[j]), complex(n[j]))
         assert kin.k[j] == pytest.approx(one.k, rel=1e-15)
         assert kin.k_z[j] == pytest.approx(one.k_z, rel=1e-15)
-    with pytest.raises(ValueError, match="positive"):
-        kinematics(np.array([1e15, 0.0]), 1.5)
+    for omega in (np.array([1e15, 0.0]), np.array([1e15, np.nan]), np.nan,
+                  np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            kinematics(omega, 1.5)
 
 
 def test_kinematics_array_transverse():

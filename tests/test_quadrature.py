@@ -191,6 +191,14 @@ def test_weyl_static_limit():
     assert abs(numeric - closed) / abs(closed) < 0.01
 
 
+def test_weyl_oracle_rejects_unusable_input():
+    for z, rho, q in ((0.0, 0.0, 50.0), (np.nan, 0.0, 50.0),
+                      (np.inf, 0.0, 50.0), (1.0, np.nan, 50.0),
+                      (1.0, 0.0, np.nan), (1.0, 0.0, np.inf)):
+        with pytest.raises(ValueError, match="weyl_oracle requires"):
+            weyl_oracle(z, rho, q)
+
+
 def test_weyl_doubling_z_halves_magnitude():
     q = 40.0
     _, c1 = weyl_oracle(1.0, 0.0, q)

@@ -248,14 +248,54 @@ def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
     # the numeric route computes it once per conversion type.
     calls = []
 
-    def counted(cfg, tol):
-        calls.append(cfg)
-        return amplitude_numeric(cfg, tol=tol)
+    def counted(cfg, modes, tol):
+        calls.append(modes)
+        return numeric_matrix(cfg, modes, tol)
 
-    monkeypatch.setattr(scan, "amplitude_numeric", counted)
+    numeric_matrix = scan._numeric_matrix
+    monkeypatch.setattr(scan, "_numeric_matrix", counted)
     result = run_scan(scan_request_from_config(SCAN_TEXT, method="numeric"))
     count = len(result.rows)
     assert len(calls) == 2 * count + 2
+
+
+def test_numeric_scan_checks_no_point_twice(monkeypatch):
+    # The stack is checked once; a point's amplitude is computed from its
+    # slice, without a config of its own to check again.
+    def checks(count):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_point(*args)
+
+        check_point = amplitude.check_point
+        for module in (amplitude, scan):
+            monkeypatch.setattr(module, "check_point", counted)
+        text = SCAN_TEXT.replace("scan_count = 5", f"scan_count = {count}")
+        result = run_scan(scan_request_from_config(text, method="numeric"))
+        monkeypatch.undo()
+        assert len(result.rows) == count
+        return len(calls)
+
+    assert checks(2) == checks(3)
+
+
+@pytest.mark.parametrize("axis, start, stop, key", [
+    ("crystal_length", "1 mm", "3 mm", "crystal_length"),
+    ("frequency", "3.5e15", "3.54e15", "frequency"),
+])
+def test_numeric_cells_are_the_points_own_amplitudes(axis, start, stop, key):
+    # Each point's amplitude is the one its own config gives, bit for bit:
+    # its slab and frequencies reach every part of the engine.
+    head = "n_imag = 2e-6\nz_signal = 0.1\nz_idler = 0.1\n"
+    text = (f"{head}scan_axis = {axis}\nscan_start = {start}\n"
+            f"scan_stop = {stop}\nscan_count = 2\n"
+            "observables = amplitude_matrix\n")
+    result = run_scan(scan_request_from_config(text, method="numeric"))
+    for x, row in zip(result.axis_values, result.rows):
+        own = amplitude_numeric(load_config(f"{head}{key} = {x!r}\n"))
+        assert list(row) == own.matrix.ravel().tolist()
 
 
 def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
@@ -310,17 +350,19 @@ scan_stop = 3.6e15
 scan_count = 4
 observables = rate_I
 """
-    with pytest.raises(ScanError, match="axis point 3") as info:
-        run_scan(scan_request_from_config(text))
-    assert info.value.completed == 3
-    assert isinstance(info.value.__cause__, DispersionRangeError)
-    # the completed rows are kept, every observable filled in
-    assert info.value.columns == ("rate_I",)
-    assert len(info.value.rows) == 3
-    for x, (got,) in zip(np.linspace(3.3e15, 3.6e15, 4).tolist(),
-                         info.value.rows):
-        want = rate(amplitude_farfield(load_config(f"frequency = {x!r}\n")))
-        assert abs(got - want) <= 1e-10 * want
+    for method, amplitude_of in (("farfield", amplitude_farfield),
+                                 ("numeric", amplitude_numeric)):
+        with pytest.raises(ScanError, match="axis point 3") as info:
+            run_scan(scan_request_from_config(text, method=method))
+        assert info.value.completed == 3
+        assert isinstance(info.value.__cause__, DispersionRangeError)
+        # the completed rows are kept, every observable filled in
+        assert info.value.columns == ("rate_I",)
+        assert len(info.value.rows) == 3
+        for x, (got,) in zip(np.linspace(3.3e15, 3.6e15, 4).tolist(),
+                             info.value.rows):
+            want = rate(amplitude_of(load_config(f"frequency = {x!r}\n")))
+            assert abs(got - want) <= 1e-10 * want
 
 
 def test_detector_inside_slab_aborts_at_its_point():
