@@ -338,8 +338,11 @@ def fresnel(sigma, kin, eps, length):
 
     The TM transmission carries the index factor n of the physical
     p-polarized field coefficient, so that t23_TE(0) = t23_TM(0) = 2n/(n+1)
-    at normal incidence. Both faces see vacuum, hence r21 = r23.
+    at normal incidence. Both faces see vacuum, hence r21 = r23. A NaN
+    length, eps or wavenumber kin.k raises ValueError.
     """
+    for name, x in (("length", length), ("eps", eps), ("k", kin.k)):
+        reject(np.isnan(x), ValueError, lambda i: f"fresnel: {name} is NaN")
     kz, qz = kin.k_z, kin.q_z
     n = kin.k / kin.q
     if sigma == TE:
@@ -368,19 +371,29 @@ def fresnel(sigma, kin, eps, length):
 # Local-field correction and the absorption noise factor
 # ---------------------------------------------------------------------------
 
-def _complex(eps):
-    """eps as a Python complex for one point, a complex array for a stack."""
+def _checked(eps, name):
+    """eps as a Python complex for one point, a complex array for a stack;
+    rejected where it is 0 or NaN."""
     if isinstance(eps, np.ndarray) and eps.ndim:
-        return eps.astype(complex, copy=False)
-    return complex(eps)
+        eps = eps.astype(complex, copy=False)
+    else:
+        eps = complex(eps)
+    reject(eps == 0, ZeroDivisionError,
+           lambda i: f"{name} singular at eps = 0")
+    reject(eps != eps, ValueError, lambda i: f"{name}: eps is NaN")
+    return eps
+
+
+def _local_field(eps):
+    return (2.0 / (9.0 * EPS0)) * (eps - 1.0) / eps
 
 
 def local_field(eps):
-    """Local-field correction L[eps] = (2/(9 eps0)) (eps - 1)/eps."""
-    eps = _complex(eps)
-    reject(eps == 0, ZeroDivisionError,
-           lambda i: "local_field singular at eps = 0")
-    return (2.0 / (9.0 * EPS0)) * (eps - 1.0) / eps
+    """Local-field correction L[eps] = (2/(9 eps0)) (eps - 1)/eps.
+
+    eps = 0 raises ZeroDivisionError, a NaN eps ValueError.
+    """
+    return _local_field(_checked(eps, "local_field"))
 
 
 def noise_factor(eps):
@@ -390,17 +403,17 @@ def noise_factor(eps):
     lossless medium (eps'' = 0). The amplitude prefactor carries the complex
     conjugate A* once per down-converted mode, so count rates scale with
     |A(omega_s)|^2 |A(omega_i)|^2. eps may be an array over axis points.
+    eps = 0 raises ZeroDivisionError, a NaN eps (real or imaginary part)
+    ValueError.
     """
-    eps = _complex(eps)
-    reject(eps == 0, ZeroDivisionError,
-           lambda i: "noise_factor singular at eps = 0")
+    eps = _checked(eps, "noise_factor")
     lossless = eps.imag == 0.0
     if isinstance(eps, complex):
         if lossless:
             return 1.0 + 0.0j
-        return 1.0 - 2j * EPS0 * eps.imag * local_field(eps)
+        return 1.0 - 2j * EPS0 * eps.imag * _local_field(eps)
     return np.where(lossless, 1.0 + 0.0j,
-                    1.0 - 2j * EPS0 * eps.imag * local_field(eps))
+                    1.0 - 2j * EPS0 * eps.imag * _local_field(eps))
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not (self.max_subdivisions >= 1
+                and float(self.max_subdivisions).is_integer()):
+            raise ValueError("max_subdivisions must be an integer >= 1")
 
 
 def _panels(f, lo, hi):

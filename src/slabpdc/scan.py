@@ -55,13 +55,19 @@ Emission
 --------
 :func:`emit` is the one serializer, for sweeps and for the axis-less
 one-point result of :func:`point_result` (a rate and its 2x2 amplitude).
-CSV: one header row (axis first, when there is one), one row per point,
-shortest round-trip decimal for every float. JSON: object with
-``schema_version`` and ``metadata``, then the sweep's ``rows`` list or the
-single axis-less row inlined. Complex observables are serialized as paired
-``_re`` / ``_im`` columns in both formats. Text, for axis-less results
-only: one ``name = repr(value)`` line per column, complex values whole.
-Output is byte-deterministic for identical config text. :func:`run_scan`
+It works column by column: the text of every cell (the shortest
+round-trip decimal, ``repr``) is rendered once per result
+(:attr:`ScanResult.cells`) and shared by the CSV and JSON forms. A column
+is complex when any of its cells is, and is then written as paired
+``_re`` / ``_im`` columns in both formats. CSV: one header row (axis
+first, when there is one), one row per point; non-finite cells read
+``nan``, ``inf``, ``-inf``. JSON: byte for byte the ``json.dumps(doc,
+indent=2)`` layout of an object with ``schema_version`` and ``metadata``,
+then the sweep's ``rows`` list or the single axis-less row inlined;
+non-finite cells read ``NaN``, ``Infinity``, ``-Infinity`` as ``json``
+writes them. Text, for axis-less results only: one ``name =
+repr(value)`` line per column, complex values whole. Output is
+byte-deterministic for identical config text. :func:`run_scan`
 evaluates each observable as one column over the whole axis; the kernels
 work elementwise, so a cell depends only on its own point, and a sweep
 fails at the point, and with the error, where that point's own config
@@ -73,6 +79,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -444,6 +452,9 @@ class ScanResult:
     """Evaluated sweep: axis grid, named columns, row-per-point values.
 
     ``axis`` is None (and ``axis_values`` empty) for a one-point result.
+    :attr:`cells` holds the text columns that :func:`emit` writes; it is
+    computed on first use and kept, so that each cell is rendered once
+    however many formats are emitted.
     """
 
     axis: str | None
@@ -451,6 +462,31 @@ class ScanResult:
     columns: tuple
     rows: tuple           # rows[i][j] pairs with columns[j]
     metadata: dict
+
+    @cached_property
+    def cells(self):
+        """(names, texts): the flat column names, axis first, and per name
+        the ``repr`` of its cells, point by point, all in tuples. A column
+        with a complex cell is split into ``name_re`` / ``name_im``."""
+        names, texts = [], []
+        if self.axis is not None:
+            names.append(self.axis)
+            texts.append(_reprs(self.axis_values))
+        values = list(zip(*self.rows)) or repeat(())
+        for name, column in zip(self.columns, values):
+            if any(map(isinstance, column, repeat(complex))):
+                names += [name + "_re", name + "_im"]
+                texts += [_reprs(v.real for v in column),
+                          _reprs(v.imag for v in column)]
+            else:
+                names.append(name)
+                texts.append(_reprs(column))
+        return tuple(names), tuple(texts)
+
+
+def _reprs(values):
+    # through a list: tuple() of a bare map grows its tuple step by step
+    return tuple([*map(repr, map(float, values))])
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +811,43 @@ def preset_text(name):
 # Emission
 # ---------------------------------------------------------------------------
 
-def _flat_row(result, i):
-    """Row i as (name, float) pairs: axis first, complex split _re/_im."""
-    out = ([] if result.axis is None
-           else [(result.axis, result.axis_values[i])])
-    for name, v in zip(result.columns, result.rows[i]):
-        if isinstance(v, complex):
-            out += [(name + "_re", float(v.real)),
-                    (name + "_im", float(v.imag))]
-        else:
-            out.append((name, float(v)))
-    return out
+# json.dumps's spelling of the non-finite floats
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(texts):
+    if _JSON_NONFINITE.keys().isdisjoint(texts):
+        return texts
+    return [_JSON_NONFINITE.get(t, t) for t in texts]
+
+
+def _json(result):
+    """The ``json.dumps(doc, indent=2)`` text of the result's document.
+
+    Only the head (``schema_version``, ``metadata``) goes through
+    ``json.dumps``; the rows are written from one ``%`` template per row,
+    at indent 6 inside the ``rows`` list of a sweep, inlined at indent 2
+    after the head for an axis-less result.
+    """
+    names, texts = result.cells
+    inline = result.axis is None
+    pad = "  " if inline else "      "
+    row = ",\n".join(pad + json.dumps(name).replace("%", "%%") + ": %s"
+                     for name in names)
+    if not inline:
+        row = "    {\n" + row + "\n    }"
+    body = ",\n".join(map(row.__mod__, zip(*map(_json_numbers, texts))))
+    doc = {"schema_version": _SCHEMA_VERSION, "metadata": result.metadata}
+    if not inline:
+        doc["rows"] = []
+    head = json.dumps(doc, indent=2)
+    if not body:
+        return head
+    if inline:
+        # reopen the document's closing "\n}"
+        return head[:-2] + ",\n" + body + "\n}"
+    # reopen the "[]\n}" of the empty rows list that closes the document
+    return head[:-4] + "[\n" + body + "\n  ]\n}"
 
 
 def emit(result, format="csv"):
@@ -798,19 +860,11 @@ def emit(result, format="csv"):
         (row,) = result.rows
         return "".join(f"{name} = {v!r}\n"
                        for name, v in zip(result.columns, row)).encode()
-    flat = [_flat_row(result, i) for i in range(len(result.rows))]
     if format == "csv":
-        lines = [",".join(name for name, _ in flat[0])]
-        lines += [",".join(repr(v) for _, v in row) for row in flat]
+        names, texts = result.cells
+        lines = [",".join(names), *map(",".join, zip(*texts))]
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
-        doc = {"schema_version": _SCHEMA_VERSION,
-               "metadata": result.metadata}
-        if result.axis is None:
-            (row,) = flat
-            doc.update(row)
-        else:
-            doc["rows"] = [dict(row) for row in flat]
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return (_json(result) + "\n").encode()
     raise ValueError(f"format must be csv or json (or text for an axis-less "
                      f"result), got '{format}'")

@@ -288,6 +288,23 @@ def test_noise_factor_identity_form():
     assert noise_factor(eps) == pytest.approx(direct, rel=1e-14)
 
 
+def test_nan_input_rejected():
+    nan = float("nan")
+    kin = kinematics(OMEGA, 1.67)
+    for args in ((kin, 1.67 ** 2, nan), (kin, complex(nan, 0.0), 2e-3),
+                 (kinematics(OMEGA, complex(1.67, nan)), 1.67 ** 2, 2e-3)):
+        with pytest.raises(ValueError, match="NaN"):
+            fresnel(TE, *args)
+    # a NaN real part with eps'' = 0 must not take the lossless branch
+    for eps in (complex(nan, 1e-6), complex(nan, 0.0), complex(2.7, nan)):
+        for f in (noise_factor, local_field):
+            with pytest.raises(ValueError, match="NaN"):
+                f(eps)
+    with pytest.raises(ValueError, match="NaN") as info:
+        noise_factor(np.array([2.7 + 1e-6j, 2.7, nan]))
+    assert info.value.index == 2
+
+
 def test_noise_gain_band_for_ten_percent_loss():
     # the headline magnitude: 10%/cm absorption lifts |A|^4 by ~1e-12,
     # under either loss convention

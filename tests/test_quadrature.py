@@ -142,6 +142,9 @@ def test_spec_rejects_unusable_tolerance():
     for tol in (0.0, -1e-8, np.nan):
         with pytest.raises(ValueError, match="rel_tol"):
             QuadratureSpec(rel_tol=tol)
+    for budget in (0, np.nan, 2.5, np.inf):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=budget)
 
 
 # ---------------------------------------------------------------------------

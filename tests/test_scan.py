@@ -15,8 +15,8 @@ from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
 from slabpdc.materials import DispersionRangeError, kinematics
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
-                          emit, load_config, preset, preset_text, run_scan,
-                          scan_request_from_config)
+                          ScanResult, emit, load_config, point_result, preset,
+                          preset_text, run_scan, scan_request_from_config)
 
 SCAN_TEXT = """\
 # ratio sweep used by several tests
@@ -591,6 +591,95 @@ observables = amplitude_matrix
     assert header[0] == "n_imag"
     assert header[1:3] == ["amplitude_xx_re", "amplitude_xx_im"]
     assert len(header) == 9
+
+
+def _rowwise_emit(result, format):
+    """The row-by-row serializer that emit replaced: (name, float) pairs
+    per row, cell by cell, then ``json.dumps(doc, indent=2)``. It is the
+    oracle of emit's bytes."""
+    flat = []
+    for i, row in enumerate(result.rows):
+        cells = ([] if result.axis is None
+                 else [(result.axis, result.axis_values[i])])
+        for name, v in zip(result.columns, row):
+            if isinstance(v, complex):
+                cells += [(name + "_re", float(v.real)),
+                          (name + "_im", float(v.imag))]
+            else:
+                cells.append((name, float(v)))
+        flat.append(cells)
+    if format == "text":
+        (row,) = result.rows
+        return "".join(f"{name} = {v!r}\n"
+                       for name, v in zip(result.columns, row)).encode()
+    if format == "csv":
+        lines = [",".join(name for name, _ in flat[0])]
+        lines += [",".join(repr(v) for _, v in cells) for cells in flat]
+        return ("\n".join(lines) + "\n").encode()
+    doc = {"schema_version": 1, "metadata": result.metadata}
+    if result.axis is None:
+        (cells,) = flat
+        doc.update(cells)
+    else:
+        doc["rows"] = [dict(cells) for cells in flat]
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def _assert_emits_as_rowwise(result, formats=("csv", "json")):
+    # every order of formats reads the cells cached by the first
+    for format in (*formats, *formats[::-1]):
+        assert emit(result, format=format) == _rowwise_emit(result, format)
+
+
+def test_emit_bytes_match_rowwise_oracle():
+    for name in PRESET_NAMES:
+        _assert_emits_as_rowwise(run_scan(preset(name)))
+    text = """\
+n_imag = 1e-6
+scan_axis = crystal_length
+scan_start = 1.9 mm
+scan_stop = 2.1 mm
+scan_count = 7
+observables = amplitude_matrix, rate_I
+"""
+    _assert_emits_as_rowwise(run_scan(scan_request_from_config(text)))
+    cfg = load_config("conversion = II\nn_imag = 1e-6\n")
+    _assert_emits_as_rowwise(point_result(cfg), ("csv", "json", "text"))
+
+
+def test_emit_non_finite_and_escaped_names():
+    nan, inf = float("nan"), float("inf")
+    result = ScanResult(
+        axis="n_imag", axis_values=(0.0, 1e-6, 2e-6),
+        columns=("rate_I", 'loss_%s "q"', "amplitude_xx"),
+        rows=((nan, inf, complex(nan, -inf)),
+              (-inf, 0.5, complex(1.0, nan)),
+              (1e-300, -0.0, complex(-inf, 2.0))),
+        metadata={"tol": 1e-6, "config": {"n_imag": None, "name": "x%d"}})
+    _assert_emits_as_rowwise(result)
+    doc = emit(result, format="json").decode()
+    assert "NaN" in doc and "-Infinity" in doc and "nan" not in doc
+    assert "nan" in emit(result, format="csv").decode()
+    point = ScanResult(axis=None, axis_values=(), columns=("rate", "a"),
+                       rows=((inf, complex(nan, 1.0)),), metadata={})
+    _assert_emits_as_rowwise(point, ("csv", "json", "text"))
+
+
+def test_emit_without_rows():
+    result = ScanResult(axis="n_imag", axis_values=(), columns=("rate_I",),
+                        rows=(), metadata={"count": 0})
+    doc = emit(result, format="json")
+    assert doc == _rowwise_emit(result, "json")
+    assert b'"rows": []' in doc and json.loads(doc)["rows"] == []
+    assert emit(result, format="csv") == b"n_imag,rate_I\n"
+
+
+def test_emit_splits_complex_per_column():
+    # a column with one complex cell writes all its cells as _re/_im
+    result = ScanResult(axis="n_imag", axis_values=(0.0, 1.0),
+                        columns=("c",), rows=((1.0,), (2j,)), metadata={})
+    assert emit(result, format="csv") == \
+        b"n_imag,c_re,c_im\n0.0,1.0,0.0\n1.0,0.0,2.0\n"
 
 
 def test_emit_format_guard():
