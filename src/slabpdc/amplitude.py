@@ -56,17 +56,18 @@ for a split at 3 cm, so the route is only as good as that at close range.
 The substitution kappa = kappa_max sin(theta) removes the
 1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
 oscillates ~q z / 2 pi times over the disc, so the radial integral keeps an
-exact head of K phase cycles (Gauss-Kronrod panels sized to the local phase
-rate) and closes the tail with a three-term integration-by-parts series in
-1/(i Psi'), with the series ratio monitored and K escalated if the closure
-is not clearly converging.
+exact head of K phase cycles (Gauss-Kronrod panels of equal phase, widest
+at the stationary point) and closes the tail with a three-term
+integration-by-parts series in 1/(i Psi'), with the series ratio monitored
+and K escalated if the closure is not clearly converging.
 
-About 21k integrand nodes go into one amplitude, so the per-node kernel
-(_Channels, then _angular_rows) sets its cost. A node takes two complex
-exponentials, e^{i k_z L/2} of each split mode; every slab phase is a
-product of them and of the pump's, with half the rounding error of exp of
-the rounded sum sk L/2 (_Channels). The Bessel rows avoid jv, which would
-cost several times the rest of the node (_bessel_even).
+About 12k integrand nodes go into one amplitude (14-19k for a thin slab
+over the full range), so the per-node kernel (_Channels, then _angular_rows)
+sets its cost. A node takes two complex exponentials, e^{i k_z L/2} of each
+split mode; every slab phase is a product of them and of the pump's, with
+half the rounding error of exp of the rounded sum sk L/2 (_Channels). The
+Bessel rows avoid jv, which would cost several times the rest of the node
+(_bessel_even).
 
 The far field is the leading term of the same integral, not a formula of
 its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
@@ -105,7 +106,7 @@ from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
                         branch_sqrt, fresnel, kinematics, noise_factor,
                         reject)
-from .quadrature import ConvergenceError, QuadratureSpec, integrate_radial
+from .quadrature import ConvergenceError, QuadratureSpec, _integrate_partition
 
 __all__ = [
     "ExperimentConfig",
@@ -136,7 +137,11 @@ _KEPT_CYCLES = 512
 _KEPT_CYCLES_MAX = 8192
 _FULL_RANGE_CYCLES = 2.0e4
 _TAIL_RATIO_LIMIT = 0.1
-_PANEL_CYCLES = 0.75          # GK15 panels per detector-phase cycle
+# Phase cycles per head seed panel. A GK15 panel's Gauss-7 error goes as its
+# phase^14 (QUADPACK, 1983). For a rate growing linearly from the axis, equal
+# panels of at most 0.75 cycles and equal-phase panels of c cycles have the
+# same summed error at c^13 = (2/15) 0.75^13, c = 0.642.
+_PANEL_CYCLES = 0.75 * (2.0 / 15.0) ** (1.0 / 13.0)
 
 # J_n(x) = (x/2)^n sum_k c_k (-x^2/4)^k with c_k = 1/(k! (k+n)!), highest
 # k first for Horner; 14 terms reach the last bit for x < 3.
@@ -679,23 +684,27 @@ def _tail_terms(slow, phase, theta0, h):
 def _integrate_head(slow, phase, modes, upper, rel_tol):
     """GK15 integral of slow(theta) e^{i psi_rel} over [0, upper].
 
-    Seed panels span _PANEL_CYCLES cycles of the fastest phase (detector
-    plus slab) found on a 513-point grid over [0, upper]. integrate_radial
-    evaluates them in node blocks and refines in worst-first rounds; when
-    tol is tight a round can bisect most of the partition, so the budget
-    leaves room for a few full sweeps over the seed panels.
+    Seed panels hold _PANEL_CYCLES cycles of detector plus slab phase, its
+    bound summed over a 513-point grid from each cell's larger end rate;
+    the first, quadratic in phase about the stationary point, is halved.
+    _integrate_partition refines in worst-first rounds; when tol is tight
+    a round can bisect most of the partition, so the budget leaves room
+    for a few full sweeps over the seed panels.
     """
     thetas = np.linspace(0.0, upper, 513)
-    rate_max = float(np.max(np.abs(phase.psi_prime(thetas))
-                            + _slab_phase_rate(modes, thetas)))
-    cap = _PANEL_CYCLES * _TWO_PI / max(rate_max, 1.0)
-    n_seed = int(np.ceil(upper / cap))
+    rate = np.abs(phase.psi_prime(thetas)) + _slab_phase_rate(modes, thetas)
+    cum = np.concatenate(
+        ([0.0], np.cumsum(np.maximum(rate[:-1], rate[1:]) * np.diff(thetas))))
+    n_seed = max(1, int(np.ceil(cum[-1] / (_PANEL_CYCLES * _TWO_PI))))
+    edges = np.interp(np.linspace(0.0, cum[-1], n_seed + 1), cum, thetas)
+    edges[0], edges[-1] = 0.0, upper
+    edges = np.insert(edges, 1, 0.5 * edges[1])
     spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=6 * n_seed + 8000)
 
     def f(theta):
         return np.asarray(slow(theta)) * np.exp(1j * phase.psi_rel(theta))
 
-    return integrate_radial(f, 0.0, upper, spec, max_panel=cap)
+    return _integrate_partition(f, edges, spec)
 
 
 def _integrate_oscillatory(slow, phase, modes, tol):

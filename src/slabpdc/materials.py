@@ -289,6 +289,8 @@ def kinematics(omega, n, k_perp=(0.0, 0.0)):
     """
     reject(np.logical_not((omega > 0) & (omega < np.inf)), ValueError,
            lambda i: "omega must be positive and finite")
+    reject(np.logical_not(np.isfinite(n)), ValueError,
+           lambda i: "index n must be finite")
     kx, ky = np.asarray(k_perp[0], dtype=float), np.asarray(k_perp[1], dtype=float)
     if kx.ndim == 0:
         kx, ky = float(kx), float(ky)

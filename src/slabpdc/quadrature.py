@@ -8,11 +8,11 @@ the driver is a small Gauss-Kronrod 7/15 panel scheme of our own.
 
 The driver integrates one function or a stack of functions sharing their
 abscissae (the tensor components of one Green function, the four entries
-of one amplitude matrix). ``max_panel`` seeds the initial partition so no
-panel is wider than a prescribed fraction of the local oscillation period
-(the caller knows the phase rates, this module does not). The
-sqrt(q^2 - kappa^2) branch point at the edge of the propagating disc is
-the caller's to regularize, by the kappa = q sin(theta) map.
+of one amplitude matrix). ``max_panel`` seeds equal panels no wider than
+a fraction of the shortest period; _integrate_partition takes seed edges
+laid out by the local phase rate (the caller knows the phase rates, this
+module does not). The sqrt(q^2 - kappa^2) branch point at the edge of the
+propagating disc is the caller's to regularize, by kappa = q sin(theta).
 
 The integrand is called on blocks of up to _BLOCK_PANELS panels, not once
 per 15-node panel: the whole seed partition first, then the children of
@@ -55,9 +55,9 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
-# Panels per integrand call. One call over the ~21k-node seed partition of
-# an amplitude raised its peak RSS from 84 to 93 MB; 128 panels (1920
-# nodes) stay within 1 MB of 32-panel blocks at the speed of one call.
+# Panels per integrand call. One call over a whole uniform seed partition
+# (21k nodes) raised an amplitude's peak RSS from 84 to 93 MB; 128 panels
+# (1920 nodes) stay within 1 MB of 32-panel blocks at the speed of one call.
 _BLOCK_PANELS = 128
 
 
@@ -140,15 +140,19 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     spec = spec or QuadratureSpec()
     if not b > a:
         raise ValueError("integration requires b > a")
-
     n_seed = 1
     if max_panel is not None and max_panel > 0:
         n_seed = max(1, int(np.ceil((b - a) / max_panel)))
-        if n_seed > spec.max_subdivisions:
-            raise ConvergenceError(
-                f"seed partition ({n_seed} panels) exceeds the subdivision "
-                f"budget ({spec.max_subdivisions})", None, np.inf)
-    edges = np.linspace(a, b, n_seed + 1)
+    return _integrate_partition(f, np.linspace(a, b, n_seed + 1), spec)
+
+
+def _integrate_partition(f, edges, spec):
+    """integrate_radial from the seed partition of increasing edges."""
+    n_seed = len(edges) - 1
+    if n_seed > spec.max_subdivisions:
+        raise ConvergenceError(
+            f"seed partition ({n_seed} panels) exceeds the subdivision "
+            f"budget ({spec.max_subdivisions})", None, np.inf)
 
     # Panel j is [edges[j], edges[j + 1]] and column j of val, err and
     # resabs, so a round is a few array operations and one blocked pass.

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slabpdc import amplitude
+from slabpdc import amplitude, quadrature
 from slabpdc.amplitude import (_angular_rows, _bessel_even, _Channels,
                                _Modes, _split_factors, amplitude_numeric,
                                complex_sinc, phase_terms, x_factor)
@@ -237,10 +237,16 @@ def test_bessel_rows_match_jv():
 # Route guard
 # ---------------------------------------------------------------------------
 
+_ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
+               "thin-full-range": make_cfg(kind="I", length=1e-4, z=1.5e-4),
+               "displaced-II": make_cfg(kind="II", z=0.1,
+                                        offset=(5e-6, 3e-6))}
+
+
 @pytest.mark.parametrize("cfg, nodes", [
-    (make_cfg(kind="I", z=1.0), 20523),
-    (make_cfg(kind="I", length=1e-4, z=1.5e-4), 20715),
-    (make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6)), 20748),
+    (_ROUTE_CFGS["collinear-1m"], 12033),
+    (_ROUTE_CFGS["thin-full-range"], 16245),
+    (_ROUTE_CFGS["displaced-II"], 12168),
 ], ids=["collinear-1m", "thin-full-range", "displaced-II"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # A kernel change that moves the adaptive partition shows here first.
@@ -254,3 +260,50 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     monkeypatch.setattr(amplitude, "_Channels", counting)
     amplitude_numeric(cfg, tol=1e-6)
     assert sum(counted) == nodes
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
+def test_head_seed_panels_hold_equal_phase(monkeypatch, name):
+    # Every seed panel of the head holds at most _PANEL_CYCLES cycles of
+    # detector plus slab phase, measured on a 4097-point grid, and no
+    # panel but the halved first one holds much less.
+    seen = {}
+    head, partition = amplitude._integrate_head, amplitude._integrate_partition
+
+    def spy_head(slow, phase, modes, upper, rel_tol):
+        seen.update(phase=phase, modes=modes, upper=upper)
+        return head(slow, phase, modes, upper, rel_tol)
+
+    def spy_partition(f, edges, spec):
+        seen["edges"] = edges.copy()
+        return partition(f, edges, spec)
+
+    monkeypatch.setattr(amplitude, "_integrate_head", spy_head)
+    monkeypatch.setattr(amplitude, "_integrate_partition", spy_partition)
+    amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
+    edges, upper = seen["edges"], seen["upper"]
+    assert edges[0] == 0.0 and edges[-1] == upper
+    assert np.all(np.diff(edges) > 0.0)
+    grid = np.union1d(np.linspace(0.0, upper, 4097), edges)
+    rate = np.abs(seen["phase"].psi_prime(grid)) \
+        + amplitude._slab_phase_rate(seen["modes"], grid)
+    phase = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(grid))))
+    cycles = np.diff(np.interp(edges, grid, phase)) / (2.0 * np.pi)
+    assert cycles.max() <= amplitude._PANEL_CYCLES * (1.0 + 1e-9)
+    assert cycles[2:].min() >= 0.5 * amplitude._PANEL_CYCLES
+
+
+@pytest.mark.parametrize("name", ["collinear-1m", "displaced-II"])
+def test_head_seed_needs_at_most_one_refinement_round(monkeypatch, name):
+    # _panels runs once for the seed and once per refinement round.
+    calls = []
+    panels = quadrature._panels
+
+    def counting(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panels", counting)
+    amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
+    assert 1 <= len(calls) <= 2

@@ -5,6 +5,8 @@ incidence closed forms, loss-fraction inversions) before the implementation
 and are frozen here at full precision.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,14 @@ def test_kinematics_over_axis_points():
                   np.inf):
         with pytest.raises(ValueError, match="positive"):
             kinematics(omega, 1.5)
+    # a non-finite index raises at entry, with the stacked point's index
+    for n_bad, where in ((np.nan, 0), (complex(np.inf, 0.0), 0),
+                         (complex(1.67, np.nan), 0),
+                         (np.array([1.66, 1.67 + 1j * np.inf, np.nan]), 1)):
+        with pytest.raises(ValueError, match="index n must be finite") \
+                as info:
+            kinematics(3.54e15, n_bad)
+        assert info.value.index == where
 
 
 def test_kinematics_array_transverse():
@@ -292,7 +302,7 @@ def test_nan_input_rejected():
     nan = float("nan")
     kin = kinematics(OMEGA, 1.67)
     for args in ((kin, 1.67 ** 2, nan), (kin, complex(nan, 0.0), 2e-3),
-                 (kinematics(OMEGA, complex(1.67, nan)), 1.67 ** 2, 2e-3)):
+                 (replace(kin, k=complex(kin.k.real, nan)), 1.67 ** 2, 2e-3)):
         with pytest.raises(ValueError, match="NaN"):
             fresnel(TE, *args)
     # a NaN real part with eps'' = 0 must not take the lossless branch
