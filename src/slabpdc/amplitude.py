@@ -64,8 +64,9 @@ and K escalated if the closure is not clearly converging.
 About 12k integrand nodes go into one amplitude (14-19k for a thin slab
 over the full range), so the per-node kernel (_Channels, then _angular_rows)
 sets its cost. A node takes two complex exponentials, e^{i k_z L/2} of each
-split mode; every slab phase is a product of them and of the pump's, with
-half the rounding error of exp of the rounded sum sk L/2 (_Channels). The
+split mode, and one at a degenerate split, where signal and idler are one
+mode; every slab phase is a product of them and of the pump's, with half
+the rounding error of exp of the rounded sum sk L/2 (_Channels). The
 Bessel rows avoid jv, which would cost several times the rest of the node
 (_bessel_even).
 
@@ -287,8 +288,11 @@ def complex_sinc(w):
     """sin(w)/w continued over the complex plane, 1 - w^2/6 near zero."""
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-8
-    safe = np.where(small, 1.0, w)
-    out = np.where(small, 1.0 - w * w / 6.0, np.sin(safe) / safe)
+    if small.any():
+        safe = np.where(small, 1.0, w)
+        out = np.where(small, 1.0 - w * w / 6.0, np.sin(safe) / safe)
+    else:
+        out = np.sin(w) / w
     return complex(out) if out.ndim == 0 else out
 
 
@@ -336,7 +340,8 @@ class _Modes:
     Built from the three frequencies, their indices, the slab length and
     the pump plane. Each may be a scalar (one config, ``_Modes.of``) or an
     (m,) array over the axis points of a sweep; every attribute then
-    broadcasts over that leading axis.
+    broadcasts over that leading axis. ``degenerate`` is true when signal
+    and idler are one mode (equal frequency and index) at every point.
     """
 
     def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length,
@@ -344,6 +349,7 @@ class _Modes:
         self.omega_s, self.omega_i, self.omega_p = omega_s, omega_i, omega_p
         self.length, self.pump_z = length, pump_z
         self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
+        self.degenerate = bool(np.all((omega_s == omega_i) & (n_s == n_i)))
         self.eps_s = n_s * n_s
         self.eps_i = n_i * n_i
         self.eps_p = n_p * n_p
@@ -414,7 +420,10 @@ class _Channels:
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
-    _Modes. Every L-scale phase is a product of them: M = 1/(1 - r^2 h^4)
+    _Modes. At a degenerate split (``_Modes.degenerate``) the idler leg is
+    the signal's: its kinematics, h and Fresnel pieces are computed once,
+    which is the same arithmetic on the same inputs, so the node costs one
+    exponential. Every L-scale phase is a product of them: M = 1/(1 - r^2 h^4)
     for both polarizations of a mode, the slab phase
     e^{i sk L/2} = h_p h_s h_i and the back-face loop e^{i sk L}, its
     square. Each factor carries the rounding of its own k_z L/2 only,
@@ -428,15 +437,18 @@ class _Channels:
 
     def __init__(self, modes, kappa):
         zeros = np.zeros_like(kappa)
+        half_l = 0.5j * modes.length
         self.kin_s = kinematics(modes.omega_s, modes.n_s, (kappa, zeros))
-        self.kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
+        h_s = np.exp(half_l * self.kin_s.k_z)
+        sig = _split_factors(self.kin_s, modes.eps_s, h_s)
+        if modes.degenerate:
+            self.kin_i, h_i, idl = self.kin_s, h_s, sig
+        else:
+            self.kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
+            h_i = np.exp(half_l * self.kin_i.k_z)
+            idl = _split_factors(self.kin_i, modes.eps_i, h_i)
         pm = phase_terms(self.kin_s, self.kin_i, modes.kin_p)
         self.pm = pm
-        half_l = 0.5j * modes.length
-        h_s = np.exp(half_l * self.kin_s.k_z)
-        h_i = np.exp(half_l * self.kin_i.k_z)
-        sig = _split_factors(self.kin_s, modes.eps_s, h_s)
-        idl = _split_factors(self.kin_i, modes.eps_i, h_i)
         half = modes.h_p * h_s * h_i
         fres_p = modes.fres_p
         loop = fres_p.r23 * half * half
@@ -451,7 +463,8 @@ class _Channels:
         self.slab = complex_sinc(0.5 * pm.delta_k * modes.length) * half
         # In-crystal direction cosines of the TM legs.
         self.c_s = self.kin_s.k_z / self.kin_s.k
-        self.c_i = self.kin_i.k_z / self.kin_i.k
+        self.c_i = (self.c_s if modes.degenerate
+                    else self.kin_i.k_z / self.kin_i.k)
 
 
 def _angular_matrices(cfg):

@@ -16,10 +16,10 @@ propagating disc is the caller's to regularize, by kappa = q sin(theta).
 
 The integrand is called on blocks of up to _BLOCK_PANELS panels, not once
 per 15-node panel: the whole seed partition first, then the children of
-each refinement round. The amplitude integrand costs about 10 us a node in
-15-node calls and 0.7 us in calls of 1920 nodes (collinear; one core of a
-shared 2-core x86 host), so the call count, not the node count, set the
-cost of the one-panel driver.
+each refinement round. The amplitude integrand costs 10-15 us a node in
+15-node calls and 0.45-0.8 us in calls of 1920 nodes (collinear, degenerate
+and 4% split; one core of a shared 2-core x86 host), so the call count, not
+the node count, set the cost of the one-panel driver.
 
 weyl_oracle imports scipy's j0 inside the function, not at module level:
 the far-field route imports this module but needs no Bessel function, and

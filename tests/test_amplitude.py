@@ -165,6 +165,25 @@ def test_complex_sinc_values():
     assert arr.shape == (3,)
 
 
+def test_complex_sinc_takes_series_only_at_small_entries():
+    rng = np.random.default_rng(7)
+    w = (rng.uniform(-40.0, 40.0, 500)
+         + 1j * rng.uniform(-3.0, 3.0, 500))
+    w[:3] = [2e-8, 1e-8, -1e-8j]
+    assert np.array_equal(complex_sinc(w), np.sin(w) / w)
+    mixed = w.copy()
+    small = np.array([5, 17, 300])
+    mixed[small] = [0.0, 9.9e-9, 3e-9 - 4e-9j]
+    big = np.ones(w.size, dtype=bool)
+    big[small] = False
+    got = complex_sinc(mixed)
+    assert np.array_equal(got[big], np.sin(w[big]) / w[big])
+    assert np.array_equal(got[small],
+                          1.0 - mixed[small] * mixed[small] / 6.0)
+    for zero_d in (0.0, 1e-9, 0.5 + 0.3j, np.float64(2.0), np.array(3.0j)):
+        assert type(complex_sinc(zero_d)) is complex
+
+
 def test_complex_sinc_series_switch_is_continuous():
     lo, hi = complex_sinc(0.999e-8), complex_sinc(1.001e-8)
     assert abs(lo - hi) < 1e-15

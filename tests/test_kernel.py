@@ -1,10 +1,11 @@
 """The per-node kernel of the numeric route against its references.
 
 _Channels fuses the public slab pieces (kinematics, fresnel, x_factor,
-phase_terms, complex_sinc) into two exponentials per node; here it is
-checked against their plain composition, against 40-digit values, and for
-the node counts of the radial route it feeds. _bessel_even is checked
-against scipy's jv.
+phase_terms, complex_sinc) into two exponentials per node, one at a
+degenerate split; here it is checked against their plain composition,
+against 40-digit values, against its own two-mode branch at a degenerate
+split (bit for bit), and for the node counts of the radial route it feeds.
+_bessel_even is checked against scipy's jv.
 """
 
 from types import SimpleNamespace
@@ -30,10 +31,13 @@ _LOSSES = {
 _SPLIT = (OMEGA * (1.0 - 0.04), OMEGA * (1.0 + 0.04))
 
 
-def _modes(loss, length, m=None):
-    """_Modes at a 4% split; with m, stacked over m slightly shifted points."""
+def _modes(loss, length, m=None, degenerate=False):
+    """_Modes at a 4% split, or at the degenerate split with the signal's
+    index for the idler; with m, stacked over m slightly shifted points."""
     n_s, n_i, n_p = _LOSSES[loss]
     om_s, om_i = _SPLIT
+    if degenerate:
+        n_i, om_s, om_i = n_s, OMEGA, OMEGA
     if m is not None:
         shift = 1.0 + 1e-3 * np.arange(m)
         om_s, om_i = om_s * shift, om_i * shift
@@ -73,7 +77,13 @@ def _rel(got, want):
 @pytest.mark.parametrize("loss", sorted(_LOSSES))
 @pytest.mark.parametrize("length", [1e-4, 2e-3])
 def test_channels_match_public_composition(loss, length):
-    modes = _modes(loss, length)
+    for degenerate in (False, True):
+        modes = _modes(loss, length, degenerate=degenerate)
+        assert modes.degenerate is degenerate
+        _check_public_composition(modes)
+
+
+def _check_public_composition(modes):
     kap_max = min(modes.q_s, modes.q_i)
     kappa = kap_max * np.concatenate(
         (np.linspace(0.0, 0.999, 400), 1.0 - np.geomspace(1e-3, 1e-9, 40)))
@@ -98,8 +108,13 @@ def test_channels_match_public_composition(loss, length):
         for rho in (0.0, 7e-6):
             got = _angular_rows(cfg, ch, kappa, rho)
             want = _angular_rows(cfg, ref, kappa, rho)
-            assert np.all(np.max(np.abs(got - want), axis=1)
-                          <= 1e-10 * np.max(np.abs(want), axis=1))
+            scale = np.max(np.abs(want), axis=1)
+            if modes.degenerate and len(want) == 4:
+                # EM - ME vanishes at a degenerate split: what is left of
+                # it (1e-17 of the J0 row) is rounding, so the J0 row's
+                # scale measures it.
+                scale[3] = scale[0]
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-10 * scale)
 
 
 @pytest.mark.parametrize("loss", sorted(_LOSSES))
@@ -112,6 +127,63 @@ def test_stacked_normal_channels_match_public_composition(loss, length):
     for key in ref.x:
         assert _rel(ch.x[key], ref.x[key]) <= 1e-10
     assert _rel(ch.slab, ref.slab) <= 1e-10
+
+
+def test_modes_mark_degenerate_points():
+    n = _LOSSES["split"][0]
+    assert _Modes(OMEGA, OMEGA, 2.0 * OMEGA, n, n, n, 1e-3, -5e-4).degenerate
+    assert not _modes("split", 1e-3).degenerate
+    # Equal frequencies with unequal indices are two modes.
+    assert not _Modes(OMEGA, OMEGA, 2.0 * OMEGA, n, n + 1e-9, n, 1e-3,
+                      -5e-4).degenerate
+    assert _modes("split", 1e-3, m=5, degenerate=True).degenerate
+    # A stack is degenerate only if every point is.
+    om_i = np.full(5, OMEGA)
+    om_i[3] *= 1.0 + 1e-12
+    assert not _Modes(np.full(5, OMEGA), om_i, OMEGA + om_i, n, n, n, 1e-3,
+                      -5e-4).degenerate
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("length", [1e-4, 2e-3])
+@pytest.mark.parametrize("m", [None, 5], ids=["scalar", "stacked"])
+def test_degenerate_channels_match_two_mode_branch(monkeypatch, loss, length,
+                                                  m):
+    # At a degenerate split the idler leg is the signal's, computed once;
+    # the two-mode branch computes it from its own kinematics and
+    # _split_factors calls. Same arithmetic on the same inputs: bit for bit.
+    modes = _modes(loss, length, m, degenerate=True)
+    own = _modes(loss, length, m, degenerate=True)
+    own.degenerate = False
+    kappa = np.min(modes.q_s) * np.concatenate(
+        (np.linspace(0.0, 0.999, 200), 1.0 - np.geomspace(1e-3, 1e-9, 20)))
+    if m is not None:
+        kappa = kappa[:, None]
+    calls = []
+    kinematics_ = amplitude.kinematics
+
+    def counting(*args):
+        calls.append(args)
+        return kinematics_(*args)
+
+    monkeypatch.setattr(amplitude, "kinematics", counting)
+    for kap in (0.0, kappa):
+        ch = _Channels(modes, kap)
+        assert len(calls) == 1
+        ref = _Channels(own, kap)
+        assert len(calls) == 3
+        calls.clear()
+        for field in ("k", "k_z", "q_z"):
+            assert np.array_equal(getattr(ch.kin_i, field),
+                                  getattr(ref.kin_i, field))
+        for key in ref.x:
+            assert np.array_equal(ch.x[key], ref.x[key])
+        assert np.array_equal(ch.slab, ref.slab)
+        assert np.array_equal(ch.c_i, ref.c_i)
+        assert np.array_equal(ch.pm.delta_k, ref.pm.delta_k)
+        assert np.array_equal(ch.pm.sigma_k, ref.pm.sigma_k)
+    assert np.shape(ch.slab) == (np.shape(kappa) if m is None
+                                 else (len(kappa), m))
 
 
 def test_vacuum_channels_are_unity():
