@@ -13,9 +13,9 @@ from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, BUILTIN_MATERIALS,
                         MaterialDispersion, ModeKinematics,
                         absorption_to_n_imag, bbo_ordinary, branch_sqrt,
                         dispersion_eval, fresnel, kinematics, local_field,
-                        material_from_table, noise_factor, vacuum)
+                        noise_factor, vacuum)
 from .quadrature import (ConvergenceError, QuadratureSpec, integrate_angular,
-                         integrate_radial, weyl_oracle)
+                         integrate_radial)
 from .greens import (Chi2Geometry, WaveFunction, contract_chi2,
                      dyadic_product, f_factor, scattering_green_point,
                      vector_wave_M, vector_wave_N)
@@ -32,9 +32,9 @@ __all__ = [
     "CrystalSlab", "DispersionRangeError", "FresnelSet", "MaterialDispersion",
     "ModeKinematics", "absorption_to_n_imag", "bbo_ordinary", "branch_sqrt",
     "dispersion_eval", "fresnel", "kinematics", "local_field",
-    "material_from_table", "noise_factor", "vacuum",
+    "noise_factor", "vacuum",
     "ConvergenceError", "QuadratureSpec", "integrate_angular",
-    "integrate_radial", "weyl_oracle",
+    "integrate_radial",
     "Chi2Geometry", "WaveFunction", "contract_chi2", "dyadic_product",
     "f_factor", "scattering_green_point", "vector_wave_M", "vector_wave_N",
     "BiphotonAmplitude", "ExperimentConfig", "PhaseMatch",

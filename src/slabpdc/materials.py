@@ -128,33 +128,6 @@ def vacuum():
 BUILTIN_MATERIALS = {"bbo_ordinary": bbo_ordinary, "vacuum": vacuum}
 
 
-def material_from_table(text, name="table"):
-    """Parse a plain-text index table.
-
-    One sample per line: ``lambda_nm n_real n_imag``; '#' starts a comment,
-    blank lines ignored. Interpolation happens in angular frequency.
-    """
-    samples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 'lambda_nm n_real n_imag', got {raw!r}")
-        try:
-            lam, nr, ni = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric field in {raw!r}") from exc
-        if lam <= 0:
-            raise ValueError(f"line {lineno}: wavelength must be positive")
-        samples.append((lam, nr, ni))
-    if not samples:
-        raise ValueError("no samples in material table")
-    return MaterialDispersion.from_wavelength_samples(samples, name=name)
-
-
 def reject(bad, error, message):
     """Raise ``error(message(i))`` at the first point i where ``bad`` holds.
 
@@ -435,7 +408,3 @@ class CrystalSlab:
 
     def index(self, omega):
         return dispersion_eval(self.material, omega)
-
-    def eps(self, omega):
-        n = self.index(omega)
-        return n * n

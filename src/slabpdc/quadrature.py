@@ -20,10 +20,6 @@ each refinement round. The amplitude integrand costs 10-15 us a node in
 15-node calls and 0.45-0.8 us in calls of 1920 nodes (collinear, degenerate
 and 4% split; one core of a shared 2-core x86 host), so the call count, not
 the node count, set the cost of the one-panel driver.
-
-weyl_oracle imports scipy's j0 inside the function, not at module level:
-the far-field route imports this module but needs no Bessel function, and
-a module-level scipy import would add about 0.55 s and 47 MB to it.
 """
 
 from __future__ import annotations
@@ -212,56 +208,3 @@ def integrate_angular(f, rel_tol=1e-10, abs_floor=0.0, max_doublings=16):
         prev = cur
     raise ConvergenceError(
         f"angular integral not converged at {n} samples", prev, diff)
-
-
-def weyl_oracle(z, rho, q, spec=None):
-    """Scalar angular-spectrum integral vs its spherical-wave closed form.
-
-    Evaluates W = (i/(8 pi^2)) Int d^2k_perp e^{i k_perp . rho + i q_z z}/q_z
-    by the same radial machinery used elsewhere (theta map on the
-    propagating disc plus an exponential-decay map for the evanescent
-    sector) and returns (numeric, closed_form) with
-    closed_form = e^{iqr}/(4 pi r), r = sqrt(z^2 + rho^2).
-
-    The identity of the two is the classical plane-wave expansion of a
-    spherical wave; the point of the op is to give downstream Green-tensor
-    code an independent, brute-force reference.
-    """
-    if not 0 < z < np.inf:
-        raise ValueError("weyl_oracle requires finite z > 0")
-    if not (np.isfinite(rho) and np.isfinite(q)):
-        raise ValueError("weyl_oracle requires finite rho and q")
-    from scipy.special import j0
-
-    spec = spec or QuadratureSpec()
-    r = float(np.hypot(z, rho))
-    closed = np.exp(1j * q * r) / (4.0 * np.pi * r)
-    if q == 0.0:
-        # Propagating sector empty; only the static evanescent part remains.
-        closed = 1.0 / (4.0 * np.pi * r)
-
-    # Propagating disc, kappa = q sin(theta): the 1/q_z weight cancels and
-    # the phase q z cos(theta) is stationary at theta = 0.
-    prop = 0.0 + 0.0j
-    if q > 0.0:
-        def f_prop(theta):
-            st = np.sin(theta)
-            return q * st * j0(q * rho * st) * np.exp(1j * q * z * np.cos(theta))
-
-        cycles = q * z / (2.0 * np.pi)
-        cap = (0.5 * np.pi) / max(4.0 * cycles, 1.0)
-        prop, _ = integrate_radial(f_prop, 0.0, 0.5 * np.pi, spec, max_panel=cap)
-        prop *= 1j / (4.0 * np.pi)
-
-    # Evanescent sector, q_z = i tau: pure decay exp(-tau z), truncated
-    # where the weight has fallen below double precision.
-    tau_max = 46.0 / z
-
-    def f_evan(tau):
-        return j0(rho * np.sqrt(q * q + tau * tau)) * np.exp(-tau * z)
-
-    evan, _ = integrate_radial(f_evan, 0.0, tau_max, spec,
-                               max_panel=tau_max / 16.0)
-    evan /= 4.0 * np.pi
-
-    return prop + evan, closed

@@ -85,6 +85,18 @@ def test_detector_and_pump_plane_bounds():
                          z_signal=1.0, z_idler=1.0, pump_z=0.0)
 
 
+def test_offset_must_be_two_numbers():
+    cfg = make_cfg()
+    for offset in ((1e-6, 2e-6, 3e-6), (1e-6,), (), 1e-6, None,
+                   (1e-6, None), ("a", "b")):
+        with pytest.raises(ValueError, match="offset must be two numbers"):
+            replace(cfg, offset=offset)
+    # any pair of reals is kept as two Python floats
+    assert replace(cfg, offset=np.array([1e-6, -2e-6])).offset \
+        == (1e-6, -2e-6)
+    assert replace(cfg, offset=[0, 0]).collinear
+
+
 def test_positivity_checks():
     with pytest.raises(ValueError):
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),

@@ -239,11 +239,14 @@ def test_f_factor_validation():
 # Point Green tensor, vacuum limit
 # ---------------------------------------------------------------------------
 
-def _transverse_closed(q, r):
-    """Transverse entry of the free dyadic spherical wave on axis."""
-    qr = q * r
-    return (np.exp(1j * qr) / (4.0 * np.pi * r)
-            * (1.0 + 1j / qr - 1.0 / qr ** 2))
+def _dyadic_closed(q, r_vec):
+    """Free dyadic Green function (I + grad grad/q^2) e^{iqr}/(4 pi r)."""
+    r = float(np.linalg.norm(r_vec))
+    x = q * r
+    u = np.asarray(r_vec) / r
+    return (np.exp(1j * x) / (4.0 * np.pi * r)
+            * ((1.0 + 1j / x - 1.0 / x ** 2) * np.eye(3)
+               + (-1.0 - 3j / x + 3.0 / x ** 2) * np.outer(u, u)))
 
 
 @pytest.mark.parametrize("qz", [50.0, 200.0])
@@ -254,7 +257,7 @@ def test_vacuum_green_matches_spherical_wave(qz):
     spec = QuadratureSpec(rel_tol=1e-8)
     green = scattering_green_point((0.0, 0.0, z_d), (0.0, 0.0, 0.0),
                                    omega, crystal, spec)
-    want = _transverse_closed(qz / z_d, z_d)
+    want = _dyadic_closed(qz / z_d, (0.0, 0.0, z_d))[0, 0]
     assert abs(green[0, 0] - want) / abs(want) < 0.01
     assert abs(green[1, 1] - want) / abs(want) < 0.01
     # on-axis geometry: no transverse-z mixing, J1(0) kills those entries
@@ -271,6 +274,22 @@ def test_vacuum_green_magnitude_halves_with_distance():
     g2 = scattering_green_point((0.0, 0.0, 2.0), (0.0, 0.0, 0.0),
                                 omega, crystal, spec)
     assert abs(g1[0, 0]) == pytest.approx(2.0 * abs(g2[0, 0]), rel=0.02)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 50.0, 200.0])
+def test_vacuum_green_matches_dyadic_closed_form(q):
+    # Every entry, on and off axis; at q = 0.5 the pairs sit in the near
+    # field (q r down to 0.1), where the evanescent map carries the 1/x^2
+    # terms.
+    crystal = CrystalSlab(material=vacuum(), length=2.0e-3)
+    spec = QuadratureSpec(rel_tol=1e-8)
+    for r_d, r_A in (((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+                     ((0.3, -0.4, 1.0), (0.0, 0.0, 0.0)),
+                     ((0.05, 0.02, 0.2), (0.01, 0.0, 5e-4)),
+                     ((0.8, 0.6, 0.25), (0.0, 0.0, -1e-3))):
+        green = scattering_green_point(r_d, r_A, q * C_LIGHT, crystal, spec)
+        want = _dyadic_closed(q, np.subtract(r_d, r_A))
+        assert np.max(np.abs(green - want)) / np.max(np.abs(want)) <= 1e-9
 
 
 def test_green_geometry_validation():

@@ -1,11 +1,11 @@
-"""scipy is loaded only by the routes that call it.
+"""scipy is loaded only by the routes that call it; the exports resolve.
 
 The far-field route (``preset``, ``scan``, the default ``rate``) needs no
 Bessel function and no root finder, so a ``slabpdc`` process on it must
-not pay for importing scipy. The numeric route, the Green tensor and the
-Weyl oracle import it on first use, and that first call must give the same
-numbers as any later one. Each test runs a fresh interpreter, since the
-test process itself has long since loaded scipy.
+not pay for importing scipy. The numeric route and the Green tensor import
+it on first use, and that first call must give the same numbers as any
+later one. Each test runs a fresh interpreter, since the test process
+itself has long since loaded scipy.
 """
 
 import json
@@ -18,7 +18,7 @@ import numpy as np
 
 import slabpdc
 from slabpdc import (C_LIGHT, CrystalSlab, amplitude_numeric, load_config,
-                     scattering_green_point, vacuum, weyl_oracle)
+                     scattering_green_point, vacuum)
 
 _SRC = str(Path(slabpdc.__file__).resolve().parent.parent)
 _TESTS = str(Path(__file__).resolve().parent)
@@ -52,8 +52,7 @@ def deferred_values():
                                    50.0 * C_LIGHT,
                                    CrystalSlab(material=vacuum(),
                                                length=2e-3))
-    weyl = weyl_oracle(1.0, 0.3, 50.0)
-    return [amp.matrix, green, np.array(weyl)]
+    return [amp.matrix, green]
 
 
 def test_farfield_cli_loads_no_scipy(tmp_path):
@@ -85,3 +84,14 @@ print(json.dumps({"before": before,
         got = [first[f"arr_{i}"] for i in range(len(first.files))]
     for g, w in zip(got, deferred_values(), strict=True):
         assert np.array_equal(g, w)
+
+
+def test_every_export_resolves():
+    # A name left in __all__ after its definition is deleted breaks
+    # ``from slabpdc import *`` and nothing else.
+    missing = [name for name in slabpdc.__all__ if not hasattr(slabpdc, name)]
+    assert missing == []
+    assert len(set(slabpdc.__all__)) == len(slabpdc.__all__)
+    namespace = {}
+    exec("from slabpdc import *", namespace)
+    assert set(slabpdc.__all__) <= set(namespace)

@@ -316,9 +316,9 @@ _ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
 
 
 @pytest.mark.parametrize("cfg, nodes", [
-    (_ROUTE_CFGS["collinear-1m"], 12033),
+    (_ROUTE_CFGS["collinear-1m"], 12024),
     (_ROUTE_CFGS["thin-full-range"], 16245),
-    (_ROUTE_CFGS["displaced-II"], 12168),
+    (_ROUTE_CFGS["displaced-II"], 12159),
 ], ids=["collinear-1m", "thin-full-range", "displaced-II"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # A kernel change that moves the adaptive partition shows here first.

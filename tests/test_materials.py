@@ -14,8 +14,8 @@ from slabpdc.materials import (C_LIGHT, EPS0, TE, TEM, TM, CrystalSlab,
                                DispersionRangeError, MaterialDispersion,
                                absorption_to_n_imag, bbo_ordinary,
                                branch_sqrt, dispersion_eval, fresnel,
-                               kinematics, local_field, material_from_table,
-                               noise_factor, vacuum)
+                               kinematics, local_field, noise_factor,
+                               vacuum)
 
 OMEGA = 3.54e15
 
@@ -62,6 +62,11 @@ def test_dispersion_eval_over_axis_points():
                                 for w in omegas.tolist()]
     vac = dispersion_eval(vacuum(), omegas)
     assert vac.shape == (9,) and np.all(vac == 1.0)
+    # evaluation exactly at a sample returns the sample, edges included
+    at = dispersion_eval(mat, mat.omega)
+    assert np.array_equal(at, mat.n_real + 1j * mat.n_imag)
+    assert [dispersion_eval(mat, w) for w in mat.omega.tolist()] \
+        == at.tolist()
 
 
 def test_dispersion_eval_rejects_the_first_bad_point():
@@ -93,29 +98,6 @@ def test_with_absorption_replaces_n_imag():
     # and back to lossless
     again = mat.with_absorption(0.0)
     assert dispersion_eval(again, OMEGA).imag == 0.0
-
-
-def test_material_from_table_parses_and_interpolates():
-    text = """
-    # lambda_nm  n_real  n_imag
-    1000  1.60  0.0
-     500  1.70  1e-6
-    """
-    mat = material_from_table(text, name="demo")
-    n_hi = dispersion_eval(mat, 2.0 * np.pi * C_LIGHT / 500e-9)
-    assert n_hi == pytest.approx(1.70 + 1e-6j, rel=1e-12)
-    assert mat.name == "demo"
-
-
-def test_material_from_table_rejects_garbage():
-    with pytest.raises(ValueError):
-        material_from_table("500 1.7")          # missing column
-    with pytest.raises(ValueError):
-        material_from_table("500 one 0.0")      # non-numeric
-    with pytest.raises(ValueError):
-        material_from_table("-500 1.7 0.0")     # negative wavelength
-    with pytest.raises(ValueError):
-        material_from_table("# only a comment")
 
 
 def test_vacuum_is_unity():
@@ -329,11 +311,10 @@ def test_noise_gain_band_for_ten_percent_loss():
 # Crystal slab wrapper
 # ---------------------------------------------------------------------------
 
-def test_crystal_slab_defaults_and_eps():
+def test_crystal_slab_defaults_and_index():
     slab = CrystalSlab()
     assert slab.length == 2e-3
-    n = slab.index(OMEGA)
-    assert slab.eps(OMEGA) == pytest.approx(n * n, rel=1e-14)
+    assert slab.index(OMEGA) == dispersion_eval(bbo_ordinary(), OMEGA)
 
 
 def test_crystal_slab_validates_length():

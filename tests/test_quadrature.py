@@ -1,4 +1,4 @@
-"""Adaptive panel quadrature, angular doubling rule, and the Weyl oracle.
+"""Adaptive panel quadrature and the angular doubling rule.
 
 The analytic set here has closed forms derived by hand; beyond matching the
 values, the reported error estimates must actually bound the true errors
@@ -12,7 +12,7 @@ import pytest
 
 from slabpdc.quadrature import (ConvergenceError, QuadratureSpec,
                                 _integrate_partition, integrate_angular,
-                                integrate_radial, weyl_oracle)
+                                integrate_radial)
 
 
 # ---------------------------------------------------------------------------
@@ -203,36 +203,3 @@ def test_angular_vector_valued():
     val = integrate_angular(f)
     assert val == pytest.approx([np.pi, np.pi], rel=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# Weyl oracle
-# ---------------------------------------------------------------------------
-
-def test_weyl_identity_on_axis():
-    q = 50.0
-    numeric, closed = weyl_oracle(1.0, 0.0, q)
-    assert closed == pytest.approx(np.exp(1j * q) / (4.0 * np.pi), rel=1e-14)
-    assert abs(numeric - closed) / abs(closed) < 0.01
-
-
-def test_weyl_static_limit():
-    z, rho = 1.0, 0.7
-    r = np.hypot(z, rho)
-    numeric, closed = weyl_oracle(z, rho, 1e-6)
-    assert closed == pytest.approx(1.0 / (4.0 * np.pi * r), rel=1e-5)
-    assert abs(numeric - closed) / abs(closed) < 0.01
-
-
-def test_weyl_oracle_rejects_unusable_input():
-    for z, rho, q in ((0.0, 0.0, 50.0), (np.nan, 0.0, 50.0),
-                      (np.inf, 0.0, 50.0), (1.0, np.nan, 50.0),
-                      (1.0, 0.0, np.nan), (1.0, 0.0, np.inf)):
-        with pytest.raises(ValueError, match="weyl_oracle requires"):
-            weyl_oracle(z, rho, q)
-
-
-def test_weyl_doubling_z_halves_magnitude():
-    q = 40.0
-    _, c1 = weyl_oracle(1.0, 0.0, q)
-    _, c2 = weyl_oracle(2.0, 0.0, q)
-    assert abs(c1) == pytest.approx(2.0 * abs(c2), rel=1e-12)
