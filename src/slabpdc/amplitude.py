@@ -55,24 +55,36 @@ with detectors 0.15 mm out, and 2e-6 to 5e-6 for a 2 mm slab at 3 mm and
 for a split at 3 cm, so the route is only as good as that at close range.
 The substitution kappa = kappa_max sin(theta) removes the
 1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
-oscillates ~q z / 2 pi times over the disc, so the radial integral keeps an
-exact head of K phase cycles (Gauss-Kronrod panels of equal phase, widest
-at the stationary point) and closes the tail with a three-term
-integration-by-parts series in 1/(i Psi'), with the series ratio monitored
-and K escalated if the closure is not clearly converging. The series is
-taken at the cut only: at theta = pi/2 the cos(theta) measure in slow and
-the |cos(theta)| in the grazing q_z make g and Psi' odd, so a central
-stencil gives zero there, and the one-sided term it misses (up to 4e-5 of
-the amplitude at 1.2 mm to 1 m) is left out, like the evanescent sector.
+oscillates ~q z / 2 pi times over the disc. The radial integral splits at
+the cut theta_c after K phase cycles and closes the tail beyond it with a
+three-term integration-by-parts series in 1/(i Psi'), with the series
+ratio monitored and K escalated if the closure is not clearly converging.
+The series is taken at the cut only: at theta = pi/2 the cos(theta)
+measure in slow and the |cos(theta)| in the grazing q_z make g and Psi'
+odd, so a central stencil gives zero there, and the one-sided term it
+misses (up to 4e-5 of the amplitude at 1.2 mm to 1 m) is left out, like
+the evanescent sector.
 
-About 12k integrand nodes go into one amplitude (14-19k for a thin slab
-over the full range), so the per-node kernel (_Channels, then _angular_rows)
-sets its cost. A node takes two complex exponentials, e^{i k_z L/2} of each
-split mode, and one at a degenerate split, where signal and idler are one
-mode; every slab phase is a product of them and of the pump's, with half
-the rounding error of exp of the rounded sum sk L/2 (_Channels). The
-Bessel rows avoid jv, which would cost several times the rest of the node
-(_bessel_even).
+The head [0, theta_c] is exact. In s = kappa^2 it is the difference of two
+steepest-descent paths (numerical steepest descent: Huybrechs and
+Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026), from s = 0 and from
+s_c = kappa(theta_c)^2 into Im s < 0, on which e^{i Psi} decays like e^{-t}:
+Newton puts Gauss-Laguerre nodes in t on each (_path_sums), and the order
+doubles from 8 until two orders agree (_path_head). s = 0, the stationary
+point of Psi in theta, is a plain endpoint in s. With 8 + 16 nodes a path
+and 9 for the tail stencil, an amplitude takes 57 integrand nodes where
+Gauss-Kronrod panels of equal phase (_integrate_head) took about 12k. Those
+panels remain for a head the path refuses (Newton off the path, or a tol
+below its rounding floor) and for the full range, when there are too few
+cycles for a tail closure (thin slabs at close range, 14-19k nodes).
+
+The per-node kernel (_Channels, then _angular_rows) takes real kappa on
+the disc and complex kappa on the paths. A node takes two complex
+exponentials, e^{i k_z L/2} of each split mode, and one at a degenerate
+split, where signal and idler are one mode; every slab phase is a product
+of them and of the pump's, with half the rounding error of exp of the
+rounded sum sk L/2 (_Channels). The Bessel rows are scipy's jv, which takes
+complex arguments.
 
 The far field is the leading term of the same integral, not a formula of
 its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
@@ -92,11 +104,11 @@ not depend on the points stacked with it. The numeric route integrates
 point by point on the same split: _numeric_matrix takes the config the
 points share and one point's _Modes, sliced from the checked stack.
 
-scipy is imported inside _bessel_even (reached past the on-axis return of
-_angular_rows) and _integrate_oscillatory, the only code that calls it, so
-the far-field route never loads it: a module-level scipy import would add
-about 0.55 s and 47 MB to every slabpdc process. New numeric code (a path
-route included) follows the same rule.
+scipy is imported inside _angular_rows (past its on-axis return, for jv)
+and _integrate_oscillatory (brentq), the only code that calls it, so the
+far-field route never loads it: a module-level scipy import would add
+about 0.55 s and 47 MB to every slabpdc process. The Gauss-Laguerre rule is
+numpy's. New numeric code follows the same rule.
 """
 
 from __future__ import annotations
@@ -109,8 +121,8 @@ import numpy as np
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        branch_sqrt, fresnel, kinematics, noise_factor,
-                        reject)
+                        ModeKinematics, branch_sqrt, fresnel, kinematics,
+                        noise_factor, reject)
 from .quadrature import ConvergenceError, QuadratureSpec, _integrate_partition
 
 __all__ = [
@@ -147,11 +159,13 @@ _TAIL_RATIO_LIMIT = 0.1
 # panels of at most 0.75 cycles and equal-phase panels of c cycles have the
 # same summed error at c^13 = (2/15) 0.75^13, c = 0.642.
 _PANEL_CYCLES = 0.75 * (2.0 / 15.0) ** (1.0 / 13.0)
-
-# J_n(x) = (x/2)^n sum_k c_k (-x^2/4)^k with c_k = 1/(k! (k+n)!), highest
-# k first for Horner; 14 terms reach the last bit for x < 3.
-_BESSEL_SERIES = {n: [1.0 / (math.factorial(k) * math.factorial(k + n))
-                      for k in range(13, -1, -1)] for n in (2, 4)}
+# Steepest-descent head: Gauss-Laguerre orders double from _PATH_NODES up
+# to _PATH_NODES_MAX while the N and 2N sums disagree; Newton has
+# _NEWTON_STEPS steps to put every node on its path (_descent_nodes).
+_PATH_NODES = 8
+_PATH_NODES_MAX = 64
+_NEWTON_STEPS = 12
+_NEWTON_ULPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +415,20 @@ def _prefactor(cfg, modes):
             * modes.noise)
 
 
+def _path_kinematics(omega, n, k_perp):
+    """kinematics at k_perp = (kappa, 0) with Im kappa^2 < 0.
+
+    Both longitudinal components take the principal root. There k^2 - s
+    has Im > 0 (Im k^2 >= 0), so the root is branch_sqrt's; q^2 - s is off
+    the cut of the vacuum root.
+    """
+    s = k_perp[0] * k_perp[0]
+    k = (n + 0j) * omega / C_LIGHT
+    q = omega / C_LIGHT
+    return ModeKinematics(omega=omega, k=k, k_z=np.sqrt(k * k - s), q=q,
+                          q_z=np.sqrt(q * q - s), k_perp=k_perp)
+
+
 def _split_factors(kin, eps, h):
     """Fresnel pieces of one split mode at its half-slab phase h.
 
@@ -425,7 +453,10 @@ class _Channels:
 
     Vectorized over kappa. Holds the split-mode kinematics, the four X
     factors keyed by (signal, idler) polarization, and the slab phase
-    csinc(dk L/2) e^{i sk L/2}.
+    csinc(dk L/2) e^{i sk L/2}. Real kappa (the disc) goes through the
+    public ``kinematics``; complex kappa (the steepest-descent nodes, with
+    Im kappa^2 < 0) through _path_kinematics, whose principal roots agree
+    with branch_sqrt there. The rest is the same code on either.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
@@ -445,15 +476,16 @@ class _Channels:
     """
 
     def __init__(self, modes, kappa):
-        zeros = np.zeros_like(kappa)
+        kin = _path_kinematics if np.iscomplexobj(kappa) else kinematics
+        k_perp = (kappa, np.zeros_like(kappa))
         half_l = 0.5j * modes.length
-        self.kin_s = kinematics(modes.omega_s, modes.n_s, (kappa, zeros))
+        self.kin_s = kin(modes.omega_s, modes.n_s, k_perp)
         h_s = np.exp(half_l * self.kin_s.k_z)
         sig = _split_factors(self.kin_s, modes.eps_s, h_s)
         if modes.degenerate:
             self.kin_i, h_i, idl = self.kin_s, h_s, sig
         else:
-            self.kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
+            self.kin_i = kin(modes.omega_i, modes.n_i, k_perp)
             h_i = np.exp(half_l * self.kin_i.k_z)
             idl = _split_factors(self.kin_i, modes.eps_i, h_i)
         pm = phase_terms(self.kin_s, self.kin_i, modes.kin_p)
@@ -498,7 +530,9 @@ def _angular_rows(cfg, ch, kappa, rho):
     ME = c_s^2 X_TM,TE the rows are (TT+MM) J0, (TT-MM) J2 for "I" and
     (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II".
     On axis J_n(0) = 0 for n > 0, so only the J0 row is returned; the
-    radial measure kappa dkappa is the caller's.
+    radial measure kappa dkappa is the caller's. kappa may be complex (the
+    steepest-descent nodes): J0, J2 and J4 are even, so either root of
+    s = kappa^2 gives the same rows.
     """
     cc = ch.c_s * ch.c_i
     tt = ch.x[(TE, TE)]
@@ -514,44 +548,15 @@ def _angular_rows(cfg, ch, kappa, rho):
     weight = ch.slab / denom
     if rho == 0.0:
         return np.asarray(weight * first)[None]
-    bessel = _bessel_even(kappa * rho, cfg.chi2.kind == "II")
+    from scipy.special import jv
+
+    orders = [[0], [2], [4]] if cfg.chi2.kind == "II" else [[0], [2]]
+    bessel = jv(orders, kappa * rho)
     rows = [weight * first * bessel[0], weight * (tt - mm) * bessel[1]]
     if cfg.chi2.kind == "II":
         rows += [weight * ((tt + mm) - (em + me)) * bessel[2],
                  weight * (em - me) * bessel[1]]
     return np.stack(rows)
-
-
-def _bessel_even(x, with_j4):
-    """[J0, J2] of x >= 0, and J4 with with_j4, without scipy's jv.
-
-    J0 is scipy's j0. For x >= 3, J2 = 2 J1/x - J0 and
-    J4 = (48/x^3 - 8/x) J1 + (1 - 24/x^2) J0 from j0 and j1; below that
-    the J4 form cancels (6e-15 absolute at x = 1, 2e-3 relative at 1e-6),
-    and J2, J4 come from their power series in x^2/4, 14 terms. Against
-    30-digit values both forms stay within 2e-16 absolute below x = 8 and
-    within 1.3e-15, the error of j0 and j1 themselves, up to x = 400;
-    jv(n, x) costs several times as much, most for x < 12.
-    """
-    from scipy.special import j0, j1
-
-    x = np.atleast_1d(x)
-    b0, b1 = j0(x), j1(x)
-    small = x < 3.0
-    inv = 1.0 / np.where(small, 3.0, x)
-    out = [b0, 2.0 * inv * b1 - b0]
-    if with_j4:
-        inv2 = inv * inv
-        out.append((48.0 * inv2 - 8.0) * inv * b1 + (1.0 - 24.0 * inv2) * b0)
-    if small.any():
-        half = 0.5 * x[small]
-        y = -half * half
-        for n, row in zip((2, 4), out[1:]):
-            acc = 0.0
-            for c in _BESSEL_SERIES[n]:
-                acc = acc * y + c
-            row[small] = acc * half ** n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +672,24 @@ class _DetectorPhase:
     def cycles(self):
         return -self.psi_rel(0.5 * np.pi) / _TWO_PI
 
+    def rise(self, s, s0):
+        """psi_rel(s) - psi_rel(s0) in s = kappa^2, principal roots.
+
+        The cancellation-free -(s - s0) sum z/(sqrt(q^2 - s) + sqrt(q^2 - s0)),
+        so a node far out on a path keeps its phase to rounding in t.
+        """
+        total = 0.0
+        for q, z in self.parts:
+            total = total + z / (np.sqrt(q * q - s) + np.sqrt(q * q - s0))
+        return (s0 - s) * total
+
+    def slope(self, s):
+        """d psi_rel / ds = -sum z / (2 sqrt(q^2 - s))."""
+        total = 0.0
+        for q, z in self.parts:
+            total = total + z / np.sqrt(q * q - s)
+        return -0.5 * total
+
 
 def _slab_phase_rate(modes, theta):
     """Upper bound on the theta rate of the L-scale slab phases."""
@@ -728,24 +751,112 @@ def _integrate_head(slow, phase, modes, upper, rel_tol):
     return _integrate_partition(f, edges, spec)
 
 
-def _integrate_oscillatory(slow, phase, modes, tol):
+@functools.cache
+def _laguerre(order):
+    return np.polynomial.laguerre.laggauss(order)
+
+
+def _descent_nodes(phase, s0, t):
+    """s on each path psi_rel(s) - psi_rel(s0) = i t, by Newton.
+
+    s0 is a (p, 1) column of path starts and t the Laguerre nodes; each
+    node starts on the path's tangent s0 + i t / psi'(s0). A node is on its
+    path when the residual is within _NEWTON_ULPS rounding units of
+    |s psi'(s)| + t, the phase change that one ulp of s or t makes. Returns
+    the (p, n) nodes, or None if any is still off after _NEWTON_STEPS steps.
+    """
+    s = s0 + 1j * t / phase.slope(s0)
+    for _ in range(_NEWTON_STEPS + 1):
+        miss = phase.rise(s, s0) - 1j * t
+        slope = phase.slope(s)
+        floor = _NEWTON_ULPS * np.finfo(float).eps * (np.abs(s * slope) + t)
+        if np.all(np.abs(miss) <= floor):
+            return s
+        s = s - miss / slope
+    return None
+
+
+def _path_sums(rows, phase, theta_c, orders):
+    """The head [0, theta_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
+
+    In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
+    by Cauchy's theorem it equals the difference of the two paths that
+    leave 0 and s_c = kappa(theta_c)^2 into Im s < 0 along
+    psi_rel(s) = psi_rel(s0) + i t, where e^{i psi_rel} = e^{i psi_rel(s0)}
+    e^{-t}: I(s0) = (1/2) e^{i psi_rel(s0)} sum_j w_j rows(s_j) i/psi'(s_j).
+    The nodes of every order go through rows in one call. Returns one
+    (m,) head per order, or None if Newton fails.
+    """
+    s_c = phase.kappa(theta_c) ** 2
+    s0 = np.array([[0.0], [s_c]], dtype=complex)
+    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.psi_rel(theta_c))]])
+    t = np.concatenate([_laguerre(n)[0] for n in orders])
+    s = _descent_nodes(phase, s0, t)
+    if s is None:
+        return None
+    terms = rows(np.sqrt(s).ravel()).reshape(-1, 2, len(t)) \
+        * (lead / phase.slope(s))
+    ends = np.cumsum(orders)
+    return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
+            for n, end in zip(orders, ends)]
+
+
+def _path_head(rows, phase, modes, theta_c, tol):
+    """_path_sums' head, with N doubled from _PATH_NODES until it converges.
+
+    The error is the 1-norm over the rows of the difference of the N and 2N
+    heads plus a rounding floor: a node carries the rounding of the phases
+    it exponentiates, eps Phi relative with Phi = |psi_rel(theta_c)| +
+    (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut and the slab's.
+    The 2N head is returned once the error is within tol/2 of it, as the
+    GK15 head is held. Returns None when Newton fails, when the floor alone
+    exceeds tol/2 (about 7e-11 for a 2 mm slab), or when the check still
+    fails at order _PATH_NODES_MAX; the caller then integrates the head by
+    GK15.
+    """
+    phi = abs(phase.psi_rel(theta_c)) + modes.length * (
+        abs(modes.kin_p.k) + abs(modes.k_s) + abs(modes.k_i))
+    orders, sums = (_PATH_NODES, 2 * _PATH_NODES), []
+    while True:
+        new = _path_sums(rows, phase, theta_c, orders)
+        if new is None:
+            return None
+        sums += new
+        size = float(np.sum(np.abs(sums[-1])))
+        floor = np.finfo(float).eps * phi * size
+        err = float(np.sum(np.abs(sums[-1] - sums[-2]))) + floor
+        if err <= 0.5 * tol * size:
+            return sums[-1], err
+        if floor > 0.5 * tol * size or orders[-1] >= _PATH_NODES_MAX:
+            return None
+        orders = (2 * orders[-1],)
+
+
+def _integrate_oscillatory(rows, phase, modes, tol):
     """Head-plus-tail evaluation of int_0^{pi/2} slow(theta) e^{i Psi} dtheta.
 
-    slow maps a theta array to an (m, n) stack and must already contain
-    the dkappa/dtheta measure. Returns (vector of m integrals, error
-    estimate). The tail is closed at the cut theta_c only (module notes).
-    The closure is checked before the head is integrated, so no head is
-    computed for a kept-cycle count that gets escalated; the full range is
-    the head with upper = pi/2 and no tail. Raises
-    ConvergenceError when neither the tail closure nor a full-range sweep
-    can reach tol; the value it carries includes the tail and the
+    rows maps a kappa array, real or complex, to the (m, n) stack of
+    _angular_rows; slow(theta) is rows times the kappa dkappa/dtheta
+    measure. Returns (vector of m integrals, error estimate). The tail is
+    closed at the cut theta_c only (module notes), and checked before any
+    head is computed, so no head is computed for a kept-cycle count that
+    gets escalated. With the closure accepted, the head [0, theta_c] is
+    _path_head's, or GK15's (_integrate_head) if the path refuses; without
+    it the full range is the GK15 head with upper = pi/2 and no tail.
+    Raises ConvergenceError when neither the tail closure nor a full-range
+    sweep can reach tol; the value it carries includes the tail and the
     e^{i Psi(0)} reference phase.
     """
     from scipy.optimize import brentq
 
+    def slow(theta):
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        kap = phase.kappa(theta)
+        return rows(kap) * (kap * phase.kap_max * np.cos(theta))
+
     cycles = phase.cycles()
     kept = _KEPT_CYCLES
-    upper, rel_tol, tail, err_tail = 0.5 * np.pi, tol, 0.0, 0.0
+    upper, rel_tol, tail, err_tail, path = 0.5 * np.pi, tol, 0.0, 0.0, None
     while cycles > 1.5 * kept:
         theta_c = brentq(lambda t: phase.psi_rel(t) + _TWO_PI * kept,
                          1e-14, 0.5 * np.pi, xtol=1e-13, rtol=8.9e-16)
@@ -754,6 +865,7 @@ def _integrate_oscillatory(slow, phase, modes, tol):
         if ratio <= _TAIL_RATIO_LIMIT:
             upper, rel_tol = theta_c, 0.5 * tol
             tail, err_tail = -cut, n3 * min(1.0, ratio)
+            path = _path_head(rows, phase, modes, theta_c, tol)
             break
         if kept < _KEPT_CYCLES_MAX:
             kept *= 4
@@ -766,6 +878,9 @@ def _integrate_oscillatory(slow, phase, modes, tol):
             None, np.inf)
 
     ref = np.exp(1j * phase.psi_ref)
+    if path is not None:
+        head, err_head = path
+        return (head + tail) * ref, err_head + err_tail
     try:
         head, err_head = _integrate_head(slow, phase, modes, upper, rel_tol)
     except ConvergenceError as exc:
@@ -787,15 +902,10 @@ def _numeric_matrix(cfg, modes, tol):
     its checked stack.
     """
     phase = _DetectorPhase(cfg, modes)
-    kap_max = phase.kap_max
     rho = float(np.hypot(*cfg.offset))
 
-    def slow(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kap = kap_max * np.sin(theta)
-        ch = _Channels(modes, kap)
-        return _angular_rows(cfg, ch, kap, rho) \
-            * (kap * kap_max * np.cos(theta))
+    def rows(kap):
+        return _angular_rows(cfg, _Channels(modes, kap), kap, rho)
 
     pref = _prefactor(cfg, modes)
     matrices = _angular_matrices(cfg)
@@ -804,7 +914,7 @@ def _numeric_matrix(cfg, modes, tol):
         return np.tensordot(pref * vec, matrices[:len(vec)], 1)
 
     try:
-        vec, _ = _integrate_oscillatory(slow, phase, modes, tol)
+        vec, _ = _integrate_oscillatory(rows, phase, modes, tol)
     except ConvergenceError as exc:
         value = None if exc.value is None else matrix(exc.value)
         raise ConvergenceError(str(exc), value, abs(pref) * exc.error) \

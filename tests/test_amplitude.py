@@ -7,11 +7,13 @@ integral against the closed far-field form, which must also converge
 toward it as the detectors recede.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from slabpdc import amplitude, load_config
 from slabpdc.amplitude import (BiphotonAmplitude, ExperimentConfig,
                                PhaseMatch, _angular_matrices, _angular_rows,
                                _Channels, _Modes, amplitude_farfield,
@@ -513,13 +515,155 @@ def test_vanishing_offset_recovers_collinear_route():
 
 
 # ---------------------------------------------------------------------------
+# Steepest-descent head against the GK15 head
+# ---------------------------------------------------------------------------
+
+def _split_cfg(kind, frac, **kw):
+    return make_cfg(kind=kind, omega_s=OMEGA * (1.0 - frac),
+                    omega_i=OMEGA * (1.0 + frac), **kw)
+
+
+# Configs that close the tail, so that the head is the path's: Types I and
+# II, z from 1 cm to 1 m, a 10% split, split absorption, lossless slabs,
+# unequal distances, offsets up to 0.2 mm, and 4 mm and 0.1 mm slabs.
+_PATH_SPREAD = {
+    "I-1m": make_cfg(z=1.0),
+    "II-1m": make_cfg(kind="II", z=1.0),
+    "I-0.3m": make_cfg(z=0.3),
+    "II-0.1m": make_cfg(kind="II", z=0.1),
+    "I-3cm": make_cfg(z=0.03),
+    "II-1cm": make_cfg(kind="II", z=0.01),
+    "I-split-0.1m": _split_cfg("I", 0.1, z=0.1),
+    "II-split-5cm": _split_cfg("II", 0.1, z=0.05),
+    "I-split-loss": load_config("n_imag = 3e-6\nn_imag_pump = 1.5e-5\n"
+                                "z_signal = 100 mm\nz_idler = 100 mm\n"),
+    "II-split-loss": load_config("conversion = II\nn_imag = 2e-6\n"
+                                 "n_imag_pump = 2e-5\nz_signal = 20 mm\n"
+                                 "z_idler = 20 mm\n"),
+    "I-lossless": make_cfg(n_imag=0.0, z=0.1),
+    "II-lossless": make_cfg(kind="II", n_imag=0.0, z=0.03),
+    "I-unequal-z": replace(make_cfg(z=0.1), z_idler=0.07),
+    "II-unequal-z": replace(make_cfg(kind="II", z=0.02), z_idler=0.03),
+    "I-1um": make_cfg(z=0.1, offset=(1e-6, 0.0)),
+    "II-20um": make_cfg(kind="II", z=0.1, offset=(1.2e-5, -1.6e-5)),
+    "I-0.2mm": make_cfg(z=0.1, offset=(0.0, 2e-4)),
+    "II-0.2mm-1m": make_cfg(kind="II", z=1.0, offset=(1.4e-4, 1.4e-4)),
+    "I-20um-1cm": _split_cfg("I", 0.03, z=0.01, offset=(2e-5, 0.0)),
+    "I-4mm-1m": make_cfg(length=4e-3, z=1.0),
+    "II-4mm-5cm": make_cfg(kind="II", length=4e-3, z=0.05),
+    "I-0.1mm-1cm": make_cfg(length=1e-4, z=0.01),
+}
+
+
+def _path_run(monkeypatch, cfg):
+    """amplitude_numeric's path head: its arguments and its result."""
+    seen = {}
+    path_head = amplitude._path_head
+
+    def spy(rows, phase, modes, theta_c, tol):
+        out = path_head(rows, phase, modes, theta_c, tol)
+        seen.update(rows=rows, phase=phase, modes=modes, theta_c=theta_c,
+                    out=out)
+        return out
+
+    monkeypatch.setattr(amplitude, "_path_head", spy)
+    amplitude_numeric(cfg, tol=1e-6)
+    monkeypatch.undo()
+    assert seen["out"] is not None
+    return seen
+
+
+def _gk15(seen, rel_tol):
+    """The GK15 head over the same [0, theta_c], or its best value."""
+    phase, rows = seen["phase"], seen["rows"]
+
+    def slow(theta):
+        kap = phase.kappa(theta)
+        return rows(kap) * (kap * phase.kap_max * np.cos(theta))
+
+    try:
+        return amplitude._integrate_head(slow, phase, seen["modes"],
+                                         seen["theta_c"], rel_tol)[0]
+    except ConvergenceError as exc:
+        return exc.value
+
+
+def _norm(v):
+    return float(np.sum(np.abs(v)))
+
+
+def _sc_path(seen, order=16):
+    """I(s_c) alone: the path from the cut, Gauss-Laguerre of this order."""
+    phase, theta_c = seen["phase"], seen["theta_c"]
+    t, w = amplitude._laguerre(order)
+    s0 = np.array([[phase.kappa(theta_c) ** 2]], dtype=complex)
+    s = amplitude._descent_nodes(phase, s0, t)[0]
+    return 0.5j * np.exp(1j * phase.psi_rel(theta_c)) \
+        * ((seen["rows"](np.sqrt(s)) / phase.slope(s)) @ w)
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_SPREAD))
+def test_path_head_matches_gk15_head(monkeypatch, name):
+    # I(0) - I(s_c) against the GK15 head over [0, theta_c] at 1e-8 (its
+    # best value where the budget runs out), within 1e-9 of the head. The
+    # head without the s_c path would be off by at least 1e3 times that.
+    seen = _path_run(monkeypatch, _PATH_SPREAD[name])
+    head, _ = seen["out"]
+    want = _gk15(seen, 1e-8)
+    assert _norm(head - want) <= 1e-9 * _norm(want)
+    assert _norm(head + _sc_path(seen) - want) >= 1e-6 * _norm(want)
+
+
+def test_path_estimate_bounds_realized_deviation(monkeypatch):
+    # The returned head against order 64 on the same paths. At 4 mm from a
+    # 2 mm slab (8192 kept cycles) the N = 8 head is off by 7e-10 and the
+    # estimate is its difference from N = 16; elsewhere the rounding floor
+    # carries the estimate.
+    close = make_cfg(z=4e-3)
+    for cfg in [close] + list(_PATH_SPREAD.values()):
+        seen = _path_run(monkeypatch, cfg)
+        head, err = seen["out"]
+        args = (seen["rows"], seen["phase"], seen["theta_c"])
+        best, = amplitude._path_sums(*args, (64,))
+        assert _norm(head - best) <= err
+        if cfg is close:
+            low, high = amplitude._path_sums(*args, (8, 16))
+            assert _norm(low - best) >= 1e-10 * _norm(best)
+            assert _norm(low - best) <= _norm(high - low) <= err
+
+
+def test_newton_failure_falls_back_to_gk15_head(monkeypatch):
+    # Without Newton steps the tangent nodes miss the path, the path head
+    # refuses and GK15 integrates the head; both give the same amplitude.
+    cfg = make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6))
+    path = amplitude_numeric(cfg, tol=1e-6).matrix
+    calls = []
+    head = amplitude._integrate_head
+
+    def spy(*args):
+        calls.append(args[3])
+        return head(*args)
+
+    monkeypatch.setattr(amplitude, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(amplitude, "_integrate_head", spy)
+    fallback = amplitude_numeric(cfg, tol=1e-6).matrix
+    assert len(calls) == 1 and calls[0] < 0.5 * np.pi
+    assert np.linalg.norm(fallback - path) <= 1e-9 * np.linalg.norm(path)
+
+
+# ---------------------------------------------------------------------------
 # Failure modes and containers
 # ---------------------------------------------------------------------------
 
 def test_unreachable_tolerance_raises_with_partial_result():
+    # 1e-15 is below the path head's rounding floor (about 4e-11 of a 2 mm
+    # slab's head), so the path refuses and the GK15 fallback runs out of
+    # budget.
     cfg = make_cfg(z=0.1)
+    start = time.perf_counter()
     with pytest.raises(ConvergenceError) as info:
-        amplitude_numeric(cfg, tol=1e-12)
+        amplitude_numeric(cfg, tol=1e-15)
+    assert time.perf_counter() - start < 1.0
     exc = info.value
     assert np.shape(exc.value) == (2, 2)
     assert np.isfinite(exc.error)

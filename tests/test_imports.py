@@ -23,7 +23,14 @@ from slabpdc import (C_LIGHT, CrystalSlab, amplitude_numeric, load_config,
 _SRC = str(Path(slabpdc.__file__).resolve().parent.parent)
 _TESTS = str(Path(__file__).resolve().parent)
 
-# Type II with a displaced detector, so the J2 and J4 angular rows run.
+# Collinear at 100 mm: the steepest-descent head, with no Bessel rows.
+_PATH = """\
+z_signal = 100 mm
+z_idler = 100 mm
+"""
+# Type II with a displaced detector, so the J2 and J4 angular rows run, on
+# the path's complex nodes and, for the thin slab's full-range GK15 head, on
+# real ones.
 _DISPLACED_II = """\
 conversion = II
 z_signal = 100 mm
@@ -31,6 +38,8 @@ z_idler = 100 mm
 offset_x = 5000 nm
 offset_y = 3000 nm
 """
+_THIN_DISPLACED_II = _DISPLACED_II.replace("100 mm", "0.15 mm") \
+    + "crystal_length = 0.1 mm\n"
 
 
 def _child(code, tmp_path):
@@ -47,12 +56,13 @@ def _child(code, tmp_path):
 
 def deferred_values():
     """First calls of every route that imports scipy inside a function."""
-    amp = amplitude_numeric(load_config(_DISPLACED_II))
+    amps = [amplitude_numeric(load_config(text)).matrix
+            for text in (_PATH, _DISPLACED_II, _THIN_DISPLACED_II)]
     green = scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
                                    50.0 * C_LIGHT,
                                    CrystalSlab(material=vacuum(),
                                                length=2e-3))
-    return [amp.matrix, green]
+    return amps + [green]
 
 
 def test_farfield_cli_loads_no_scipy(tmp_path):

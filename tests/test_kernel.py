@@ -5,7 +5,8 @@ phase_terms, complex_sinc) into two exponentials per node, one at a
 degenerate split; here it is checked against their plain composition,
 against 40-digit values, against its own two-mode branch at a degenerate
 split (bit for bit), and for the node counts of the radial route it feeds.
-_bessel_even is checked against scipy's jv.
+The Bessel factors of _angular_rows are checked against 30-digit values,
+on the real axis and at the complex nodes of the steepest-descent paths.
 """
 
 from types import SimpleNamespace
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from slabpdc import amplitude, quadrature
-from slabpdc.amplitude import (_angular_rows, _bessel_even, _Channels,
-                               _Modes, _split_factors, amplitude_numeric,
+from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
+                               _Modes, _descent_nodes, _laguerre,
+                               _split_factors, amplitude_numeric,
                                complex_sinc, phase_terms, x_factor)
 from slabpdc.materials import (C_LIGHT, TE, TM, branch_sqrt, fresnel,
                                kinematics)
@@ -282,27 +284,58 @@ def test_channels_match_40_digit_values(loss):
 # Bessel rows
 # ---------------------------------------------------------------------------
 
+def _bessel_rows(kind, x):
+    """_angular_rows at kappa rho = x on channels whose sums are 1, so that
+    the rows are the Bessel factors: [J0, J2] for "I", [J0, J2, J4, 0] for
+    "II"."""
+    one = np.ones_like(x)
+    ch = SimpleNamespace(c_s=0.0 * one, c_i=0.0 * one,
+                         x={(a, b): one for a in (TE, TM) for b in (TE, TM)},
+                         kin_s=SimpleNamespace(k_z=one),
+                         kin_i=SimpleNamespace(k_z=one),
+                         slab=(8.0 if kind == "II" else 4.0) * np.pi * one)
+    return _angular_rows(make_cfg(kind=kind), ch, x, 1.0)
+
+
+def _path_arguments():
+    """kappa rho at the Laguerre nodes (orders 8, 16 and 64) of both
+    steepest-descent paths, for offsets of 20 um and 0.2 mm at 1 cm to 1 m."""
+    out = []
+    for z, rho in ((0.01, 2e-5), (0.1, 2e-5), (0.01, 2e-4), (1.0, 2e-4)):
+        cfg = make_cfg(z=z)
+        phase = _DetectorPhase(cfg, _Modes.of(cfg))
+        # The 512-cycle cut, from the phase's Taylor start psi ~ -s Z/2.
+        s_c = 4.0 * np.pi * 512 / (z / phase.parts[0][0] * 2.0)
+        s0 = np.array([[0.0], [s_c]], dtype=complex)
+        t = np.concatenate([_laguerre(n)[0] for n in (8, 16, 64)])
+        s = _descent_nodes(phase, s0, t)
+        out.append(np.sqrt(s).ravel() * rho)
+    return np.concatenate(out)
+
+
 def test_bessel_rows_match_jv():
-    # Across the switch at x = 3 between the power series and the
-    # recurrence from j0 and j1, and past the x = 8 switch of scipy's own.
-    special = pytest.importorskip("scipy.special")
-    x = np.concatenate((np.geomspace(1e-6, 2.0, 300),
-                        np.linspace(2.0, 12.0, 2001),
-                        np.linspace(12.0, 400.0, 4000),
-                        np.nextafter(3.0, [0.0, 4.0]), [3.0, 8.0]))
-    rows = _bessel_even(x, True)
-    assert len(rows) == 3 and len(_bessel_even(x, False)) == 2
-    assert np.array_equal(rows[0], special.j0(x))
-    for n, got in ((2, rows[1]), (4, rows[2])):
-        want = special.jv(n, x)
-        assert np.max(np.abs(got - want)) <= 5e-15
-        big = np.abs(want) > 1e-3
-        assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) \
-            <= 2e-12
-        # The series keeps its relative accuracy down to x = 1e-6.
-        small = x < 3.0
-        assert np.max(np.abs(got[small] - want[small])
-                      / np.abs(want[small])) <= 2e-14
+    # J0, J2 and J4 of the rows against 30-digit values: on the real axis,
+    # where a GK15 head with an offset takes them, and at complex kappa rho
+    # on the paths (|Im| up to 74 at 0.2 mm and 1 cm), where the rows grow
+    # like e^{|Im|}.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    real = np.concatenate((np.geomspace(1e-6, 2.0, 60),
+                           np.linspace(2.0, 12.0, 81),
+                           np.linspace(12.0, 400.0, 60)))
+    path = _path_arguments()
+    assert np.max(np.abs(path.imag)) > 50.0
+    for x, bound in ((real, 1e-15), (path, 1e-14)):
+        want = [[complex(mp.besselj(n, mp.mpc(v.real, v.imag))) for v in x]
+                for n in (0, 2, 4)]
+        for kind in ("I", "II"):
+            rows = _bessel_rows(kind, x)
+            assert len(rows) == (4 if kind == "II" else 2)
+            for row, exact in zip(rows[:3], want):
+                scale = 1.0 if x is real else np.abs(exact)
+                assert np.max(np.abs(row - exact) / scale) <= bound, kind
+            if kind == "II":
+                assert np.all(rows[3] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +349,15 @@ _ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
 
 
 @pytest.mark.parametrize("cfg, nodes", [
-    (_ROUTE_CFGS["collinear-1m"], 12024),
+    (_ROUTE_CFGS["collinear-1m"], 57),
     (_ROUTE_CFGS["thin-full-range"], 16245),
-    (_ROUTE_CFGS["displaced-II"], 12159),
+    (_ROUTE_CFGS["displaced-II"], 57),
 ], ids=["collinear-1m", "thin-full-range", "displaced-II"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # A kernel change that moves the adaptive partition shows here first.
+    # The thin slab takes the GK15 head over the full range; the others
+    # close the tail on a 9-node stencil and take the head on two paths of
+    # 8 + 16 Laguerre nodes each.
     counted = []
     channels = amplitude._Channels
 
@@ -332,6 +368,13 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     monkeypatch.setattr(amplitude, "_Channels", counting)
     amplitude_numeric(cfg, tol=1e-6)
     assert sum(counted) == nodes
+
+
+def _gk15_head(monkeypatch, name):
+    """Make the head GK15's: the thin slab takes it over the full range, and
+    the others take it as the fallback of a refused path."""
+    if name != "thin-full-range":
+        monkeypatch.setattr(amplitude, "_path_head", lambda *args: None)
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
@@ -350,11 +393,13 @@ def test_head_seed_panels_hold_equal_phase(monkeypatch, name):
         seen["edges"] = edges.copy()
         return partition(f, edges, spec)
 
+    _gk15_head(monkeypatch, name)
     monkeypatch.setattr(amplitude, "_integrate_head", spy_head)
     monkeypatch.setattr(amplitude, "_integrate_partition", spy_partition)
     amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
     edges, upper = seen["edges"], seen["upper"]
     assert edges[0] == 0.0 and edges[-1] == upper
+    assert (upper == 0.5 * np.pi) == (name == "thin-full-range")
     assert np.all(np.diff(edges) > 0.0)
     grid = np.union1d(np.linspace(0.0, upper, 4097), edges)
     rate = np.abs(seen["phase"].psi_prime(grid)) \
@@ -366,7 +411,7 @@ def test_head_seed_panels_hold_equal_phase(monkeypatch, name):
     assert cycles[2:].min() >= 0.5 * amplitude._PANEL_CYCLES
 
 
-@pytest.mark.parametrize("name", ["collinear-1m", "displaced-II"])
+@pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
 def test_head_seed_needs_at_most_one_refinement_round(monkeypatch, name):
     # _panels runs once for the seed and once per refinement round.
     calls = []
@@ -376,6 +421,7 @@ def test_head_seed_needs_at_most_one_refinement_round(monkeypatch, name):
         calls.append(len(lo))
         return panels(f, lo, hi)
 
+    _gk15_head(monkeypatch, name)
     monkeypatch.setattr(quadrature, "_panels", counting)
     amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
     assert 1 <= len(calls) <= 2
