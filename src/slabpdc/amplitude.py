@@ -56,9 +56,9 @@ for a split at 3 cm, so the route is only as good as that at close range.
 The substitution kappa = kappa_max sin(theta) removes the
 1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
 oscillates ~q z / 2 pi times over the disc. The radial integral splits at
-the cut theta_c after K phase cycles and closes the tail beyond it with a
-three-term integration-by-parts series in 1/(i Psi'), with the series
-ratio monitored and K escalated if the closure is not clearly converging.
+the cut theta_c after K phase cycles (Newton, _DetectorPhase.cut) and
+closes the tail with a three-term integration-by-parts series in 1/(i Psi'),
+escalating K while the series ratio shows no clear convergence.
 The series is taken at the cut only: at theta = pi/2 the cos(theta)
 measure in slow and the |cos(theta)| in the grazing q_z make g and Psi'
 odd, so a central stencil gives zero there, and the one-sided term it
@@ -104,10 +104,10 @@ not depend on the points stacked with it. The numeric route integrates
 point by point on the same split: _numeric_matrix takes the config the
 points share and one point's _Modes, sliced from the checked stack.
 
-scipy is imported inside _angular_rows (past its on-axis return, for jv)
-and _integrate_oscillatory (brentq), the only code that calls it, so the
-far-field route never loads it: a module-level scipy import would add
-about 0.55 s and 47 MB to every slabpdc process. The Gauss-Laguerre rule is
+scipy is imported inside _angular_rows, past its on-axis return, for jv;
+nothing else here calls it, so a collinear amplitude, far-field or numeric,
+never loads it: a module-level import of scipy.special would add about
+0.25 s and 25 MB to every slabpdc process. The Gauss-Laguerre rule is
 numpy's. New numeric code follows the same rule.
 """
 
@@ -627,9 +627,11 @@ class _DetectorPhase:
     """Psi(theta) = z_s q_zs + z_i q_zi on kappa = kappa_max sin(theta).
 
     Both q_z are vacuum longitudinal components, real on the propagating
-    disc, so Psi is a real, monotonically decreasing phase. psi_prime is
-    analytic; at theta = pi/2 with kappa_max equal to a mode's q the
-    0/0 of kappa'/q_z is replaced by its finite limit.
+    disc, so Psi is a real, monotonically decreasing phase. One formula
+    carries it, rise and slope in s = kappa^2. Its theta views are psi_rel
+    and psi_prime = -kappa sum z u/q_z with u = kappa_max cos(theta) and
+    q_z = sqrt(u^2 + q^2 - kappa_max^2), so the kappa_max mode's term is
+    -z kappa; cut finds the kept-cycle angle with it.
 
     At laboratory distances Psi(0) = z_s q_s + z_i q_i runs to ~1e6 rad,
     and the argument rounding of exp(1j*Psi) (about Psi*eps) times the
@@ -637,7 +639,7 @@ class _DetectorPhase:
     floor well above machine precision. The engine therefore integrates
     against the referenced phase psi_rel = Psi - Psi(0), whose span is
     only the kept-cycle window, and restores exp(1j*Psi(0)) once on the
-    final result. psi_rel is evaluated in the cancellation-free form
+    final result. psi_rel is rise(kappa^2, 0), the cancellation-free
     -kappa^2 * sum z/(q_z + q).
     """
 
@@ -650,27 +652,30 @@ class _DetectorPhase:
         return self.kap_max * np.sin(theta)
 
     def psi_rel(self, theta):
-        kap = self.kappa(theta)
-        kap2 = kap * kap
-        total = 0.0
-        for q, z in self.parts:
-            qz = np.sqrt(np.maximum(q * q - kap2, 0.0))
-            total = total + z * kap2 / (qz + q)
-        return -total
+        return self.rise(np.square(self.kappa(theta)), 0.0)
 
     def psi_prime(self, theta):
-        s, c = np.sin(theta), np.cos(theta)
-        kap = self.kap_max * s
-        total = 0.0
-        for q, z in self.parts:
-            qz = np.sqrt(np.maximum(q * q - kap * kap, 0.0))
-            grazing = self.kap_max * s          # exact limit when q == kap_max
-            full = self.kap_max * kap * c / np.where(qz > 0.0, qz, 1.0)
-            total = total + z * np.where(qz > 0.0, full, grazing)
-        return -total
+        k, u = self.kap_max, self.kap_max * np.cos(theta)
+        return -self.kappa(theta) * sum(
+            z * u / np.sqrt(u * u + (q - k) * (q + k)) for q, z in self.parts)
 
-    def cycles(self):
-        return -self.psi_rel(0.5 * np.pi) / _TWO_PI
+    def cut(self, kept):
+        """(theta_c, s_c) with psi_rel(theta_c) = -2 pi kept, by Newton in u.
+
+        u = kappa_max cos(theta) is the kappa_max mode's q_z, s = (kappa_max
+        - u)(kappa_max + u) and d psi_rel/du = -2 u slope(s). The phase is
+        rising and convex in u, so Newton from the axis, u = kappa_max, falls
+        to the root from above; it stops when a step no longer lowers u,
+        carried as d = kappa_max - u so that s keeps its relative precision.
+        """
+        k, d = self.kap_max, 0.0
+        while True:
+            s = d * (2.0 * k - d)
+            far = d + (self.rise(s, 0.0) + _TWO_PI * kept) \
+                / (2.0 * (d - k) * self.slope(s))
+            if not far > d:
+                return float(np.arctan2(np.sqrt(s), k - d)), s
+            d = far
 
     def rise(self, s, s0):
         """psi_rel(s) - psi_rel(s0) in s = kappa^2, principal roots.
@@ -678,17 +683,12 @@ class _DetectorPhase:
         The cancellation-free -(s - s0) sum z/(sqrt(q^2 - s) + sqrt(q^2 - s0)),
         so a node far out on a path keeps its phase to rounding in t.
         """
-        total = 0.0
-        for q, z in self.parts:
-            total = total + z / (np.sqrt(q * q - s) + np.sqrt(q * q - s0))
-        return (s0 - s) * total
+        return (s0 - s) * sum(z / (np.sqrt(q * q - s) + np.sqrt(q * q - s0))
+                              for q, z in self.parts)
 
     def slope(self, s):
         """d psi_rel / ds = -sum z / (2 sqrt(q^2 - s))."""
-        total = 0.0
-        for q, z in self.parts:
-            total = total + z / np.sqrt(q * q - s)
-        return -0.5 * total
+        return -0.5 * sum(z / np.sqrt(q * q - s) for q, z in self.parts)
 
 
 def _slab_phase_rate(modes, theta):
@@ -776,20 +776,19 @@ def _descent_nodes(phase, s0, t):
     return None
 
 
-def _path_sums(rows, phase, theta_c, orders):
-    """The head [0, theta_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
+def _path_sums(rows, phase, s_c, orders):
+    """The head [0, s_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
 
     In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
     by Cauchy's theorem it equals the difference of the two paths that
-    leave 0 and s_c = kappa(theta_c)^2 into Im s < 0 along
+    leave 0 and the cut s_c into Im s < 0 along
     psi_rel(s) = psi_rel(s0) + i t, where e^{i psi_rel} = e^{i psi_rel(s0)}
     e^{-t}: I(s0) = (1/2) e^{i psi_rel(s0)} sum_j w_j rows(s_j) i/psi'(s_j).
     The nodes of every order go through rows in one call. Returns one
     (m,) head per order, or None if Newton fails.
     """
-    s_c = phase.kappa(theta_c) ** 2
     s0 = np.array([[0.0], [s_c]], dtype=complex)
-    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.psi_rel(theta_c))]])
+    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.rise(s_c, 0.0))]])
     t = np.concatenate([_laguerre(n)[0] for n in orders])
     s = _descent_nodes(phase, s0, t)
     if s is None:
@@ -801,12 +800,12 @@ def _path_sums(rows, phase, theta_c, orders):
             for n, end in zip(orders, ends)]
 
 
-def _path_head(rows, phase, modes, theta_c, tol):
+def _path_head(rows, phase, modes, s_c, tol):
     """_path_sums' head, with N doubled from _PATH_NODES until it converges.
 
     The error is the 1-norm over the rows of the difference of the N and 2N
     heads plus a rounding floor: a node carries the rounding of the phases
-    it exponentiates, eps Phi relative with Phi = |psi_rel(theta_c)| +
+    it exponentiates, eps Phi relative with Phi = |psi_rel(s_c)| +
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut and the slab's.
     The 2N head is returned once the error is within tol/2 of it, as the
     GK15 head is held. Returns None when Newton fails, when the floor alone
@@ -814,11 +813,11 @@ def _path_head(rows, phase, modes, theta_c, tol):
     fails at order _PATH_NODES_MAX; the caller then integrates the head by
     GK15.
     """
-    phi = abs(phase.psi_rel(theta_c)) + modes.length * (
+    phi = abs(phase.rise(s_c, 0.0)) + modes.length * (
         abs(modes.kin_p.k) + abs(modes.k_s) + abs(modes.k_i))
     orders, sums = (_PATH_NODES, 2 * _PATH_NODES), []
     while True:
-        new = _path_sums(rows, phase, theta_c, orders)
+        new = _path_sums(rows, phase, s_c, orders)
         if new is None:
             return None
         sums += new
@@ -847,25 +846,22 @@ def _integrate_oscillatory(rows, phase, modes, tol):
     sweep can reach tol; the value it carries includes the tail and the
     e^{i Psi(0)} reference phase.
     """
-    from scipy.optimize import brentq
-
     def slow(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kap = phase.kappa(theta)
         return rows(kap) * (kap * phase.kap_max * np.cos(theta))
 
-    cycles = phase.cycles()
+    cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
     kept = _KEPT_CYCLES
     upper, rel_tol, tail, err_tail, path = 0.5 * np.pi, tol, 0.0, 0.0, None
     while cycles > 1.5 * kept:
-        theta_c = brentq(lambda t: phase.psi_rel(t) + _TWO_PI * kept,
-                         1e-14, 0.5 * np.pi, xtol=1e-13, rtol=8.9e-16)
+        theta_c, s_c = phase.cut(kept)
         cut, ratio, n3 = _tail_terms(slow, phase, theta_c,
                                      min(1e-5, theta_c / 16.0))
         if ratio <= _TAIL_RATIO_LIMIT:
             upper, rel_tol = theta_c, 0.5 * tol
             tail, err_tail = -cut, n3 * min(1.0, ratio)
-            path = _path_head(rows, phase, modes, theta_c, tol)
+            path = _path_head(rows, phase, modes, s_c, tol)
             break
         if kept < _KEPT_CYCLES_MAX:
             kept *= 4

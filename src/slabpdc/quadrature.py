@@ -195,6 +195,9 @@ def integrate_angular(f, rel_tol=1e-10, abs_floor=0.0, max_doublings=16):
     first axis.  Each sample may itself be a scalar or an array (a 2x2
     matrix, say); the result keeps that trailing shape.
     """
+    if not (rel_tol > 0 and abs_floor >= 0 and max_doublings >= 1):
+        raise ValueError("integrate_angular needs rel_tol > 0, abs_floor >= 0 "
+                         "and max_doublings >= 1")
     n = 8
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     prev = 2.0 * np.pi * np.mean(np.asarray(f(phi), dtype=complex), axis=0)

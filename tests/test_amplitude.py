@@ -560,10 +560,9 @@ def _path_run(monkeypatch, cfg):
     seen = {}
     path_head = amplitude._path_head
 
-    def spy(rows, phase, modes, theta_c, tol):
-        out = path_head(rows, phase, modes, theta_c, tol)
-        seen.update(rows=rows, phase=phase, modes=modes, theta_c=theta_c,
-                    out=out)
+    def spy(rows, phase, modes, s_c, tol):
+        out = path_head(rows, phase, modes, s_c, tol)
+        seen.update(rows=rows, phase=phase, modes=modes, s_c=s_c, out=out)
         return out
 
     monkeypatch.setattr(amplitude, "_path_head", spy)
@@ -576,6 +575,7 @@ def _path_run(monkeypatch, cfg):
 def _gk15(seen, rel_tol):
     """The GK15 head over the same [0, theta_c], or its best value."""
     phase, rows = seen["phase"], seen["rows"]
+    theta_c = np.arcsin(np.sqrt(seen["s_c"]) / phase.kap_max)
 
     def slow(theta):
         kap = phase.kappa(theta)
@@ -583,7 +583,7 @@ def _gk15(seen, rel_tol):
 
     try:
         return amplitude._integrate_head(slow, phase, seen["modes"],
-                                         seen["theta_c"], rel_tol)[0]
+                                         theta_c, rel_tol)[0]
     except ConvergenceError as exc:
         return exc.value
 
@@ -594,11 +594,11 @@ def _norm(v):
 
 def _sc_path(seen, order=16):
     """I(s_c) alone: the path from the cut, Gauss-Laguerre of this order."""
-    phase, theta_c = seen["phase"], seen["theta_c"]
+    phase, s_c = seen["phase"], seen["s_c"]
     t, w = amplitude._laguerre(order)
-    s0 = np.array([[phase.kappa(theta_c) ** 2]], dtype=complex)
+    s0 = np.array([[s_c]], dtype=complex)
     s = amplitude._descent_nodes(phase, s0, t)[0]
-    return 0.5j * np.exp(1j * phase.psi_rel(theta_c)) \
+    return 0.5j * np.exp(1j * phase.rise(s_c, 0.0)) \
         * ((seen["rows"](np.sqrt(s)) / phase.slope(s)) @ w)
 
 
@@ -623,7 +623,7 @@ def test_path_estimate_bounds_realized_deviation(monkeypatch):
     for cfg in [close] + list(_PATH_SPREAD.values()):
         seen = _path_run(monkeypatch, cfg)
         head, err = seen["out"]
-        args = (seen["rows"], seen["phase"], seen["theta_c"])
+        args = (seen["rows"], seen["phase"], seen["s_c"])
         best, = amplitude._path_sums(*args, (64,))
         assert _norm(head - best) <= err
         if cfg is close:
@@ -649,6 +649,65 @@ def test_newton_failure_falls_back_to_gk15_head(monkeypatch):
     fallback = amplitude_numeric(cfg, tol=1e-6).matrix
     assert len(calls) == 1 and calls[0] < 0.5 * np.pi
     assert np.linalg.norm(fallback - path) <= 1e-9 * np.linalg.norm(path)
+
+
+# ---------------------------------------------------------------------------
+# Kept-cycle cut
+# ---------------------------------------------------------------------------
+
+def _cut_cases(rng, count):
+    """(phase, kept, cycles / kept) over both types, splits to 10%, unequal
+    distances and slabs of 0.1 to 4 mm. Half have 1.5 < cycles / kept <= 2,
+    where the paraxial s of the cut, 4 pi kept / Z, can lie beyond the disc."""
+    cases = []
+    while len(cases) < count:
+        kept = int(rng.choice([512, 2048, 8192]))
+        ratio = (rng.uniform(1.52, 2.0) if rng.random() < 0.5
+                 else 10.0 ** rng.uniform(0.3, 2.5))
+        frac = rng.choice([0.0, rng.uniform(-0.1, 0.1)])
+        length = 10.0 ** rng.uniform(-4.0, np.log10(4e-3))
+        cfg = _split_cfg(rng.choice(["I", "II"]), frac, length=length, z=1.0)
+        cfg = replace(cfg, z_idler=rng.uniform(0.5, 2.0))
+        modes = _Modes.of(cfg)
+        # Psi is linear in the distances: scale both to the wanted cycles.
+        psi = amplitude._DetectorPhase(cfg, modes).psi_rel(0.5 * np.pi)
+        scale = -2.0 * np.pi * ratio * kept / psi
+        if scale * min(1.0, cfg.z_idler) <= 0.5 * length:
+            continue
+        cfg = replace(cfg, z_signal=scale, z_idler=scale * cfg.z_idler)
+        cases.append((amplitude._DetectorPhase(cfg, modes), kept, ratio))
+    return cases
+
+
+def _bisect_cut(phase, kept):
+    """theta where psi_rel + 2 pi kept changes sign, to adjacent doubles."""
+    lo, hi = 0.0, 0.5 * np.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if phase.psi_rel(mid) + 2.0 * np.pi * kept > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_cut_meets_kept_cycles_to_rounding():
+    # psi_rel(theta_c) = -2 pi kept within a few ulps of 2 pi kept, and
+    # theta_c within a few ulps of bisection, down to cycles = 1.5 kept,
+    # the fewest at which the route cuts.
+    cases = _cut_cases(np.random.default_rng(16), 240)
+    for kept in (512, 2048, 8192):
+        assert sum(k == kept and r <= 2.0 for _, k, r in cases) >= 10
+    for phase, kept, _ in cases:
+        theta_c, s_c = phase.cut(kept)
+        assert abs(s_c - np.square(phase.kappa(theta_c))) \
+            <= 10.0 * np.spacing(s_c)
+        target = 2.0 * np.pi * kept
+        assert abs(phase.psi_rel(theta_c) + target) \
+            <= 10.0 * np.spacing(target)
+        assert abs(theta_c - _bisect_cut(phase, kept)) \
+            <= 8.0 * np.spacing(theta_c)
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,20 @@ def test_angular_vector_valued():
     val = integrate_angular(f)
     assert val == pytest.approx([np.pi, np.pi], rel=1e-12)
 
+
+
+def test_angular_rejects_bad_inputs_before_sampling():
+    # A NaN rel_tol would otherwise grind through every doubling (524,288
+    # samples at the default 16) before it raised ConvergenceError.
+    calls = []
+
+    def f(phis):
+        calls.append(len(phis))
+        return np.cos(phis) ** 2
+
+    for kwargs in ({"rel_tol": np.nan}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
+                   {"abs_floor": -1e-12}, {"abs_floor": np.nan},
+                   {"max_doublings": 0}, {"max_doublings": -3}):
+        with pytest.raises(ValueError, match="integrate_angular"):
+            integrate_angular(f, **kwargs)
+    assert calls == []
