@@ -50,9 +50,13 @@ integral of a short stack of rows, the matrices applied to its result.
 
 amplitude_numeric integrates only the sector propagating in vacuum,
 kappa < min(q_s, q_i). The evanescent sector it leaves out is small but not
-negligible: its integral measured 4e-5 of the amplitude for a 0.1 mm slab
-with detectors 0.15 mm out, and 2e-6 to 5e-6 for a 2 mm slab at 3 mm and
-for a split at 3 cm, so the route is only as good as that at close range.
+negligible. In s = kappa^2 it is the integral along the ray from grazing
+that the full disc subtracts (below): Cauchy's theorem moves the half-line
+s > s_max onto that ray through Im s < 0, where nothing is singular. It
+measured 4e-5 of the amplitude for a 0.1 mm slab with detectors 0.15 mm
+out, 1.3e-5 for a 2 mm slab at 1.2 mm, and 2e-6 to 5e-6 for a 2 mm slab
+at 3 mm and for a split at 3 cm, so the route is only as good as that at
+close range.
 The substitution kappa = kappa_max sin(theta) removes the
 1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
 oscillates ~q z / 2 pi times over the disc. The radial integral splits at
@@ -73,18 +77,27 @@ Newton puts Gauss-Laguerre nodes in t on each (_path_sums), and the order
 doubles from 8 until two orders agree (_path_head). s = 0, the stationary
 point of Psi in theta, is a plain endpoint in s. With 8 + 16 nodes a path
 and 9 for the tail stencil, an amplitude takes 57 integrand nodes where
-Gauss-Kronrod panels of equal phase (_integrate_head) took about 12k. Those
-panels remain for a head the path refuses (Newton off the path, or a tol
-below its rounding floor) and for the full range, when there are too few
-cycles for a tail closure (thin slabs at close range, 14-19k nodes).
+Gauss-Kronrod panels of equal phase (_integrate_head) took about 12k.
+
+With too few cycles for a tail closure (thin slabs at close range, or K
+escalated short of the full-range limit) the head is the whole disc
+[0, s_max], s_max = kappa_max^2, the same difference with its second
+contour from grazing. s_max is a branch point, and the slab's guided-mode
+poles lie just above the real axis beyond it (Michalski and Mosig, J.
+Electromagn. Waves Appl. (2016)), so that contour is a straight 45 degree
+ray in u, the kappa_max mode's q_z, which is analytic there and needs no
+Newton (_DetectorPhase.ray). A thin slab takes 48 nodes, 8 + 16 on each
+contour, where GK15 panels took 14-19k. The panels remain for a head
+either contour refuses (Newton off the path, or a tol below its rounding
+floor), over [0, theta_c] or the full range.
 
 The per-node kernel (_Channels, then _angular_rows) takes real kappa on
-the disc and complex kappa on the paths. A node takes two complex
-exponentials, e^{i k_z L/2} of each split mode, and one at a degenerate
-split, where signal and idler are one mode; every slab phase is a product
-of them and of the pump's, with half the rounding error of exp of the
-rounded sum sk L/2 (_Channels). The Bessel rows are scipy's jv, which takes
-complex arguments.
+the disc and complex kappa on the paths and the ray. A node takes two
+complex exponentials, e^{i k_z L/2} of each split mode, and one at a
+degenerate split, where signal and idler are one mode; every slab phase is
+a product of them and of the pump's, with half the rounding error of exp
+of the rounded sum sk L/2 (_Channels). The Bessel rows are scipy's jv,
+which takes complex arguments.
 
 The far field is the leading term of the same integral, not a formula of
 its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
@@ -161,11 +174,14 @@ _TAIL_RATIO_LIMIT = 0.1
 _PANEL_CYCLES = 0.75 * (2.0 / 15.0) ** (1.0 / 13.0)
 # Steepest-descent head: Gauss-Laguerre orders double from _PATH_NODES up
 # to _PATH_NODES_MAX while the N and 2N sums disagree; Newton has
-# _NEWTON_STEPS steps to put every node on its path (_descent_nodes).
+# _NEWTON_STEPS steps to put every node on its path (_descent_nodes). The
+# full disc ends on the ray from grazing that leaves the u axis at
+# _RAY_ANGLE (_DetectorPhase.ray).
 _PATH_NODES = 8
 _PATH_NODES_MAX = 64
 _NEWTON_STEPS = 12
 _NEWTON_ULPS = 8
+_RAY_ANGLE = 0.25 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +470,10 @@ class _Channels:
     Vectorized over kappa. Holds the split-mode kinematics, the four X
     factors keyed by (signal, idler) polarization, and the slab phase
     csinc(dk L/2) e^{i sk L/2}. Real kappa (the disc) goes through the
-    public ``kinematics``; complex kappa (the steepest-descent nodes, with
-    Im kappa^2 < 0) through _path_kinematics, whose principal roots agree
-    with branch_sqrt there. The rest is the same code on either.
+    public ``kinematics``; complex kappa (the steepest-descent and ray
+    nodes, with Im kappa^2 < 0) through _path_kinematics, whose principal
+    roots agree with branch_sqrt there. The rest is the same code on
+    either.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
@@ -645,6 +662,7 @@ class _DetectorPhase:
 
     def __init__(self, cfg, modes):
         self.kap_max = min(modes.q_s, modes.q_i)
+        self.s_max = self.kap_max * self.kap_max
         self.parts = ((modes.q_s, cfg.z_signal), (modes.q_i, cfg.z_idler))
         self.psi_ref = sum(z * q for q, z in self.parts)
 
@@ -689,6 +707,30 @@ class _DetectorPhase:
     def slope(self, s):
         """d psi_rel / ds = -sum z / (2 sqrt(q^2 - s))."""
         return -0.5 * sum(z / np.sqrt(q * q - s) for q, z in self.parts)
+
+    def ray(self, t):
+        """Nodes s and weights ds/dt e^{i rise(s, s_max) + t} of the ray
+        from grazing.
+
+        In u, the kappa_max mode's q_z, s = (kappa_max - u)(kappa_max + u),
+        and the ray is u = t e^{i alpha} / (Z0 sin alpha), alpha = _RAY_ANGLE,
+        with Z0 the summed z of the modes whose q is kappa_max. Their phase
+        rises by Z0 u, so e^{i Z0 u} = e^{-t} e^{i t cot alpha}; any other
+        mode's rises by the cancellation-free z u^2/(sqrt(u^2 + D) + sqrt D),
+        D = q^2 - kappa_max^2, and decays on the ray too. No Newton: u is
+        linear in t and ds/dt = -2 u du/dt.
+        """
+        k = self.kap_max
+        z0 = sum(z for q, z in self.parts if q == k)
+        cot = 1.0 / np.tan(_RAY_ANGLE)
+        du = (cot + 1j) / z0
+        u = t * du
+        turn = cot * t
+        for q, z in self.parts:
+            if q != k:
+                d = (q - k) * (q + k)
+                turn = turn + z * u * u / (np.sqrt(u * u + d) + np.sqrt(d))
+        return (k - u) * (k + u), -2.0 * u * du * np.exp(1j * turn)
 
 
 def _slab_phase_rate(modes, theta):
@@ -780,21 +822,29 @@ def _path_sums(rows, phase, s_c, orders):
     """The head [0, s_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
 
     In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
-    by Cauchy's theorem it equals the difference of the two paths that
-    leave 0 and the cut s_c into Im s < 0 along
-    psi_rel(s) = psi_rel(s0) + i t, where e^{i psi_rel} = e^{i psi_rel(s0)}
-    e^{-t}: I(s0) = (1/2) e^{i psi_rel(s0)} sum_j w_j rows(s_j) i/psi'(s_j).
-    The nodes of every order go through rows in one call. Returns one
-    (m,) head per order, or None if Newton fails.
+    by Cauchy's theorem it equals the difference of two contours that
+    leave 0 and s_c into Im s < 0. From 0, and from a cut s_c < s_max, they
+    are the steepest-descent paths psi_rel(s) = psi_rel(s0) + i t, where
+    e^{i psi_rel} = e^{i psi_rel(s0)} e^{-t}:
+    I(s0) = (1/2) e^{i psi_rel(s0)} sum_j w_j rows(s_j) i/psi'(s_j). From
+    s_c = s_max, the grazing branch point, it is _DetectorPhase.ray, and
+    the full disc needs no tail. The nodes of every order go through rows
+    in one call. Returns one (m,) head per order, or None if Newton fails.
     """
-    s0 = np.array([[0.0], [s_c]], dtype=complex)
+    grazing = s_c == phase.s_max
+    s0 = np.array([[0.0], [s_c]], dtype=complex)[:1 if grazing else 2]
     lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.rise(s_c, 0.0))]])
     t = np.concatenate([_laguerre(n)[0] for n in orders])
     s = _descent_nodes(phase, s0, t)
     if s is None:
         return None
-    terms = rows(np.sqrt(s).ravel()).reshape(-1, 2, len(t)) \
-        * (lead / phase.slope(s))
+    weight = lead[:len(s0)] / phase.slope(s)
+    if grazing:
+        # lead holds a path's i of ds/dt = i/psi'; the ray's dsdt is whole.
+        ray, dsdt = phase.ray(t)
+        s = np.vstack([s, ray])
+        weight = np.vstack([weight, -1j * lead[1] * dsdt])
+    terms = rows(np.sqrt(s).ravel()).reshape(-1, 2, len(t)) * weight
     ends = np.cumsum(orders)
     return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
             for n, end in zip(orders, ends)]
@@ -806,12 +856,12 @@ def _path_head(rows, phase, modes, s_c, tol):
     The error is the 1-norm over the rows of the difference of the N and 2N
     heads plus a rounding floor: a node carries the rounding of the phases
     it exponentiates, eps Phi relative with Phi = |psi_rel(s_c)| +
-    (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut and the slab's.
-    The 2N head is returned once the error is within tol/2 of it, as the
-    GK15 head is held. Returns None when Newton fails, when the floor alone
-    exceeds tol/2 (about 7e-11 for a 2 mm slab), or when the check still
-    fails at order _PATH_NODES_MAX; the caller then integrates the head by
-    GK15.
+    (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
+    s_c = s_max, for the full disc) and the slab's. The 2N head is returned
+    once the error is within tol/2 of it, as the GK15 head is held. Returns
+    None when Newton fails, when the floor alone exceeds tol/2 (about 7e-11
+    for a 2 mm slab), or when the check still fails at order
+    _PATH_NODES_MAX; the caller then integrates the head by GK15.
     """
     phi = abs(phase.rise(s_c, 0.0)) + modes.length * (
         abs(modes.kin_p.k) + abs(modes.k_s) + abs(modes.k_i))
@@ -839,12 +889,14 @@ def _integrate_oscillatory(rows, phase, modes, tol):
     measure. Returns (vector of m integrals, error estimate). The tail is
     closed at the cut theta_c only (module notes), and checked before any
     head is computed, so no head is computed for a kept-cycle count that
-    gets escalated. With the closure accepted, the head [0, theta_c] is
-    _path_head's, or GK15's (_integrate_head) if the path refuses; without
-    it the full range is the GK15 head with upper = pi/2 and no tail.
-    Raises ConvergenceError when neither the tail closure nor a full-range
-    sweep can reach tol; the value it carries includes the tail and the
-    e^{i Psi(0)} reference phase.
+    gets escalated. With the closure accepted, the head is [0, theta_c];
+    without it (too few cycles, or escalation short of _FULL_RANGE_CYCLES)
+    it is the full range [0, pi/2] with no tail. Either head is
+    _path_head's, on a cut path or on the ray from grazing, or GK15's
+    (_integrate_head) if the contour refuses. Raises ConvergenceError when
+    neither the tail closure nor a full-range sweep can reach tol; the
+    value it carries includes the tail and the e^{i Psi(0)} reference
+    phase.
     """
     def slow(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -853,15 +905,15 @@ def _integrate_oscillatory(rows, phase, modes, tol):
 
     cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
     kept = _KEPT_CYCLES
-    upper, rel_tol, tail, err_tail, path = 0.5 * np.pi, tol, 0.0, 0.0, None
+    upper, rel_tol, s_c = 0.5 * np.pi, tol, phase.s_max
+    tail, err_tail = 0.0, 0.0
     while cycles > 1.5 * kept:
-        theta_c, s_c = phase.cut(kept)
+        theta_c, s_cut = phase.cut(kept)
         cut, ratio, n3 = _tail_terms(slow, phase, theta_c,
                                      min(1e-5, theta_c / 16.0))
         if ratio <= _TAIL_RATIO_LIMIT:
-            upper, rel_tol = theta_c, 0.5 * tol
+            upper, rel_tol, s_c = theta_c, 0.5 * tol, s_cut
             tail, err_tail = -cut, n3 * min(1.0, ratio)
-            path = _path_head(rows, phase, modes, s_c, tol)
             break
         if kept < _KEPT_CYCLES_MAX:
             kept *= 4
@@ -873,6 +925,7 @@ def _integrate_oscillatory(rows, phase, modes, tol):
             f"{ratio:.2e} with {kept} kept cycles of {cycles:.3e})",
             None, np.inf)
 
+    path = _path_head(rows, phase, modes, s_c, tol)
     ref = np.exp(1j * phase.psi_ref)
     if path is not None:
         head, err_head = path

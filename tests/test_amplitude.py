@@ -573,9 +573,11 @@ def _path_run(monkeypatch, cfg):
 
 
 def _gk15(seen, rel_tol):
-    """The GK15 head over the same [0, theta_c], or its best value."""
+    """The GK15 head over the same [0, theta_c], or its best value; over
+    [0, pi/2] when the head is the full disc."""
     phase, rows = seen["phase"], seen["rows"]
-    theta_c = np.arcsin(np.sqrt(seen["s_c"]) / phase.kap_max)
+    theta_c = (0.5 * np.pi if seen["s_c"] == phase.s_max
+               else np.arcsin(np.sqrt(seen["s_c"]) / phase.kap_max))
 
     def slow(theta):
         kap = phase.kappa(theta)
@@ -593,13 +595,18 @@ def _norm(v):
 
 
 def _sc_path(seen, order=16):
-    """I(s_c) alone: the path from the cut, Gauss-Laguerre of this order."""
+    """I(s_c) alone, Gauss-Laguerre of this order: the path from the cut,
+    or the ray from grazing for the full disc."""
     phase, s_c = seen["phase"], seen["s_c"]
     t, w = amplitude._laguerre(order)
-    s0 = np.array([[s_c]], dtype=complex)
-    s = amplitude._descent_nodes(phase, s0, t)[0]
-    return 0.5j * np.exp(1j * phase.rise(s_c, 0.0)) \
-        * ((seen["rows"](np.sqrt(s)) / phase.slope(s)) @ w)
+    if s_c == phase.s_max:
+        s, dsdt = phase.ray(t)
+    else:
+        s0 = np.array([[s_c]], dtype=complex)
+        s = amplitude._descent_nodes(phase, s0, t)[0]
+        dsdt = 1j / phase.slope(s)
+    return 0.5 * np.exp(1j * phase.rise(s_c, 0.0)) \
+        * ((seen["rows"](np.sqrt(s)) * dsdt) @ w)
 
 
 @pytest.mark.parametrize("name", sorted(_PATH_SPREAD))
@@ -649,6 +656,79 @@ def test_newton_failure_falls_back_to_gk15_head(monkeypatch):
     fallback = amplitude_numeric(cfg, tol=1e-6).matrix
     assert len(calls) == 1 and calls[0] < 0.5 * np.pi
     assert np.linalg.norm(fallback - path) <= 1e-9 * np.linalg.norm(path)
+
+
+# ---------------------------------------------------------------------------
+# The full disc on the path from the axis and the ray from grazing
+# ---------------------------------------------------------------------------
+
+_THIN = {"length": 1e-4, "z": 1.5e-4}
+# Configs with too few cycles for a tail closure, so that the head is the
+# full disc: 0.1 mm slabs 0.12-0.18 mm out, Types I and II, degenerate and
+# 3-4% splits, n'' = 0, 1e-6 and 1e-5, unequal distances (also on the
+# kappa_max mode of a split), a 5 um offset, and the 2 mm slab at 1.2 mm
+# that escalates the kept cycles to the full range.
+_DISC_SPREAD = {
+    "I": make_cfg(**_THIN),
+    "II": make_cfg(kind="II", **_THIN),
+    "I-lossless": make_cfg(n_imag=0.0, **_THIN),
+    "II-1e-5": make_cfg(kind="II", n_imag=1e-5, **_THIN),
+    "I-split-3%": _split_cfg("I", 0.03, **_THIN),
+    "II-split-4%": _split_cfg("II", 0.04, n_imag=1e-5, **_THIN),
+    "I-unequal-z": replace(make_cfg(**_THIN), z_idler=1.2e-4),
+    "II-split-unequal-z": replace(
+        _split_cfg("II", -0.03, n_imag=0.0, **_THIN), z_signal=1.8e-4),
+    "II-5um": make_cfg(kind="II", offset=(4e-6, -3e-6), **_THIN),
+    "I-2mm-1.2mm": make_cfg(z=1.2e-3),
+}
+
+
+def _disc_run(monkeypatch, name):
+    seen = _path_run(monkeypatch, _DISC_SPREAD[name])
+    assert seen["s_c"] == seen["phase"].s_max
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_DISC_SPREAD))
+def test_disc_matches_gk15_full_range(monkeypatch, name):
+    # I(0) - I_ray(s_max) against GK15 over [0, pi/2] at 1e-9 (its best
+    # value where the budget runs out), within 1e-10 of the disc. The ray
+    # term alone is above 1e-7 of it: 4.8e-7 at the 5 um offset, where
+    # J_n(kappa rho) has fallen off by grazing, and 4e-5 to 4e-3 elsewhere.
+    seen = _disc_run(monkeypatch, name)
+    head, _ = seen["out"]
+    want = _gk15(seen, 1e-9)
+    assert _norm(head - want) <= 1e-10 * _norm(want)
+    assert _norm(_sc_path(seen)) >= 1e-7 * _norm(want)
+
+
+@pytest.mark.parametrize("name", sorted(_DISC_SPREAD))
+def test_disc_estimate_bounds_realized_deviation(monkeypatch, name):
+    # The returned disc against order 64 on the same two contours.
+    seen = _disc_run(monkeypatch, name)
+    head, err = seen["out"]
+    best, = amplitude._path_sums(seen["rows"], seen["phase"], seen["s_c"],
+                                 (64,))
+    assert _norm(head - best) <= err
+
+
+def test_refused_disc_falls_back_to_gk15_full_range(monkeypatch):
+    # Without Newton steps the path from the axis refuses, and GK15
+    # integrates the whole disc of a thin slab to the same amplitude.
+    cfg = _DISC_SPREAD["II-5um"]
+    disc = amplitude_numeric(cfg, tol=1e-6).matrix
+    calls = []
+    head = amplitude._integrate_head
+
+    def spy(*args):
+        calls.append(args[3])
+        return head(*args)
+
+    monkeypatch.setattr(amplitude, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(amplitude, "_integrate_head", spy)
+    fallback = amplitude_numeric(cfg, tol=1e-6).matrix
+    assert calls == [0.5 * np.pi]
+    assert np.linalg.norm(fallback - disc) <= 1e-9 * np.linalg.norm(disc)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ _PATH = """\
 z_signal = 100 mm
 z_idler = 100 mm
 """
-# Type II with a displaced detector, so the J2 and J4 angular rows run, on
-# the path's complex nodes and, for the thin slab's full-range GK15 head, on
-# real ones.
+# Collinear 0.1 mm slab at 0.15 mm: the full disc, on the path from the axis
+# and the ray from grazing, whose nodes are complex too.
+_THIN = _PATH.replace("100 mm", "0.15 mm") + "crystal_length = 0.1 mm\n"
+# Type II with a displaced detector, so the J2 and J4 angular rows run on
+# the complex nodes of the cut paths and, for the thin slab, of the path
+# from the axis and the ray from grazing.
 _DISPLACED_II = """\
 conversion = II
 z_signal = 100 mm
@@ -82,8 +85,9 @@ def test_collinear_numeric_loads_no_scipy(tmp_path):
 import json, sys
 import slabpdc.cli as cli
 from slabpdc import amplitude_numeric, load_config
-from test_imports import _PATH
+from test_imports import _PATH, _THIN
 amplitude_numeric(load_config(_PATH))
+amplitude_numeric(load_config(_THIN))
 assert cli.main(["preset", "fig5", "--method", "numeric",
                  "--out", "fig5.csv"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))

@@ -350,14 +350,15 @@ _ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
 
 @pytest.mark.parametrize("cfg, nodes", [
     (_ROUTE_CFGS["collinear-1m"], 57),
-    (_ROUTE_CFGS["thin-full-range"], 16245),
+    (_ROUTE_CFGS["thin-full-range"], 48),
     (_ROUTE_CFGS["displaced-II"], 57),
 ], ids=["collinear-1m", "thin-full-range", "displaced-II"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
-    # A kernel change that moves the adaptive partition shows here first.
-    # The thin slab takes the GK15 head over the full range; the others
-    # close the tail on a 9-node stencil and take the head on two paths of
-    # 8 + 16 Laguerre nodes each.
+    # A kernel change that moves a contour or the adaptive partition shows
+    # here first. The thin slab takes the full range on the path from the
+    # axis and the ray from grazing; the others close the tail on a 9-node
+    # stencil and take the head on two paths. Each contour has 8 + 16
+    # Laguerre nodes.
     counted = []
     channels = amplitude._Channels
 
@@ -370,11 +371,10 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     assert sum(counted) == nodes
 
 
-def _gk15_head(monkeypatch, name):
-    """Make the head GK15's: the thin slab takes it over the full range, and
-    the others take it as the fallback of a refused path."""
-    if name != "thin-full-range":
-        monkeypatch.setattr(amplitude, "_path_head", lambda *args: None)
+def _gk15_head(monkeypatch):
+    """Make the head GK15's, the fallback of a refused contour: over the
+    full range for the thin slab, and up to the cut for the others."""
+    monkeypatch.setattr(amplitude, "_path_head", lambda *args: None)
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
@@ -393,7 +393,7 @@ def test_head_seed_panels_hold_equal_phase(monkeypatch, name):
         seen["edges"] = edges.copy()
         return partition(f, edges, spec)
 
-    _gk15_head(monkeypatch, name)
+    _gk15_head(monkeypatch)
     monkeypatch.setattr(amplitude, "_integrate_head", spy_head)
     monkeypatch.setattr(amplitude, "_integrate_partition", spy_partition)
     amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
@@ -421,7 +421,7 @@ def test_head_seed_needs_at_most_one_refinement_round(monkeypatch, name):
         calls.append(len(lo))
         return panels(f, lo, hi)
 
-    _gk15_head(monkeypatch, name)
+    _gk15_head(monkeypatch)
     monkeypatch.setattr(quadrature, "_panels", counting)
     amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
     assert 1 <= len(calls) <= 2
