@@ -348,14 +348,21 @@ def fresnel(sigma, kin, eps, length):
 
 def _checked(eps, name):
     """eps as a Python complex for one point, a complex array for a stack;
-    rejected where it is 0 or NaN."""
+    rejected at the first point where it is 0 (ZeroDivisionError) or NaN
+    (ValueError), which a stack's error carries as ``index``, as from
+    ``reject``."""
     if isinstance(eps, np.ndarray) and eps.ndim:
         eps = eps.astype(complex, copy=False)
     else:
         eps = complex(eps)
-    reject(eps == 0, ZeroDivisionError,
-           lambda i: f"{name} singular at eps = 0")
-    reject(eps != eps, ValueError, lambda i: f"{name}: eps is NaN")
+    zero = eps == 0
+    bad = np.asarray(zero | (eps != eps))
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = (ZeroDivisionError(f"{name} singular at eps = 0")
+               if np.ravel(zero)[i] else ValueError(f"{name}: eps is NaN"))
+        exc.index = i
+        raise exc
     return eps
 
 
@@ -371,6 +378,17 @@ def local_field(eps):
     return _local_field(_checked(eps, "local_field"))
 
 
+def _noise_factor(eps):
+    """noise_factor of a checked eps: a Python complex or a complex array."""
+    lossless = eps.imag == 0.0
+    if isinstance(eps, complex):
+        if lossless:
+            return 1.0 + 0.0j
+        return 1.0 - 2j * EPS0 * eps.imag * _local_field(eps)
+    return np.where(lossless, 1.0 + 0.0j,
+                    1.0 - 2j * EPS0 * eps.imag * _local_field(eps))
+
+
 def noise_factor(eps):
     """Noise-polarization enhancement A = 1 - 2 i eps0 eps'' L[eps].
 
@@ -381,14 +399,7 @@ def noise_factor(eps):
     eps = 0 raises ZeroDivisionError, a NaN eps (real or imaginary part)
     ValueError.
     """
-    eps = _checked(eps, "noise_factor")
-    lossless = eps.imag == 0.0
-    if isinstance(eps, complex):
-        if lossless:
-            return 1.0 + 0.0j
-        return 1.0 - 2j * EPS0 * eps.imag * _local_field(eps)
-    return np.where(lossless, 1.0 + 0.0j,
-                    1.0 - 2j * EPS0 * eps.imag * _local_field(eps))
+    return _noise_factor(_checked(eps, "noise_factor"))
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,10 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     drops to the goal: target = max(rel_tol*|value|_1, abs_floor), or the
     roundoff floor of the integrand if that is larger. Each round bisects,
     worst first, the fewest panels whose errors add up to more than
-    err_total - goal, within the subdivision budget, and evaluates all
-    their children in one blocked pass. A spent budget raises
+    err_total - goal, and evaluates all their children in one blocked
+    pass. A round that needs more panels than the subdivision budget has
+    left bisects at most half of what is left, so the budget follows the
+    worst children down, as a one-panel heap's would. A spent budget raises
     ConvergenceError with the best value (None when the seed partition
     alone exceeds the budget).
 
@@ -173,7 +175,9 @@ def _integrate_partition(f, edges, spec):
         worst = np.argsort(-err, kind="stable")
         need = np.searchsorted(np.cumsum(err[worst]), err_total - goal,
                                side="right") + 1
-        pick = np.sort(worst[:min(need, room)])
+        # A round that would overrun the budget takes at most half of what
+        # is left, so the rest follows the worst children down.
+        pick = np.sort(worst[:need if need <= room else max(1, room // 2)])
         # A picked panel gets a new column before its own; both columns
         # then hold its two children.
         edges = np.insert(edges, pick + 1,

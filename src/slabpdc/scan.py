@@ -89,7 +89,7 @@ from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
                         phase_terms, rates, sinc_profile)
 from .greens import Chi2Geometry
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
-                        kinematics, noise_factor)
+                        _checked, _noise_factor, kinematics)
 
 __version__ = "0.1.0"
 
@@ -632,16 +632,20 @@ def _sinc_columns(sw):
 
 
 def _gain_columns(sw):
-    # Scalar noise_factor arithmetic, point by point: |a|^2 - 1 cancels
-    # about 11 digits at small n'', so the column keeps the rounding of
-    # the one-point formula rather than that of the vector kernels.
+    # |a|^2 - 1 cancels about 11 digits at small n'', so the column keeps
+    # the rounding of the one-point formula: noise_factor's checks run once
+    # on the (point, mode) stack, its core point by point in Python complex
+    # arithmetic.
     n_s, n_i = (np.broadcast_to(sw.index(w), (sw.count,)).tolist()
                 for w in (sw.omega_s, sw.omega_i))
-
-    def gain(i):
-        a = noise_factor(n_s[i] * n_s[i]) * noise_factor(n_i[i] * n_i[i])
-        return float(abs(a) ** 2 - 1.0)
-    return [_per_point(gain, sw.count)]
+    eps = [(s * s, i * i) for s, i in zip(n_s, n_i)]
+    try:
+        _checked(np.array(eps), "noise_factor")
+    except (ZeroDivisionError, ValueError) as exc:
+        exc.index //= 2
+        raise
+    return [[float(abs(_noise_factor(a) * _noise_factor(b)) ** 2 - 1.0)
+             for a, b in eps]]
 
 
 def _matrix_columns(sw):

@@ -560,9 +560,10 @@ def _path_run(monkeypatch, cfg):
     seen = {}
     path_head = amplitude._path_head
 
-    def spy(rows, phase, modes, s_c, tol):
-        out = path_head(rows, phase, modes, s_c, tol)
-        seen.update(rows=rows, phase=phase, modes=modes, s_c=s_c, out=out)
+    def spy(rows, phase, modes, s_c, tol, solved=None):
+        out = path_head(rows, phase, modes, s_c, tol, solved)
+        seen.update(rows=rows, phase=phase, modes=modes, s_c=s_c,
+                    solved=solved, out=out)
         return out
 
     monkeypatch.setattr(amplitude, "_path_head", spy)

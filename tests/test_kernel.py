@@ -4,7 +4,8 @@ _Channels fuses the public slab pieces (kinematics, fresnel, x_factor,
 phase_terms, complex_sinc) into two exponentials per node, one at a
 degenerate split; here it is checked against their plain composition,
 against 40-digit values, against its own two-mode branch at a degenerate
-split (bit for bit), and for the node counts of the radial route it feeds.
+split (bit for bit), and for the node counts and kernel calls of the
+radial route it feeds.
 The Bessel factors of _angular_rows are checked against 30-digit values,
 on the real axis and at the complex nodes of the steepest-descent paths.
 """
@@ -17,11 +18,11 @@ import pytest
 from slabpdc import amplitude, quadrature
 from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
                                _Modes, _descent_nodes, _laguerre,
-                               _split_factors, amplitude_numeric,
+                               _split_factors, _stencil, amplitude_numeric,
                                complex_sinc, phase_terms, x_factor)
 from slabpdc.materials import (C_LIGHT, TE, TM, branch_sqrt, fresnel,
                                kinematics)
-from test_amplitude import OMEGA, make_cfg
+from test_amplitude import OMEGA, _split_cfg, make_cfg
 
 # Index triples (signal, idler, pump): lossless, uniform absorption, and
 # absorption split between the daughters and the pump.
@@ -369,6 +370,52 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     monkeypatch.setattr(amplitude, "_Channels", counting)
     amplitude_numeric(cfg, tol=1e-6)
     assert sum(counted) == nodes
+
+
+_ONE_CALL_CFGS = {
+    "collinear-degenerate": _ROUTE_CFGS["collinear-1m"],
+    "collinear-split": _split_cfg("II", 0.04, z=0.1),
+    "displaced": _ROUTE_CFGS["displaced-II"],
+    "thin": _ROUTE_CFGS["thin-full-range"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_CALL_CFGS))
+def test_numeric_amplitude_builds_channels_once(monkeypatch, name):
+    # A cut route sends its 9 tail stencil nodes and the 48 nodes of its two
+    # paths through one kernel call, and solves the paths once; the thin
+    # slab's full disc takes the path from the axis and the ray from
+    # grazing in one call too.
+    calls = {"_Channels": 0, "_descent_nodes": 0}
+    for fname in calls:
+        def counting(*args, _name=fname, _f=getattr(amplitude, fname)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(amplitude, fname, counting)
+    amplitude_numeric(_ONE_CALL_CFGS[name], tol=1e-6)
+    assert calls == {"_Channels": 1, "_descent_nodes": 1}
+
+
+@pytest.mark.parametrize("name", ["collinear-degenerate", "collinear-split",
+                                  "displaced"])
+def test_stencil_rows_take_the_path_kinematics(name):
+    # The stencil kappa of a cut go through the kernel as complex numbers on
+    # the real axis. On axis their rows are those of the real kappa bit for
+    # bit; with an offset jv of a complex argument moves them by rounding.
+    cfg = _ONE_CALL_CFGS[name]
+    modes = _Modes.of(cfg)
+    phase = _DetectorPhase(cfg, modes)
+    rho = float(np.hypot(*cfg.offset))
+    for kept in (512, 2048):
+        grid, _ = _stencil(phase.cut(kept)[0])
+        kap = phase.kappa(grid)
+        real = _angular_rows(cfg, _Channels(modes, kap), kap, rho)
+        axis = _angular_rows(cfg, _Channels(modes, kap + 0j), kap + 0j, rho)
+        if rho == 0.0:
+            assert np.array_equal(axis, real)
+        else:
+            assert np.max(np.abs(axis - real)) \
+                <= 4e-15 * np.max(np.abs(real))
 
 
 def _gk15_head(monkeypatch):

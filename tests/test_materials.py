@@ -295,6 +295,13 @@ def test_nan_input_rejected():
     with pytest.raises(ValueError, match="NaN") as info:
         noise_factor(np.array([2.7 + 1e-6j, 2.7, nan]))
     assert info.value.index == 2
+    # a stack fails at its first bad point, with that point's own error
+    with pytest.raises(ValueError, match="NaN") as info:
+        noise_factor(np.array([2.7, nan, 0.0]))
+    assert info.value.index == 1
+    with pytest.raises(ZeroDivisionError, match="eps = 0") as info:
+        local_field(np.array([2.7, 0.0, nan]))
+    assert info.value.index == 1
 
 
 def test_noise_gain_band_for_ten_percent_loss():

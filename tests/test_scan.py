@@ -6,6 +6,7 @@ returning partial tables.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from slabpdc import amplitude, scan
 from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
-from slabpdc.materials import DispersionRangeError, kinematics
+from slabpdc.materials import DispersionRangeError, kinematics, noise_factor
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
                           ScanResult, emit, load_config, point_result, preset,
                           preset_text, run_scan, scan_request_from_config)
@@ -489,6 +490,37 @@ def test_preset_fig4_gain_curve():
     assert len(gains) == 200
     assert gains[0] == 0.0
     assert all(a < b for a, b in zip(gains, gains[1:]))
+
+
+def test_gain_column_is_the_one_point_formula():
+    # The column checks its stack once and then takes noise_factor's own
+    # arithmetic point by point, bit for bit: on the fig4 grid and on a
+    # split-frequency n_imag scan.
+    split = ("signal_frequency = 3.44e15\nidler_frequency = 3.64e15\n"
+             "scan_axis = n_imag\nscan_start = 0.0\nscan_stop = 2e-4\n"
+             "scan_count = 9\nobservables = a_factor_gain\n")
+    for req in (preset("fig4"), scan_request_from_config(split)):
+        result = run_scan(req)
+        index = req.base.crystal.index
+        n_s, n_i = (index(w).real for w in (req.base.signal_frequency,
+                                            req.base.idler_frequency))
+        assert len(result.rows) == req.range[2]
+        for x, (got,) in zip(result.axis_values, result.rows):
+            sig, idl = complex(n_s, x), complex(n_i, x)
+            a = noise_factor(sig * sig) * noise_factor(idl * idl)
+            assert got == float(abs(a) ** 2 - 1.0)
+
+
+def test_gain_column_fails_at_the_first_bad_point():
+    # One stacked check raises where the point-by-point calls, signal first,
+    # would: at point 1 (a NaN idler), not at the zeros that follow.
+    nan = float("nan")
+    rows = {"s": [1.6, 1.6, 0.0, 1.6], "i": [1.6, nan, 1.6, 0.0]}
+    sweep = SimpleNamespace(omega_s="s", omega_i="i", count=4,
+                            index=lambda w: np.array(rows[w], dtype=complex))
+    with pytest.raises(ValueError, match="noise_factor: eps is NaN") as info:
+        scan._gain_columns(sweep)
+    assert info.value.index == 1
 
 
 def test_preset_fig3_minima_lifted_by_unbalanced_absorption():
