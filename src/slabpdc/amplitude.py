@@ -48,26 +48,14 @@ is exact in J0, J2 and J4 of kappa rho (Jacobi-Anger, DLMF 10.12), times
 constant 2x2 matrices of psi. Every detector placement is then one radial
 integral of a short stack of rows, the matrices applied to its result.
 
-amplitude_numeric integrates only the sector propagating in vacuum,
-kappa < min(q_s, q_i). The evanescent sector it leaves out is small but not
-negligible. In s = kappa^2 it is the integral along the ray from grazing
-that the full disc subtracts (below): Cauchy's theorem moves the half-line
-s > s_max onto that ray through Im s < 0, where nothing is singular. It
-measured 4e-5 of the amplitude for a 0.1 mm slab with detectors 0.15 mm
-out, 1.3e-5 for a 2 mm slab at 1.2 mm, and 2e-6 to 5e-6 for a 2 mm slab
-at 3 mm and for a split at 3 cm, so the route is only as good as that at
-close range.
-The substitution kappa = kappa_max sin(theta) removes the
-1/q_z endpoint behaviour. The detector phase Psi = z_s q_zs + z_i q_zi
-oscillates ~q z / 2 pi times over the disc. The radial integral splits at
-the cut theta_c after K phase cycles (Newton, _DetectorPhase.cut) and
-closes the tail with a three-term integration-by-parts series in 1/(i Psi'),
-escalating K while the series ratio shows no clear convergence.
-The series is taken at the cut only: at theta = pi/2 the cos(theta)
-measure in slow and the |cos(theta)| in the grazing q_z make g and Psi'
-odd, so a central stencil gives zero there, and the one-sided term it
-misses (up to 4e-5 of the amplitude at 1.2 mm to 1 m) is left out, like
-the evanescent sector.
+The substitution kappa = kappa_max sin(theta), kappa_max = min(q_s, q_i),
+removes the 1/q_z endpoint behaviour at grazing. The detector phase
+Psi = z_s q_zs + z_i q_zi oscillates ~q z / 2 pi times over the disc. The
+radial integral splits at the cut theta_c after 512 phase cycles (Newton,
+_DetectorPhase.cut) and closes the tail with a three-term
+integration-by-parts series in 1/(i Psi') there. A closure whose series
+ratio shows no clear convergence is refused, and the head is then the
+whole disc (below); no other cut is tried.
 
 The head [0, theta_c] is exact. In s = kappa^2 it is the difference of two
 steepest-descent paths (numerical steepest descent: Huybrechs and
@@ -78,21 +66,36 @@ doubles from 8 until two orders agree (_path_head). s = 0, the stationary
 point of Psi in theta, is a plain endpoint in s. With 8 + 16 nodes a path
 and 9 for the tail stencil, an amplitude takes 57 integrand nodes where
 Gauss-Kronrod panels of equal phase (_integrate_head) took about 12k. The
-paths are solved at each cut before its tail is checked, so the 9 stencil
-nodes and the 48 path nodes go through the kernel in one call: an
-amplitude's time is per-call overhead, not node count.
+paths are solved before the tail is checked, so the 9 stencil nodes and
+the 48 path nodes go through the kernel in one call: an amplitude's time
+is per-call overhead, not node count.
 
-With too few cycles for a tail closure (thin slabs at close range, or K
-escalated short of the full-range limit) the head is the whole disc
-[0, s_max], s_max = kappa_max^2, the same difference with its second
-contour from grazing. s_max is a branch point, and the slab's guided-mode
-poles lie just above the real axis beyond it (Michalski and Mosig, J.
-Electromagn. Waves Appl. (2016)), so that contour is a straight 45 degree
-ray in u, the kappa_max mode's q_z, which is analytic there and needs no
-Newton (_DetectorPhase.ray). A thin slab takes 48 nodes, 8 + 16 on each
-contour, where GK15 panels took 14-19k. The panels remain for a head
-either contour refuses (Newton off the path, or a tol below its rounding
-floor), over [0, theta_c] or the full range.
+With too few cycles for a cut (thin slabs at close range), or with the
+closure refused, the head is the whole disc [0, s_max], s_max =
+kappa_max^2, the same difference with its second contour from grazing.
+s_max is a branch point, and the slab's guided-mode poles lie just above
+the real axis beyond it (Michalski and Mosig, J. Electromagn. Waves Appl.
+(2016)), so that contour is a straight 45 degree ray in u, the kappa_max
+mode's q_z, which is analytic there and needs no Newton
+(_DetectorPhase.ray). A thin slab takes 48 nodes, 8 + 16 on each contour,
+and a refused cut 57 more. GK15 panels remain for a head either contour
+refuses (Newton off the path, a tol below its rounding floor, or rows
+that overflow), up to the cut or over a full range of fewer than
+_FULL_RANGE_CYCLES phase cycles.
+
+What each route computes. By Cauchy's theorem the whole transverse plane
+is I_SD(0), the steepest-descent path from s = 0 alone: the half-line
+s > s_max moves onto the ray from grazing, and the ray's integral is the
+evanescent sector; the disc is I_SD(0) minus it. A cut's tail series is
+the asymptotic series of its s_c endpoint, and the grazing endpoint's
+term, which it drops, is minus the evanescent sector. So a cut amplitude
+tracks the full plane: at 1 m and 3 m (2 mm slab, Types I and II,
+lossless and at a 4% split) it is 3e-11 to 1.4e-9 from I_SD(0) and
+3.7e-9 to 2.4e-8, the size of the evanescent sector, from the disc. The
+series' own truncation error is not held to tol: 1.5e-3 of the amplitude
+at 1 cm (Type I, collinear, degenerate). The disc route returns the disc
+alone, without the evanescent sector: 4e-5 of the amplitude for a 0.1 mm
+slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 
 The per-node kernel (_Channels, then _angular_rows) takes real kappa on
 GK15 panels and complex kappa on the paths, the ray and the tail stencil.
@@ -165,12 +168,10 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 # Radial-engine policy knobs. KEPT_CYCLES detector-phase cycles are
-# integrated exactly before handing over to the integration-by-parts tail;
-# the ratio monitor escalates K by 4 up to the cap, and a full-range sweep
-# is only attempted when it costs fewer than FULL_RANGE_CYCLES panels' worth
-# of oscillation.
+# integrated exactly before the integration-by-parts tail, whose closure is
+# refused (the head is then the full disc) above TAIL_RATIO_LIMIT; GK15
+# panels stand in for refused full-disc contours below FULL_RANGE_CYCLES.
 _KEPT_CYCLES = 512
-_KEPT_CYCLES_MAX = 8192
 _FULL_RANGE_CYCLES = 2.0e4
 _TAIL_RATIO_LIMIT = 0.1
 # Phase cycles per head seed panel. A GK15 panel's Gauss-7 error goes as its
@@ -574,10 +575,12 @@ def _angular_rows(cfg, ch, kappa, rho):
 
     orders = [[0], [2], [4]] if cfg.chi2.kind == "II" else [[0], [2]]
     bessel = jv(orders, kappa * rho)
-    rows = [weight * first * bessel[0], weight * (tt - mm) * bessel[1]]
-    if cfg.chi2.kind == "II":
-        rows += [weight * ((tt + mm) - (em + me)) * bessel[2],
-                 weight * (em - me) * bessel[1]]
+    # J_n can overflow far out on a contour; _path_sums refuses the rows.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = [weight * first * bessel[0], weight * (tt - mm) * bessel[1]]
+        if cfg.chi2.kind == "II":
+            rows += [weight * ((tt + mm) - (em + me)) * bessel[2],
+                     weight * (em - me) * bessel[1]]
     return np.stack(rows)
 
 
@@ -868,7 +871,8 @@ def _path_sums(rows, phase, s_c, orders, solved=None):
     in one call. On a cut, solved = (t, s, rows at s) brings _path_nodes
     at these orders and their rows from the caller's one kernel call with
     its tail stencil; no Newton or rows call is then made here. Returns
-    one (m,) head per order, or None if Newton fails.
+    one (m,) head per order, or None if Newton fails or a row is not
+    finite (J_n of a complex kappa rho can overflow far out on a contour).
     """
     if solved is None:
         t, s = _path_nodes(phase, s_c, orders)
@@ -885,6 +889,8 @@ def _path_sums(rows, phase, s_c, orders, solved=None):
         weight = np.vstack([weight, -1j * lead[1] * dsdt])
     if solved is None:
         values = rows(np.sqrt(s).ravel())
+    if not np.isfinite(values).all():
+        return None
     terms = values.reshape(-1, 2, len(t)) * weight
     ends = np.cumsum(orders)
     return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
@@ -900,11 +906,12 @@ def _path_head(rows, phase, modes, s_c, tol, solved=None):
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
     s_c = s_max, for the full disc) and the slab's. The 2N head is returned
     once the error is within tol/2 of it, as the GK15 head is held. Returns
-    None when Newton fails, when the floor alone exceeds tol/2 (about 7e-11
-    for a 2 mm slab), or when the check still fails at order
-    _PATH_NODES_MAX; the caller then integrates the head by GK15. solved,
-    if given, is _path_sums' for the first order pair; rows is called
-    again only if N doubles.
+    None as soon as _path_sums does (Newton fails, or a row is not finite),
+    when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm slab), or
+    when the check still fails at order _PATH_NODES_MAX; the caller then
+    integrates the head by GK15 or raises (_integrate_oscillatory). solved,
+    if given, is _path_sums' for the first order pair; rows is called again
+    only if N doubles.
     """
     phi = abs(phase.rise(s_c, 0.0)) + modes.length * (
         abs(modes.kin_p.k) + abs(modes.k_s) + abs(modes.k_i))
@@ -930,23 +937,21 @@ def _integrate_oscillatory(rows, phase, modes, tol):
 
     rows maps a kappa array, real or complex, to the (m, n) stack of
     _angular_rows; slow(theta) is rows times the kappa dkappa/dtheta
-    measure. Returns (vector of m integrals, error estimate). The tail is
-    closed at the cut theta_c only (module notes), and checked before any
-    head is computed, so no head is computed for a kept-cycle count that
-    gets escalated. With the closure accepted, the head is [0, theta_c];
-    without it (too few cycles, or escalation short of _FULL_RANGE_CYCLES)
-    it is the full range [0, pi/2] with no tail. Either head is
-    _path_head's, on a cut path or on the ray from grazing, or GK15's
-    (_integrate_head) if the contour refuses.
+    measure. Returns (vector of m integrals, error estimate). With more
+    than 1.5 _KEPT_CYCLES phase cycles, the tail is closed at the one cut
+    after _KEPT_CYCLES (module notes) and the head is [0, theta_c]; with
+    fewer, or the closure refused (series ratio above _TAIL_RATIO_LIMIT),
+    the head is the full range [0, pi/2] and there is no tail. Either head
+    is _path_head's, or GK15's (_integrate_head) if a contour refuses.
 
-    At each cut the nodes of both paths are solved at the first order pair
-    before the tail is checked, and the 9 stencil kappa (as complex values
-    on the real axis) and the 48 path kappa go through rows in one call:
-    an accepted cut evaluates the kernel once, and a refused one wastes
-    its path solve. Where Newton refuses, the stencil takes a call of its
-    own, as does the full range. Raises ConvergenceError when neither the
-    tail closure nor a full-range sweep can reach tol; the value it carries
-    includes the tail and the e^{i Psi(0)} reference phase.
+    The nodes of both cut paths are solved at the first order pair before
+    the tail is checked, and the 9 stencil kappa (complex, on the real
+    axis) and the 48 path kappa go through rows in one call, wasted if the
+    closure is refused. Where Newton refuses, the stencil takes a call of
+    its own, as does the full range. Raises ConvergenceError at once, value
+    None, when the full-disc contours refuse over _FULL_RANGE_CYCLES phase
+    cycles or more; from a GK15 head, its value includes the tail and the
+    e^{i Psi(0)} reference phase.
     """
     def slow(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -954,14 +959,13 @@ def _integrate_oscillatory(rows, phase, modes, tol):
         return rows(kap) * (kap * phase.kap_max * np.cos(theta))
 
     cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
-    kept, orders = _KEPT_CYCLES, (_PATH_NODES, 2 * _PATH_NODES)
     upper, rel_tol, s_c = 0.5 * np.pi, tol, phase.s_max
     tail, err_tail, solved = 0.0, 0.0, None
-    while cycles > 1.5 * kept:
-        theta_c, s_cut = phase.cut(kept)
+    if cycles > 1.5 * _KEPT_CYCLES:
+        theta_c, s_cut = phase.cut(_KEPT_CYCLES)
         grid, h = _stencil(theta_c)
         kap = phase.kappa(grid)
-        t, s = _path_nodes(phase, s_cut, orders)
+        t, s = _path_nodes(phase, s_cut, (_PATH_NODES, 2 * _PATH_NODES))
         values = rows(kap if s is None
                       else np.concatenate([kap + 0j, np.sqrt(s).ravel()]))
         cut, ratio, n3 = _tail_terms(
@@ -971,22 +975,17 @@ def _integrate_oscillatory(rows, phase, modes, tol):
             upper, rel_tol, s_c = theta_c, 0.5 * tol, s_cut
             tail, err_tail = -cut, n3 * min(1.0, ratio)
             solved = None if s is None else (t, s, values[:, len(grid):])
-            break
-        if kept < _KEPT_CYCLES_MAX:
-            kept *= 4
-            continue
-        if cycles < _FULL_RANGE_CYCLES:
-            break
-        raise ConvergenceError(
-            "radial tail closure not converging (series ratio "
-            f"{ratio:.2e} with {kept} kept cycles of {cycles:.3e})",
-            None, np.inf)
 
     path = _path_head(rows, phase, modes, s_c, tol, solved)
     ref = np.exp(1j * phase.psi_ref)
     if path is not None:
         head, err_head = path
         return (head + tail) * ref, err_head + err_tail
+    if upper == 0.5 * np.pi and cycles >= _FULL_RANGE_CYCLES:
+        raise ConvergenceError(
+            f"full-disc contours refused, and {cycles:.3e} phase cycles are "
+            f"too many for GK15 panels (limit {_FULL_RANGE_CYCLES:.0e})",
+            None, np.inf)
     try:
         head, err_head = _integrate_head(slow, phase, modes, upper, rel_tol)
     except ConvergenceError as exc:

@@ -20,8 +20,8 @@ each refinement round. The amplitude integrand costs 10-15 us a node in
 15-node calls and 0.45-0.8 us in calls of 1920 nodes (collinear, degenerate
 and 4% split; one core of a shared 2-core x86 host), so the call count, not
 the node count, set the cost of the one-panel driver. The amplitude comes
-here for 14-19k nodes over the full range of a thin slab, and for a head
-its steepest-descent paths refuse; a path head takes 48 nodes in one call.
+here only for a head whose contours refuse; a contour head takes 48 nodes
+in one call, more if N doubles.
 """
 
 from __future__ import annotations

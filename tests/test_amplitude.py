@@ -623,11 +623,11 @@ def test_path_head_matches_gk15_head(monkeypatch, name):
 
 
 def test_path_estimate_bounds_realized_deviation(monkeypatch):
-    # The returned head against order 64 on the same paths. At 4 mm from a
-    # 2 mm slab (8192 kept cycles) the N = 8 head is off by 7e-10 and the
-    # estimate is its difference from N = 16; elsewhere the rounding floor
-    # carries the estimate.
-    close = make_cfg(z=4e-3)
+    # The returned head against order 64 on the same paths. At 3 cm from a
+    # 2 mm slab with a 0.2 mm offset (512 kept cycles) the N = 8 head is
+    # off by 9.7e-9 and the estimate is its difference from N = 16;
+    # elsewhere the rounding floor carries the estimate.
+    close = make_cfg(z=0.03, offset=(2e-4, 0.0))
     for cfg in [close] + list(_PATH_SPREAD.values()):
         seen = _path_run(monkeypatch, cfg)
         head, err = seen["out"]
@@ -667,8 +667,8 @@ _THIN = {"length": 1e-4, "z": 1.5e-4}
 # Configs with too few cycles for a tail closure, so that the head is the
 # full disc: 0.1 mm slabs 0.12-0.18 mm out, Types I and II, degenerate and
 # 3-4% splits, n'' = 0, 1e-6 and 1e-5, unequal distances (also on the
-# kappa_max mode of a split), a 5 um offset, and the 2 mm slab at 1.2 mm
-# that escalates the kept cycles to the full range.
+# kappa_max mode of a split), a 5 um offset, and the 2 mm slab at 1.2 mm,
+# whose 512-cycle tail closure is refused.
 _DISC_SPREAD = {
     "I": make_cfg(**_THIN),
     "II": make_cfg(kind="II", **_THIN),
@@ -730,6 +730,123 @@ def test_refused_disc_falls_back_to_gk15_full_range(monkeypatch):
     fallback = amplitude_numeric(cfg, tol=1e-6).matrix
     assert calls == [0.5 * np.pi]
     assert np.linalg.norm(fallback - disc) <= 1e-9 * np.linalg.norm(disc)
+
+
+# Refused closures: the 2 mm slab 4 mm out with 0.1-0.3 mm offsets. With
+# more kept cycles their tails closed, 5.8e-7 to 5e-6 off the disc.
+_REFUSED_CUT = {
+    "I-0.1mm": make_cfg(z=4e-3, offset=(1e-4, 0.0)),
+    "II-0.2mm": make_cfg(kind="II", z=4e-3, offset=(1.2e-4, 1.6e-4)),
+    "II-0.3mm": make_cfg(kind="II", z=4e-3, offset=(0.0, 3e-4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_CUT))
+def test_refused_closure_takes_the_disc(monkeypatch, name):
+    # One refused cut, then the full disc, on its two contours or by GK15
+    # where they refuse (at 0.3 mm): within 1e-9 of GK15 over [0, pi/2] at
+    # 1e-9 (measured 9e-12 to 2.2e-11).
+    cfg = _REFUSED_CUT[name]
+    got = amplitude_numeric(cfg, tol=1e-6).matrix
+    monkeypatch.setattr(amplitude, "_TAIL_RATIO_LIMIT", -1.0)
+    monkeypatch.setattr(amplitude, "_path_head", lambda *args: None)
+    want = amplitude_numeric(cfg, tol=1e-9).matrix
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(make_cfg(n_imag=0.0), z_signal=9.8e-3, z_idler=10.3e-3),
+    make_cfg(z=0.01, offset=(1e-4, 0.0)),
+], ids=["unequal-z-1cm", "0.1mm-1cm"])
+def test_refused_closure_returns_the_converged_disc(monkeypatch, cfg):
+    # Configs whose closure no kept-cycle count accepted, so that they
+    # raised: the disc they now take agrees with order 128 to 1e-10.
+    seen = _path_run(monkeypatch, cfg)
+    phase = seen["phase"]
+    assert seen["s_c"] == phase.s_max
+    head, _ = seen["out"]
+    best, = amplitude._path_sums(seen["rows"], phase, phase.s_max, (128,))
+    assert _norm(head - best) <= 1e-10 * _norm(best)
+
+
+def test_refused_disc_over_the_cycle_limit_raises_at_once():
+    # 1 mm off at 6 mm: the closure and the full-disc contours refuse, and
+    # 2.3e4 phase cycles are too many for GK15 panels over the full range.
+    import scipy.special  # noqa: F401  (loaded outside the timing)
+
+    cfg = make_cfg(z=6e-3, offset=(1e-3, 0.0))
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="full-disc contours") as info:
+        amplitude_numeric(cfg, tol=1e-6)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.value is None
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_overflowing_contour_rows_fall_back_quietly(monkeypatch, kind):
+    # 1 mm off at 2 mm: J_n of the complex kappa rho on the order-64
+    # contours overflows. The disc refuses without a RuntimeWarning (an
+    # error in this suite) and GK15 takes the full range.
+    calls = []
+    head = amplitude._integrate_head
+
+    def spy(*args):
+        calls.append(args[3])
+        return head(*args)
+
+    monkeypatch.setattr(amplitude, "_integrate_head", spy)
+    amp = amplitude_numeric(make_cfg(kind=kind, z=2e-3, offset=(1e-3, 0.0)),
+                            tol=1e-6)
+    assert calls == [0.5 * np.pi]
+    assert np.all(np.isfinite(amp.matrix)) and rate(amp) > 0.0
+
+
+def test_path_head_refuses_rows_that_are_not_finite():
+    # Rows that are not finite refuse at the first order pair, before N
+    # doubles.
+    cfg = make_cfg(z=1.2e-3)
+    modes = _Modes.of(cfg)
+    phase = amplitude._DetectorPhase(cfg, modes)
+    sizes = []
+
+    def rows(kap):
+        sizes.append(kap.size)
+        return np.full((1, kap.size), np.inf + 0j)
+
+    assert amplitude._path_head(rows, phase, modes, phase.s_max, 1e-6) is None
+    assert sizes == [48]
+
+
+# ---------------------------------------------------------------------------
+# What a cut computes: the full plane, not the disc
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("z", [1.0, 3.0])
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_cut_amplitude_tracks_the_full_plane(monkeypatch, z, kind):
+    # I_SD(0), the path from s = 0 alone, is the whole transverse plane; the
+    # disc is I_SD(0) minus the evanescent sector (the ray's integral). A
+    # cut's tail series drops the grazing endpoint's term, minus that
+    # sector, so a cut amplitude is within 1.5e-9 of I_SD(0) (measured
+    # 3e-11 to 1.4e-9) and off the disc by about the sector, 3.7e-9 to
+    # 2.4e-8 here.
+    for cfg in (make_cfg(kind=kind, n_imag=0.0, z=z),
+                _split_cfg(kind, 0.04, z=z)):
+        seen = _path_run(monkeypatch, cfg)
+        rows, phase = seen["rows"], seen["phase"]
+        assert seen["s_c"] < phase.s_max
+        got, _ = amplitude._integrate_oscillatory(rows, phase, seen["modes"],
+                                                  1e-6)
+        got = got * np.exp(-1j * phase.psi_ref)
+        t, w = amplitude._laguerre(64)
+        s = amplitude._descent_nodes(phase, np.zeros((1, 1), complex), t)[0]
+        plane = 0.5j * ((rows(np.sqrt(s)) / phase.slope(s)) @ w)
+        disc, = amplitude._path_sums(rows, phase, phase.s_max, (64,))
+        scale = _norm(plane)
+        sector = _norm(plane - disc)
+        assert sector >= 3e-9 * scale
+        assert _norm(got - plane) <= min(1.5e-9 * scale, 0.2 * sector)
+        assert _norm(got - disc) >= 0.5 * sector
 
 
 # ---------------------------------------------------------------------------

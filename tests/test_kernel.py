@@ -353,13 +353,16 @@ _ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
     (_ROUTE_CFGS["collinear-1m"], 57),
     (_ROUTE_CFGS["thin-full-range"], 48),
     (_ROUTE_CFGS["displaced-II"], 57),
-], ids=["collinear-1m", "thin-full-range", "displaced-II"])
+    (make_cfg(kind="I", z=1.2e-3), 169),
+], ids=["collinear-1m", "thin-full-range", "displaced-II", "refused-cut"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # A kernel change that moves a contour or the adaptive partition shows
     # here first. The thin slab takes the full range on the path from the
-    # axis and the ray from grazing; the others close the tail on a 9-node
-    # stencil and take the head on two paths. Each contour has 8 + 16
-    # Laguerre nodes.
+    # axis and the ray from grazing; collinear-1m and displaced-II close the
+    # tail on a 9-node stencil and take the head on two paths. Each contour
+    # has 8 + 16 Laguerre nodes. The 2 mm slab at 1.2 mm refuses its one
+    # closure (57 nodes) and takes the full disc at N = 8, 16 and 32
+    # (48 + 64).
     counted = []
     channels = amplitude._Channels
 
