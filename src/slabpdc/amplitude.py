@@ -61,27 +61,31 @@ The head [0, theta_c] is exact. In s = kappa^2 it is the difference of two
 steepest-descent paths (numerical steepest descent: Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026), from s = 0 and from
 s_c = kappa(theta_c)^2 into Im s < 0, on which e^{i Psi} decays like e^{-t}:
-Newton puts Gauss-Laguerre nodes in t on each (_path_sums), and the order
-doubles from 8 until two orders agree (_path_head). s = 0, the stationary
-point of Psi in theta, is a plain endpoint in s. With 8 + 16 nodes a path
-and 9 for the tail stencil, an amplitude takes 57 integrand nodes where
-Gauss-Kronrod panels of equal phase (_integrate_head) took about 12k. The
-paths are solved before the tail is checked, so the 9 stencil nodes and
-the 48 path nodes go through the kernel in one call: an amplitude's time
-is per-call overhead, not node count.
+Gauss-Laguerre nodes in t sit on each (_path_sums), and the order doubles
+from 8 until two orders agree (_path_head). s = 0, the stationary point of
+Psi in theta, is a plain endpoint in s. The paths are carried in u, the
+kappa_max mode's q_z, as d = kappa_max - u (_DetectorPhase): when signal
+and idler share one vacuum wavenumber (a degenerate split, at any z_s and
+z_i) Psi is linear in u, so a path is a straight line and its nodes need no
+Newton step; at a few-percent split Newton takes one (_descent_nodes).
+With 8 + 16 nodes a path and 9 for the tail stencil, an amplitude takes 57
+integrand nodes where Gauss-Kronrod panels of equal phase (_integrate_head)
+took about 12k. The paths are solved before the tail is checked, so the 9
+stencil nodes and the 48 path nodes go through the kernel in one call: an
+amplitude's time is per-call overhead, not node count.
 
 With too few cycles for a cut (thin slabs at close range), or with the
 closure refused, the head is the whole disc [0, s_max], s_max =
-kappa_max^2, the same difference with its second contour from grazing.
-s_max is a branch point, and the slab's guided-mode poles lie just above
-the real axis beyond it (Michalski and Mosig, J. Electromagn. Waves Appl.
-(2016)), so that contour is a straight 45 degree ray in u, the kappa_max
-mode's q_z, which is analytic there and needs no Newton
-(_DetectorPhase.ray). A thin slab takes 48 nodes, 8 + 16 on each contour,
-and a refused cut 57 more. GK15 panels remain for a head either contour
-refuses (Newton off the path, a tol below its rounding floor, or rows
-that overflow), up to the cut or over a full range of fewer than
-_FULL_RANGE_CYCLES phase cycles.
+kappa_max^2, the same difference with its second contour from grazing,
+u = 0. s_max is a branch point, and the slab's guided-mode poles lie just
+above the real axis beyond it (Michalski and Mosig, J. Electromagn. Waves
+Appl. (2016)), so that contour is a straight 45 degree ray in u, which is
+analytic there and needs no Newton (_DetectorPhase.ray). A thin slab takes
+48 nodes, 8 + 16 on each contour; a refused cut hands the disc its path
+from the axis and their rows, so the disc adds the ray's 24. GK15 panels
+remain for a head either contour refuses (Newton off the path, a tol below
+its rounding floor, or rows that overflow), up to the cut or over a full
+range of fewer than _FULL_RANGE_CYCLES phase cycles.
 
 What each route computes. By Cauchy's theorem the whole transverse plane
 is I_SD(0), the steepest-descent path from s = 0 alone: the half-line
@@ -143,7 +147,7 @@ import numpy as np
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        ModeKinematics, branch_sqrt, fresnel, kinematics,
+                        ModeKinematics, branch_sqrt, kinematics,
                         noise_factor, reject)
 from .quadrature import ConvergenceError, QuadratureSpec, _integrate_partition
 
@@ -180,10 +184,12 @@ _TAIL_RATIO_LIMIT = 0.1
 # same summed error at c^13 = (2/15) 0.75^13, c = 0.642.
 _PANEL_CYCLES = 0.75 * (2.0 / 15.0) ** (1.0 / 13.0)
 # Steepest-descent head: Gauss-Laguerre orders double from _PATH_NODES up
-# to _PATH_NODES_MAX while the N and 2N sums disagree; Newton has
-# _NEWTON_STEPS steps to put every node on its path (_descent_nodes). The
-# full disc ends on the ray from grazing that leaves the u axis at
-# _RAY_ANGLE (_DetectorPhase.ray).
+# to _PATH_NODES_MAX while the N and 2N sums disagree; Newton in u has
+# _NEWTON_STEPS steps to put every node within _NEWTON_ULPS rounding units
+# of its path (_descent_nodes): none at one vacuum wavenumber, where the
+# tangent start is the path, one or two at a few-percent split. The full
+# disc ends on the ray from grazing that leaves the u axis at _RAY_ANGLE
+# (_DetectorPhase.ray).
 _PATH_NODES = 8
 _PATH_NODES_MAX = 64
 _NEWTON_STEPS = 12
@@ -381,12 +387,14 @@ def x_factor(sigma_s, sigma_i, fres_pump, fres_s, fres_i, sigma_k, length):
 # ---------------------------------------------------------------------------
 
 class _Modes:
-    """Frequency-level constants: indices, pump set, noise.
+    """Frequency-level constants: indices, the pump's slab factors, noise.
 
     Built from the three frequencies, their indices, the slab length and
-    the pump plane. Each may be a scalar (one config, ``_Modes.of``) or an
-    (m,) array over the axis points of a sweep; every attribute then
-    broadcasts over that leading axis. ``degenerate`` is true when signal
+    the pump plane; the normal-incidence pump's pieces are the products
+    _Channels uses, with the TEM coefficients of ``fresnel``. Each input
+    may be a scalar (one config, ``_Modes.of``) or an (m,) array over the
+    axis points of a sweep; every attribute then broadcasts over that
+    leading axis. ``degenerate`` is true when signal
     and idler are one mode (equal frequency and index) at every point.
     """
 
@@ -398,10 +406,13 @@ class _Modes:
         self.degenerate = bool(np.all((omega_s == omega_i) & (n_s == n_i)))
         self.eps_s = n_s * n_s
         self.eps_i = n_i * n_i
-        self.eps_p = n_p * n_p
-        self.kin_p = kinematics(omega_p, n_p)
-        self.fres_p = fresnel(TEM, self.kin_p, self.eps_p, length)
-        self.h_p = np.exp(0.5j * self.kin_p.k_z * length)
+        # The pump in the scheme of _split_factors: k_p, h_p = e^{i k_p L/2},
+        # r_p and t m = t_p / (1 - r_p^2 h_p^4).
+        self.k_p = n_p * omega_p / C_LIGHT
+        self.h_p = np.exp(0.5j * self.k_p * length)
+        self.r_p = (n_p - 1.0) / (n_p + 1.0)
+        h2 = self.h_p * self.h_p
+        self.tm_p = 2.0 / (n_p + 1.0) / (1.0 - self.r_p * self.r_p * h2 * h2)
         self.q_s = omega_s / C_LIGHT
         self.q_i = omega_i / C_LIGHT
         self.k_s = n_s * omega_s / C_LIGHT
@@ -433,7 +444,7 @@ def _prefactor(cfg, modes):
     return (HBAR * cfg.pump_field * modes.length * cfg.chi2.d
             / (4j * np.pi * EPS0)
             * (om_s * om_s * om_i * om_i / C_LIGHT ** 4)
-            * np.exp(1j * modes.kin_p.q * modes.pump_z)
+            * np.exp(1j * (modes.omega_p / C_LIGHT) * modes.pump_z)
             * modes.noise)
 
 
@@ -511,12 +522,13 @@ class _Channels:
             self.kin_i = kin(modes.omega_i, modes.n_i, k_perp)
             h_i = np.exp(half_l * self.kin_i.k_z)
             idl = _split_factors(self.kin_i, modes.eps_i, h_i)
-        pm = phase_terms(self.kin_s, self.kin_i, modes.kin_p)
+        kz_s, kz_i = self.kin_s.k_z, self.kin_i.k_z
+        pm = PhaseMatch(delta_k=modes.k_p - kz_s - kz_i,
+                        sigma_k=modes.k_p + kz_s + kz_i)
         self.pm = pm
         half = modes.h_p * h_s * h_i
-        fres_p = modes.fres_p
-        loop = fres_p.r23 * half * half
-        tm_p = fres_p.t * fres_p.m
+        loop = modes.r_p * half * half
+        tm_p = modes.tm_p
         self.x = {}
         for a in (TE, TM):
             r_s, tm_s = sig[a]
@@ -649,104 +661,98 @@ def integrand_typeII(k_perp, cfg):
 # ---------------------------------------------------------------------------
 
 class _DetectorPhase:
-    """Psi(theta) = z_s q_zs + z_i q_zi on kappa = kappa_max sin(theta).
+    """Psi = z_s q_zs + z_i q_zi in u, the kappa_max mode's q_z.
 
-    Both q_z are vacuum longitudinal components, real on the propagating
-    disc, so Psi is a real, monotonically decreasing phase. One formula
-    carries it, rise and slope in s = kappa^2. Its theta views are psi_rel
-    and psi_prime = -kappa sum z u/q_z with u = kappa_max cos(theta) and
-    q_z = sqrt(u^2 + q^2 - kappa_max^2), so the kappa_max mode's term is
-    -z kappa; cut finds the kept-cycle angle with it.
+    kappa_max = min(q_s, q_i), and every point is carried as
+    d = kappa_max - u, so that s = kappa^2 = d (2 kappa_max - d) keeps its
+    relative precision near the axis (d = 0) as u does near grazing
+    (d = kappa_max). The two split modes are grouped by vacuum wavenumber,
+    one group at a degenerate split: the kappa_max group's q_z is u itself,
+    its phase Z0 u with Z0 the group's summed z, and any other group's q_z
+    is R = sqrt(u^2 + D), D = q^2 - kappa_max^2, principal root. Two
+    functions carry the phase and every view of it:
+
+        rise(d, d0) = Psi(u) - Psi(u0)
+                    = (d0 - d) [Z0 + sum z (u + u0)/(R + R0)],
+        slope(u)    = dPsi/du = Z0 + sum z u/R,
+
+    rise cancellation-free, so a node far out on a path keeps its phase to
+    rounding in t. With one group Psi is linear in u.
 
     At laboratory distances Psi(0) = z_s q_s + z_i q_i runs to ~1e6 rad,
     and the argument rounding of exp(1j*Psi) (about Psi*eps) times the
     cancellation of the oscillatory integral sets a hard relative error
     floor well above machine precision. The engine therefore integrates
-    against the referenced phase psi_rel = Psi - Psi(0), whose span is
-    only the kept-cycle window, and restores exp(1j*Psi(0)) once on the
-    final result. psi_rel is rise(kappa^2, 0), the cancellation-free
-    -kappa^2 * sum z/(q_z + q).
+    against the referenced phase psi_rel = Psi - Psi(0) = rise(d, 0),
+    whose span is only the kept-cycle window, and restores exp(1j*Psi(0))
+    once on the final result. On kappa = kappa_max sin(theta),
+    d = 2 kappa_max sin^2(theta/2) and psi_prime = -kappa slope(u).
     """
 
     def __init__(self, cfg, modes):
-        self.kap_max = min(modes.q_s, modes.q_i)
-        self.s_max = self.kap_max * self.kap_max
-        self.parts = ((modes.q_s, cfg.z_signal), (modes.q_i, cfg.z_idler))
-        self.psi_ref = sum(z * q for q, z in self.parts)
+        k = min(modes.q_s, modes.q_i)
+        self.kap_max = k
+        groups = {}
+        for q, z in ((modes.q_s, cfg.z_signal), (modes.q_i, cfg.z_idler)):
+            groups[q] = groups.get(q, 0.0) + z
+        self.z0 = groups.pop(k)
+        self.others = [((q - k) * (q + k), z) for q, z in groups.items()]
+        self.psi_ref = modes.q_s * cfg.z_signal + modes.q_i * cfg.z_idler
 
     def kappa(self, theta):
         return self.kap_max * np.sin(theta)
 
     def psi_rel(self, theta):
-        return self.rise(np.square(self.kappa(theta)), 0.0)
+        return self.rise(2.0 * self.kap_max * np.square(np.sin(0.5 * theta)),
+                         0.0)
 
     def psi_prime(self, theta):
-        k, u = self.kap_max, self.kap_max * np.cos(theta)
-        return -self.kappa(theta) * sum(
-            z * u / np.sqrt(u * u + (q - k) * (q + k)) for q, z in self.parts)
+        return -self.kappa(theta) * self.slope(self.kap_max * np.cos(theta))
+
+    def rise(self, d, d0):
+        """Psi(u) - Psi(u0) at u = kappa_max - d, u0 = kappa_max - d0."""
+        bracket = self.z0
+        for big, z in self.others:
+            u, u0 = self.kap_max - d, self.kap_max - d0
+            bracket = bracket + z * (u + u0) / (np.sqrt(u * u + big)
+                                                + np.sqrt(u0 * u0 + big))
+        return (d0 - d) * bracket
+
+    def slope(self, u):
+        """dPsi/du."""
+        total = self.z0
+        for big, z in self.others:
+            total = total + z * u / np.sqrt(u * u + big)
+        return total
 
     def cut(self, kept):
-        """(theta_c, s_c) with psi_rel(theta_c) = -2 pi kept, by Newton in u.
+        """(theta_c, d_c) with psi_rel(theta_c) = -2 pi kept, by Newton in d.
 
-        u = kappa_max cos(theta) is the kappa_max mode's q_z, s = (kappa_max
-        - u)(kappa_max + u) and d psi_rel/du = -2 u slope(s). The phase is
-        rising and convex in u, so Newton from the axis, u = kappa_max, falls
-        to the root from above; it stops when a step no longer lowers u,
-        carried as d = kappa_max - u so that s keeps its relative precision.
+        psi_rel falls and is convex in d (d psi_rel/dd = -slope(u) rises with
+        d), so Newton from the axis, d = 0, climbs to the root from below; it
+        stops when a step no longer raises d.
         """
         k, d = self.kap_max, 0.0
         while True:
-            s = d * (2.0 * k - d)
-            far = d + (self.rise(s, 0.0) + _TWO_PI * kept) \
-                / (2.0 * (d - k) * self.slope(s))
+            far = d + (self.rise(d, 0.0) + _TWO_PI * kept) / self.slope(k - d)
             if not far > d:
-                return float(np.arctan2(np.sqrt(s), k - d)), s
+                return float(2.0 * np.arcsin(np.sqrt(0.5 * d / k))), d
             d = far
 
-    def roots(self, s):
-        """sqrt(q^2 - s) of each mode, principal roots."""
-        return [np.sqrt(q * q - s) for q, _ in self.parts]
-
-    def rise(self, s, s0, roots=None, roots0=None):
-        """psi_rel(s) - psi_rel(s0) in s = kappa^2, principal roots.
-
-        The cancellation-free -(s - s0) sum z/(sqrt(q^2 - s) + sqrt(q^2 - s0)),
-        so a node far out on a path keeps its phase to rounding in t.
-        roots and roots0, if given, are roots(s) and roots(s0).
-        """
-        roots = self.roots(s) if roots is None else roots
-        roots0 = self.roots(s0) if roots0 is None else roots0
-        return (s0 - s) * sum(z / (r + r0) for (_, z), r, r0
-                              in zip(self.parts, roots, roots0))
-
-    def slope(self, s, roots=None):
-        """d psi_rel / ds = -sum z / (2 sqrt(q^2 - s)); roots as for rise."""
-        roots = self.roots(s) if roots is None else roots
-        return -0.5 * sum(z / r for (_, z), r in zip(self.parts, roots))
-
     def ray(self, t):
-        """Nodes s and weights ds/dt e^{i rise(s, s_max) + t} of the ray
+        """Nodes d and weights ds/dt e^{i rise(d, kappa_max) + t} of the ray
         from grazing.
 
-        In u, the kappa_max mode's q_z, s = (kappa_max - u)(kappa_max + u),
-        and the ray is u = t e^{i alpha} / (Z0 sin alpha), alpha = _RAY_ANGLE,
-        with Z0 the summed z of the modes whose q is kappa_max. Their phase
-        rises by Z0 u, so e^{i Z0 u} = e^{-t} e^{i t cot alpha}; any other
-        mode's rises by the cancellation-free z u^2/(sqrt(u^2 + D) + sqrt D),
-        D = q^2 - kappa_max^2, and decays on the ray too. No Newton: u is
-        linear in t and ds/dt = -2 u du/dt.
+        The ray is u = t e^{i alpha} / (Z0 sin alpha), alpha = _RAY_ANGLE,
+        from the branch point u = 0 (d = kappa_max). The kappa_max group's
+        phase Z0 u = t cot(alpha) + i t decays like e^{-t}, and any other
+        group's decays on the ray too. No Newton: u is linear in t, and
+        ds/dt = -2 u du/dt.
         """
-        k = self.kap_max
-        z0 = sum(z for q, z in self.parts if q == k)
-        cot = 1.0 / np.tan(_RAY_ANGLE)
-        du = (cot + 1j) / z0
+        du = (1.0 / np.tan(_RAY_ANGLE) + 1j) / self.z0
         u = t * du
-        turn = cot * t
-        for q, z in self.parts:
-            if q != k:
-                d = (q - k) * (q + k)
-                turn = turn + z * u * u / (np.sqrt(u * u + d) + np.sqrt(d))
-        return (k - u) * (k + u), -2.0 * u * du * np.exp(1j * turn)
+        d = self.kap_max - u
+        return d, -2.0 * u * du * np.exp(1j * self.rise(d, self.kap_max) + t)
 
 
 def _slab_phase_rate(modes, theta):
@@ -823,101 +829,109 @@ def _laguerre(order):
     return np.polynomial.laguerre.laggauss(order)
 
 
-def _descent_nodes(phase, s0, t):
-    """s on each path psi_rel(s) - psi_rel(s0) = i t, by Newton.
+def _descent_nodes(phase, d0, t):
+    """d on each path Psi(u) - Psi(u0) = i t, by Newton in delta = u - u0.
 
-    s0 is a (p, 1) column of path starts and t the Laguerre nodes; each
-    node starts on the path's tangent s0 + i t / psi'(s0). A node is on its
-    path when the residual is within _NEWTON_ULPS rounding units of
-    |s psi'(s)| + t, the phase change that one ulp of s or t makes. Returns
-    the (p, n) nodes, or None if any is still off after _NEWTON_STEPS steps.
-    The roots sqrt(q^2 - s) of a step serve both its residual and its slope,
-    and those at s0 the whole solve.
+    d0 is a (p, 1) column of path starts and t the Laguerre nodes; each
+    node starts on the path's tangent delta = i t / slope(u0), which is the
+    path itself when the split modes share one wavenumber (Psi is then
+    linear in u), so no correction step is taken. A node is on its path
+    when the residual is within _NEWTON_ULPS rounding units of
+    |d slope(u)| + t, the phase change that one ulp of d or t makes.
+    Returns the (p, n) nodes d = d0 - delta, or None if any is still off
+    after _NEWTON_STEPS steps.
     """
-    start = phase.roots(s0)
-    s = s0 + 1j * t / phase.slope(s0, start)
+    k = phase.kap_max
+    delta = 1j * t / phase.slope(k - d0)
     ulps = _NEWTON_ULPS * np.finfo(float).eps
     for _ in range(_NEWTON_STEPS + 1):
-        roots = phase.roots(s)
-        miss = phase.rise(s, s0, roots, start) - 1j * t
-        slope = phase.slope(s, roots)
-        floor = ulps * (np.abs(s * slope) + t)
-        if np.all(np.abs(miss) <= floor):
-            return s
-        s = s - miss / slope
+        d = d0 - delta
+        miss = phase.rise(d, d0) - 1j * t
+        slope = phase.slope(k - d)
+        if np.all(np.abs(miss) <= ulps * (np.abs(d * slope) + t)):
+            return d
+        delta = delta - miss / slope
     return None
 
 
-def _path_nodes(phase, s_c, orders):
-    """(t, s): the Laguerre nodes of these orders, and the (p, n) nodes on
-    the paths from 0 and, short of grazing, from s_c (None if Newton
+def _path_nodes(phase, d_c, orders):
+    """(t, d): the Laguerre nodes of these orders, and the (p, n) nodes on
+    the paths from the axis and, short of grazing, from d_c (None if Newton
     fails)."""
     t = np.concatenate([_laguerre(n)[0] for n in orders])
-    s0 = np.array([[0.0], [s_c]], dtype=complex)
-    return t, _descent_nodes(phase, s0[:1 if s_c == phase.s_max else 2], t)
+    d0 = np.array([[0.0], [d_c]])
+    return t, _descent_nodes(phase, d0[:1 if d_c == phase.kap_max else 2], t)
 
 
-def _path_sums(rows, phase, s_c, orders, solved=None):
+def _path_sums(rows, phase, d_c, orders, solved=None):
     """The head [0, s_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
 
     In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
     by Cauchy's theorem it equals the difference of two contours that
-    leave 0 and s_c into Im s < 0. From 0, and from a cut s_c < s_max, they
-    are the steepest-descent paths psi_rel(s) = psi_rel(s0) + i t, where
-    e^{i psi_rel} = e^{i psi_rel(s0)} e^{-t}:
-    I(s0) = (1/2) e^{i psi_rel(s0)} sum_j w_j rows(s_j) i/psi'(s_j). From
-    s_c = s_max, the grazing branch point, it is _DetectorPhase.ray, and
-    the full disc needs no tail. The nodes of every order go through rows
-    in one call. On a cut, solved = (t, s, rows at s) brings _path_nodes
-    at these orders and their rows from the caller's one kernel call with
-    its tail stencil; no Newton or rows call is then made here. Returns
-    one (m,) head per order, or None if Newton fails or a row is not
+    leave 0 and s_c into Im s < 0, Im u > 0 in u = kappa_max - d. From the
+    axis, and from a cut d_c short of grazing, they are the steepest-descent
+    paths Psi(u) = Psi(u0) + i t, where e^{i psi_rel} = e^{i psi_rel(d0)}
+    e^{-t} and ds/dt = -2 u i/slope(u):
+    I(d0) = (1/2) e^{i psi_rel(d0)} sum_j w_j rows(kappa_j) ds/dt, with
+    kappa = sqrt(s), s = d (2 kappa_max - d). From grazing, d_c =
+    kappa_max, the branch point, it is _DetectorPhase.ray, and the full disc
+    needs no tail. The nodes of every order go through rows in one call.
+    solved = (t, d, rows at d) brings _path_nodes at these orders and their
+    rows from the caller's kernel call with its tail stencil: both paths of
+    a cut, so that no Newton or rows call is made here, or the path from
+    the axis alone, which the full disc then completes with the ray's rows.
+    Returns one (m,) head per order, or None if Newton fails or a row is not
     finite (J_n of a complex kappa rho can overflow far out on a contour).
     """
+    k = phase.kap_max
     if solved is None:
-        t, s = _path_nodes(phase, s_c, orders)
-        if s is None:
+        t, d = _path_nodes(phase, d_c, orders)
+        if d is None:
             return None
+        values = None
     else:
-        t, s, values = solved
-    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.rise(s_c, 0.0))]])
-    weight = lead[:len(s)] / phase.slope(s)
-    if s_c == phase.s_max:
-        # lead holds a path's i of ds/dt = i/psi'; the ray's dsdt is whole.
+        t, d, values = solved
+    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.rise(d_c, 0.0))]])
+    u = k - d
+    weight = lead[:len(d)] * (-2.0 * u / phase.slope(u))
+    if d_c == k:
+        # lead holds the i of a path's ds/dt; the ray's dsdt is whole.
         ray, dsdt = phase.ray(t)
-        s = np.vstack([s, ray])
+        d = np.vstack([d, ray])
         weight = np.vstack([weight, -1j * lead[1] * dsdt])
-    if solved is None:
-        values = rows(np.sqrt(s).ravel())
+    done = 0 if values is None else values.shape[-1]
+    if done < d.size:
+        fresh = rows(np.sqrt(d * (2.0 * k - d)).ravel()[done:])
+        values = fresh if values is None else np.hstack([values, fresh])
     if not np.isfinite(values).all():
         return None
-    terms = values.reshape(-1, 2, len(t)) * weight
+    terms = values.reshape(-1, len(d), len(t)) * weight
     ends = np.cumsum(orders)
     return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
             for n, end in zip(orders, ends)]
 
 
-def _path_head(rows, phase, modes, s_c, tol, solved=None):
+def _path_head(rows, phase, modes, d_c, tol, solved=None):
     """_path_sums' head, with N doubled from _PATH_NODES until it converges.
 
     The error is the 1-norm over the rows of the difference of the N and 2N
     heads plus a rounding floor: a node carries the rounding of the phases
-    it exponentiates, eps Phi relative with Phi = |psi_rel(s_c)| +
+    it exponentiates, eps Phi relative with Phi = |psi_rel(d_c)| +
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
-    s_c = s_max, for the full disc) and the slab's. The 2N head is returned
-    once the error is within tol/2 of it, as the GK15 head is held. Returns
-    None as soon as _path_sums does (Newton fails, or a row is not finite),
-    when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm slab), or
-    when the check still fails at order _PATH_NODES_MAX; the caller then
-    integrates the head by GK15 or raises (_integrate_oscillatory). solved,
-    if given, is _path_sums' for the first order pair; rows is called again
-    only if N doubles.
+    d_c = kappa_max, for the full disc) and the slab's. The 2N head is
+    returned once the error is within tol/2 of it, as the GK15 head is
+    held. Returns None as soon as _path_sums does (Newton fails, or a row is
+    not finite), when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm
+    slab), or when the check still fails at order _PATH_NODES_MAX; the
+    caller then integrates the head by GK15 or raises
+    (_integrate_oscillatory). solved, if given, is _path_sums' for the first
+    order pair.
     """
-    phi = abs(phase.rise(s_c, 0.0)) + modes.length * (
-        abs(modes.kin_p.k) + abs(modes.k_s) + abs(modes.k_i))
+    phi = abs(phase.rise(d_c, 0.0)) + modes.length * (
+        abs(modes.k_p) + abs(modes.k_s) + abs(modes.k_i))
     orders, sums = (_PATH_NODES, 2 * _PATH_NODES), []
     while True:
-        new = _path_sums(rows, phase, s_c, orders, solved)
+        new = _path_sums(rows, phase, d_c, orders, solved)
         if new is None:
             return None
         solved = None
@@ -946,37 +960,41 @@ def _integrate_oscillatory(rows, phase, modes, tol):
 
     The nodes of both cut paths are solved at the first order pair before
     the tail is checked, and the 9 stencil kappa (complex, on the real
-    axis) and the 48 path kappa go through rows in one call, wasted if the
-    closure is refused. Where Newton refuses, the stencil takes a call of
-    its own, as does the full range. Raises ConvergenceError at once, value
-    None, when the full-disc contours refuse over _FULL_RANGE_CYCLES phase
-    cycles or more; from a GK15 head, its value includes the tail and the
-    e^{i Psi(0)} reference phase.
+    axis) and the 48 path kappa go through rows in one call. If the closure
+    is refused, the full disc takes the path from the axis and its rows
+    from that call and evaluates only the ray's. Where Newton refuses, the
+    stencil takes a call of its own, as does the full range. Raises
+    ConvergenceError at once, value None, when the full-disc contours
+    refuse over _FULL_RANGE_CYCLES phase cycles or more; from a GK15 head,
+    its value includes the tail and the e^{i Psi(0)} reference phase.
     """
     def slow(theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         kap = phase.kappa(theta)
         return rows(kap) * (kap * phase.kap_max * np.cos(theta))
 
+    k = phase.kap_max
     cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
-    upper, rel_tol, s_c = 0.5 * np.pi, tol, phase.s_max
+    upper, rel_tol, d_c = 0.5 * np.pi, tol, k
     tail, err_tail, solved = 0.0, 0.0, None
     if cycles > 1.5 * _KEPT_CYCLES:
-        theta_c, s_cut = phase.cut(_KEPT_CYCLES)
+        theta_c, d_cut = phase.cut(_KEPT_CYCLES)
         grid, h = _stencil(theta_c)
         kap = phase.kappa(grid)
-        t, s = _path_nodes(phase, s_cut, (_PATH_NODES, 2 * _PATH_NODES))
-        values = rows(kap if s is None
-                      else np.concatenate([kap + 0j, np.sqrt(s).ravel()]))
+        t, d = _path_nodes(phase, d_cut, (_PATH_NODES, 2 * _PATH_NODES))
+        values = rows(kap if d is None else np.concatenate(
+            [kap + 0j, np.sqrt(d * (2.0 * k - d)).ravel()]))
         cut, ratio, n3 = _tail_terms(
-            values[:, :len(grid)] * (kap * phase.kap_max * np.cos(grid)),
-            phase, grid, h)
+            values[:, :len(grid)] * (kap * k * np.cos(grid)), phase, grid, h)
+        paths = values[:, len(grid):]
         if ratio <= _TAIL_RATIO_LIMIT:
-            upper, rel_tol, s_c = theta_c, 0.5 * tol, s_cut
+            upper, rel_tol, d_c = theta_c, 0.5 * tol, d_cut
             tail, err_tail = -cut, n3 * min(1.0, ratio)
-            solved = None if s is None else (t, s, values[:, len(grid):])
+            solved = None if d is None else (t, d, paths)
+        elif d is not None:
+            solved = (t, d[:1], paths[:, :len(t)])
 
-    path = _path_head(rows, phase, modes, s_c, tol, solved)
+    path = _path_head(rows, phase, modes, d_c, tol, solved)
     ref = np.exp(1j * phase.psi_ref)
     if path is not None:
         head, err_head = path
@@ -1016,7 +1034,8 @@ def _numeric_matrix(cfg, modes, tol):
     matrices = _angular_matrices(cfg)
 
     def matrix(vec):
-        return np.tensordot(pref * vec, matrices[:len(vec)], 1)
+        return ((pref * vec) @ matrices[:len(vec)].reshape(len(vec), 4)) \
+            .reshape(2, 2)
 
     try:
         vec, _ = _integrate_oscillatory(rows, phase, modes, tol)
@@ -1036,8 +1055,8 @@ def amplitude_numeric(cfg, tol=1e-6):
     requested of the quadrature; failure to converge raises
     ConvergenceError carrying the achieved estimate.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return BiphotonAmplitude.from_matrix(
         _numeric_matrix(cfg, _Modes.of(cfg), tol))
 

@@ -355,11 +355,11 @@ def load_config(text):
 # ---------------------------------------------------------------------------
 
 def _check_route(method, tol):
-    """Reject an unknown method or a tol that is not > 0 (NaN included)."""
+    """Reject an unknown method or a tol that is not finite and > 0."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -560,9 +560,9 @@ def _path_run(monkeypatch, cfg):
     seen = {}
     path_head = amplitude._path_head
 
-    def spy(rows, phase, modes, s_c, tol, solved=None):
-        out = path_head(rows, phase, modes, s_c, tol, solved)
-        seen.update(rows=rows, phase=phase, modes=modes, s_c=s_c,
+    def spy(rows, phase, modes, d_c, tol, solved=None):
+        out = path_head(rows, phase, modes, d_c, tol, solved)
+        seen.update(rows=rows, phase=phase, modes=modes, d_c=d_c,
                     solved=solved, out=out)
         return out
 
@@ -577,8 +577,8 @@ def _gk15(seen, rel_tol):
     """The GK15 head over the same [0, theta_c], or its best value; over
     [0, pi/2] when the head is the full disc."""
     phase, rows = seen["phase"], seen["rows"]
-    theta_c = (0.5 * np.pi if seen["s_c"] == phase.s_max
-               else np.arcsin(np.sqrt(seen["s_c"]) / phase.kap_max))
+    theta_c = (0.5 * np.pi if seen["d_c"] == phase.kap_max
+               else 2.0 * np.arcsin(np.sqrt(0.5 * seen["d_c"] / phase.kap_max)))
 
     def slow(theta):
         kap = phase.kappa(theta)
@@ -595,19 +595,29 @@ def _norm(v):
     return float(np.sum(np.abs(v)))
 
 
+def _kappa(phase, d):
+    """kappa = sqrt(s) at d = kappa_max - u, s = d (2 kappa_max - d)."""
+    return np.sqrt(d * (2.0 * phase.kap_max - d))
+
+
+def _path_dsdt(phase, d):
+    """ds/dt = -2 u i/slope(u) on a steepest-descent path."""
+    u = phase.kap_max - d
+    return -2.0j * u / phase.slope(u)
+
+
 def _sc_path(seen, order=16):
     """I(s_c) alone, Gauss-Laguerre of this order: the path from the cut,
     or the ray from grazing for the full disc."""
-    phase, s_c = seen["phase"], seen["s_c"]
+    phase, d_c = seen["phase"], seen["d_c"]
     t, w = amplitude._laguerre(order)
-    if s_c == phase.s_max:
-        s, dsdt = phase.ray(t)
+    if d_c == phase.kap_max:
+        d, dsdt = phase.ray(t)
     else:
-        s0 = np.array([[s_c]], dtype=complex)
-        s = amplitude._descent_nodes(phase, s0, t)[0]
-        dsdt = 1j / phase.slope(s)
-    return 0.5 * np.exp(1j * phase.rise(s_c, 0.0)) \
-        * ((seen["rows"](np.sqrt(s)) * dsdt) @ w)
+        d = amplitude._descent_nodes(phase, np.array([[d_c]]), t)[0]
+        dsdt = _path_dsdt(phase, d)
+    return 0.5 * np.exp(1j * phase.rise(d_c, 0.0)) \
+        * ((seen["rows"](_kappa(phase, d)) * dsdt) @ w)
 
 
 @pytest.mark.parametrize("name", sorted(_PATH_SPREAD))
@@ -631,7 +641,7 @@ def test_path_estimate_bounds_realized_deviation(monkeypatch):
     for cfg in [close] + list(_PATH_SPREAD.values()):
         seen = _path_run(monkeypatch, cfg)
         head, err = seen["out"]
-        args = (seen["rows"], seen["phase"], seen["s_c"])
+        args = (seen["rows"], seen["phase"], seen["d_c"])
         best, = amplitude._path_sums(*args, (64,))
         assert _norm(head - best) <= err
         if cfg is close:
@@ -641,9 +651,10 @@ def test_path_estimate_bounds_realized_deviation(monkeypatch):
 
 
 def test_newton_failure_falls_back_to_gk15_head(monkeypatch):
-    # Without Newton steps the tangent nodes miss the path, the path head
-    # refuses and GK15 integrates the head; both give the same amplitude.
-    cfg = make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6))
+    # Without Newton steps the tangent nodes of a split miss the path (at
+    # one wavenumber they are on it), the path head refuses and GK15
+    # integrates the head; both give the same amplitude.
+    cfg = _split_cfg("II", 0.04, z=0.1, offset=(5e-6, 3e-6))
     path = amplitude_numeric(cfg, tol=1e-6).matrix
     calls = []
     head = amplitude._integrate_head
@@ -686,7 +697,7 @@ _DISC_SPREAD = {
 
 def _disc_run(monkeypatch, name):
     seen = _path_run(monkeypatch, _DISC_SPREAD[name])
-    assert seen["s_c"] == seen["phase"].s_max
+    assert seen["d_c"] == seen["phase"].kap_max
     return seen
 
 
@@ -708,15 +719,15 @@ def test_disc_estimate_bounds_realized_deviation(monkeypatch, name):
     # The returned disc against order 64 on the same two contours.
     seen = _disc_run(monkeypatch, name)
     head, err = seen["out"]
-    best, = amplitude._path_sums(seen["rows"], seen["phase"], seen["s_c"],
+    best, = amplitude._path_sums(seen["rows"], seen["phase"], seen["d_c"],
                                  (64,))
     assert _norm(head - best) <= err
 
 
 def test_refused_disc_falls_back_to_gk15_full_range(monkeypatch):
-    # Without Newton steps the path from the axis refuses, and GK15
-    # integrates the whole disc of a thin slab to the same amplitude.
-    cfg = _DISC_SPREAD["II-5um"]
+    # Without Newton steps the path from the axis of a split refuses, and
+    # GK15 integrates the whole disc of a thin slab to the same amplitude.
+    cfg = _split_cfg("II", 0.04, offset=(4e-6, -3e-6), **_THIN)
     disc = amplitude_numeric(cfg, tol=1e-6).matrix
     calls = []
     head = amplitude._integrate_head
@@ -763,9 +774,9 @@ def test_refused_closure_returns_the_converged_disc(monkeypatch, cfg):
     # raised: the disc they now take agrees with order 128 to 1e-10.
     seen = _path_run(monkeypatch, cfg)
     phase = seen["phase"]
-    assert seen["s_c"] == phase.s_max
+    assert seen["d_c"] == phase.kap_max
     head, _ = seen["out"]
-    best, = amplitude._path_sums(seen["rows"], phase, phase.s_max, (128,))
+    best, = amplitude._path_sums(seen["rows"], phase, phase.kap_max, (128,))
     assert _norm(head - best) <= 1e-10 * _norm(best)
 
 
@@ -813,7 +824,8 @@ def test_path_head_refuses_rows_that_are_not_finite():
         sizes.append(kap.size)
         return np.full((1, kap.size), np.inf + 0j)
 
-    assert amplitude._path_head(rows, phase, modes, phase.s_max, 1e-6) is None
+    assert amplitude._path_head(rows, phase, modes, phase.kap_max,
+                                1e-6) is None
     assert sizes == [48]
 
 
@@ -834,14 +846,14 @@ def test_cut_amplitude_tracks_the_full_plane(monkeypatch, z, kind):
                 _split_cfg(kind, 0.04, z=z)):
         seen = _path_run(monkeypatch, cfg)
         rows, phase = seen["rows"], seen["phase"]
-        assert seen["s_c"] < phase.s_max
+        assert seen["d_c"] < phase.kap_max
         got, _ = amplitude._integrate_oscillatory(rows, phase, seen["modes"],
                                                   1e-6)
         got = got * np.exp(-1j * phase.psi_ref)
         t, w = amplitude._laguerre(64)
-        s = amplitude._descent_nodes(phase, np.zeros((1, 1), complex), t)[0]
-        plane = 0.5j * ((rows(np.sqrt(s)) / phase.slope(s)) @ w)
-        disc, = amplitude._path_sums(rows, phase, phase.s_max, (64,))
+        d = amplitude._descent_nodes(phase, np.zeros((1, 1)), t)[0]
+        plane = 0.5 * ((rows(_kappa(phase, d)) * _path_dsdt(phase, d)) @ w)
+        disc, = amplitude._path_sums(rows, phase, phase.kap_max, (64,))
         scale = _norm(plane)
         sector = _norm(plane - disc)
         assert sector >= 3e-9 * scale
@@ -898,9 +910,9 @@ def test_cut_meets_kept_cycles_to_rounding():
     for kept in (512, 2048, 8192):
         assert sum(k == kept and r <= 2.0 for _, k, r in cases) >= 10
     for phase, kept, _ in cases:
-        theta_c, s_c = phase.cut(kept)
-        assert abs(s_c - np.square(phase.kappa(theta_c))) \
-            <= 10.0 * np.spacing(s_c)
+        theta_c, d_c = phase.cut(kept)
+        assert abs(d_c - 2.0 * phase.kap_max * np.sin(0.5 * theta_c) ** 2) \
+            <= 10.0 * np.spacing(d_c)
         target = 2.0 * np.pi * kept
         assert abs(phase.psi_rel(theta_c) + target) \
             <= 10.0 * np.spacing(target)

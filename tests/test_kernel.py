@@ -10,6 +10,7 @@ The Bessel factors of _angular_rows are checked against 30-digit values,
 on the real axis and at the complex nodes of the steepest-descent paths.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
                                _Modes, _descent_nodes, _laguerre,
                                _split_factors, _stencil, amplitude_numeric,
                                complex_sinc, phase_terms, x_factor)
-from slabpdc.materials import (C_LIGHT, TE, TM, branch_sqrt, fresnel,
+from slabpdc.materials import (C_LIGHT, TE, TEM, TM, branch_sqrt, fresnel,
                                kinematics)
 from test_amplitude import OMEGA, _split_cfg, make_cfg
 
@@ -57,10 +58,12 @@ def _public_channels(modes, kappa):
     kin_i = kinematics(modes.omega_i, modes.n_i, (kappa, zeros))
     fres_s = {p: fresnel(p, kin_s, modes.eps_s, length) for p in (TE, TM)}
     fres_i = {p: fresnel(p, kin_i, modes.eps_i, length) for p in (TE, TM)}
-    pm = phase_terms(kin_s, kin_i, modes.kin_p)
+    kin_p = kinematics(modes.omega_p, modes.n_p)
+    fres_p = fresnel(TEM, kin_p, modes.n_p * modes.n_p, length)
+    pm = phase_terms(kin_s, kin_i, kin_p)
     return SimpleNamespace(
         kin_s=kin_s, kin_i=kin_i, pm=pm,
-        x={(a, b): x_factor(a, b, modes.fres_p, fres_s[a], fres_i[b],
+        x={(a, b): x_factor(a, b, fres_p, fres_s[a], fres_i[b],
                             pm.sigma_k, length)
            for a in (TE, TM) for b in (TE, TM)},
         slab=complex_sinc(0.5 * pm.delta_k * length)
@@ -305,12 +308,14 @@ def _path_arguments():
     for z, rho in ((0.01, 2e-5), (0.1, 2e-5), (0.01, 2e-4), (1.0, 2e-4)):
         cfg = make_cfg(z=z)
         phase = _DetectorPhase(cfg, _Modes.of(cfg))
-        # The 512-cycle cut, from the phase's Taylor start psi ~ -s Z/2.
-        s_c = 4.0 * np.pi * 512 / (z / phase.parts[0][0] * 2.0)
-        s0 = np.array([[0.0], [s_c]], dtype=complex)
+        # The 512-cycle cut, from the phase's Taylor start psi ~ -s Z/2,
+        # at d = s/(kappa_max + u).
+        k = phase.kap_max
+        s_c = 4.0 * np.pi * 512 / (z / k * 2.0)
+        d0 = np.array([[0.0], [s_c / (k + np.sqrt(k * k - s_c))]])
         t = np.concatenate([_laguerre(n)[0] for n in (8, 16, 64)])
-        s = _descent_nodes(phase, s0, t)
-        out.append(np.sqrt(s).ravel() * rho)
+        d = _descent_nodes(phase, d0, t)
+        out.append(np.sqrt(d * (2.0 * k - d)).ravel() * rho)
     return np.concatenate(out)
 
 
@@ -340,6 +345,125 @@ def test_bessel_rows_match_jv():
 
 
 # ---------------------------------------------------------------------------
+# Detector phase in u
+# ---------------------------------------------------------------------------
+
+# Configs whose split modes share one vacuum wavenumber, so that Psi is
+# linear in u, and 4% splits, whose other mode bends it, with the most
+# correction steps their first path solve (orders 8 and 16) takes: one on
+# a cut, two on the thin slab's path from the axis over the full disc.
+_ONE_WAVENUMBER = {
+    "degenerate": make_cfg(z=1.0),
+    "unequal-z": replace(make_cfg(z=0.1), z_idler=0.07),
+    "displaced": make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6)),
+    "thin": make_cfg(length=1e-4, z=1.5e-4),
+}
+_SPLITS = {
+    "I-1cm": (_split_cfg("I", 0.04, z=0.01), 1),
+    "II-0.1m": (_split_cfg("II", 0.04, z=0.1), 1),
+    "I-1m-unequal-z": (replace(_split_cfg("I", -0.04, z=1.0), z_idler=0.6),
+                       1),
+    "II-displaced": (_split_cfg("II", 0.04, z=0.1, offset=(2e-5, 0.0)), 1),
+    "II-thin": (_split_cfg("II", 0.04, n_imag=1e-5, length=1e-4, z=1.5e-4),
+                2),
+}
+
+
+def _route_start(phase):
+    """d_c of the route: the 512-cycle cut, or grazing for the full disc."""
+    cycles = -phase.psi_rel(0.5 * np.pi) / (2.0 * np.pi)
+    if cycles > 1.5 * amplitude._KEPT_CYCLES:
+        return phase.cut(amplitude._KEPT_CYCLES)[1]
+    return phase.kap_max
+
+
+def _newton_steps(monkeypatch, cfg, orders):
+    """Correction steps of the route's path solve at these orders: the
+    slope calls of _descent_nodes less the start's and the first check's."""
+    phase = _DetectorPhase(cfg, _Modes.of(cfg))
+    d_c = _route_start(phase)
+    calls = []
+    slope = _DetectorPhase.slope
+
+    def counting(self, u):
+        calls.append(u)
+        return slope(self, u)
+
+    monkeypatch.setattr(_DetectorPhase, "slope", counting)
+    _, d = amplitude._path_nodes(phase, d_c, orders)
+    monkeypatch.undo()
+    assert d is not None
+    return len(calls) - 2
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_WAVENUMBER))
+def test_one_wavenumber_paths_take_no_newton_step(monkeypatch, name):
+    # Psi is Z0 u: the tangent start i t / Z0 is the path itself, at every
+    # order.
+    assert _newton_steps(monkeypatch, _ONE_WAVENUMBER[name],
+                         (8, 16, 32, 64)) == 0
+
+
+@pytest.mark.parametrize("name", sorted(_SPLITS))
+def test_split_paths_take_few_newton_steps(monkeypatch, name):
+    cfg, most = _SPLITS[name]
+    assert _newton_steps(monkeypatch, cfg, (8, 16)) <= most
+
+
+def _mp_phase(phase, cfg, modes):
+    """mpmath, and Psi as a function of d at 40 digits from the double
+    inputs."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    k = mp.mpf(phase.kap_max)
+    parts = [(mp.mpf(q) ** 2 - k * k, mp.mpf(z))
+             for q, z in ((modes.q_s, cfg.z_signal),
+                          (modes.q_i, cfg.z_idler))]
+
+    def psi(d):
+        u = k - mp.mpc(d.real, d.imag)
+        return sum(z * mp.sqrt(u * u + big) for big, z in parts)
+
+    return mp, psi
+
+
+@pytest.mark.parametrize("z", [0.01, 1.0])
+@pytest.mark.parametrize("split", [0.0, 0.04])
+def test_path_nodes_match_40_digit_phase(z, split):
+    # Nodes from the axis and from the 512-cycle cut, orders 8 to 64: the
+    # 40-digit Psi(u) - Psi(u0) - i t at each double node is within the
+    # _NEWTON_ULPS floor, the phase change one ulp of d or t makes.
+    cfg = _split_cfg("II", split, z=z)
+    modes = _Modes.of(cfg)
+    phase = _DetectorPhase(cfg, modes)
+    mp, psi = _mp_phase(phase, cfg, modes)
+    d_c = _route_start(phase)
+    assert d_c < phase.kap_max
+    t, d = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
+    ulps = amplitude._NEWTON_ULPS * np.finfo(float).eps
+    floor = ulps * (np.abs(d * phase.slope(phase.kap_max - d)) + t)
+    for row, bound, d0 in zip(d, floor, (0.0, d_c)):
+        start = psi(mp.mpc(d0))
+        for node, t_j, b in zip(row, t, bound):
+            assert float(abs(psi(node) - start - 1j * mp.mpf(t_j))) <= b
+
+
+def test_psi_rel_matches_40_digit_phase():
+    # psi_rel near the axis, theta from 1e-8 to 1e-3, where s = kappa^2
+    # would lose digits: within a few ulps of the 40-digit phase.
+    for cfg in (make_cfg(z=1.0), _split_cfg("I", 0.04, z=0.01)):
+        modes = _Modes.of(cfg)
+        phase = _DetectorPhase(cfg, modes)
+        mp, psi = _mp_phase(phase, cfg, modes)
+        theta = np.geomspace(1e-8, 1e-3, 41)
+        got = phase.psi_rel(theta)
+        for th, value in zip(theta, got):
+            d = 2 * mp.mpf(phase.kap_max) * mp.sin(mp.mpf(th) / 2) ** 2
+            want = float(mp.re(psi(mp.mpc(d)) - psi(mp.mpc(0))))
+            assert abs(value - want) <= 4.0 * np.spacing(abs(want))
+
+
+# ---------------------------------------------------------------------------
 # Route guard
 # ---------------------------------------------------------------------------
 
@@ -353,7 +477,7 @@ _ROUTE_CFGS = {"collinear-1m": make_cfg(kind="I", z=1.0),
     (_ROUTE_CFGS["collinear-1m"], 57),
     (_ROUTE_CFGS["thin-full-range"], 48),
     (_ROUTE_CFGS["displaced-II"], 57),
-    (make_cfg(kind="I", z=1.2e-3), 169),
+    (make_cfg(kind="I", z=1.2e-3), 145),
 ], ids=["collinear-1m", "thin-full-range", "displaced-II", "refused-cut"])
 def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # A kernel change that moves a contour or the adaptive partition shows
@@ -361,8 +485,9 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # axis and the ray from grazing; collinear-1m and displaced-II close the
     # tail on a 9-node stencil and take the head on two paths. Each contour
     # has 8 + 16 Laguerre nodes. The 2 mm slab at 1.2 mm refuses its one
-    # closure (57 nodes) and takes the full disc at N = 8, 16 and 32
-    # (48 + 64).
+    # closure (57 nodes) and takes the full disc at N = 8, 16 and 32: the
+    # path from the axis comes from the refused cut's call, so the disc
+    # evaluates the ray's 24 nodes and then 64.
     counted = []
     channels = amplitude._Channels
 
@@ -373,6 +498,22 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     monkeypatch.setattr(amplitude, "_Channels", counting)
     amplitude_numeric(cfg, tol=1e-6)
     assert sum(counted) == nodes
+
+
+def test_refused_cut_hands_the_disc_its_axis_path(monkeypatch):
+    # The full disc after a refused closure takes the cut call's path from
+    # the axis and its rows: bit for bit the amplitude of a disc that
+    # solves and evaluates that path afresh.
+    cfg = make_cfg(kind="I", z=1.2e-3)
+    reused = amplitude_numeric(cfg, tol=1e-6).matrix
+    head = amplitude._path_head
+
+    def afresh(rows, phase, modes, d_c, tol, solved=None):
+        assert (solved is not None) == (d_c == phase.kap_max)
+        return head(rows, phase, modes, d_c, tol, None)
+
+    monkeypatch.setattr(amplitude, "_path_head", afresh)
+    assert np.array_equal(amplitude_numeric(cfg, tol=1e-6).matrix, reused)
 
 
 _ONE_CALL_CFGS = {

@@ -177,6 +177,23 @@ def test_request_missing_scan_keys():
         scan_request_from_config("scan_axis = n_imag\n")
 
 
+def test_tol_must_be_positive_and_finite():
+    # An infinite tol would return an unchecked N = 16 head and write
+    # "tol": Infinity into JSON; it is rejected where a route is entered.
+    base = load_config("")
+    for tol in (np.inf, np.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="positive and finite"):
+            amplitude_numeric(base, tol=tol)
+        for method in ("numeric", "farfield"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                point_result(base, method=method, tol=tol)
+            with pytest.raises(ValueError, match="positive and finite"):
+                preset("fig4", method=method, tol=tol)
+            with pytest.raises(ValueError, match="positive and finite"):
+                ScanRequest(base=base, axis="n_imag", range=(0, 1e-5, 3),
+                            observables=("rate_I",), method=method, tol=tol)
+
+
 def test_request_validation():
     base = load_config("")
     with pytest.raises(ValueError, match="axis"):
@@ -802,9 +819,11 @@ def test_cli_validation_failures_exit_1(tmp_path):
     no_scan = _write_cfg(tmp_path, "n_imag = 1e-6\n", name="plain.cfg")
     assert main(["scan", "--config", no_scan]) == 1
     for method in ("numeric", "farfield"):
-        for tol in ("nan", "-1"):
+        for tol in ("nan", "-1", "inf"):
             assert main(["rate", "--config", no_scan, "--method", method,
                          "--tol", tol]) == 1
+    for tol in ("nan", "inf"):
+        assert main(["preset", "fig4", "--tol", tol, "--format", "json"]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["preset", "fig7"]) == 1
     assert main([]) == 1
