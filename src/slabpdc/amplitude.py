@@ -69,8 +69,7 @@ and idler share one vacuum wavenumber (a degenerate split, at any z_s and
 z_i) Psi is linear in u, so a path is a straight line and its nodes need no
 Newton step; at a few-percent split Newton takes one (_descent_nodes).
 With 8 + 16 nodes a path and 9 for the tail stencil, an amplitude takes 57
-integrand nodes where Gauss-Kronrod panels of equal phase (_integrate_head)
-took about 12k. The paths are solved before the tail is checked, so the 9
+integrand nodes. The paths are solved before the tail is checked, so the 9
 stencil nodes and the 48 path nodes go through the kernel in one call: an
 amplitude's time is per-call overhead, not node count.
 
@@ -82,10 +81,13 @@ above the real axis beyond it (Michalski and Mosig, J. Electromagn. Waves
 Appl. (2016)), so that contour is a straight 45 degree ray in u, which is
 analytic there and needs no Newton (_DetectorPhase.ray). A thin slab takes
 48 nodes, 8 + 16 on each contour; a refused cut hands the disc its path
-from the axis and their rows, so the disc adds the ray's 24. GK15 panels
-remain for a head either contour refuses (Newton off the path, a tol below
-its rounding floor, or rows that overflow), up to the cut or over a full
-range of fewer than _FULL_RANGE_CYCLES phase cycles.
+from the axis and their rows, so the disc adds the ray's 24. A head that
+either contour refuses (Newton off the path, a row that is not finite, a
+tol below the rounding floor, or orders that still disagree at
+_PATH_NODES_MAX) raises ConvergenceError. Displaced detectors at close
+range refuse: J_n(kappa rho) grows along a path faster than e^{-t} decays
+once q rho^2/z passes about 100 (q the vacuum wavenumber; a 0.3 mm offset
+at 1 cm, 0.2 mm at 4 mm).
 
 What each route computes. By Cauchy's theorem the whole transverse plane
 is I_SD(0), the steepest-descent path from s = 0 alone: the half-line
@@ -101,16 +103,16 @@ at 1 cm (Type I, collinear, degenerate). The disc route returns the disc
 alone, without the evanescent sector: 4e-5 of the amplitude for a 0.1 mm
 slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 
-The per-node kernel (_Channels, then _angular_rows) takes real kappa on
-GK15 panels and complex kappa on the paths, the ray and the tail stencil.
-The stencil's nodes lie on the real axis, where _path_kinematics gives the
-roots of kinematics bit for bit; only jv of a complex argument moves a
-displaced detector's rows, by rounding. A node takes two complex
-exponentials, e^{i k_z L/2} of each split mode, and one at a degenerate
-split, where signal and idler are one mode; every slab phase is a product
-of them and of the pump's, with half the rounding error of exp of the
-rounded sum sk L/2 (_Channels). The Bessel rows are scipy's jv, which takes
-complex arguments.
+The per-node kernel (_Channels, then _angular_rows) takes complex kappa on
+the paths, the ray and the tail stencil, and real kappa from the public
+integrands and the far field's kappa = 0. The stencil's nodes lie on the
+real axis, where _path_kinematics gives the roots of kinematics bit for
+bit; only jv of a complex argument moves a displaced detector's rows, by
+rounding. A node takes two complex exponentials, e^{i k_z L/2} of each
+split mode, and one at a degenerate split, where signal and idler are one
+mode; every slab phase is a product of them and of the pump's, with half
+the rounding error of exp of the rounded sum sk L/2 (_Channels). The
+Bessel rows are scipy's jv, which takes complex arguments.
 
 The far field is the leading term of the same integral, not a formula of
 its own: farfield_matrices takes its kappa = 0 endpoint term (Watson's
@@ -147,9 +149,8 @@ import numpy as np
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        ModeKinematics, branch_sqrt, kinematics,
-                        noise_factor, reject)
-from .quadrature import ConvergenceError, QuadratureSpec, _integrate_partition
+                        ModeKinematics, kinematics, noise_factor, reject)
+from .quadrature import ConvergenceError
 
 __all__ = [
     "ExperimentConfig",
@@ -173,16 +174,9 @@ _TWO_PI = 2.0 * np.pi
 
 # Radial-engine policy knobs. KEPT_CYCLES detector-phase cycles are
 # integrated exactly before the integration-by-parts tail, whose closure is
-# refused (the head is then the full disc) above TAIL_RATIO_LIMIT; GK15
-# panels stand in for refused full-disc contours below FULL_RANGE_CYCLES.
+# refused (the head is then the full disc) above TAIL_RATIO_LIMIT.
 _KEPT_CYCLES = 512
-_FULL_RANGE_CYCLES = 2.0e4
 _TAIL_RATIO_LIMIT = 0.1
-# Phase cycles per head seed panel. A GK15 panel's Gauss-7 error goes as its
-# phase^14 (QUADPACK, 1983). For a rate growing linearly from the axis, equal
-# panels of at most 0.75 cycles and equal-phase panels of c cycles have the
-# same summed error at c^13 = (2/15) 0.75^13, c = 0.642.
-_PANEL_CYCLES = 0.75 * (2.0 / 15.0) ** (1.0 / 13.0)
 # Steepest-descent head: Gauss-Laguerre orders double from _PATH_NODES up
 # to _PATH_NODES_MAX while the N and 2N sums disagree; Newton in u has
 # _NEWTON_STEPS steps to put every node within _NEWTON_ULPS rounding units
@@ -486,11 +480,11 @@ class _Channels:
 
     Vectorized over kappa. Holds the split-mode kinematics, the four X
     factors keyed by (signal, idler) polarization, and the slab phase
-    csinc(dk L/2) e^{i sk L/2}. Real kappa (the disc) goes through the
-    public ``kinematics``; complex kappa (the steepest-descent and ray
-    nodes, with Im kappa^2 < 0) through _path_kinematics, whose principal
-    roots agree with branch_sqrt there. The rest is the same code on
-    either.
+    csinc(dk L/2) e^{i sk L/2}. Real kappa (the public integrands, the far
+    field's kappa = 0) goes through the public ``kinematics``; complex
+    kappa (the steepest-descent and ray nodes, with Im kappa^2 < 0)
+    through _path_kinematics, whose principal roots agree with branch_sqrt
+    there. The rest is the same code on either.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
@@ -755,16 +749,6 @@ class _DetectorPhase:
         return d, -2.0 * u * du * np.exp(1j * self.rise(d, self.kap_max) + t)
 
 
-def _slab_phase_rate(modes, theta):
-    """Upper bound on the theta rate of the L-scale slab phases."""
-    kap = min(modes.q_s, modes.q_i) * np.sin(theta)
-    dkap = min(modes.q_s, modes.q_i) * np.cos(theta)
-    kzs = branch_sqrt(modes.k_s * modes.k_s - kap * kap)
-    kzi = branch_sqrt(modes.k_i * modes.k_i - kap * kap)
-    return modes.length * kap * dkap \
-        * (1.0 / abs(kzs) + 1.0 / abs(kzi))
-
-
 def _stencil(theta0):
     """The 9-point tail stencil theta0 + h (-4, ..., 4) inside (0, pi/2),
     and its step h."""
@@ -796,32 +780,6 @@ def _tail_terms(g, phase, grid, h):
     n3 = float(np.sum(np.abs(u3)))
     ratio = n2 / n1 if n1 > 0.0 else (0.0 if n2 == 0.0 else np.inf)
     return boundary, ratio, n3
-
-
-def _integrate_head(slow, phase, modes, upper, rel_tol):
-    """GK15 integral of slow(theta) e^{i psi_rel} over [0, upper].
-
-    Seed panels hold _PANEL_CYCLES cycles of detector plus slab phase, its
-    bound summed over a 513-point grid from each cell's larger end rate;
-    the first, quadratic in phase about the stationary point, is halved.
-    _integrate_partition refines in worst-first rounds; when tol is tight
-    a round can bisect most of the partition, so the budget leaves room
-    for a few full sweeps over the seed panels.
-    """
-    thetas = np.linspace(0.0, upper, 513)
-    rate = np.abs(phase.psi_prime(thetas)) + _slab_phase_rate(modes, thetas)
-    cum = np.concatenate(
-        ([0.0], np.cumsum(np.maximum(rate[:-1], rate[1:]) * np.diff(thetas))))
-    n_seed = max(1, int(np.ceil(cum[-1] / (_PANEL_CYCLES * _TWO_PI))))
-    edges = np.interp(np.linspace(0.0, cum[-1], n_seed + 1), cum, thetas)
-    edges[0], edges[-1] = 0.0, upper
-    edges = np.insert(edges, 1, 0.5 * edges[1])
-    spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=6 * n_seed + 8000)
-
-    def f(theta):
-        return np.asarray(slow(theta)) * np.exp(1j * phase.psi_rel(theta))
-
-    return _integrate_partition(f, edges, spec)
 
 
 @functools.cache
@@ -919,21 +877,22 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
     it exponentiates, eps Phi relative with Phi = |psi_rel(d_c)| +
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
     d_c = kappa_max, for the full disc) and the slab's. The 2N head is
-    returned once the error is within tol/2 of it, as the GK15 head is
-    held. Returns None as soon as _path_sums does (Newton fails, or a row is
-    not finite), when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm
-    slab), or when the check still fails at order _PATH_NODES_MAX; the
-    caller then integrates the head by GK15 or raises
-    (_integrate_oscillatory). solved, if given, is _path_sums' for the first
-    order pair.
+    returned once the error is within tol/2 of it. Raises ConvergenceError
+    as soon as _path_sums refuses (Newton fails, or a row is not finite),
+    when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm slab), or
+    when the check still fails at order _PATH_NODES_MAX. The error carries
+    the last 2N head and its error, or None and inf if no order pair was
+    summed. solved, if given, is _path_sums' for the first order pair.
     """
     phi = abs(phase.rise(d_c, 0.0)) + modes.length * (
         abs(modes.k_p) + abs(modes.k_s) + abs(modes.k_i))
-    orders, sums = (_PATH_NODES, 2 * _PATH_NODES), []
+    orders, sums, err = (_PATH_NODES, 2 * _PATH_NODES), [], np.inf
     while True:
         new = _path_sums(rows, phase, d_c, orders, solved)
         if new is None:
-            return None
+            raise ConvergenceError(
+                f"contour refused at order {orders[-1]}: Newton off the "
+                "path or a row not finite", sums[-1] if sums else None, err)
         solved = None
         sums += new
         size = float(np.sum(np.abs(sums[-1])))
@@ -941,74 +900,66 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
         err = float(np.sum(np.abs(sums[-1] - sums[-2]))) + floor
         if err <= 0.5 * tol * size:
             return sums[-1], err
-        if floor > 0.5 * tol * size or orders[-1] >= _PATH_NODES_MAX:
-            return None
+        if floor > 0.5 * tol * size:
+            raise ConvergenceError(
+                f"tol = {tol:.1e} is below the contour's rounding floor "
+                f"({2.0 * floor / size:.1e})", sums[-1], err)
+        if orders[-1] >= _PATH_NODES_MAX:
+            raise ConvergenceError(
+                f"contour orders {orders[-1] // 2} and {orders[-1]} differ "
+                f"by {err / size:.1e} (tol {tol:.1e})", sums[-1], err)
         orders = (2 * orders[-1],)
 
 
 def _integrate_oscillatory(rows, phase, modes, tol):
-    """Head-plus-tail evaluation of int_0^{pi/2} slow(theta) e^{i Psi} dtheta.
+    """Head-plus-tail evaluation of int_0^{pi/2} rows e^{i Psi} kappa dkappa.
 
-    rows maps a kappa array, real or complex, to the (m, n) stack of
-    _angular_rows; slow(theta) is rows times the kappa dkappa/dtheta
-    measure. Returns (vector of m integrals, error estimate). With more
-    than 1.5 _KEPT_CYCLES phase cycles, the tail is closed at the one cut
-    after _KEPT_CYCLES (module notes) and the head is [0, theta_c]; with
-    fewer, or the closure refused (series ratio above _TAIL_RATIO_LIMIT),
-    the head is the full range [0, pi/2] and there is no tail. Either head
-    is _path_head's, or GK15's (_integrate_head) if a contour refuses.
+    rows maps a complex kappa array to the (m, n) stack of _angular_rows;
+    on kappa = kappa_max sin(theta) the measure is kappa kappa_max
+    cos(theta) dtheta. Returns (vector of m integrals, error estimate).
+    With more than 1.5 _KEPT_CYCLES phase cycles, the tail is closed at the
+    one cut after _KEPT_CYCLES (module notes) and the head is [0, theta_c];
+    with fewer, or the closure refused (series ratio above
+    _TAIL_RATIO_LIMIT), the head is the full range [0, pi/2] and there is
+    no tail. Either head is _path_head's.
 
     The nodes of both cut paths are solved at the first order pair before
     the tail is checked, and the 9 stencil kappa (complex, on the real
     axis) and the 48 path kappa go through rows in one call. If the closure
     is refused, the full disc takes the path from the axis and its rows
-    from that call and evaluates only the ray's. Where Newton refuses, the
-    stencil takes a call of its own, as does the full range. Raises
-    ConvergenceError at once, value None, when the full-disc contours
-    refuse over _FULL_RANGE_CYCLES phase cycles or more; from a GK15 head,
-    its value includes the tail and the e^{i Psi(0)} reference phase.
+    from that call and evaluates only the ray's. Raises ConvergenceError,
+    value None, when Newton refuses at the cut, and passes _path_head's on
+    with the tail and the e^{i Psi(0)} reference phase added to its value.
     """
-    def slow(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kap = phase.kappa(theta)
-        return rows(kap) * (kap * phase.kap_max * np.cos(theta))
-
     k = phase.kap_max
     cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
-    upper, rel_tol, d_c = 0.5 * np.pi, tol, k
-    tail, err_tail, solved = 0.0, 0.0, None
+    d_c, tail, err_tail, solved = k, 0.0, 0.0, None
     if cycles > 1.5 * _KEPT_CYCLES:
         theta_c, d_cut = phase.cut(_KEPT_CYCLES)
         grid, h = _stencil(theta_c)
         kap = phase.kappa(grid)
         t, d = _path_nodes(phase, d_cut, (_PATH_NODES, 2 * _PATH_NODES))
-        values = rows(kap if d is None else np.concatenate(
+        if d is None:
+            raise ConvergenceError("contours refused at the cut: Newton off "
+                                   "the path", None, np.inf)
+        values = rows(np.concatenate(
             [kap + 0j, np.sqrt(d * (2.0 * k - d)).ravel()]))
         cut, ratio, n3 = _tail_terms(
             values[:, :len(grid)] * (kap * k * np.cos(grid)), phase, grid, h)
         paths = values[:, len(grid):]
         if ratio <= _TAIL_RATIO_LIMIT:
-            upper, rel_tol, d_c = theta_c, 0.5 * tol, d_cut
-            tail, err_tail = -cut, n3 * min(1.0, ratio)
-            solved = None if d is None else (t, d, paths)
-        elif d is not None:
+            d_c, tail, err_tail = d_cut, -cut, n3 * min(1.0, ratio)
+            solved = (t, d, paths)
+        else:
             solved = (t, d[:1], paths[:, :len(t)])
 
-    path = _path_head(rows, phase, modes, d_c, tol, solved)
     ref = np.exp(1j * phase.psi_ref)
-    if path is not None:
-        head, err_head = path
-        return (head + tail) * ref, err_head + err_tail
-    if upper == 0.5 * np.pi and cycles >= _FULL_RANGE_CYCLES:
-        raise ConvergenceError(
-            f"full-disc contours refused, and {cycles:.3e} phase cycles are "
-            f"too many for GK15 panels (limit {_FULL_RANGE_CYCLES:.0e})",
-            None, np.inf)
     try:
-        head, err_head = _integrate_head(slow, phase, modes, upper, rel_tol)
+        head, err_head = _path_head(rows, phase, modes, d_c, tol, solved)
     except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), (exc.value + tail) * ref,
-                               exc.error + err_tail) from exc
+        value = None if exc.value is None else (exc.value + tail) * ref
+        raise ConvergenceError(str(exc), value, exc.error + err_tail) \
+            from exc
     return (head + tail) * ref, err_head + err_tail
 
 
@@ -1047,13 +998,18 @@ def _numeric_matrix(cfg, modes, tol):
 
 
 def amplitude_numeric(cfg, tol=1e-6):
-    """Biphoton amplitude by quadrature over the propagating disc.
+    """Biphoton amplitude by quadrature over the transverse wave vector.
 
-    The angular integral is in closed form, so every detector placement
-    feeds one radial engine with the rows of _angular_rows, and the row
-    matrices are applied to its result. tol is the relative tolerance
-    requested of the quadrature; failure to converge raises
-    ConvergenceError carrying the achieved estimate.
+    The angular integral is in closed form, so a detector placement feeds
+    one radial engine with the rows of _angular_rows, and the row matrices
+    are applied to its result. tol is the relative tolerance requested of
+    the quadrature. The engine's contours converge for collinear detectors
+    and for offsets rho up to q rho^2/z of about 100 (q the vacuum
+    wavenumber): measured on a 2 mm slab from 2 mm to 0.1 m, they return up
+    to 98 (0.5 mm at 3 cm) and refuse from 106 (0.3 mm at 1 cm). A refused
+    contour, or a tol below the rounding floor, raises ConvergenceError
+    carrying the best value it reached (None if there is none) and its
+    error estimate.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")

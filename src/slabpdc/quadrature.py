@@ -7,21 +7,14 @@ being trusted silently. Those three requirements rule out scipy.quad, so
 the driver is a small Gauss-Kronrod 7/15 panel scheme of our own.
 
 The driver integrates one function or a stack of functions sharing their
-abscissae (the tensor components of one Green function, the four entries
-of one amplitude matrix). ``max_panel`` seeds equal panels no wider than
-a fraction of the shortest period; _integrate_partition takes seed edges
-laid out by the local phase rate (the caller knows the phase rates, this
-module does not). The sqrt(q^2 - kappa^2) branch point at the edge of the
-propagating disc is the caller's to regularize, by kappa = q sin(theta).
+abscissae (the tensor components of one Green function). ``max_panel``
+seeds equal panels no wider than a fraction of the shortest period. The
+sqrt(q^2 - kappa^2) branch point at the edge of the propagating disc is
+the caller's to regularize, by kappa = q sin(theta).
 
 The integrand is called on blocks of up to _BLOCK_PANELS panels, not once
 per 15-node panel: the whole seed partition first, then the children of
-each refinement round. The amplitude integrand costs 10-15 us a node in
-15-node calls and 0.45-0.8 us in calls of 1920 nodes (collinear, degenerate
-and 4% split; one core of a shared 2-core x86 host), so the call count, not
-the node count, set the cost of the one-panel driver. The amplitude comes
-here only for a head whose contours refuse; a contour head takes 48 nodes
-in one call, more if N doubles.
+each refinement round.
 """
 
 from __future__ import annotations
@@ -143,12 +136,6 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     n_seed = 1
     if max_panel is not None and max_panel > 0:
         n_seed = max(1, int(np.ceil((b - a) / max_panel)))
-    return _integrate_partition(f, np.linspace(a, b, n_seed + 1), spec)
-
-
-def _integrate_partition(f, edges, spec):
-    """integrate_radial from the seed partition of increasing edges."""
-    n_seed = len(edges) - 1
     if n_seed > spec.max_subdivisions:
         raise ConvergenceError(
             f"seed partition ({n_seed} panels) exceeds the subdivision "
@@ -156,6 +143,7 @@ def _integrate_partition(f, edges, spec):
 
     # Panel j is [edges[j], edges[j + 1]] and column j of val, err and
     # resabs, so a round is a few array operations and one blocked pass.
+    edges = np.linspace(a, b, n_seed + 1)
     val, err, resabs = _panels(f, edges[:-1], edges[1:])
     while True:
         total = val.sum(axis=-1)

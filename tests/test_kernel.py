@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slabpdc import amplitude, quadrature
+from slabpdc import amplitude
 from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
                                _Modes, _descent_nodes, _laguerre,
                                _split_factors, _stencil, amplitude_numeric,
@@ -321,9 +321,9 @@ def _path_arguments():
 
 def test_bessel_rows_match_jv():
     # J0, J2 and J4 of the rows against 30-digit values: on the real axis,
-    # where a GK15 head with an offset takes them, and at complex kappa rho
-    # on the paths (|Im| up to 74 at 0.2 mm and 1 cm), where the rows grow
-    # like e^{|Im|}.
+    # where the tail stencil of a displaced detector takes them, and at
+    # complex kappa rho on the paths (|Im| up to 74 at 0.2 mm and 1 cm),
+    # where the rows grow like e^{|Im|}.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     real = np.concatenate((np.geomspace(1e-6, 2.0, 60),
@@ -560,59 +560,3 @@ def test_stencil_rows_take_the_path_kinematics(name):
         else:
             assert np.max(np.abs(axis - real)) \
                 <= 4e-15 * np.max(np.abs(real))
-
-
-def _gk15_head(monkeypatch):
-    """Make the head GK15's, the fallback of a refused contour: over the
-    full range for the thin slab, and up to the cut for the others."""
-    monkeypatch.setattr(amplitude, "_path_head", lambda *args: None)
-
-
-@pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
-def test_head_seed_panels_hold_equal_phase(monkeypatch, name):
-    # Every seed panel of the head holds at most _PANEL_CYCLES cycles of
-    # detector plus slab phase, measured on a 4097-point grid, and no
-    # panel but the halved first one holds much less.
-    seen = {}
-    head, partition = amplitude._integrate_head, amplitude._integrate_partition
-
-    def spy_head(slow, phase, modes, upper, rel_tol):
-        seen.update(phase=phase, modes=modes, upper=upper)
-        return head(slow, phase, modes, upper, rel_tol)
-
-    def spy_partition(f, edges, spec):
-        seen["edges"] = edges.copy()
-        return partition(f, edges, spec)
-
-    _gk15_head(monkeypatch)
-    monkeypatch.setattr(amplitude, "_integrate_head", spy_head)
-    monkeypatch.setattr(amplitude, "_integrate_partition", spy_partition)
-    amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
-    edges, upper = seen["edges"], seen["upper"]
-    assert edges[0] == 0.0 and edges[-1] == upper
-    assert (upper == 0.5 * np.pi) == (name == "thin-full-range")
-    assert np.all(np.diff(edges) > 0.0)
-    grid = np.union1d(np.linspace(0.0, upper, 4097), edges)
-    rate = np.abs(seen["phase"].psi_prime(grid)) \
-        + amplitude._slab_phase_rate(seen["modes"], grid)
-    phase = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(grid))))
-    cycles = np.diff(np.interp(edges, grid, phase)) / (2.0 * np.pi)
-    assert cycles.max() <= amplitude._PANEL_CYCLES * (1.0 + 1e-9)
-    assert cycles[2:].min() >= 0.5 * amplitude._PANEL_CYCLES
-
-
-@pytest.mark.parametrize("name", sorted(_ROUTE_CFGS))
-def test_head_seed_needs_at_most_one_refinement_round(monkeypatch, name):
-    # _panels runs once for the seed and once per refinement round.
-    calls = []
-    panels = quadrature._panels
-
-    def counting(f, lo, hi):
-        calls.append(len(lo))
-        return panels(f, lo, hi)
-
-    _gk15_head(monkeypatch)
-    monkeypatch.setattr(quadrature, "_panels", counting)
-    amplitude_numeric(_ROUTE_CFGS[name], tol=1e-6)
-    assert 1 <= len(calls) <= 2

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from slabpdc.quadrature import (ConvergenceError, QuadratureSpec,
-                                _integrate_partition, integrate_angular,
-                                integrate_radial)
+                                integrate_angular, integrate_radial)
 
 
 # ---------------------------------------------------------------------------
@@ -146,35 +145,6 @@ def test_over_budget_round_takes_half_of_what_is_left():
             rel_tol=1e-15, max_subdivisions=budget), max_panel=0.05)
         assert val == 1.0237081891220041 and err == 4.441714059272642e-14
     assert abs(info.value.value - val) <= info.value.error
-
-
-def test_explicit_edges_match_uniform_seed():
-    # Equal seed edges through _integrate_partition give integrate_radial's
-    # value, estimate and failure bit for bit.
-    w = 200.0
-    cases = [
-        (lambda x: np.exp(1j * w * x), 0.0, 2.0 * np.pi, 2.0 * np.pi / w,
-         QuadratureSpec(rel_tol=1e-10, abs_floor=1e-13)),
-        (lambda x: np.sin(300.0 * x) / (1e-3 + x), 0.0, 1.0, 0.05,
-         QuadratureSpec(rel_tol=1e-12)),
-        (lambda x: np.stack([np.exp(1j * 37.0 * x) / (1.0 + x * x),
-                             np.cos(5.0 * x) * x]), 0.0, 10.0, 0.3,
-         QuadratureSpec()),
-        (lambda x: np.sin(300.0 * x) / (1e-3 + x), 0.0, 1.0, 0.05,
-         QuadratureSpec(rel_tol=1e-15, max_subdivisions=100)),
-    ]
-    for f, a, b, cap, spec in cases:
-        edges = np.linspace(a, b, math.ceil((b - a) / cap) + 1)
-        try:
-            want = integrate_radial(f, a, b, spec, max_panel=cap)
-        except ConvergenceError as exc:
-            want = (exc.value, exc.error)
-            with pytest.raises(ConvergenceError) as info:
-                _integrate_partition(f, edges, spec)
-            got = (info.value.value, info.value.error)
-        else:
-            got = _integrate_partition(f, edges, spec)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_scalar_and_single_row_stack_agree():

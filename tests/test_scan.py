@@ -840,3 +840,14 @@ def test_cli_convergence_failure_exits_2(tmp_path):
     code = main(["rate", "--config", cfg, "--method", "numeric",
                  "--tol", "1e-14"])
     assert code == 2
+
+
+def test_cli_refused_contour_exits_2(tmp_path, capsys):
+    # A 0.3 mm offset at 1 cm (q rho^2/z about 106): the contours refuse,
+    # and rate writes the failure to stderr and nothing to stdout.
+    cfg = _write_cfg(tmp_path,
+                     "n_imag = 1e-6\nz_signal = 0.01\nz_idler = 0.01\n"
+                     "offset_x = 3e-4\n")
+    assert main(["rate", "--config", cfg, "--method", "numeric"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "convergence failure" in err
