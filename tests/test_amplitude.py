@@ -665,8 +665,6 @@ def test_path_estimate_bounds_realized_deviation(monkeypatch):
 def _raises_at_once(cfg, tol=1e-6):
     """The ConvergenceError of amplitude_numeric, raised within 0.1 s.
     RuntimeWarnings are errors in this suite, so the refusal is quiet."""
-    import scipy.special  # noqa: F401  (loaded outside the timing)
-
     start = time.perf_counter()
     with pytest.raises(ConvergenceError) as info:
         amplitude_numeric(cfg, tol=tol)

@@ -1,11 +1,13 @@
-"""scipy is loaded only by the routes that call it; the exports resolve.
+"""scipy is loaded only by the Green tensor; the exports resolve.
 
-The far-field route (``preset``, ``scan``, the default ``rate``) and the
-collinear numeric route need no Bessel function, so a ``slabpdc`` process
-on them must not pay for importing scipy. Displaced numeric amplitudes and
-the Green tensor import ``scipy.special`` on first use, and that first call
-must give the same numbers as any later one. Each test runs a fresh
-interpreter, since the test process itself has long since loaded scipy.
+No amplitude route imports scipy: the far field (``preset``, ``scan``, the
+default ``rate``) needs no Bessel function, and the numeric route, collinear
+or displaced, computes its Bessel rows in numpy, so a ``slabpdc`` process
+does not pay for importing scipy. The Green tensor, the acceptance gate's
+oracle, imports ``scipy.special`` on first use, and the displaced numeric
+route builds its Bessel tables on first use; either first call must give
+the same numbers as any later one. Each test runs a fresh interpreter, since
+the test process itself has long since loaded scipy.
 """
 
 import json
@@ -57,15 +59,17 @@ def _child(code, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def deferred_values():
-    """First calls of every route that imports scipy inside a function."""
-    amps = [amplitude_numeric(load_config(text)).matrix
+def deferred_amplitudes():
+    """First numeric amplitudes, collinear and displaced (Bessel tables)."""
+    return [amplitude_numeric(load_config(text)).matrix
             for text in (_PATH, _DISPLACED_II, _THIN_DISPLACED_II)]
-    green = scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
-                                   50.0 * C_LIGHT,
-                                   CrystalSlab(material=vacuum(),
-                                               length=2e-3))
-    return amps + [green]
+
+
+def deferred_green():
+    """First call of the Green tensor, the one route that imports scipy."""
+    return scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
+                                  50.0 * C_LIGHT,
+                                  CrystalSlab(material=vacuum(), length=2e-3))
 
 
 def test_farfield_cli_loads_no_scipy(tmp_path):
@@ -80,14 +84,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert _child(code, tmp_path) == []
 
 
-def test_collinear_numeric_loads_no_scipy(tmp_path):
+def test_numeric_amplitudes_load_no_scipy(tmp_path):
+    # Collinear and displaced, on a cut (Type II at 0.1 m) and over the
+    # full disc (the thin slab, with and without an offset).
     code = """\
 import json, sys
 import slabpdc.cli as cli
 from slabpdc import amplitude_numeric, load_config
-from test_imports import _PATH, _THIN
-amplitude_numeric(load_config(_PATH))
-amplitude_numeric(load_config(_THIN))
+from test_imports import _PATH, _THIN, _DISPLACED_II, _THIN_DISPLACED_II
+for text in (_PATH, _THIN, _DISPLACED_II, _THIN_DISPLACED_II):
+    amplitude_numeric(load_config(text))
 assert cli.main(["preset", "fig5", "--method", "numeric",
                  "--out", "fig5.csv"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
@@ -99,18 +105,24 @@ def test_deferred_routes_match_on_first_call(tmp_path):
     code = """\
 import json, sys
 import numpy as np
-from test_imports import deferred_values
-before = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-np.savez("values.npz", *deferred_values())
-print(json.dumps({"before": before,
+from test_imports import deferred_amplitudes, deferred_green
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+before = scipy_modules()
+amps = deferred_amplitudes()
+after_amps = scipy_modules()
+np.savez("values.npz", *amps, deferred_green())
+print(json.dumps({"before": before, "amplitudes": after_amps,
                   "special": "scipy.special" in sys.modules,
                   "optimize": "scipy.optimize" in sys.modules}))
 """
     report = _child(code, tmp_path)
-    assert report == {"before": [], "special": True, "optimize": False}
+    assert report == {"before": [], "amplitudes": [], "special": True,
+                      "optimize": False}
     with np.load(tmp_path / "values.npz") as first:
         got = [first[f"arr_{i}"] for i in range(len(first.files))]
-    for g, w in zip(got, deferred_values(), strict=True):
+    want = deferred_amplitudes() + [deferred_green()]
+    for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
 
