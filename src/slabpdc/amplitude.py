@@ -58,32 +58,35 @@ ratio shows no clear convergence is refused, and the head is then the
 whole disc (below); no other cut is tried.
 
 The head [0, theta_c] is exact. In s = kappa^2 it is the difference of two
-steepest-descent paths (numerical steepest descent: Huybrechs and
-Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026), from s = 0 and from
-s_c = kappa(theta_c)^2 into Im s < 0, on which e^{i Psi} decays like e^{-t}:
-Gauss-Laguerre nodes in t sit on each (_path_sums), and the order doubles
-from 8 until two orders agree (_path_head). s = 0, the stationary point of
-Psi in theta, is a plain endpoint in s. The paths are carried in u, the
-kappa_max mode's q_z, as d = kappa_max - u (_DetectorPhase): when signal
-and idler share one vacuum wavenumber (a degenerate split, at any z_s and
-z_i) Psi is linear in u, so a path is a straight line and its nodes need no
-Newton step; at a few-percent split Newton takes one (_descent_nodes).
-With 8 + 16 nodes a path and 9 for the tail stencil, an amplitude takes 57
-integrand nodes. The paths are solved before the tail is checked, so the 9
-stencil nodes and the 48 path nodes go through the kernel in one call: an
-amplitude's time is per-call overhead, not node count.
+contours (numerical steepest descent: Huybrechs and Vandewalle, SIAM J.
+Numer. Anal. 44 (2006) 1026), from s = 0 and from s_c = kappa(theta_c)^2
+into Im s < 0, on which e^{i Psi} decays like e^{-t}: Gauss-Laguerre nodes
+in t sit on each (_path_sums), and the order doubles from 8 until two
+orders agree (_path_head). s = 0, the stationary point of Psi in theta, is
+a plain endpoint in s. The contours are carried in u, the kappa_max mode's
+q_z, as d = kappa_max - u (_DetectorPhase), and every contour is one
+straight ray in u from its start (_path_nodes), whose node weights carry
+the exact phase factor e^{i (Psi(u) - Psi(u0)) + t}; by Cauchy's theorem
+any such ray into the decaying half plane gives the same integral. From
+the axis and from the cut the ray is the tangent of the steepest-descent
+path: when signal and idler share one vacuum wavenumber (a degenerate
+split, at any z_s and z_i) Psi is linear in u, the tangent is the path and
+the factor is 1. With 8 + 16 nodes a contour and 9 for the tail stencil,
+an amplitude takes 57 integrand nodes. The contours are laid before the
+tail is checked, so the 9 stencil nodes and the 48 contour nodes go
+through the kernel in one call: an amplitude's time is per-call overhead,
+not node count.
 
 With too few cycles for a cut (thin slabs at close range), or with the
 closure refused, the head is the whole disc [0, s_max], s_max =
 kappa_max^2, the same difference with its second contour from grazing,
 u = 0. s_max is a branch point, and the slab's guided-mode poles lie just
 above the real axis beyond it (Michalski and Mosig, J. Electromagn. Waves
-Appl. (2016)), so that contour is a straight 45 degree ray in u, which is
-analytic there and needs no Newton (_DetectorPhase.ray). A thin slab takes
-48 nodes, 8 + 16 on each contour; a refused cut hands the disc its path
-from the axis and their rows, so the disc adds the ray's 24. A head that
-either contour refuses (Newton off the path, a row that is not finite, a
-tol below the rounding floor, or orders that still disagree at
+Appl. (2016)), so that ray leaves at 45 degrees in u, where the integrand
+is analytic. A thin slab takes 48 nodes, 8 + 16 on each contour; a refused
+cut hands the disc its contour from the axis and their rows, so the disc
+adds the ray's 24. A head that either contour refuses (a row that is not
+finite, a tol below the rounding floor, or orders that still disagree at
 _PATH_NODES_MAX) raises ConvergenceError. Displaced detectors at close
 range refuse: J_n(kappa rho) grows along a path faster than e^{-t} decays
 once q rho^2/z passes about 100 (q the vacuum wavenumber; a 0.3 mm offset
@@ -104,7 +107,7 @@ alone, without the evanescent sector: 4e-5 of the amplitude for a 0.1 mm
 slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 
 The per-node kernel (_Channels, then _angular_rows) takes complex kappa on
-the paths, the ray and the tail stencil, and real kappa from the public
+the contours and the tail stencil, and real kappa from the public
 integrands and the far field's kappa = 0. The stencil's nodes lie on the
 real axis, where _path_kinematics gives the roots of kinematics bit for
 bit. A node takes two complex exponentials, e^{i k_z L/2} of each
@@ -183,17 +186,11 @@ _TWO_PI = 2.0 * np.pi
 # refused (the head is then the full disc) above TAIL_RATIO_LIMIT.
 _KEPT_CYCLES = 512
 _TAIL_RATIO_LIMIT = 0.1
-# Steepest-descent head: Gauss-Laguerre orders double from _PATH_NODES up
-# to _PATH_NODES_MAX while the N and 2N sums disagree; Newton in u has
-# _NEWTON_STEPS steps to put every node within _NEWTON_ULPS rounding units
-# of its path (_descent_nodes): none at one vacuum wavenumber, where the
-# tangent start is the path, one or two at a few-percent split. The full
-# disc ends on the ray from grazing that leaves the u axis at _RAY_ANGLE
-# (_DetectorPhase.ray).
+# Contour head: Gauss-Laguerre orders double from _PATH_NODES up to
+# _PATH_NODES_MAX while the N and 2N sums disagree. The full disc ends on
+# the ray from grazing that leaves the u axis at _RAY_ANGLE (_path_nodes).
 _PATH_NODES = 8
 _PATH_NODES_MAX = 64
-_NEWTON_STEPS = 12
-_NEWTON_ULPS = 8
 _RAY_ANGLE = 0.25 * np.pi
 # Bessel rows (_bessel_rows), by |z|: the power series below _SERIES_BELOW,
 # the trapezoid rule on Bessel's integral up to _HANKEL_FROM, the Hankel
@@ -501,9 +498,9 @@ class _Channels:
     factors keyed by (signal, idler) polarization, and the slab phase
     csinc(dk L/2) e^{i sk L/2}. Real kappa (the public integrands, the far
     field's kappa = 0) goes through the public ``kinematics``; complex
-    kappa (the steepest-descent and ray nodes, with Im kappa^2 < 0)
-    through _path_kinematics, whose principal roots agree with branch_sqrt
-    there. The rest is the same code on either.
+    kappa (the contour nodes, with Im kappa^2 < 0) through
+    _path_kinematics, whose principal roots agree with branch_sqrt there.
+    The rest is the same code on either.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
@@ -710,8 +707,8 @@ def _angular_rows(cfg, ch, kappa, rho):
     (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II".
     On axis J_n(0) = 0 for n > 0, so only the J0 row is returned; the
     radial measure kappa dkappa is the caller's. kappa may be complex (the
-    steepest-descent nodes): J0, J2 and J4 are even, so either root of
-    s = kappa^2 gives the same rows.
+    contour nodes): J0, J2 and J4 are even, so either root of s = kappa^2
+    gives the same rows.
     """
     cc = ch.c_s * ch.c_i
     tt = ch.x[(TE, TE)]
@@ -881,21 +878,6 @@ class _DetectorPhase:
                 return float(2.0 * np.arcsin(np.sqrt(0.5 * d / k))), d
             d = far
 
-    def ray(self, t):
-        """Nodes d and weights ds/dt e^{i rise(d, kappa_max) + t} of the ray
-        from grazing.
-
-        The ray is u = t e^{i alpha} / (Z0 sin alpha), alpha = _RAY_ANGLE,
-        from the branch point u = 0 (d = kappa_max). The kappa_max group's
-        phase Z0 u = t cot(alpha) + i t decays like e^{-t}, and any other
-        group's decays on the ray too. No Newton: u is linear in t, and
-        ds/dt = -2 u du/dt.
-        """
-        du = (1.0 / np.tan(_RAY_ANGLE) + 1j) / self.z0
-        u = t * du
-        d = self.kap_max - u
-        return d, -2.0 * u * du * np.exp(1j * self.rise(d, self.kap_max) + t)
-
 
 def _stencil(theta0):
     """The 9-point tail stencil theta0 + h (-4, ..., 4) inside (0, pi/2),
@@ -935,38 +917,28 @@ def _laguerre(order):
     return np.polynomial.laguerre.laggauss(order)
 
 
-def _descent_nodes(phase, d0, t):
-    """d on each path Psi(u) - Psi(u0) = i t, by Newton in delta = u - u0.
+def _path_nodes(phase, d_c, orders):
+    """(t, d, dsdt): the Laguerre nodes t of these orders, and the (2, n)
+    nodes d and weights ds/dt e^{i rise(d, d0) + t} of the straight
+    contours from the axis, d0 = 0, and from d0 = d_c.
 
-    d0 is a (p, 1) column of path starts and t the Laguerre nodes; each
-    node starts on the path's tangent delta = i t / slope(u0), which is the
-    path itself when the split modes share one wavenumber (Psi is then
-    linear in u), so no correction step is taken. A node is on its path
-    when the residual is within _NEWTON_ULPS rounding units of
-    |d slope(u)| + t, the phase change that one ulp of d or t makes.
-    Returns the (p, n) nodes d = d0 - delta, or None if any is still off
-    after _NEWTON_STEPS steps.
+    A contour is u = u0 + t du (d = d0 - t du, ds/dt = -2 u du) along
+    du = (cot alpha + i)/slope(u0): the tangent of the steepest-descent
+    path (alpha = pi/2) from the axis and from a cut, and the ray at
+    alpha = _RAY_ANGLE from grazing, the branch point u0 = 0, where
+    slope(0) = Z0. The weight carries the part of e^{i rise(d, d0)} that
+    the Laguerre weight e^{-t} leaves out; it is 1 at one vacuum
+    wavenumber, where Psi is linear in u and the tangent is the path.
     """
     k = phase.kap_max
-    delta = 1j * t / phase.slope(k - d0)
-    ulps = _NEWTON_ULPS * np.finfo(float).eps
-    for _ in range(_NEWTON_STEPS + 1):
-        d = d0 - delta
-        miss = phase.rise(d, d0) - 1j * t
-        slope = phase.slope(k - d)
-        if np.all(np.abs(miss) <= ulps * (np.abs(d * slope) + t)):
-            return d
-        delta = delta - miss / slope
-    return None
-
-
-def _path_nodes(phase, d_c, orders):
-    """(t, d): the Laguerre nodes of these orders, and the (p, n) nodes on
-    the paths from the axis and, short of grazing, from d_c (None if Newton
-    fails)."""
     t = np.concatenate([_laguerre(n)[0] for n in orders])
     d0 = np.array([[0.0], [d_c]])
-    return t, _descent_nodes(phase, d0[:1 if d_c == phase.kap_max else 2], t)
+    tilt = 1.0 / np.tan(_RAY_ANGLE) if d_c == k else 0.0
+    du = np.array([[1j], [tilt + 1j]]) / phase.slope(k - d0)
+    step = t * du
+    d = d0 - step
+    return t, d, -2.0 * (k - d0 + step) * du * np.exp(
+        1j * phase.rise(d, d0) + t)
 
 
 def _path_sums(rows, phase, d_c, orders, solved=None):
@@ -974,44 +946,31 @@ def _path_sums(rows, phase, d_c, orders, solved=None):
 
     In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
     by Cauchy's theorem it equals the difference of two contours that
-    leave 0 and s_c into Im s < 0, Im u > 0 in u = kappa_max - d. From the
-    axis, and from a cut d_c short of grazing, they are the steepest-descent
-    paths Psi(u) = Psi(u0) + i t, where e^{i psi_rel} = e^{i psi_rel(d0)}
-    e^{-t} and ds/dt = -2 u i/slope(u):
-    I(d0) = (1/2) e^{i psi_rel(d0)} sum_j w_j rows(kappa_j) ds/dt, with
+    leave 0 and s_c into Im s < 0, Im u > 0 in u = kappa_max - d: the
+    straight contours of _path_nodes, each
+    I(d0) = (1/2) e^{i psi_rel(d0)} sum_j w_j rows(kappa_j) dsdt_j, with
     kappa = sqrt(s), s = d (2 kappa_max - d). From grazing, d_c =
-    kappa_max, the branch point, it is _DetectorPhase.ray, and the full disc
-    needs no tail. The nodes of every order go through rows in one call.
-    solved = (t, d, rows at d) brings _path_nodes at these orders and their
-    rows from the caller's kernel call with its tail stencil: both paths of
-    a cut, so that no Newton or rows call is made here, or the path from
-    the axis alone, which the full disc then completes with the ray's rows.
-    Returns one (m,) head per order, or None if Newton fails or a row is not
-    finite (J_n of a complex kappa rho can overflow far out on a contour).
+    kappa_max, the head is the full disc and needs no tail. The nodes of
+    every order go through rows in one call. solved = (t, d, dsdt, rows)
+    brings _path_nodes at these orders and the rows at their leading nodes
+    from the caller's kernel call with its tail stencil: both contours of
+    a cut, so that no rows call is made here, or the contour from the axis
+    alone, which the full disc then completes with the ray's rows.
+    Returns one (m,) head per order, or None if a row is not finite (J_n
+    of a complex kappa rho can overflow far out on a contour).
     """
     k = phase.kap_max
     if solved is None:
-        t, d = _path_nodes(phase, d_c, orders)
-        if d is None:
-            return None
-        values = None
-    else:
-        t, d, values = solved
-    lead = np.array([[0.5j], [-0.5j * np.exp(1j * phase.rise(d_c, 0.0))]])
-    u = k - d
-    weight = lead[:len(d)] * (-2.0 * u / phase.slope(u))
-    if d_c == k:
-        # lead holds the i of a path's ds/dt; the ray's dsdt is whole.
-        ray, dsdt = phase.ray(t)
-        d = np.vstack([d, ray])
-        weight = np.vstack([weight, -1j * lead[1] * dsdt])
+        solved = _path_nodes(phase, d_c, orders) + (None,)
+    t, d, dsdt, values = solved
     done = 0 if values is None else values.shape[-1]
     if done < d.size:
         fresh = rows(np.sqrt(d * (2.0 * k - d)).ravel()[done:])
         values = fresh if values is None else np.hstack([values, fresh])
     if not np.isfinite(values).all():
         return None
-    terms = values.reshape(-1, len(d), len(t)) * weight
+    lead = np.array([[0.5], [-0.5 * np.exp(1j * phase.rise(d_c, 0.0))]])
+    terms = values.reshape(-1, 2, len(t)) * (lead * dsdt)
     ends = np.cumsum(orders)
     return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
             for n, end in zip(orders, ends)]
@@ -1026,11 +985,11 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
     d_c = kappa_max, for the full disc) and the slab's. The 2N head is
     returned once the error is within tol/2 of it. Raises ConvergenceError
-    as soon as _path_sums refuses (Newton fails, or a row is not finite),
-    when the floor alone exceeds tol/2 (about 7e-11 for a 2 mm slab), or
-    when the check still fails at order _PATH_NODES_MAX. The error carries
-    the last 2N head and its error, or None and inf if no order pair was
-    summed. solved, if given, is _path_sums' for the first order pair.
+    as soon as _path_sums refuses a row that is not finite, when the floor
+    alone exceeds tol/2 (about 7e-11 for a 2 mm slab), or when the check
+    still fails at order _PATH_NODES_MAX. The error carries the last 2N
+    head and its error, or None and inf if no order pair was summed.
+    solved, if given, is _path_sums' for the first order pair.
     """
     phi = abs(phase.rise(d_c, 0.0)) + modes.length * (
         abs(modes.k_p) + abs(modes.k_s) + abs(modes.k_i))
@@ -1039,8 +998,8 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
         new = _path_sums(rows, phase, d_c, orders, solved)
         if new is None:
             raise ConvergenceError(
-                f"contour refused at order {orders[-1]}: Newton off the "
-                "path or a row not finite", sums[-1] if sums else None, err)
+                f"contour refused at order {orders[-1]}: a row not finite",
+                sums[-1] if sums else None, err)
         solved = None
         sums += new
         size = float(np.sum(np.abs(sums[-1])))
@@ -1071,13 +1030,13 @@ def _integrate_oscillatory(rows, phase, modes, tol):
     _TAIL_RATIO_LIMIT), the head is the full range [0, pi/2] and there is
     no tail. Either head is _path_head's.
 
-    The nodes of both cut paths are solved at the first order pair before
+    The nodes of both cut contours are laid at the first order pair before
     the tail is checked, and the 9 stencil kappa (complex, on the real
-    axis) and the 48 path kappa go through rows in one call. If the closure
-    is refused, the full disc takes the path from the axis and its rows
-    from that call and evaluates only the ray's. Raises ConvergenceError,
-    value None, when Newton refuses at the cut, and passes _path_head's on
-    with the tail and the e^{i Psi(0)} reference phase added to its value.
+    axis) and the 48 contour kappa go through rows in one call. If the
+    closure is refused, the full disc takes the contour from the axis and
+    its rows from that call and evaluates only the ray's. Raises
+    _path_head's ConvergenceError with the tail and the e^{i Psi(0)}
+    reference phase added to its value.
     """
     k = phase.kap_max
     cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
@@ -1086,10 +1045,8 @@ def _integrate_oscillatory(rows, phase, modes, tol):
         theta_c, d_cut = phase.cut(_KEPT_CYCLES)
         grid, h = _stencil(theta_c)
         kap = phase.kappa(grid)
-        t, d = _path_nodes(phase, d_cut, (_PATH_NODES, 2 * _PATH_NODES))
-        if d is None:
-            raise ConvergenceError("contours refused at the cut: Newton off "
-                                   "the path", None, np.inf)
+        orders = (_PATH_NODES, 2 * _PATH_NODES)
+        t, d, dsdt = _path_nodes(phase, d_cut, orders)
         values = rows(np.concatenate(
             [kap + 0j, np.sqrt(d * (2.0 * k - d)).ravel()]))
         cut, ratio, n3 = _tail_terms(
@@ -1097,9 +1054,9 @@ def _integrate_oscillatory(rows, phase, modes, tol):
         paths = values[:, len(grid):]
         if ratio <= _TAIL_RATIO_LIMIT:
             d_c, tail, err_tail = d_cut, -cut, n3 * min(1.0, ratio)
-            solved = (t, d, paths)
+            solved = (t, d, dsdt, paths)
         else:
-            solved = (t, d[:1], paths[:, :len(t)])
+            solved = _path_nodes(phase, k, orders) + (paths[:, :len(t)],)
 
     ref = np.exp(1j * phase.psi_ref)
     try:

@@ -120,8 +120,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _write(_COMMANDS[args.command](args), args.out)
-        return 0
+        data = _COMMANDS[args.command](args)
     except (ConvergenceError, ScanError, ValueError) as exc:
         cause = exc.__cause__ if isinstance(exc, ScanError) else exc
         if isinstance(cause, ConvergenceError):
@@ -129,6 +128,13 @@ def main(argv=None):
             return 2
         print(f"slabpdc: error: {exc}", file=sys.stderr)
         return 1
+    try:
+        _write(data, args.out)
+    except OSError as exc:
+        print(f"slabpdc: error: cannot write '{args.out or '<stdout>'}': "
+              f"{exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

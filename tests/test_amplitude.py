@@ -575,13 +575,14 @@ def _path_run(monkeypatch, cfg):
     return seen
 
 
-def _gk15(seen, rel_tol):
-    """GK15 panels (integrate_radial) over the same head, or their best
-    value: (1/2) int_0^{s_c} rows e^{i psi_rel} ds in d = kappa_max - u,
-    where ds = 2 u dd, over [0, d_c], and d_c = kappa_max for the disc.
-    Equal seed panels hold half a cycle of the fastest detector plus slab
-    phase rate, |slope(u)| + L u (1/|k_zs| + 1/|k_zi|), on a 513-point
-    grid, and the budget is 6 n_seed + 8000 panels."""
+def _gk15(seen, rel_tol, narrower=1):
+    """GK15 panels (integrate_radial) over the same head: (1/2)
+    int_0^{s_c} rows e^{i psi_rel} ds in d = kappa_max - u, where
+    ds = 2 u dd, over [0, d_c], and d_c = kappa_max for the disc. Equal
+    seed panels hold half a cycle of the fastest detector plus slab phase
+    rate, |slope(u)| + L u (1/|k_zs| + 1/|k_zi|), on a 513-point grid,
+    divided by narrower, and the budget is 6 n_seed + 8000 panels. Raises
+    ConvergenceError when its estimate misses rel_tol."""
     phase, rows, modes = seen["phase"], seen["rows"], seen["modes"]
     k, d_c = phase.kap_max, seen["d_c"]
 
@@ -594,13 +595,20 @@ def _gk15(seen, rel_tol):
     fastest = np.abs(phase.slope(u)) + modes.length * u * (
         1.0 / np.abs(np.sqrt(modes.k_s ** 2 - s))
         + 1.0 / np.abs(np.sqrt(modes.k_i ** 2 - s)))
-    width = np.pi / fastest.max()
+    width = np.pi / fastest.max() / narrower
     spec = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=6 * math.ceil(
         d_c / width) + 8000)
-    try:
-        return integrate_radial(f, 0.0, d_c, spec, max_panel=width)[0]
-    except ConvergenceError as exc:
-        return exc.value
+    return integrate_radial(f, 0.0, d_c, spec, max_panel=width)[0]
+
+
+# Heads whose GK15 estimate stays above the suite's target at every seed
+# width tried (up to 16 times narrower): each panel's |K - G| carries the
+# kernel's rounding, about 1e-11 of a row from the slab phases, and the
+# heads cancel to 1/8500 and 1/20000 of their sum of |f|, so the estimates
+# floor at 5.5e-9 and 1.2e-8. They take the target that floor allows, on
+# seed panels 4 times narrower; the oracle then lands 5.3e-11 and 2.7e-10
+# from the head, inside the comparison bounds of 1e-10 and 1e-9.
+_GK15_FLOORED = {"I-2mm-1.2mm": (1e-8, 4), "II-1cm": (2e-8, 4)}
 
 
 def _norm(v):
@@ -612,34 +620,24 @@ def _kappa(phase, d):
     return np.sqrt(d * (2.0 * phase.kap_max - d))
 
 
-def _path_dsdt(phase, d):
-    """ds/dt = -2 u i/slope(u) on a steepest-descent path."""
-    u = phase.kap_max - d
-    return -2.0j * u / phase.slope(u)
-
-
 def _sc_path(seen, order=16):
-    """I(s_c) alone, Gauss-Laguerre of this order: the path from the cut,
-    or the ray from grazing for the full disc."""
+    """I(s_c) alone, Gauss-Laguerre of this order: the contour from the
+    cut, or the ray from grazing for the full disc."""
     phase, d_c = seen["phase"], seen["d_c"]
-    t, w = amplitude._laguerre(order)
-    if d_c == phase.kap_max:
-        d, dsdt = phase.ray(t)
-    else:
-        d = amplitude._descent_nodes(phase, np.array([[d_c]]), t)[0]
-        dsdt = _path_dsdt(phase, d)
+    _, d, dsdt = amplitude._path_nodes(phase, d_c, (order,))
+    w = amplitude._laguerre(order)[1]
     return 0.5 * np.exp(1j * phase.rise(d_c, 0.0)) \
-        * ((seen["rows"](_kappa(phase, d)) * dsdt) @ w)
+        * ((seen["rows"](_kappa(phase, d[1])) * dsdt[1]) @ w)
 
 
 @pytest.mark.parametrize("name", sorted(_PATH_SPREAD))
 def test_path_head_matches_gk15_head(monkeypatch, name):
-    # I(0) - I(s_c) against GK15 panels over [0, d_c] at 1e-8 (their
-    # best value where the budget runs out), within 1e-9 of the head. The
-    # head without the s_c path would be off by at least 1e3 times that.
+    # I(0) - I(s_c) against GK15 panels over [0, d_c] at 1e-8
+    # (_GK15_FLOORED aside), within 1e-9 of the head. The head without the
+    # s_c contour would be off by at least 1e3 times that.
     seen = _path_run(monkeypatch, _PATH_SPREAD[name])
     head, _ = seen["out"]
-    want = _gk15(seen, 1e-8)
+    want = _gk15(seen, *_GK15_FLOORED.get(name, (1e-8,)))
     assert _norm(head - want) <= 1e-9 * _norm(want)
     assert _norm(head + _sc_path(seen) - want) >= 1e-6 * _norm(want)
 
@@ -670,22 +668,6 @@ def _raises_at_once(cfg, tol=1e-6):
         amplitude_numeric(cfg, tol=tol)
     assert time.perf_counter() - start < 0.1
     return info.value
-
-
-@pytest.mark.parametrize("cfg", [
-    _split_cfg("II", 0.04, z=0.1, offset=(5e-6, 3e-6)),
-    _split_cfg("II", 0.04, length=1e-4, z=1.5e-4, offset=(4e-6, -3e-6)),
-], ids=["cut", "disc"])
-def test_newton_failure_raises(monkeypatch, cfg):
-    # Without Newton steps the tangent nodes of a split miss the path (at
-    # one wavenumber they are on it): the paths of the cut, or the thin
-    # slab's path from the axis over the full disc, refuse at the first
-    # order pair, and there is no value to carry.
-    amplitude_numeric(cfg, tol=1e-6)
-    monkeypatch.setattr(amplitude, "_NEWTON_STEPS", 0)
-    exc = _raises_at_once(cfg)
-    assert "Newton" in str(exc)
-    assert exc.value is None and exc.error == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -721,13 +703,13 @@ def _disc_run(monkeypatch, cfg):
 
 @pytest.mark.parametrize("name", sorted(_DISC_SPREAD))
 def test_disc_matches_gk15_full_range(monkeypatch, name):
-    # I(0) - I_ray(s_max) against GK15 over the disc at 1e-9 (its best
-    # value where the budget runs out), within 1e-10 of the disc. The ray
+    # I(0) - I_ray(s_max) against GK15 over the disc at 1e-9
+    # (_GK15_FLOORED aside), within 1e-10 of the disc. The ray
     # term alone is above 1e-7 of it: 4.8e-7 at the 5 um offset, where
     # J_n(kappa rho) has fallen off by grazing, and 4e-5 to 4e-3 elsewhere.
     seen = _disc_run(monkeypatch, _DISC_SPREAD[name])
     head, _ = seen["out"]
-    want = _gk15(seen, 1e-9)
+    want = _gk15(seen, *_GK15_FLOORED.get(name, (1e-9,)))
     assert _norm(head - want) <= 1e-10 * _norm(want)
     assert _norm(_sc_path(seen)) >= 1e-7 * _norm(want)
 
@@ -816,10 +798,10 @@ def test_path_head_refuses_rows_that_are_not_finite():
 # ---------------------------------------------------------------------------
 
 def _plane(rows, phase, order=64):
-    """I_SD(0), the steepest-descent path from s = 0 alone, at this order."""
-    t, w = amplitude._laguerre(order)
-    d = amplitude._descent_nodes(phase, np.zeros((1, 1)), t)[0]
-    return 0.5 * ((rows(_kappa(phase, d)) * _path_dsdt(phase, d)) @ w)
+    """I_SD(0), the contour from s = 0 alone, at this order."""
+    _, d, dsdt = amplitude._path_nodes(phase, phase.kap_max, (order,))
+    w = amplitude._laguerre(order)[1]
+    return 0.5 * ((rows(_kappa(phase, d[0])) * dsdt[0]) @ w)
 
 
 def _ray(cfg, rows, phase, alpha, order=64):
@@ -827,9 +809,10 @@ def _ray(cfg, rows, phase, alpha, order=64):
 
     Near the axis psi_rel = -s Z/2 + O(s^2), Z = z_s/q_s + z_i/q_i, so on
     the ray e^{i psi_rel} decays like e^{-r Z sin(alpha)/2}: Gauss-Laguerre
-    in r scaled by that rate. No Newton and no path. With u the principal
-    sqrt(kappa_max^2 - s) (Im u > 0 below the real s axis), d = kappa_max - u
-    is computed as s/(kappa_max + u), which does not cancel near the axis.
+    in r scaled by that rate, on nodes that are not the contours'. With u
+    the principal sqrt(kappa_max^2 - s) (Im u > 0 below the real s axis),
+    d = kappa_max - u is computed as s/(kappa_max + u), which does not
+    cancel near the axis.
     """
     k = phase.kap_max
     spread = cfg.z_signal / cfg.signal_frequency \

@@ -7,8 +7,8 @@ against 40-digit values, against its own two-mode branch at a degenerate
 split (bit for bit), and for the node counts and kernel calls of the
 radial route it feeds.
 The Bessel factors of _angular_rows are checked against 30-digit values,
-on the real axis and at the complex nodes of the steepest-descent paths,
-and against scipy's jv over the lower half plane.
+on the real axis and at the complex nodes of the contours, and against
+scipy's jv over the lower half plane.
 """
 
 from dataclasses import replace
@@ -19,9 +19,9 @@ import pytest
 
 from slabpdc import amplitude
 from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
-                               _Modes, _descent_nodes, _laguerre,
-                               _split_factors, _stencil, amplitude_numeric,
-                               complex_sinc, phase_terms, x_factor)
+                               _Modes, _split_factors, _stencil,
+                               amplitude_numeric, complex_sinc, phase_terms,
+                               x_factor)
 from slabpdc.materials import (C_LIGHT, TE, TEM, TM, branch_sqrt, fresnel,
                                kinematics)
 from test_amplitude import OMEGA, _split_cfg, make_cfg
@@ -304,7 +304,7 @@ def _bessel_rows(kind, x):
 
 def _path_arguments():
     """kappa rho at the Laguerre nodes (orders 8, 16 and 64) of both
-    steepest-descent paths, for offsets of 20 um and 0.2 mm at 1 cm to 1 m."""
+    contours, for offsets of 20 um and 0.2 mm at 1 cm to 1 m."""
     out = []
     for z, rho in ((0.01, 2e-5), (0.1, 2e-5), (0.01, 2e-4), (1.0, 2e-4)):
         cfg = make_cfg(z=z)
@@ -313,9 +313,8 @@ def _path_arguments():
         # at d = s/(kappa_max + u).
         k = phase.kap_max
         s_c = 4.0 * np.pi * 512 / (z / k * 2.0)
-        d0 = np.array([[0.0], [s_c / (k + np.sqrt(k * k - s_c))]])
-        t = np.concatenate([_laguerre(n)[0] for n in (8, 16, 64)])
-        d = _descent_nodes(phase, d0, t)
+        _, d, _ = amplitude._path_nodes(
+            phase, s_c / (k + np.sqrt(k * k - s_c)), (8, 16, 64))
         out.append(np.sqrt(d * (2.0 * k - d)).ravel() * rho)
     return np.concatenate(out)
 
@@ -377,23 +376,12 @@ def test_bessel_rows_match_scipy_over_the_lower_half_plane():
 # ---------------------------------------------------------------------------
 
 # Configs whose split modes share one vacuum wavenumber, so that Psi is
-# linear in u, and 4% splits, whose other mode bends it, with the most
-# correction steps their first path solve (orders 8 and 16) takes: one on
-# a cut, two on the thin slab's path from the axis over the full disc.
+# linear in u.
 _ONE_WAVENUMBER = {
     "degenerate": make_cfg(z=1.0),
     "unequal-z": replace(make_cfg(z=0.1), z_idler=0.07),
     "displaced": make_cfg(kind="II", z=0.1, offset=(5e-6, 3e-6)),
     "thin": make_cfg(length=1e-4, z=1.5e-4),
-}
-_SPLITS = {
-    "I-1cm": (_split_cfg("I", 0.04, z=0.01), 1),
-    "II-0.1m": (_split_cfg("II", 0.04, z=0.1), 1),
-    "I-1m-unequal-z": (replace(_split_cfg("I", -0.04, z=1.0), z_idler=0.6),
-                       1),
-    "II-displaced": (_split_cfg("II", 0.04, z=0.1, offset=(2e-5, 0.0)), 1),
-    "II-thin": (_split_cfg("II", 0.04, n_imag=1e-5, length=1e-4, z=1.5e-4),
-                2),
 }
 
 
@@ -405,37 +393,11 @@ def _route_start(phase):
     return phase.kap_max
 
 
-def _newton_steps(monkeypatch, cfg, orders):
-    """Correction steps of the route's path solve at these orders: the
-    slope calls of _descent_nodes less the start's and the first check's."""
-    phase = _DetectorPhase(cfg, _Modes.of(cfg))
-    d_c = _route_start(phase)
-    calls = []
-    slope = _DetectorPhase.slope
-
-    def counting(self, u):
-        calls.append(u)
-        return slope(self, u)
-
-    monkeypatch.setattr(_DetectorPhase, "slope", counting)
-    _, d = amplitude._path_nodes(phase, d_c, orders)
-    monkeypatch.undo()
-    assert d is not None
-    return len(calls) - 2
-
-
-@pytest.mark.parametrize("name", sorted(_ONE_WAVENUMBER))
-def test_one_wavenumber_paths_take_no_newton_step(monkeypatch, name):
-    # Psi is Z0 u: the tangent start i t / Z0 is the path itself, at every
-    # order.
-    assert _newton_steps(monkeypatch, _ONE_WAVENUMBER[name],
-                         (8, 16, 32, 64)) == 0
-
-
-@pytest.mark.parametrize("name", sorted(_SPLITS))
-def test_split_paths_take_few_newton_steps(monkeypatch, name):
-    cfg, most = _SPLITS[name]
-    assert _newton_steps(monkeypatch, cfg, (8, 16)) <= most
+def _factor_floor(phase, d, t):
+    """8 rounding units of |d slope(u)| + t, the phase change that one ulp
+    of d or t makes."""
+    return 8.0 * np.finfo(float).eps * (
+        np.abs(d * phase.slope(phase.kap_max - d)) + t)
 
 
 def _mp_phase(phase, cfg, modes):
@@ -458,22 +420,43 @@ def _mp_phase(phase, cfg, modes):
 @pytest.mark.parametrize("z", [0.01, 1.0])
 @pytest.mark.parametrize("split", [0.0, 0.04])
 def test_path_nodes_match_40_digit_phase(z, split):
-    # Nodes from the axis and from the 512-cycle cut, orders 8 to 64: the
-    # 40-digit Psi(u) - Psi(u0) - i t at each double node is within the
-    # _NEWTON_ULPS floor, the phase change one ulp of d or t makes.
+    # The phase factor e^{i rise(d, d0) + t} that a contour's weights
+    # carry, at its nodes from the axis and from the 512-cycle cut, orders
+    # 8 to 64: within the floor of one ulp of d or t of the 40-digit
+    # e^{i (Psi(d) - Psi(d0)) + t}.
     cfg = _split_cfg("II", split, z=z)
     modes = _Modes.of(cfg)
     phase = _DetectorPhase(cfg, modes)
     mp, psi = _mp_phase(phase, cfg, modes)
     d_c = _route_start(phase)
     assert d_c < phase.kap_max
-    t, d = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
-    ulps = amplitude._NEWTON_ULPS * np.finfo(float).eps
-    floor = ulps * (np.abs(d * phase.slope(phase.kap_max - d)) + t)
-    for row, bound, d0 in zip(d, floor, (0.0, d_c)):
-        start = psi(mp.mpc(d0))
-        for node, t_j, b in zip(row, t, bound):
-            assert float(abs(psi(node) - start - 1j * mp.mpf(t_j))) <= b
+    t, d, _ = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
+    d0 = np.array([[0.0], [d_c]])
+    factor = np.exp(1j * phase.rise(d, d0) + t)
+    floor = _factor_floor(phase, d, t)
+    for row, got, bound, start in zip(d, factor, floor, (0.0, d_c)):
+        ref = psi(mp.mpc(start))
+        for node, f, t_j, b in zip(row, got, t, bound):
+            want = mp.exp(1j * (psi(node) - ref) + mp.mpf(t_j))
+            assert float(abs(f - want)) <= b * float(abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_WAVENUMBER))
+def test_one_wavenumber_tangents_are_descent_paths(name):
+    # Psi is Z0 u, so the tangent from the axis, and from the cut where the
+    # route has one, is the steepest-descent path: at every order its
+    # weights are the path's ds/dt = -2 i u/slope(u), the phase factor 1
+    # to the floor of one ulp of d or t.
+    cfg = _ONE_WAVENUMBER[name]
+    phase = _DetectorPhase(cfg, _Modes.of(cfg))
+    d_c = _route_start(phase)
+    t, d, dsdt = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
+    tangents = 1 if d_c == phase.kap_max else 2
+    d, dsdt = d[:tangents], dsdt[:tangents]
+    u = phase.kap_max - d
+    factor = dsdt / (-2j * u / phase.slope(u))
+    floor = _factor_floor(phase, d, t) + 4.0 * np.finfo(float).eps
+    assert np.all(np.abs(factor - 1.0) <= floor)
 
 
 def test_psi_rel_matches_40_digit_phase():
@@ -529,9 +512,9 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
 
 
 def test_refused_cut_hands_the_disc_its_axis_path(monkeypatch):
-    # The full disc after a refused closure takes the cut call's path from
-    # the axis and its rows: bit for bit the amplitude of a disc that
-    # solves and evaluates that path afresh.
+    # The full disc after a refused closure takes the cut call's contour
+    # from the axis and its rows: bit for bit the amplitude of a disc that
+    # lays and evaluates that contour afresh.
     cfg = make_cfg(kind="I", z=1.2e-3)
     reused = amplitude_numeric(cfg, tol=1e-6).matrix
     head = amplitude._path_head
@@ -555,17 +538,17 @@ _ONE_CALL_CFGS = {
 @pytest.mark.parametrize("name", sorted(_ONE_CALL_CFGS))
 def test_numeric_amplitude_builds_channels_once(monkeypatch, name):
     # A cut route sends its 9 tail stencil nodes and the 48 nodes of its two
-    # paths through one kernel call, and solves the paths once; the thin
-    # slab's full disc takes the path from the axis and the ray from
-    # grazing in one call too.
-    calls = {"_Channels": 0, "_descent_nodes": 0}
+    # contours through one kernel call, and lays the contours once; the
+    # thin slab's full disc takes the contour from the axis and the ray
+    # from grazing in one call too.
+    calls = {"_Channels": 0, "_path_nodes": 0}
     for fname in calls:
         def counting(*args, _name=fname, _f=getattr(amplitude, fname)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(amplitude, fname, counting)
     amplitude_numeric(_ONE_CALL_CFGS[name], tol=1e-6)
-    assert calls == {"_Channels": 1, "_descent_nodes": 1}
+    assert calls == {"_Channels": 1, "_path_nodes": 1}
 
 
 @pytest.mark.parametrize("name", ["collinear-degenerate", "collinear-split",

@@ -851,3 +851,14 @@ def test_cli_refused_contour_exits_2(tmp_path, capsys):
     assert main(["rate", "--config", cfg, "--method", "numeric"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "convergence failure" in err
+
+
+def test_cli_unwritable_out_exits_1(tmp_path, capsys):
+    # An --out path in a directory that does not exist: one error line on
+    # stderr naming the path, exit 1, nothing on stdout.
+    out = tmp_path / "absent" / "fig4.csv"
+    assert main(["preset", "fig4", "--out", str(out)]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == "" and not out.exists()
+    assert err.startswith(f"slabpdc: error: cannot write '{out}': ")
+    assert len(err.splitlines()) == 1
