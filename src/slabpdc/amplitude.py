@@ -48,34 +48,33 @@ is exact in J0, J2 and J4 of kappa rho (Jacobi-Anger, DLMF 10.12), times
 constant 2x2 matrices of psi. Every detector placement is then one radial
 integral of a short stack of rows, the matrices applied to its result.
 
-The substitution kappa = kappa_max sin(theta), kappa_max = min(q_s, q_i),
-removes the 1/q_z endpoint behaviour at grazing. The detector phase
-Psi = z_s q_zs + z_i q_zi oscillates ~q z / 2 pi times over the disc. The
-radial integral splits at the cut theta_c after 512 phase cycles (Newton,
-_DetectorPhase.cut) and closes the tail with a three-term
-integration-by-parts series in 1/(i Psi') there. A closure whose series
-ratio shows no clear convergence is refused, and the head is then the
-whole disc (below); no other cut is tried.
+The radial integral is carried in u, the q_z of the kappa_max = min(q_s,
+q_i) mode, as d = kappa_max - u (_DetectorPhase): the measure kappa dkappa
+is u dd, and the square-root branch point of q_z at grazing is the plain
+endpoint u = 0. The detector phase Psi = z_s q_zs + z_i q_zi oscillates
+~q z / 2 pi times over the disc. The radial integral splits at the cut d_c
+after 512 phase cycles (Newton, _DetectorPhase.cut) and closes the tail
+with a three-term integration-by-parts series in 1/(i Psi') there. A
+closure whose series ratio shows no clear convergence is refused, and the
+head is then the whole disc (below); no other cut is tried.
 
-The head [0, theta_c] is exact. In s = kappa^2 it is the difference of two
+The head [0, d_c] is exact. In s = kappa^2 it is the difference of two
 contours (numerical steepest descent: Huybrechs and Vandewalle, SIAM J.
-Numer. Anal. 44 (2006) 1026), from s = 0 and from s_c = kappa(theta_c)^2
-into Im s < 0, on which e^{i Psi} decays like e^{-t}: Gauss-Laguerre nodes
-in t sit on each (_path_sums), and the order doubles from 8 until two
-orders agree (_path_head). s = 0, the stationary point of Psi in theta, is
-a plain endpoint in s. The contours are carried in u, the kappa_max mode's
-q_z, as d = kappa_max - u (_DetectorPhase), and every contour is one
-straight ray in u from its start (_path_nodes), whose node weights carry
-the exact phase factor e^{i (Psi(u) - Psi(u0)) + t}; by Cauchy's theorem
-any such ray into the decaying half plane gives the same integral. From
-the axis and from the cut the ray is the tangent of the steepest-descent
-path: when signal and idler share one vacuum wavenumber (a degenerate
-split, at any z_s and z_i) Psi is linear in u, the tangent is the path and
-the factor is 1. With 8 + 16 nodes a contour and 9 for the tail stencil,
-an amplitude takes 57 integrand nodes. The contours are laid before the
-tail is checked, so the 9 stencil nodes and the 48 contour nodes go
-through the kernel in one call: an amplitude's time is per-call overhead,
-not node count.
+Numer. Anal. 44 (2006) 1026), from s = 0 and from s_c = kappa(d_c)^2 into
+Im s < 0, on which e^{i Psi} decays like e^{-t}: Gauss-Laguerre nodes in t
+sit on each (_path_sums), and the order doubles from 8 until two orders
+agree (_path_head). s = 0, the stationary point of Psi in kappa, is a
+plain endpoint in s. Every contour is one straight ray in u from its start
+(_path_nodes), whose node weights carry the exact phase factor
+e^{i (Psi(u) - Psi(u0)) + t}; by Cauchy's theorem any such ray into the
+decaying half plane gives the same integral. From the axis and from the
+cut the ray is the tangent of the steepest-descent path: when signal and
+idler share one vacuum wavenumber (a degenerate split, at any z_s and z_i)
+Psi is linear in u, the tangent is the path and the factor is 1. With
+8 + 16 nodes a contour and 9 for the tail stencil, an amplitude takes 57
+integrand nodes. The contours are laid before the tail is checked, so the
+9 stencil nodes and the 48 contour nodes go through the kernel in one
+call: an amplitude's time is per-call overhead, not node count.
 
 With too few cycles for a cut (thin slabs at close range), or with the
 closure refused, the head is the whole disc [0, s_max], s_max =
@@ -107,13 +106,13 @@ alone, without the evanescent sector: 4e-5 of the amplitude for a 0.1 mm
 slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 
 The per-node kernel (_Channels, then _angular_rows) takes complex kappa on
-the contours and the tail stencil, and real kappa from the public
-integrands and the far field's kappa = 0. The stencil's nodes lie on the
-real axis, where _path_kinematics gives the roots of kinematics bit for
-bit. A node takes two complex exponentials, e^{i k_z L/2} of each
-split mode, and one at a degenerate split, where signal and idler are one
-mode; every slab phase is a product of them and of the pump's, with half
-the rounding error of exp of the rounded sum sk L/2 (_Channels).
+the contours and kappa on the real axis on the tail stencil, from the
+public integrands and at the far field's kappa = 0, all through one
+kinematics, _path_kinematics. A node takes two complex exponentials,
+e^{i k_z L/2} of each split mode, and one at a degenerate split, where
+signal and idler are one mode; every slab phase is a product of them and
+of the pump's, with half the rounding error of exp of the rounded sum
+sk L/2 (_Channels).
 
 The Bessel rows J0, J2 and J4 of complex z = kappa rho are numpy code
 (_bessel_rows): the power series (DLMF 10.2.2) at small |z|, Bessel's
@@ -137,8 +136,9 @@ _Modes.normal holds it once per mode set for both conversion types, and
 farfield_matrices evaluates a whole sweep at once; amplitude_farfield is
 the one-point case. Every kernel works elementwise, so a point's value does
 not depend on the points stacked with it. The numeric route integrates
-point by point on the same split: _numeric_matrix takes the config the
-points share and one point's _Modes, sliced from the checked stack.
+point by point on the same split: _numeric_matrices takes the config the
+points share and the checked stack, and hands _numeric_matrix one point's
+_Modes, sliced from it, at a time.
 
 No amplitude, far-field or numeric, collinear or displaced, imports
 scipy: the Bessel rows and the Gauss-Laguerre rule are numpy's, and
@@ -158,7 +158,7 @@ import numpy as np
 
 from .greens import Chi2Geometry
 from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        ModeKinematics, kinematics, noise_factor, reject)
+                        ModeKinematics, noise_factor, reject)
 from .quadrature import ConvergenceError
 
 __all__ = [
@@ -459,11 +459,13 @@ def _prefactor(cfg, modes):
 
 
 def _path_kinematics(omega, n, k_perp):
-    """kinematics at k_perp = (kappa, 0) with Im kappa^2 < 0.
+    """kinematics at k_perp = (kappa, 0), kappa on a contour (Im kappa^2 < 0)
+    or real inside the propagating disc (0 <= kappa < q).
 
-    Both longitudinal components take the principal root. There k^2 - s
-    has Im > 0 (Im k^2 >= 0), so the root is branch_sqrt's; q^2 - s is off
-    the cut of the vacuum root.
+    Both longitudinal components take the principal root. On a contour
+    k^2 - s has Im > 0 (Im k^2 >= 0), so the root is branch_sqrt's, and
+    q^2 - s is off the cut of the vacuum root; on the real disc both roots
+    are those of ``kinematics`` bit for bit.
     """
     s = k_perp[0] * k_perp[0]
     k = (n + 0j) * omega / C_LIGHT
@@ -496,11 +498,9 @@ class _Channels:
 
     Vectorized over kappa. Holds the split-mode kinematics, the four X
     factors keyed by (signal, idler) polarization, and the slab phase
-    csinc(dk L/2) e^{i sk L/2}. Real kappa (the public integrands, the far
-    field's kappa = 0) goes through the public ``kinematics``; complex
-    kappa (the contour nodes, with Im kappa^2 < 0) through
-    _path_kinematics, whose principal roots agree with branch_sqrt there.
-    The rest is the same code on either.
+    csinc(dk L/2) e^{i sk L/2}. Every kappa, real (the public integrands,
+    the tail stencil, the far field's kappa = 0) or complex (the contour
+    nodes), goes through _path_kinematics.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
@@ -520,16 +520,15 @@ class _Channels:
     """
 
     def __init__(self, modes, kappa):
-        kin = _path_kinematics if np.iscomplexobj(kappa) else kinematics
         k_perp = (kappa, np.zeros_like(kappa))
         half_l = 0.5j * modes.length
-        self.kin_s = kin(modes.omega_s, modes.n_s, k_perp)
+        self.kin_s = _path_kinematics(modes.omega_s, modes.n_s, k_perp)
         h_s = np.exp(half_l * self.kin_s.k_z)
         sig = _split_factors(self.kin_s, modes.eps_s, h_s)
         if modes.degenerate:
             self.kin_i, h_i, idl = self.kin_s, h_s, sig
         else:
-            self.kin_i = kin(modes.omega_i, modes.n_i, k_perp)
+            self.kin_i = _path_kinematics(modes.omega_i, modes.n_i, k_perp)
             h_i = np.exp(half_l * self.kin_i.k_z)
             idl = _split_factors(self.kin_i, modes.eps_i, h_i)
         kz_s, kz_i = self.kin_s.k_z, self.kin_i.k_z
@@ -822,10 +821,9 @@ class _DetectorPhase:
     and the argument rounding of exp(1j*Psi) (about Psi*eps) times the
     cancellation of the oscillatory integral sets a hard relative error
     floor well above machine precision. The engine therefore integrates
-    against the referenced phase psi_rel = Psi - Psi(0) = rise(d, 0),
-    whose span is only the kept-cycle window, and restores exp(1j*Psi(0))
-    once on the final result. On kappa = kappa_max sin(theta),
-    d = 2 kappa_max sin^2(theta/2) and psi_prime = -kappa slope(u).
+    against the referenced phase Psi - Psi(0) = rise(d, 0), whose span is
+    only the kept-cycle window, and restores exp(1j*Psi(0)) once on the
+    final result. In d, dPsi/dd = -slope(u).
     """
 
     def __init__(self, cfg, modes):
@@ -837,16 +835,6 @@ class _DetectorPhase:
         self.z0 = groups.pop(k)
         self.others = [((q - k) * (q + k), z) for q, z in groups.items()]
         self.psi_ref = modes.q_s * cfg.z_signal + modes.q_i * cfg.z_idler
-
-    def kappa(self, theta):
-        return self.kap_max * np.sin(theta)
-
-    def psi_rel(self, theta):
-        return self.rise(2.0 * self.kap_max * np.square(np.sin(0.5 * theta)),
-                         0.0)
-
-    def psi_prime(self, theta):
-        return -self.kappa(theta) * self.slope(self.kap_max * np.cos(theta))
 
     def rise(self, d, d0):
         """Psi(u) - Psi(u0) at u = kappa_max - d, u0 = kappa_max - d0."""
@@ -865,46 +853,47 @@ class _DetectorPhase:
         return total
 
     def cut(self, kept):
-        """(theta_c, d_c) with psi_rel(theta_c) = -2 pi kept, by Newton in d.
+        """d_c with rise(d_c, 0) = -2 pi kept, by Newton in d.
 
-        psi_rel falls and is convex in d (d psi_rel/dd = -slope(u) rises with
-        d), so Newton from the axis, d = 0, climbs to the root from below; it
-        stops when a step no longer raises d.
+        rise(d, 0) falls and is convex in d (its d-derivative -slope(u)
+        rises with d), so Newton from the axis, d = 0, climbs to the root
+        from below; it stops when a step no longer raises d.
         """
         k, d = self.kap_max, 0.0
         while True:
             far = d + (self.rise(d, 0.0) + _TWO_PI * kept) / self.slope(k - d)
             if not far > d:
-                return float(2.0 * np.arcsin(np.sqrt(0.5 * d / k))), d
+                return d
             d = far
 
 
-def _stencil(theta0):
-    """The 9-point tail stencil theta0 + h (-4, ..., 4) inside (0, pi/2),
-    and its step h."""
-    h = min(1e-5, theta0 / 16.0)
-    return theta0 + h * np.arange(-4, 5), h
+def _stencil(d0, kappa0):
+    """The 9-point tail stencil d0 + h (-4, ..., 4) inside (0, kappa_max),
+    and its step h = min(1e-5 kappa0, d0/8), kappa0 the cut's kappa."""
+    h = min(1e-5 * kappa0, d0 / 8.0)
+    return d0 + h * np.arange(-4, 5), h
 
 
 def _tail_terms(g, phase, grid, h):
-    """Integration-by-parts boundary data at the cut theta0 = grid[4].
+    """Integration-by-parts boundary data at the cut d0 = grid[4].
 
-    g is the (m, 9) stack of slow(theta) on the _stencil grid about theta0,
-    from the caller's kernel call. u1 = g/(i Psi'), u2 = -u1'/(i Psi'),
-    u3 = -u2'/(i Psi'), derivatives by 5-point central differences; Psi' is
-    evaluated once on the grid. Returns (boundary value
-    e^{i psi_rel}(u1+u2+u3), series ratio, size of the last kept term). The
-    caller owns the e^{i Psi(0)} reference.
+    g is the (m, 9) stack of slow(d) on the _stencil grid about d0, from
+    the caller's kernel call. u1 = g/(i Psi'), u2 = -u1'/(i Psi'),
+    u3 = -u2'/(i Psi'), derivatives by 5-point central differences; Psi' =
+    -slope(u) is evaluated once on the grid. Returns (boundary value
+    e^{i rise(d0, 0)}(u1+u2+u3), series ratio, size of the last kept term).
+    The caller owns the e^{i Psi(0)} reference.
     """
-    theta0 = grid[4]
-    slope = 1j * phase.psi_prime(grid)
+    slope = -1j * np.broadcast_to(phase.slope(phase.kap_max - grid),
+                                  grid.shape)
     u1 = g / slope
     d1 = (u1[:, :-4] - 8.0 * u1[:, 1:-3] + 8.0 * u1[:, 3:-1] - u1[:, 4:]) \
         / (12.0 * h)                                    # u1' on the 5 middle nodes
     u2 = -d1 / slope[2:7]
     d2 = (u2[:, 0] - 8.0 * u2[:, 1] + 8.0 * u2[:, 3] - u2[:, 4]) / (12.0 * h)
     u3 = -d2 / slope[4]
-    boundary = np.exp(1j * phase.psi_rel(theta0)) * (u1[:, 4] + u2[:, 2] + u3)
+    boundary = np.exp(1j * phase.rise(grid[4], 0.0)) \
+        * (u1[:, 4] + u2[:, 2] + u3)
     n1 = float(np.sum(np.abs(u1[:, 4])))
     n2 = float(np.sum(np.abs(u2[:, 2])))
     n3 = float(np.sum(np.abs(u3)))
@@ -944,11 +933,11 @@ def _path_nodes(phase, d_c, orders):
 def _path_sums(rows, phase, d_c, orders, solved=None):
     """The head [0, s_c] as I(0) - I(s_c), at each Gauss-Laguerre order.
 
-    In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i psi_rel} ds, and
-    by Cauchy's theorem it equals the difference of two contours that
+    In s = kappa^2 the head is (1/2) int_0^{s_c} rows e^{i rise(d, 0)} ds,
+    and by Cauchy's theorem it equals the difference of two contours that
     leave 0 and s_c into Im s < 0, Im u > 0 in u = kappa_max - d: the
     straight contours of _path_nodes, each
-    I(d0) = (1/2) e^{i psi_rel(d0)} sum_j w_j rows(kappa_j) dsdt_j, with
+    I(d0) = (1/2) e^{i rise(d0, 0)} sum_j w_j rows(kappa_j) dsdt_j, with
     kappa = sqrt(s), s = d (2 kappa_max - d). From grazing, d_c =
     kappa_max, the head is the full disc and needs no tail. The nodes of
     every order go through rows in one call. solved = (t, d, dsdt, rows)
@@ -981,7 +970,7 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
 
     The error is the 1-norm over the rows of the difference of the N and 2N
     heads plus a rounding floor: a node carries the rounding of the phases
-    it exponentiates, eps Phi relative with Phi = |psi_rel(d_c)| +
+    it exponentiates, eps Phi relative with Phi = |rise(d_c, 0)| +
     (|k_p| + |k_s| + |k_i|) L, the detector phase at the cut (at grazing,
     d_c = kappa_max, for the full disc) and the slab's. The 2N head is
     returned once the error is within tol/2 of it. Raises ConvergenceError
@@ -1019,38 +1008,37 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
 
 
 def _integrate_oscillatory(rows, phase, modes, tol):
-    """Head-plus-tail evaluation of int_0^{pi/2} rows e^{i Psi} kappa dkappa.
+    """Head-plus-tail evaluation of int_0^{kappa_max} rows e^{i Psi} kappa
+    dkappa.
 
     rows maps a complex kappa array to the (m, n) stack of _angular_rows;
-    on kappa = kappa_max sin(theta) the measure is kappa kappa_max
-    cos(theta) dtheta. Returns (vector of m integrals, error estimate).
-    With more than 1.5 _KEPT_CYCLES phase cycles, the tail is closed at the
-    one cut after _KEPT_CYCLES (module notes) and the head is [0, theta_c];
-    with fewer, or the closure refused (series ratio above
-    _TAIL_RATIO_LIMIT), the head is the full range [0, pi/2] and there is
-    no tail. Either head is _path_head's.
+    in d = kappa_max - u the measure kappa dkappa is u dd. Returns (vector
+    of m integrals, error estimate). With more than 1.5 _KEPT_CYCLES phase
+    cycles, the tail is closed at the one cut after _KEPT_CYCLES (module
+    notes) and the head is [0, d_c]; with fewer, or the closure refused
+    (series ratio above _TAIL_RATIO_LIMIT), the head is the full disc
+    [0, kappa_max] and there is no tail. Either head is _path_head's.
 
     The nodes of both cut contours are laid at the first order pair before
-    the tail is checked, and the 9 stencil kappa (complex, on the real
-    axis) and the 48 contour kappa go through rows in one call. If the
+    the tail is checked, and the 9 stencil kappa (on the real axis) and the
+    48 contour kappa go through rows in one call. If the
     closure is refused, the full disc takes the contour from the axis and
     its rows from that call and evaluates only the ray's. Raises
     _path_head's ConvergenceError with the tail and the e^{i Psi(0)}
     reference phase added to its value.
     """
     k = phase.kap_max
-    cycles = -phase.psi_rel(0.5 * np.pi) / _TWO_PI
+    cycles = -phase.rise(k, 0.0) / _TWO_PI
     d_c, tail, err_tail, solved = k, 0.0, 0.0, None
     if cycles > 1.5 * _KEPT_CYCLES:
-        theta_c, d_cut = phase.cut(_KEPT_CYCLES)
-        grid, h = _stencil(theta_c)
-        kap = phase.kappa(grid)
+        d_cut = phase.cut(_KEPT_CYCLES)
+        grid, h = _stencil(d_cut, math.sqrt(d_cut * (2.0 * k - d_cut)))
         orders = (_PATH_NODES, 2 * _PATH_NODES)
         t, d, dsdt = _path_nodes(phase, d_cut, orders)
-        values = rows(np.concatenate(
-            [kap + 0j, np.sqrt(d * (2.0 * k - d)).ravel()]))
+        nodes = np.concatenate([grid, d.ravel()])
+        values = rows(np.sqrt(nodes * (2.0 * k - nodes)))
         cut, ratio, n3 = _tail_terms(
-            values[:, :len(grid)] * (kap * k * np.cos(grid)), phase, grid, h)
+            values[:, :len(grid)] * (k - grid), phase, grid, h)
         paths = values[:, len(grid):]
         if ratio <= _TAIL_RATIO_LIMIT:
             d_c, tail, err_tail = d_cut, -cut, n3 * min(1.0, ratio)
@@ -1100,6 +1088,27 @@ def _numeric_matrix(cfg, modes, tol):
         raise ConvergenceError(str(exc), value, abs(pref) * exc.error) \
             from exc
     return matrix(vec)
+
+
+def _numeric_matrices(cfg, modes, tol):
+    """_numeric_matrix at every point of modes, shape (m, 2, 2).
+
+    m is the broadcast size of the fields of modes. Each point is sliced to
+    Python scalars, so that its arithmetic is that of ``_Modes.of`` on the
+    point's own config, and an error carries its point as ``index``.
+    """
+    fields = (modes.omega_s, modes.omega_i, modes.omega_p, modes.n_s,
+              modes.n_i, modes.n_p, modes.length, modes.pump_z)
+    size = np.broadcast(*fields).size
+    out = []
+    for i, point in enumerate(zip(*(np.broadcast_to(v, (size,)).tolist()
+                                    for v in fields))):
+        try:
+            out.append(_numeric_matrix(cfg, _Modes(*point), tol))
+        except Exception as exc:
+            exc.index = i
+            raise
+    return np.array(out)
 
 
 def amplitude_numeric(cfg, tol=1e-6):

@@ -16,7 +16,7 @@ fig6); ``--dump-config`` prints its config text instead of running it, as
 a starting point for edits.
 
 Exit codes: 0 on success, 1 on any validation or usage error, 2 when the
-numeric quadrature fails to converge.
+numeric route's contours are refused or miss tol (ConvergenceError).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ the bundled presets): ``material`` (builtin name, default ``bbo_ordinary``),
 sets signal = idler and pump = twice), or the explicit trio
 ``pump_frequency`` / ``signal_frequency`` / ``idler_frequency``;
 ``conversion`` (``I`` or ``II``), ``coupling`` (1e-12), ``pump_field``
-(1e5), ``z_signal`` / ``z_idler`` (1 m), ``pump_z`` (back face), ``offset_x``
+(1e5), ``z_signal`` / ``z_idler`` (1 m), ``pump_z`` (entry face), ``offset_x``
 / ``offset_y`` (0), ``n_imag`` (absorption of the down-converted modes) and
 ``n_imag_pump`` (pump absorption, defaults to ``n_imag``). Omitting both
 n'' keys leaves the material table's own absorption in place.
@@ -39,7 +39,8 @@ Axis semantics
 --------------
 ``n_imag`` applies a frequency-flat n'' to every mode (it overrides both
 n'' keys); ``crystal_length`` rebuilds the slab, keeping the pump waist on
-the back face; ``frequency`` scans the degenerate point (signal = idler =
+the entry face (an explicit ``pump_z`` elsewhere is rejected);
+``frequency`` scans the degenerate point (signal = idler =
 x, pump = 2x); ``delta_k`` scans the real phase-mismatch half-phase
 dk L/2 directly and only supports ``sinc_profile`` (no experiment has a
 freely dialable mismatch, so rates are undefined on this axis). The
@@ -85,7 +86,7 @@ from itertools import repeat
 import numpy as np
 
 from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
-                        _numeric_matrix, check_point, farfield_matrices,
+                        _numeric_matrices, check_point, farfield_matrices,
                         phase_terms, rates, sinc_profile)
 from .greens import Chi2Geometry
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
@@ -411,6 +412,12 @@ class ScanRequest:
         if self.axis in ("crystal_length", "frequency") \
                 and self.range[0] <= 0.0:
             raise ValueError(f"{self.axis} scan start must be positive")
+        if self.axis == "crystal_length" \
+                and self.base.pump_z != -0.5 * self.base.crystal.length:
+            raise ValueError(
+                "a crystal_length scan puts the pump plane on each slab's "
+                f"entry face, -L/2; pump_z = {self.base.pump_z!r} is not "
+                f"the base slab's {-0.5 * self.base.crystal.length!r}")
 
 
 def scan_request_from_config(text, method="farfield", tol=1e-6):
@@ -505,13 +512,12 @@ class _Sweep:
     broadcast. The stack passes each point's ExperimentConfig checks
     (``check_point``); the ``ScanRequest`` range checks already cover those
     of the material and the slab; a point is not checked again. With
-    ``axis=None`` it is the one point of ``base``. ``memo`` keeps numeric
-    amplitudes by (kind, lossless, point) across the sweeps of one scan.
+    ``axis=None`` it is the one point of ``base``.
     """
 
-    def __init__(self, base, axis, x, method, tol, memo):
+    def __init__(self, base, axis, x, method, tol):
         self.base, self.axis, self.x = base, axis, x
-        self.method, self.tol, self.memo = method, tol, memo
+        self.method, self.tol = method, tol
         self.count = 1 if x is None else len(x)
         self.length = x if axis == "crystal_length" else base.crystal.length
         if axis == "frequency":
@@ -535,21 +541,14 @@ class _Sweep:
             n = n.real + 1j * (0.0 if lossless else self.n_imag)
         return n
 
-    def modes(self, lossless=False, i=None):
-        """The _Modes of the stack; with i, point i's own, sliced from it
-        in Python scalars, so that its arithmetic is that of ``_Modes.of``
-        on the point's own config."""
+    def modes(self, lossless=False):
+        """The _Modes of the stack."""
         if lossless not in self._modes:
             omegas = (self.omega_s, self.omega_i, self.omega_p)
             self._modes[lossless] = _Modes(
                 *omegas, *(self.index(w, lossless) for w in omegas),
                 self.length, self.pump_z)
-        m = self._modes[lossless]
-        if i is None:
-            return m
-        return _Modes(*(np.broadcast_to(v, (self.count,))[i].tolist()
-                        for v in (m.omega_s, m.omega_i, m.omega_p, m.n_s,
-                                  m.n_i, m.n_p, m.length, m.pump_z)))
+        return self._modes[lossless]
 
     def config(self, kind):
         """The ExperimentConfig of what every point shares: conversion
@@ -565,42 +564,21 @@ class _Sweep:
         return self._amps[key]
 
 
-def _per_point(f, count):
-    """[f(0), ..., f(count - 1)]; an error carries its point as ``index``."""
-    out = []
-    for i in range(count):
-        try:
-            out.append(f(i))
-        except Exception as exc:
-            exc.index = i
-            raise
-    return out
-
-
 def _amplitude(sweep, kind, lossless=False):
     """2x2 amplitudes of one conversion type at the points of a sweep.
 
     The one place the farfield/numeric route is picked. Shape (m, 2, 2),
-    or (1, 2, 2) where every point has the same config. The far field is
+    or (1, 2, 2) where every point has the same config (the lossless modes
+    of an ``n_imag`` axis, which do not depend on n''). The far field is
     one evaluation of the kappa = 0 endpoint term over the stack, on the
-    normal-incidence channels that both types share. The numeric route
-    integrates once per point, and once in all for the lossless modes of
-    an ``n_imag`` axis, which do not depend on n''.
+    normal-incidence channels that both types share; the numeric route
+    integrates once per point of the stack.
     """
     # the stack first, so that a bad point fails at its own index
     cfg, stack = sweep.config(kind), sweep.modes(lossless)
     if sweep.method == "farfield":
         return farfield_matrices(cfg, stack)
-
-    def numeric(i):
-        key = (kind, lossless, i)
-        if key not in sweep.memo:
-            sweep.memo[key] = _numeric_matrix(
-                cfg, sweep.modes(lossless, i), sweep.tol)
-        return sweep.memo[key]
-
-    shared = lossless and sweep.axis == "n_imag"
-    return np.array(_per_point(numeric, 1 if shared else sweep.count))
+    return _numeric_matrices(cfg, stack, sweep.tol)
 
 
 def _matrix_cells(matrix):
@@ -681,13 +659,12 @@ def run_scan(req):
     axis_values = np.linspace(start, stop, count)
     names = tuple(name for obs in req.observables
                   for name in _OBSERVABLES[obs][0])
-    memo = {}
     done, error = count, None
     columns = [[] for _ in names]
     while done:
         try:
             sweep = _Sweep(req.base, req.axis, axis_values[:done],
-                           req.method, req.tol, memo)
+                           req.method, req.tol)
             columns = [np.broadcast_to(col, (done,)).tolist()
                        for obs in req.observables
                        for col in _OBSERVABLES[obs][1](sweep)]
@@ -722,7 +699,7 @@ def run_scan(req):
 def point_result(cfg, method="farfield", tol=1e-6):
     """One amplitude and its rate, as an axis-less :class:`ScanResult`."""
     _check_route(method, tol)
-    (matrix,) = _amplitude(_Sweep(cfg, None, None, method, tol, {}),
+    (matrix,) = _amplitude(_Sweep(cfg, None, None, method, tol),
                            cfg.chi2.kind)
     cells = [("rate", float(rates(matrix)))] + _matrix_cells(matrix)
     return ScanResult(axis=None, axis_values=(),

@@ -577,7 +577,7 @@ def _path_run(monkeypatch, cfg):
 
 def _gk15(seen, rel_tol, narrower=1):
     """GK15 panels (integrate_radial) over the same head: (1/2)
-    int_0^{s_c} rows e^{i psi_rel} ds in d = kappa_max - u, where
+    int_0^{s_c} rows e^{i rise(d, 0)} ds in d = kappa_max - u, where
     ds = 2 u dd, over [0, d_c], and d_c = kappa_max for the disc. Equal
     seed panels hold half a cycle of the fastest detector plus slab phase
     rate, |slope(u)| + L u (1/|k_zs| + 1/|k_zi|), on a 513-point grid,
@@ -807,8 +807,8 @@ def _plane(rows, phase, order=64):
 def _ray(cfg, rows, phase, alpha, order=64):
     """The full plane on the straight ray s = r e^{-i alpha} from s = 0.
 
-    Near the axis psi_rel = -s Z/2 + O(s^2), Z = z_s/q_s + z_i/q_i, so on
-    the ray e^{i psi_rel} decays like e^{-r Z sin(alpha)/2}: Gauss-Laguerre
+    Near the axis rise(d, 0) = -s Z/2 + O(s^2), Z = z_s/q_s + z_i/q_i, so
+    on the ray e^{i rise} decays like e^{-r Z sin(alpha)/2}: Gauss-Laguerre
     in r scaled by that rate, on nodes that are not the contours'. With u
     the principal sqrt(kappa_max^2 - s) (Im u > 0 below the real s axis),
     d = kappa_max - u is computed as s/(kappa_max + u), which does not
@@ -851,7 +851,7 @@ def test_full_plane_path_matches_straight_rays(name):
     # I_SD(0) at order 64 against the rays at 45 and 60 degrees, which
     # share only the kernel and rise with it: within 1e-10 (measured
     # 4e-14 to 1.1e-11). Their nodes differ, and a path on the wrong side
-    # of the real s axis, where e^{i psi_rel} grows like e^{t}, fails here.
+    # of the real s axis, where e^{i rise} grows like e^{t}, fails here.
     cfg = _RAY_SPREAD[name]
     modes = _Modes.of(cfg)
     phase = amplitude._DetectorPhase(cfg, modes)
@@ -910,7 +910,8 @@ def _cut_cases(rng, count):
         cfg = replace(cfg, z_idler=rng.uniform(0.5, 2.0))
         modes = _Modes.of(cfg)
         # Psi is linear in the distances: scale both to the wanted cycles.
-        psi = amplitude._DetectorPhase(cfg, modes).psi_rel(0.5 * np.pi)
+        phase = amplitude._DetectorPhase(cfg, modes)
+        psi = phase.rise(phase.kap_max, 0.0)
         scale = -2.0 * np.pi * ratio * kept / psi
         if scale * min(1.0, cfg.z_idler) <= 0.5 * length:
             continue
@@ -920,34 +921,31 @@ def _cut_cases(rng, count):
 
 
 def _bisect_cut(phase, kept):
-    """theta where psi_rel + 2 pi kept changes sign, to adjacent doubles."""
-    lo, hi = 0.0, 0.5 * np.pi
+    """d where rise(d, 0) + 2 pi kept changes sign, to adjacent doubles."""
+    lo, hi = 0.0, phase.kap_max
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        if phase.psi_rel(mid) + 2.0 * np.pi * kept > 0.0:
+        if phase.rise(mid, 0.0) + 2.0 * np.pi * kept > 0.0:
             lo = mid
         else:
             hi = mid
 
 
 def test_cut_meets_kept_cycles_to_rounding():
-    # psi_rel(theta_c) = -2 pi kept within a few ulps of 2 pi kept, and
-    # theta_c within a few ulps of bisection, down to cycles = 1.5 kept,
-    # the fewest at which the route cuts.
+    # rise(d_c, 0) = -2 pi kept within a few ulps of 2 pi kept, and d_c
+    # within a few ulps of bisection, down to cycles = 1.5 kept, the fewest
+    # at which the route cuts.
     cases = _cut_cases(np.random.default_rng(16), 240)
     for kept in (512, 2048, 8192):
         assert sum(k == kept and r <= 2.0 for _, k, r in cases) >= 10
     for phase, kept, _ in cases:
-        theta_c, d_c = phase.cut(kept)
-        assert abs(d_c - 2.0 * phase.kap_max * np.sin(0.5 * theta_c) ** 2) \
-            <= 10.0 * np.spacing(d_c)
+        d_c = phase.cut(kept)
         target = 2.0 * np.pi * kept
-        assert abs(phase.psi_rel(theta_c) + target) \
+        assert abs(phase.rise(d_c, 0.0) + target) \
             <= 10.0 * np.spacing(target)
-        assert abs(theta_c - _bisect_cut(phase, kept)) \
-            <= 8.0 * np.spacing(theta_c)
+        assert abs(d_c - _bisect_cut(phase, kept)) <= 8.0 * np.spacing(d_c)
 
 
 # ---------------------------------------------------------------------------

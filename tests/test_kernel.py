@@ -167,13 +167,13 @@ def test_degenerate_channels_match_two_mode_branch(monkeypatch, loss, length,
     if m is not None:
         kappa = kappa[:, None]
     calls = []
-    kinematics_ = amplitude.kinematics
+    kinematics_ = amplitude._path_kinematics
 
     def counting(*args):
         calls.append(args)
         return kinematics_(*args)
 
-    monkeypatch.setattr(amplitude, "kinematics", counting)
+    monkeypatch.setattr(amplitude, "_path_kinematics", counting)
     for kap in (0.0, kappa):
         ch = _Channels(modes, kap)
         assert len(calls) == 1
@@ -387,9 +387,9 @@ _ONE_WAVENUMBER = {
 
 def _route_start(phase):
     """d_c of the route: the 512-cycle cut, or grazing for the full disc."""
-    cycles = -phase.psi_rel(0.5 * np.pi) / (2.0 * np.pi)
+    cycles = -phase.rise(phase.kap_max, 0.0) / (2.0 * np.pi)
     if cycles > 1.5 * amplitude._KEPT_CYCLES:
-        return phase.cut(amplitude._KEPT_CYCLES)[1]
+        return phase.cut(amplitude._KEPT_CYCLES)
     return phase.kap_max
 
 
@@ -459,18 +459,18 @@ def test_one_wavenumber_tangents_are_descent_paths(name):
     assert np.all(np.abs(factor - 1.0) <= floor)
 
 
-def test_psi_rel_matches_40_digit_phase():
-    # psi_rel near the axis, theta from 1e-8 to 1e-3, where s = kappa^2
-    # would lose digits: within a few ulps of the 40-digit phase.
+def test_rise_near_axis_matches_40_digit_phase():
+    # rise(d, 0) on real d near the axis, from 5e-17 to 5e-7 of kappa_max
+    # (kappa from 1e-8 to 1e-3 of it), where s = kappa^2 would lose
+    # digits: within a few ulps of the 40-digit phase.
     for cfg in (make_cfg(z=1.0), _split_cfg("I", 0.04, z=0.01)):
         modes = _Modes.of(cfg)
         phase = _DetectorPhase(cfg, modes)
         mp, psi = _mp_phase(phase, cfg, modes)
-        theta = np.geomspace(1e-8, 1e-3, 41)
-        got = phase.psi_rel(theta)
-        for th, value in zip(theta, got):
-            d = 2 * mp.mpf(phase.kap_max) * mp.sin(mp.mpf(th) / 2) ** 2
-            want = float(mp.re(psi(mp.mpc(d)) - psi(mp.mpc(0))))
+        d = phase.kap_max * np.geomspace(5e-17, 5e-7, 41)
+        got = phase.rise(d, 0.0)
+        for node, value in zip(d, got):
+            want = float(mp.re(psi(mp.mpc(node)) - psi(mp.mpc(0))))
             assert abs(value - want) <= 4.0 * np.spacing(abs(want))
 
 
@@ -555,16 +555,27 @@ def test_numeric_amplitude_builds_channels_once(monkeypatch, name):
                                   "displaced"])
 def test_stencil_rows_take_the_path_kinematics(name):
     # The stencil kappa of a cut go through the kernel as complex numbers on
-    # the real axis. On axis their rows are those of the real kappa bit for
-    # bit; with an offset the Bessel rows in complex arithmetic move them
-    # by rounding.
+    # the real axis. There _path_kinematics gives the roots of the public
+    # kinematics bit for bit, and on axis the rows are those of the real
+    # kappa bit for bit; with an offset the Bessel rows in complex
+    # arithmetic move them by rounding.
     cfg = _ONE_CALL_CFGS[name]
     modes = _Modes.of(cfg)
     phase = _DetectorPhase(cfg, modes)
+    k = phase.kap_max
     rho = float(np.hypot(*cfg.offset))
     for kept in (512, 2048):
-        grid, _ = _stencil(phase.cut(kept)[0])
-        kap = phase.kappa(grid)
+        d_c = phase.cut(kept)
+        grid, _ = _stencil(d_c, np.sqrt(d_c * (2.0 * k - d_c)))
+        kap = np.sqrt(grid * (2.0 * k - grid))
+        for omega, n in ((modes.omega_s, modes.n_s),
+                         (modes.omega_i, modes.n_i)):
+            public = kinematics(omega, n, (kap, np.zeros_like(kap)))
+            for node in (kap, kap + 0j):
+                path = amplitude._path_kinematics(
+                    omega, n, (node, np.zeros_like(node)))
+                assert np.array_equal(path.k_z, public.k_z)
+                assert np.array_equal(path.q_z, public.q_z)
         real = _angular_rows(cfg, _Channels(modes, kap), kap, rho)
         axis = _angular_rows(cfg, _Channels(modes, kap + 0j), kap + 0j, rho)
         if rho == 0.0:

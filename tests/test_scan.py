@@ -14,7 +14,8 @@ import pytest
 from slabpdc import amplitude, scan
 from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
-from slabpdc.materials import DispersionRangeError, kinematics, noise_factor
+from slabpdc.materials import DispersionRangeError, noise_factor
+from slabpdc.quadrature import ConvergenceError
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
                           ScanResult, emit, load_config, point_result, preset,
                           preset_text, run_scan, scan_request_from_config)
@@ -236,6 +237,34 @@ def test_request_validation():
                     observables=("rate_I",))
 
 
+def test_crystal_length_scan_rejects_a_pump_z_off_the_entry_face(tmp_path):
+    # The sweep puts the pump plane on each slab's entry face, -L/2, so a
+    # pump_z set elsewhere would be silently ignored (or, on a long enough
+    # slab, would not even be on the incidence side): it is rejected.
+    axis = ("scan_axis = crystal_length\nscan_start = 1 mm\n"
+            "scan_stop = 3 mm\nscan_count = 3\n"
+            "observables = amplitude_matrix\n")
+    for pump_z in ("-3 mm", "-1.2 mm"):
+        with pytest.raises(ConfigError, match="entry face"):
+            scan_request_from_config(f"pump_z = {pump_z}\n{axis}")
+        with pytest.raises(ValueError, match="entry face"):
+            ScanRequest(base=load_config(f"pump_z = {pump_z}\n"),
+                        axis="crystal_length", range=(1e-3, 3e-3, 3),
+                        observables=("rate_I",))
+        cfg = _write_cfg(tmp_path, f"pump_z = {pump_z}\n{axis}")
+        assert main(["scan", "--config", cfg]) == 1
+    # On the entry face, given or by default, the sweep runs; other axes
+    # keep an explicit pump_z.
+    for text in ("pump_z = -1 mm\n", ""):
+        result = run_scan(scan_request_from_config(text + axis))
+        for x, row in zip(result.axis_values, result.rows):
+            own = amplitude_farfield(
+                load_config(f"crystal_length = {x!r}\n")).matrix.ravel()
+            assert np.max(np.abs(np.array(row) - own)) \
+                <= 1e-12 * np.max(np.abs(own))
+    scan_request_from_config("pump_z = -3 mm\n" + SCAN_TEXT)
+
+
 def test_non_integer_count_rejected():
     with pytest.raises(ConfigError, match="not an integer"):
         scan_request_from_config(SCAN_TEXT.replace("scan_count = 5",
@@ -270,8 +299,8 @@ def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
         calls.append(modes)
         return numeric_matrix(cfg, modes, tol)
 
-    numeric_matrix = scan._numeric_matrix
-    monkeypatch.setattr(scan, "_numeric_matrix", counted)
+    numeric_matrix = amplitude._numeric_matrix
+    monkeypatch.setattr(amplitude, "_numeric_matrix", counted)
     result = run_scan(scan_request_from_config(SCAN_TEXT, method="numeric"))
     count = len(result.rows)
     assert len(calls) == 2 * count + 2
@@ -302,18 +331,31 @@ def test_numeric_scan_checks_no_point_twice(monkeypatch):
 @pytest.mark.parametrize("axis, start, stop, key", [
     ("crystal_length", "1 mm", "3 mm", "crystal_length"),
     ("frequency", "3.5e15", "3.54e15", "frequency"),
+    ("n_imag", "1e-6", "3e-6", "n_imag"),
 ])
 def test_numeric_cells_are_the_points_own_amplitudes(axis, start, stop, key):
     # Each point's amplitude is the one its own config gives, bit for bit:
-    # its slab and frequencies reach every part of the engine.
-    head = "n_imag = 2e-6\nz_signal = 0.1\nz_idler = 0.1\n"
-    text = (f"{head}scan_axis = {axis}\nscan_start = {start}\n"
-            f"scan_stop = {stop}\nscan_count = 2\n"
-            "observables = amplitude_matrix\n")
+    # its slab, frequencies and absorption reach every part of the engine.
+    # The ratio columns also read the lossless stack, one point on the
+    # n_imag axis: they are the ratios of the point's own rates.
+    def config(**keys):
+        return "".join(f"{key} = {value}\n" for key, value in
+                       {"z_signal": 0.1, "z_idler": 0.1, **keys}.items())
+
+    text = (config(n_imag=2e-6) + f"scan_axis = {axis}\n"
+            f"scan_start = {start}\nscan_stop = {stop}\nscan_count = 2\n"
+            "observables = amplitude_matrix, rate_ratio_to_lossless\n")
     result = run_scan(scan_request_from_config(text, method="numeric"))
     for x, row in zip(result.axis_values, result.rows):
-        own = amplitude_numeric(load_config(f"{head}{key} = {x!r}\n"))
-        assert list(row) == own.matrix.ravel().tolist()
+        own = {"n_imag": 2e-6, key: x}
+        assert list(row[:4]) == amplitude_numeric(
+            load_config(config(**own))).matrix.ravel().tolist()
+        for kind, ratio in zip(("I", "II"), row[4:]):
+            lossy, lossless = (
+                rate(amplitude_numeric(load_config(config(**keys))))
+                for keys in ({**own, "conversion": kind},
+                             {**own, "conversion": kind, "n_imag": 0.0}))
+            assert ratio == lossy / lossless
 
 
 def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
@@ -324,15 +366,16 @@ def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return kinematics(*args, **kwargs)
+            return path_kinematics(*args, **kwargs)
 
-        monkeypatch.setattr(amplitude, "kinematics", counted)
+        monkeypatch.setattr(amplitude, "_path_kinematics", counted)
         text = SCAN_TEXT.replace("scan_count = 5", f"scan_count = {count}")
         result = run_scan(scan_request_from_config(text))
         monkeypatch.undo()
         assert len(result.rows) == count
         return len(calls)
 
+    path_kinematics = amplitude._path_kinematics
     assert kernel_calls(5) == kernel_calls(50) > 0
 
 
@@ -381,6 +424,34 @@ observables = rate_I
                              info.value.rows):
             want = rate(amplitude_of(load_config(f"frequency = {x!r}\n")))
             assert abs(got - want) <= 1e-10 * want
+
+
+def test_numeric_scan_aborts_on_a_convergence_error(tmp_path):
+    # tol = 5e-11 is below the contour's rounding floor from L = 1.5 mm on
+    # (the floor grows with the slab's phase): the sweep keeps the two
+    # points before it, each its own config's amplitude bit for bit.
+    text = """\
+n_imag = 1e-6
+scan_axis = crystal_length
+scan_start = 0.5 mm
+scan_stop = 3 mm
+scan_count = 6
+observables = amplitude_matrix
+"""
+    with pytest.raises(ScanError, match="axis point 2") as info:
+        run_scan(scan_request_from_config(text, method="numeric", tol=5e-11))
+    assert info.value.completed == 2
+    assert isinstance(info.value.__cause__, ConvergenceError)
+    assert "rounding floor" in str(info.value.__cause__)
+    assert len(info.value.rows) == 2
+    for x, row in zip(np.linspace(5e-4, 3e-3, 6).tolist(), info.value.rows):
+        own = amplitude_numeric(
+            load_config(f"n_imag = 1e-6\ncrystal_length = {x!r}\n"),
+            tol=5e-11)
+        assert list(row) == own.matrix.ravel().tolist()
+    cfg = _write_cfg(tmp_path, text)
+    assert main(["scan", "--config", cfg, "--method", "numeric",
+                 "--tol", "5e-11"]) == 2
 
 
 def test_detector_inside_slab_aborts_at_its_point():
