@@ -1090,25 +1090,28 @@ def _numeric_matrix(cfg, modes, tol):
     return matrix(vec)
 
 
-def _numeric_matrices(cfg, modes, tol):
+def _numeric_matrices(cfg, modes, tol, out):
     """_numeric_matrix at every point of modes, shape (m, 2, 2).
 
     m is the broadcast size of the fields of modes. Each point is sliced to
     Python scalars, so that its arithmetic is that of ``_Modes.of`` on the
-    point's own config, and an error carries its point as ``index``.
+    point's own config, and an error carries its point as ``index``. The
+    list ``out`` holds the matrices of the leading points that an earlier
+    call on the same points computed; each new point is appended to it, so
+    a failed call leaves there every point before its failure.
     """
     fields = (modes.omega_s, modes.omega_i, modes.omega_p, modes.n_s,
               modes.n_i, modes.n_p, modes.length, modes.pump_z)
     size = np.broadcast(*fields).size
-    out = []
     for i, point in enumerate(zip(*(np.broadcast_to(v, (size,)).tolist()
                                     for v in fields))):
-        try:
-            out.append(_numeric_matrix(cfg, _Modes(*point), tol))
-        except Exception as exc:
-            exc.index = i
-            raise
-    return np.array(out)
+        if i >= len(out):
+            try:
+                out.append(_numeric_matrix(cfg, _Modes(*point), tol))
+            except Exception as exc:
+                exc.index = i
+                raise
+    return np.array(out[:size])
 
 
 def amplitude_numeric(cfg, tol=1e-6):

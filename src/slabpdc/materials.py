@@ -176,10 +176,8 @@ def dispersion_eval(material, omega):
                 f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
 
     reject(bad, DispersionRangeError, message)
-    if not bounded:
-        n = complex(material.n_real[0], material.n_imag[0])
-        return n if w.ndim == 0 else np.full(w.shape, n)
-    # np.interp holds the edge samples past the ends, within the slack
+    # np.interp holds the edge samples past the ends: within the slack, or
+    # at any omega for an unbounded table
     nr = np.interp(w, material.omega, material.n_real)
     ni = np.interp(w, material.omega, material.n_imag)
     if w.ndim == 0:

@@ -7,27 +7,22 @@ set of observables at every point, and serializes the result.
 Config schema
 -------------
 One ``key = value`` pair per line; '#' starts a comment; blank lines are
-ignored. Values are plain floats in SI base units unless a documented suffix
-is present:
+ignored. ``_KEYS`` lists every key with its suffix dimension and default
+(the defaults reproduce the degenerate 532 nm slab of the bundled
+presets). Numbers are SI unless suffixed (``_SUFFIXES``): ``nm`` and
+``mm`` mark lengths, ``rad/s`` frequencies; a suffix is a scale marker,
+so a frequency key never accepts a wavelength. Unknown keys, malformed
+lines and values, wrong suffixes and duplicate keys are rejected with
+line/column positions, scan keys included, by :func:`load_config` too.
 
-    ``nm``      1e-9 m            (length keys only)
-    ``mm``      1e-3 m            (length keys only)
-    ``rad/s``   identity marker   (frequency keys only)
-
-Suffixes are scale markers, not unit conversions: a frequency key never
-accepts a wavelength. Unknown keys, malformed lines, wrong suffixes, and
-duplicate keys are rejected with line/column positions.
-
-Experiment keys (defaults reproduce the degenerate 532 nm slab used across
-the bundled presets): ``material`` (builtin name, default ``bbo_ordinary``),
-``crystal_length`` (2 mm), ``frequency`` (degenerate shorthand, 3.54e15;
-sets signal = idler and pump = twice), or the explicit trio
-``pump_frequency`` / ``signal_frequency`` / ``idler_frequency``;
-``conversion`` (``I`` or ``II``), ``coupling`` (1e-12), ``pump_field``
-(1e5), ``z_signal`` / ``z_idler`` (1 m), ``pump_z`` (entry face), ``offset_x``
-/ ``offset_y`` (0), ``n_imag`` (absorption of the down-converted modes) and
-``n_imag_pump`` (pump absorption, defaults to ``n_imag``). Omitting both
-n'' keys leaves the material table's own absorption in place.
+``frequency`` is the degenerate shorthand (signal = idler, pump = twice);
+else ``signal_frequency`` and ``idler_frequency`` come together.
+``n_imag`` is the absorption of the down-converted modes, ``n_imag_pump``
+that of the pump (default ``n_imag``); omitting both keeps the material
+table's own. Split absorption is a step in n'' between the two: on a
+``frequency`` axis it lies between them at every point of the sweep, and
+a sweep whose pump reaches its down-converted frequencies is rejected at
+``n_imag_pump``.
 
 Scan keys: ``scan_axis`` (``n_imag`` | ``crystal_length`` | ``delta_k`` |
 ``frequency``), ``scan_start``, ``scan_stop``, ``scan_count``, and
@@ -66,7 +61,10 @@ first, when there is one), one row per point; non-finite cells read
 indent=2)`` layout of an object with ``schema_version`` and ``metadata``,
 then the sweep's ``rows`` list or the single axis-less row inlined;
 non-finite cells read ``NaN``, ``Infinity``, ``-Infinity`` as ``json``
-writes them. Text, for axis-less results only: one ``name =
+writes them. A sweep's ``metadata.config`` echoes the experiment keys as
+resolved, in ``_KEYS`` order; its ``pump_z`` is null on a
+``crystal_length`` axis, where each row's pump plane is its own slab's
+entry face. Text, for axis-less results only: one ``name =
 repr(value)`` line per column, complex values whole. Output is
 byte-deterministic for identical config text. :func:`run_scan`
 evaluates each observable as one column over the whole axis; the kernels
@@ -100,20 +98,36 @@ _AXES = ("n_imag", "crystal_length", "delta_k", "frequency")
 _METHODS = ("farfield", "numeric")
 _MATRIX_LABELS = ("xx", "xy", "yx", "yy")   # row-major 2x2 entries
 
-_LENGTH_KEYS = frozenset({"crystal_length", "z_signal", "z_idler", "pump_z",
-                          "offset_x", "offset_y"})
-_FREQUENCY_KEYS = frozenset({"frequency", "pump_frequency",
-                             "signal_frequency", "idler_frequency"})
-# suffix dimension of a key, and of the scan axis of that name
-_DIMENSIONS = {**dict.fromkeys(_LENGTH_KEYS, "length"),
-               **dict.fromkeys(_FREQUENCY_KEYS, "frequency")}
-_NUMBER_KEYS = frozenset({"coupling", "pump_field", "n_imag", "n_imag_pump",
-                          "scan_start", "scan_stop", "scan_count"})
-_WORD_KEYS = frozenset({"material", "conversion", "scan_axis", "observables"})
-_ALL_KEYS = _LENGTH_KEYS | _FREQUENCY_KEYS | _NUMBER_KEYS | _WORD_KEYS
+_SCAN = object()    # the default of a scan key: a sweep needs them all
 
-_SCAN_KEYS = frozenset({"scan_axis", "scan_start", "scan_stop", "scan_count",
-                        "observables"})
+# Every config key: its suffix dimension and its default, in the order the
+# JSON metadata echoes the resolved experiment keys (``frequency`` folds
+# into the explicit trio; the scan keys are not echoed). A ``word`` stays
+# text, a ``list`` is split at commas, a ``count`` is an integer, a scan
+# bound takes the dimension of its ``axis``, and anything else is a float.
+_KEYS = {
+    "material": ("word", "bbo_ordinary"),
+    "crystal_length": ("length", 2e-3),
+    "pump_frequency": ("frequency", None),
+    "signal_frequency": ("frequency", None),
+    "idler_frequency": ("frequency", None),
+    "conversion": ("word", "I"),
+    "coupling": (None, 1e-12),
+    "pump_field": (None, 1e5),
+    "z_signal": ("length", 1.0), "z_idler": ("length", 1.0),
+    "pump_z": ("length", None),
+    "offset_x": ("length", 0.0), "offset_y": ("length", 0.0),
+    "n_imag": (None, None), "n_imag_pump": (None, None),
+    "frequency": ("frequency", 3.54e15),
+    "scan_axis": ("word", _SCAN),
+    "scan_start": ("axis", _SCAN), "scan_stop": ("axis", _SCAN),
+    "scan_count": ("count", _SCAN),
+    "observables": ("list", _SCAN),
+}
+
+# suffix: (the dimension it marks, its scale to SI)
+_SUFFIXES = {"rad/s": ("frequency", 1.0), "nm": ("length", 1e-9),
+             "mm": ("length", 1e-3)}
 
 
 class ConfigError(ValueError):
@@ -165,7 +179,7 @@ def _parse_pairs(text):
         val_col = len(lhs) + 2 + (len(rhs) - len(rhs.lstrip()))
         if not value:
             raise ConfigError(f"key '{key}' has no value", lineno, val_col)
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'", lineno, key_col)
         if key in pairs:
             raise ConfigError(f"duplicate key '{key}'", lineno, key_col)
@@ -173,68 +187,59 @@ def _parse_pairs(text):
     return pairs
 
 
+def _float(text):
+    """float(text), or None where text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _parse_quantity(key, value, line, col, *, dimension):
     """Parse a float with an optional suffix checked against the dimension."""
-    tokens = value.split()
-    if len(tokens) == 1:
-        # allow suffixes without a separating space
-        tok = tokens[0]
-        for suf in ("rad/s", "nm", "mm"):
-            head = tok[:-len(suf)]
-            if tok.endswith(suf) and head:
-                try:
-                    float(head)
-                except ValueError:
-                    continue
-                tokens = [head, suf]
-                break
-    if len(tokens) == 1:
-        number, suffix = tokens[0], None
-    elif len(tokens) == 2:
-        number, suffix = tokens
-    else:
+    number, *suffix = value.split()
+    for glued in () if suffix else _SUFFIXES:
+        # a suffix may follow its number without a space
+        if number.endswith(glued) and _float(number[:-len(glued)]) is not None:
+            number, suffix = number[:-len(glued)], [glued]
+            break
+    if len(suffix) > 1:
         raise ConfigError(f"key '{key}': expected 'number [suffix]'",
                           line, col)
-    try:
-        x = float(number)
-    except ValueError:
+    x = _float(number)
+    if x is None:
         raise ConfigError(f"key '{key}': '{number}' is not a number",
-                          line, col) from None
+                          line, col)
     if not np.isfinite(x):
         raise ConfigError(f"key '{key}': value must be finite", line, col)
-    if suffix is None:
+    if not suffix:
         return x
-    if suffix in ("nm", "mm"):
-        if dimension != "length":
-            raise ConfigError(
-                f"key '{key}' is not a length; suffix '{suffix}' rejected",
-                line, col)
-        return x * (1e-9 if suffix == "nm" else 1e-3)
-    if suffix == "rad/s":
-        if dimension != "frequency":
-            raise ConfigError(
-                f"key '{key}' is not a frequency; suffix 'rad/s' rejected",
-                line, col)
-        return x
-    raise ConfigError(f"key '{key}': unknown suffix '{suffix}'", line, col)
+    (suffix,) = suffix
+    if suffix not in _SUFFIXES:
+        raise ConfigError(f"key '{key}': unknown suffix '{suffix}'",
+                          line, col)
+    marks, scale = _SUFFIXES[suffix]
+    if dimension != marks:
+        raise ConfigError(
+            f"key '{key}' is not a {marks}; suffix '{suffix}' rejected",
+            line, col)
+    return x * scale
 
 
-def _number(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    value, line, col = pairs[key]
-    return _parse_quantity(key, value, line, col,
-                           dimension=_DIMENSIONS.get(key, "none"))
+def _split_absorption(material, n_low, n_high, high, low):
+    """Material with n'' = n_low up to omega = high and n_high from low on.
 
-
-def _split_absorption(material, n_low, n_high, omega_cut):
-    """Material with n'' = n_low below omega_cut and n_high above.
-
-    The step is pinned by a pair of samples just around omega_cut, so linear
-    interpolation is exact at every frequency outside the (negligible)
-    transition band.
+    The step is pinned by a pair of samples just around the midpoint, so
+    linear interpolation is exact at every frequency outside the
+    (negligible) transition band; a ValueError says that the band does not
+    fit between high and low.
     """
+    omega_cut = 0.5 * (high + low)
     eps_w = 1e-9 * omega_cut
+    if not high < omega_cut - eps_w < omega_cut + eps_w < low:
+        raise ValueError(
+            "no absorption step fits between the down-converted modes (up "
+            f"to {high!r} rad/s) and the pump (from {low!r} rad/s)")
     om = np.concatenate([material.omega[material.omega < omega_cut - eps_w],
                          [omega_cut - eps_w, omega_cut + eps_w],
                          material.omega[material.omega > omega_cut + eps_w]])
@@ -245,109 +250,108 @@ def _split_absorption(material, n_low, n_high, omega_cut):
 
 
 def _resolve(text):
-    """Parse config text into (ExperimentConfig, echo dict, scan pairs)."""
-    pairs = _parse_pairs(text)
+    """Read every key of config text, experiment and scan, in one pass.
 
-    name = pairs.get("material", ("bbo_ordinary", None, None))[0]
+    Returns the ExperimentConfig and each key's value in table order: a
+    scan key not given holds ``_SCAN``; ``frequency`` is folded into the
+    trio, which holds the resolved frequencies; ``pump_z`` holds the
+    resolved plane, or None on a ``crystal_length`` axis, where each
+    point's plane is its own slab's entry face.
+    """
+    pairs = _parse_pairs(text)
+    values = {}
+    for key, (dimension, default) in _KEYS.items():
+        value, line, col = pairs.get(key, (default, None, None))
+        if key not in pairs or dimension == "word":
+            values[key] = value
+        elif dimension == "list":
+            values[key] = tuple(filter(None, map(str.strip,
+                                                 value.split(","))))
+        elif dimension == "count":
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"{key}: '{value}' is not an integer",
+                                  line, col) from None
+        else:
+            if dimension == "axis":
+                dimension = _KEYS.get(values["scan_axis"], (None,))[0]
+            values[key] = _parse_quantity(key, value, line, col,
+                                          dimension=dimension)
+
+    name = values["material"]
     if name not in BUILTIN_MATERIALS:
-        _, line, col = pairs["material"]
         raise ConfigError(f"unknown material '{name}' (have: "
                           + ", ".join(sorted(BUILTIN_MATERIALS)) + ")",
-                          line, col)
+                          *pairs["material"][1:])
     material = BUILTIN_MATERIALS[name]()
 
-    length = _number(pairs, "crystal_length", 2e-3)
-    freq = _number(pairs, "frequency")
-    pump = _number(pairs, "pump_frequency")
-    sig = _number(pairs, "signal_frequency")
-    idl = _number(pairs, "idler_frequency")
-    if freq is not None and (sig is not None or idl is not None):
-        _, line, col = pairs["frequency"]
+    freq = values.pop("frequency")
+    sig, idl = values["signal_frequency"], values["idler_frequency"]
+    if "frequency" in pairs and (sig is not None or idl is not None):
         raise ConfigError("give either 'frequency' or the explicit "
-                          "signal/idler pair, not both", line, col)
+                          "signal/idler pair, not both",
+                          *pairs["frequency"][1:])
     if (sig is None) != (idl is None):
         key = "signal_frequency" if sig is not None else "idler_frequency"
-        _, line, col = pairs[key]
         raise ConfigError("signal_frequency and idler_frequency must be "
-                          "given together", line, col)
+                          "given together", *pairs[key][1:])
     if sig is None:
-        if freq is None:
-            freq = 3.54e15
         sig = idl = freq
-    if pump is None:
-        pump = sig + idl
+        values.update(signal_frequency=freq, idler_frequency=freq)
+    if values["pump_frequency"] is None:
+        values["pump_frequency"] = sig + idl
 
-    kind = pairs.get("conversion", ("I", None, None))[0]
-
-    n_imag = _number(pairs, "n_imag")
-    n_imag_pump = _number(pairs, "n_imag_pump")
-    for key, val in (("n_imag", n_imag), ("n_imag_pump", n_imag_pump)):
-        if val is not None and val < 0.0:
-            _, line, col = pairs[key]
-            raise ConfigError(f"{key} must be >= 0", line, col)
+    n_imag, n_imag_pump = values["n_imag"], values["n_imag_pump"]
+    for key in ("n_imag", "n_imag_pump"):
+        if values[key] is not None and values[key] < 0.0:
+            raise ConfigError(f"{key} must be >= 0", *pairs[key][1:])
     if n_imag is not None:
         if n_imag_pump is None or n_imag_pump == n_imag:
             material = material.with_absorption(n_imag)
         else:
-            cut = 0.5 * (max(sig, idl) + pump)
-            material = _split_absorption(
-                material.with_absorption(n_imag), n_imag, n_imag_pump, cut)
+            # the step lies between the down-converted modes and the pump
+            # at every point: on a frequency axis, of the whole sweep
+            high, low = max(sig, idl), values["pump_frequency"]
+            start, stop = values["scan_start"], values["scan_stop"]
+            if values["scan_axis"] == "frequency" \
+                    and _SCAN not in (start, stop):
+                high, low = max(high, stop), min(low, 2.0 * start)
+            try:
+                material = _split_absorption(material, n_imag, n_imag_pump,
+                                             high, low)
+            except ValueError as exc:
+                raise ConfigError(str(exc), *pairs["n_imag_pump"][1:]) \
+                    from None
     elif n_imag_pump is not None:
-        _, line, col = pairs["n_imag_pump"]
-        raise ConfigError("n_imag_pump requires n_imag", line, col)
-
-    coupling = _number(pairs, "coupling", 1e-12)
-    pump_field = _number(pairs, "pump_field", 1e5)
-    z_signal = _number(pairs, "z_signal", 1.0)
-    z_idler = _number(pairs, "z_idler", 1.0)
-    pump_z = _number(pairs, "pump_z")
-    off_x = _number(pairs, "offset_x", 0.0)
-    off_y = _number(pairs, "offset_y", 0.0)
+        raise ConfigError("n_imag_pump requires n_imag",
+                          *pairs["n_imag_pump"][1:])
 
     try:
         cfg = ExperimentConfig(
-            crystal=CrystalSlab(material=material, length=length),
-            chi2=Chi2Geometry(kind=kind, d=coupling),
-            pump_field=pump_field,
-            pump_frequency=pump,
-            z_signal=z_signal,
-            z_idler=z_idler,
-            signal_frequency=sig,
-            idler_frequency=idl,
-            pump_z=pump_z,
-            offset=(off_x, off_y),
-        )
+            crystal=CrystalSlab(material=material,
+                                length=values["crystal_length"]),
+            chi2=Chi2Geometry(kind=values["conversion"],
+                              d=values["coupling"]),
+            offset=(values["offset_x"], values["offset_y"]),
+            **{key: values[key] for key in (
+                "pump_field", "pump_frequency", "signal_frequency",
+                "idler_frequency", "z_signal", "z_idler", "pump_z")})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    echo = {
-        "material": name,
-        "crystal_length": length,
-        "pump_frequency": pump,
-        "signal_frequency": sig,
-        "idler_frequency": idl,
-        "conversion": kind,
-        "coupling": coupling,
-        "pump_field": pump_field,
-        "z_signal": z_signal,
-        "z_idler": z_idler,
-        "pump_z": cfg.pump_z,
-        "offset_x": off_x,
-        "offset_y": off_y,
-        "n_imag": n_imag,
-        "n_imag_pump": n_imag_pump,
-    }
-    scan_pairs = {k: pairs[k] for k in _SCAN_KEYS if k in pairs}
-    return cfg, echo, scan_pairs
+    values["pump_z"] = None if values["scan_axis"] == "crystal_length" \
+        else cfg.pump_z
+    return cfg, values
 
 
 def load_config(text):
     """Resolve config text to an :class:`ExperimentConfig`.
 
-    Scan keys are part of the schema and are accepted (and ignored) here;
+    Scan keys are part of the schema: they are parsed here too, so a
+    malformed one is rejected with its position, and otherwise ignored;
     anything else unknown is rejected with its position.
     """
-    cfg, _, _ = _resolve(text)
+    cfg, _ = _resolve(text)
     return cfg
 
 
@@ -422,34 +426,19 @@ class ScanRequest:
 
 def scan_request_from_config(text, method="farfield", tol=1e-6):
     """Build a :class:`ScanRequest` from config text with scan keys."""
-    cfg, echo, scan_pairs = _resolve(text)
-    missing = [k for k in ("scan_axis", "scan_start", "scan_stop",
-                           "scan_count", "observables")
-               if k not in scan_pairs]
+    cfg, values = _resolve(text)
+    missing = [key for key, value in values.items() if value is _SCAN]
     if missing:
         raise ConfigError("scan definition incomplete; missing: "
                           + ", ".join(missing))
-
-    axis = scan_pairs["scan_axis"][0]
-    bounds = []
-    for key in ("scan_start", "scan_stop"):
-        value, kline, kcol = scan_pairs[key]
-        bounds.append(_parse_quantity(key, value, kline, kcol,
-                                      dimension=_DIMENSIONS.get(axis, "none")))
-    count_s, kline, kcol = scan_pairs["scan_count"]
+    echo = {key: value for key, value in values.items()
+            if _KEYS[key][1] is not _SCAN}
     try:
-        count = int(count_s)
-    except ValueError:
-        raise ConfigError(f"scan_count: '{count_s}' is not an integer",
-                          kline, kcol) from None
-    obs_s, kline, kcol = scan_pairs["observables"]
-    observables = tuple(tok.strip() for tok in obs_s.split(",") if tok.strip())
-
-    try:
-        return ScanRequest(base=cfg, axis=axis,
-                           range=(bounds[0], bounds[1], count),
-                           observables=observables, method=method, tol=tol,
-                           echo=echo)
+        return ScanRequest(base=cfg, axis=values["scan_axis"],
+                           range=(values["scan_start"], values["scan_stop"],
+                                  values["scan_count"]),
+                           observables=values["observables"], method=method,
+                           tol=tol, echo=echo)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -512,12 +501,15 @@ class _Sweep:
     broadcast. The stack passes each point's ExperimentConfig checks
     (``check_point``); the ``ScanRequest`` range checks already cover those
     of the material and the slab; a point is not checked again. With
-    ``axis=None`` it is the one point of ``base``.
+    ``axis=None`` it is the one point of ``base``. ``numeric`` maps
+    (kind, lossless) to the numeric matrices of the leading points, kept
+    from a longer sweep over the same points that failed (``run_scan``).
     """
 
-    def __init__(self, base, axis, x, method, tol):
+    def __init__(self, base, axis, x, method, tol, numeric=None):
         self.base, self.axis, self.x = base, axis, x
         self.method, self.tol = method, tol
+        self.numeric = {} if numeric is None else numeric
         self.count = 1 if x is None else len(x)
         self.length = x if axis == "crystal_length" else base.crystal.length
         if axis == "frequency":
@@ -578,7 +570,8 @@ def _amplitude(sweep, kind, lossless=False):
     cfg, stack = sweep.config(kind), sweep.modes(lossless)
     if sweep.method == "farfield":
         return farfield_matrices(cfg, stack)
-    return _numeric_matrices(cfg, stack, sweep.tol)
+    return _numeric_matrices(cfg, stack, sweep.tol,
+                             sweep.numeric.setdefault((kind, lossless), []))
 
 
 def _matrix_cells(matrix):
@@ -652,8 +645,10 @@ def run_scan(req):
     in request order. A point fails exactly where its own config would:
     stacked checks raise at the first failing point, and the points before
     it are evaluated again until they all pass, so a failure that an
-    earlier check hid is still found first. Any error aborts the sweep and
-    is re-raised as :class:`ScanError`, with the completed rows attached.
+    earlier check hid is still found first; the numeric amplitudes that a
+    failed pass completed are kept, not computed again. Any error aborts
+    the sweep and is re-raised as :class:`ScanError`, with the completed
+    rows attached.
     """
     start, stop, count = req.range
     axis_values = np.linspace(start, stop, count)
@@ -661,10 +656,11 @@ def run_scan(req):
                   for name in _OBSERVABLES[obs][0])
     done, error = count, None
     columns = [[] for _ in names]
+    numeric = {}
     while done:
         try:
             sweep = _Sweep(req.base, req.axis, axis_values[:done],
-                           req.method, req.tol)
+                           req.method, req.tol, numeric)
             columns = [np.broadcast_to(col, (done,)).tolist()
                        for obs in req.observables
                        for col in _OBSERVABLES[obs][1](sweep)]

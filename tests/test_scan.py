@@ -138,15 +138,53 @@ def test_absorption_keys():
 
 
 def test_split_absorption_is_exact_at_the_modes():
-    cfg = load_config("n_imag = 2e-6\nn_imag_pump = 1.2e-5\n")
-    assert cfg.crystal.index(3.54e15).imag == pytest.approx(2e-6,
-                                                            rel=1e-12)
-    assert cfg.crystal.index(7.08e15).imag == pytest.approx(1.2e-5,
-                                                            rel=1e-12)
+    # vacuum's table is unbounded: it interpolates its split all the same
+    for material in ("bbo_ordinary", "vacuum"):
+        cfg = load_config(f"material = {material}\nn_imag = 2e-6\n"
+                          "n_imag_pump = 1.2e-5\n")
+        assert cfg.crystal.index(3.54e15).imag == pytest.approx(2e-6,
+                                                                rel=1e-12)
+        assert cfg.crystal.index(7.08e15).imag == pytest.approx(1.2e-5,
+                                                                rel=1e-12)
     # equal values collapse to the uniform path
     uni = load_config("n_imag = 2e-6\nn_imag_pump = 2e-6\n")
     assert uni.crystal.index(7.08e15).imag == pytest.approx(2e-6,
                                                             rel=1e-12)
+
+
+def test_split_absorption_holds_at_every_frequency_point():
+    # The step sits between the highest down-converted and the lowest pump
+    # frequency of the whole sweep, so that every row sees its own config's
+    # n'' (the base point's cut fell above the pump from 2.385e15 down).
+    split = "n_imag = 1e-6\nn_imag_pump = 5e-5\n"
+    axis = ("scan_axis = frequency\nscan_start = {}\nscan_stop = 3.54e15\n"
+            "scan_count = 5\nobservables = rate_I\n")
+    result = run_scan(scan_request_from_config(split + axis.format(2.0e15)))
+    for x, (got,) in zip(result.axis_values, result.rows):
+        want = rate(amplitude_farfield(load_config(
+            split + f"frequency = {x!r}\n")))
+        assert abs(got - want) <= 1e-10 * want
+    # from scan_start = 1.77e15 the pump reaches the down-converted modes:
+    # no step separates them
+    for load in (load_config, scan_request_from_config):
+        with pytest.raises(ConfigError, match="no absorption step") as info:
+            load(split + axis.format(1.77e15))
+        assert (info.value.line, info.value.col) == (2, 15)
+
+
+def test_scan_keys_are_parsed_by_load_config(tmp_path):
+    # a rate config carries scan keys at its peril: a malformed one is
+    # rejected with its position, as in a sweep
+    text = "n_imag = 1e-6\nscan_start = abc\n"
+    with pytest.raises(ConfigError, match="'scan_start': 'abc' is not a "
+                       "number") as info:
+        load_config(text)
+    assert (info.value.line, info.value.col) == (2, 14)
+    assert main(["rate", "--config", _write_cfg(tmp_path, text)]) == 1
+    with pytest.raises(ConfigError, match="not an integer"):
+        load_config("scan_count = 2.5\n")
+    cfg = load_config(SCAN_TEXT)
+    assert (cfg.signal_frequency, cfg.crystal.length) == (3.54e15, 2e-3)
 
 
 def test_semantic_errors_become_config_errors():
@@ -426,10 +464,12 @@ observables = rate_I
             assert abs(got - want) <= 1e-10 * want
 
 
-def test_numeric_scan_aborts_on_a_convergence_error(tmp_path):
+def test_numeric_scan_aborts_on_a_convergence_error(tmp_path, monkeypatch):
     # tol = 5e-11 is below the contour's rounding floor from L = 1.5 mm on
     # (the floor grows with the slab's phase): the sweep keeps the two
-    # points before it, each its own config's amplitude bit for bit.
+    # points before it, each its own config's amplitude bit for bit. The
+    # retry over those points (kept so that an earlier stacked check is
+    # found first) reuses their amplitudes: each slab is integrated once.
     text = """\
 n_imag = 1e-6
 scan_axis = crystal_length
@@ -438,8 +478,18 @@ scan_stop = 3 mm
 scan_count = 6
 observables = amplitude_matrix
 """
+    lengths = []
+
+    def counted(cfg, modes, tol):
+        lengths.append(modes.length)
+        return numeric_matrix(cfg, modes, tol)
+
+    numeric_matrix = amplitude._numeric_matrix
+    monkeypatch.setattr(amplitude, "_numeric_matrix", counted)
     with pytest.raises(ScanError, match="axis point 2") as info:
         run_scan(scan_request_from_config(text, method="numeric", tol=5e-11))
+    monkeypatch.undo()
+    assert lengths == [5e-4, 1e-3, 1.5e-3]
     assert info.value.completed == 2
     assert isinstance(info.value.__cause__, ConvergenceError)
     assert "rounding floor" in str(info.value.__cause__)
@@ -696,6 +746,33 @@ def test_json_document():
     assert doc["metadata"]["config"]["material"] == "bbo_ordinary"
     assert len(doc["rows"]) == 5
     assert doc["rows"][0]["rate_ratio_to_lossless_I"] == 1.0
+
+
+def test_json_config_echo():
+    # The experiment keys as resolved, in one fixed order; a crystal_length
+    # sweep gives each row its own slab's entry face, so pump_z reads null.
+    axis = ("scan_axis = {}\nscan_start = {}\nscan_stop = {}\n"
+            "scan_count = 2\nobservables = {}\n")
+    default = {"material": "bbo_ordinary", "crystal_length": 0.002,
+               "pump_frequency": 7.08e15, "signal_frequency": 3.54e15,
+               "idler_frequency": 3.54e15, "conversion": "I",
+               "coupling": 1e-12, "pump_field": 1e5, "z_signal": 1.0,
+               "z_idler": 1.0, "pump_z": -0.001, "offset_x": 0.0,
+               "offset_y": 0.0, "n_imag": None, "n_imag_pump": None}
+    split = {**default, "crystal_length": 0.003, "signal_frequency": 3.44e15,
+             "idler_frequency": 3.64e15, "conversion": "II",
+             "pump_z": -0.0015, "n_imag": 2e-6, "n_imag_pump": 1.2e-5}
+    for text, want in (
+            (axis.format("n_imag", 0.0, 1e-6, "rate_I"), default),
+            ("crystal_length = 3 mm\nconversion = II\n"
+             "signal_frequency = 3.44e15\nidler_frequency = 3.64e15\n"
+             "n_imag = 2e-6\nn_imag_pump = 1.2e-5\n"
+             + axis.format("delta_k", 0.1, 1.0, "sinc_profile"), split),
+            (axis.format("crystal_length", "1 mm", "3 mm", "rate_I"),
+             {**default, "pump_z": None})):
+        doc = json.loads(emit(run_scan(scan_request_from_config(text)),
+                              format="json"))
+        assert list(doc["metadata"]["config"].items()) == list(want.items())
 
 
 def test_complex_columns_expand_to_re_im():
