@@ -26,7 +26,9 @@ media; the explicit flip below keeps the rule airtight for edge cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +56,8 @@ class MaterialDispersion:
     """Complex refractive index n(omega), linearly interpolated in omega.
 
     omega, n_real, n_imag are equal-length arrays with omega strictly
-    increasing. A material built with ``constant`` has no range limit.
+    increasing, kept as read-only copies. A material built with
+    ``constant`` has no range limit.
     """
 
     omega: np.ndarray
@@ -64,22 +67,26 @@ class MaterialDispersion:
     unbounded: bool = False
 
     def __post_init__(self):
-        om = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        nr = np.atleast_1d(np.asarray(self.n_real, dtype=float))
-        ni = np.atleast_1d(np.asarray(self.n_imag, dtype=float))
-        if not (om.size == nr.size == ni.size):
+        # read-only copies: a table never changes after its checks, so one
+        # instance can be shared (the builtin factories return one)
+        tables = []
+        for name in ("omega", "n_real", "n_imag"):
+            table = np.array(getattr(self, name), dtype=float, ndmin=1)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+            tables.append(table.tolist())
+        # the checks run on Python floats: tables hold a handful of samples
+        om, nr, ni = tables
+        if not (len(om) == len(nr) == len(ni)):
             raise ValueError("omega, n_real, n_imag must have equal length")
-        if om.size == 0:
+        if not om:
             raise ValueError("empty dispersion table")
-        if not np.isfinite(np.concatenate((om, nr, ni))).all():
+        if not all(map(math.isfinite, om + nr + ni)):
             raise ValueError("dispersion samples must be finite")
-        if om.size > 1 and not np.all(np.diff(om) > 0):
+        if not all(a < b for a, b in zip(om, om[1:])):
             raise ValueError("samples must be strictly increasing in omega")
-        if np.any(ni < 0):
+        if min(ni) < 0:
             raise ValueError("n_imag < 0 (gain) is not supported")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "n_real", nr)
-        object.__setattr__(self, "n_imag", ni)
 
     @classmethod
     def from_wavelength_samples(cls, samples, name="custom"):
@@ -109,19 +116,22 @@ class MaterialDispersion:
         return float(self.omega[-1])
 
 
+@cache
 def bbo_ordinary():
     """Ordinary-ray BBO index at the three operating wavelengths.
 
     1064 nm -> 1.65, 532 nm -> 1.67, 266 nm -> 1.75; lossless by default,
-    attach absorption with ``with_absorption``.
+    attach absorption with ``with_absorption``. Built once: every call
+    returns the same (immutable) instance.
     """
     return MaterialDispersion.from_wavelength_samples(
         [(1064.0, 1.65, 0.0), (532.0, 1.67, 0.0), (266.0, 1.75, 0.0)],
         name="bbo_ordinary")
 
 
+@cache
 def vacuum():
-    """n = 1 at every frequency."""
+    """n = 1 at every frequency; one shared instance, as ``bbo_ordinary``."""
     return MaterialDispersion.constant(1.0, 0.0, name="vacuum")
 
 

@@ -22,7 +22,8 @@ that of the pump (default ``n_imag``); omitting both keeps the material
 table's own. Split absorption is a step in n'' between the two: on a
 ``frequency`` axis it lies between them at every point of the sweep, and
 a sweep whose pump reaches its down-converted frequencies is rejected at
-``n_imag_pump``.
+``n_imag_pump``. A :class:`ScanRequest` built in Python is held to the
+same rule: a point on the wrong side of its material's step is rejected.
 
 Scan keys: ``scan_axis`` (``n_imag`` | ``crystal_length`` | ``delta_k`` |
 ``frequency``), ``scan_start``, ``scan_stop``, ``scan_count``, and
@@ -129,6 +130,9 @@ _KEYS = {
 _SUFFIXES = {"rad/s": ("frequency", 1.0), "nm": ("length", 1e-9),
              "mm": ("length", 1e-3)}
 
+# the name suffix of a material that carries a split-absorption step
+_SPLIT_LOSS = "+split-loss"
+
 
 class ConfigError(ValueError):
     """Config text rejected: parse errors carry a line/column position."""
@@ -161,30 +165,44 @@ class ScanError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _parse_pairs(text):
-    """Split config text into {key: (value_string, line, col)}."""
+    """Split config text into {key: (value_string, line_number, line)}.
+
+    Columns are worked out only for an error; ``_position`` finds a
+    value's from its line.
+    """
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if "=" not in line:
-            col = len(line) - len(line.lstrip()) + 1
-            raise ConfigError("expected 'key = value'", lineno, col)
-        lhs, rhs = line.split("=", 1)
-        key = lhs.strip()
-        value = rhs.strip()
-        key_col = len(lhs) - len(lhs.lstrip()) + 1
+        line = raw.partition("#")[0]
+        lhs, eq, rhs = line.partition("=")
+        key, value = lhs.strip(), rhs.strip()
+        if not eq:
+            if not key:
+                continue    # blank or comment-only
+            raise ConfigError("expected 'key = value'", lineno,
+                              _column(line))
         if not key:
-            raise ConfigError("empty key", lineno, key_col)
-        val_col = len(lhs) + 2 + (len(rhs) - len(rhs.lstrip()))
+            raise ConfigError("empty key", lineno, _column(lhs))
         if not value:
-            raise ConfigError(f"key '{key}' has no value", lineno, val_col)
+            raise ConfigError(f"key '{key}' has no value",
+                              *_position((value, lineno, line)))
         if key not in _KEYS:
-            raise ConfigError(f"unknown key '{key}'", lineno, key_col)
+            raise ConfigError(f"unknown key '{key}'", lineno, _column(lhs))
         if key in pairs:
-            raise ConfigError(f"duplicate key '{key}'", lineno, key_col)
-        pairs[key] = (value, lineno, val_col)
+            raise ConfigError(f"duplicate key '{key}'", lineno, _column(lhs))
+        pairs[key] = (value, lineno, line)
     return pairs
+
+
+def _column(text):
+    """1-based column of the first non-blank character of text."""
+    return len(text) - len(text.lstrip()) + 1
+
+
+def _position(entry):
+    """(line, col) of a parsed pair's value, as ConfigError takes them."""
+    _, lineno, line = entry
+    lhs, _, rhs = line.partition("=")
+    return lineno, len(lhs) + 1 + _column(rhs)
 
 
 def _float(text):
@@ -195,34 +213,36 @@ def _float(text):
         return None
 
 
-def _parse_quantity(key, value, line, col, *, dimension):
-    """Parse a float with an optional suffix checked against the dimension."""
-    number, *suffix = value.split()
-    for glued in () if suffix else _SUFFIXES:
-        # a suffix may follow its number without a space
-        if number.endswith(glued) and _float(number[:-len(glued)]) is not None:
-            number, suffix = number[:-len(glued)], [glued]
-            break
-    if len(suffix) > 1:
-        raise ConfigError(f"key '{key}': expected 'number [suffix]'",
-                          line, col)
-    x = _float(number)
+def _parse_quantity(key, value, *, dimension):
+    """Parse a float with an optional suffix checked against the dimension.
+
+    Raises ValueError where value is not one; the caller adds its position.
+    """
+    x, suffix = _float(value), None    # a plain number, the common case
     if x is None:
-        raise ConfigError(f"key '{key}': '{number}' is not a number",
-                          line, col)
-    if not np.isfinite(x):
-        raise ConfigError(f"key '{key}': value must be finite", line, col)
-    if not suffix:
+        number, *suffixes = value.split()
+        for glued in () if suffixes else _SUFFIXES:
+            # a suffix may follow its number without a space
+            if number.endswith(glued) \
+                    and _float(number[:-len(glued)]) is not None:
+                number, suffixes = number[:-len(glued)], [glued]
+                break
+        if len(suffixes) > 1:
+            raise ValueError(f"key '{key}': expected 'number [suffix]'")
+        x = _float(number)
+        if x is None:
+            raise ValueError(f"key '{key}': '{number}' is not a number")
+        suffix = suffixes[0] if suffixes else None
+    if not math.isfinite(x):
+        raise ValueError(f"key '{key}': value must be finite")
+    if suffix is None:
         return x
-    (suffix,) = suffix
     if suffix not in _SUFFIXES:
-        raise ConfigError(f"key '{key}': unknown suffix '{suffix}'",
-                          line, col)
+        raise ValueError(f"key '{key}': unknown suffix '{suffix}'")
     marks, scale = _SUFFIXES[suffix]
     if dimension != marks:
-        raise ConfigError(
-            f"key '{key}' is not a {marks}; suffix '{suffix}' rejected",
-            line, col)
+        raise ValueError(
+            f"key '{key}' is not a {marks}; suffix '{suffix}' rejected")
     return x * scale
 
 
@@ -236,17 +256,39 @@ def _split_absorption(material, n_low, n_high, high, low):
     """
     omega_cut = 0.5 * (high + low)
     eps_w = 1e-9 * omega_cut
-    if not high < omega_cut - eps_w < omega_cut + eps_w < low:
+    below, above = omega_cut - eps_w, omega_cut + eps_w
+    if not high < below < above < low:
         raise ValueError(
             "no absorption step fits between the down-converted modes (up "
             f"to {high!r} rad/s) and the pump (from {low!r} rad/s)")
-    om = np.concatenate([material.omega[material.omega < omega_cut - eps_w],
-                         [omega_cut - eps_w, omega_cut + eps_w],
-                         material.omega[material.omega > omega_cut + eps_w]])
+    table = material.omega.tolist()
+    om = [w for w in table if w < below] + [below, above] \
+        + [w for w in table if w > above]
     nr = np.interp(om, material.omega, material.n_real)
-    ni = np.where(om < omega_cut, float(n_low), float(n_high))
-    return MaterialDispersion(om, nr, ni, name=material.name + "+split-loss",
+    ni = [float(n_low) if w < omega_cut else float(n_high) for w in om]
+    return MaterialDispersion(om, nr, ni, name=material.name + _SPLIT_LOSS,
                               unbounded=material.unbounded)
+
+
+def _step_span(axis, start, stop, sig, idl, pump):
+    """(high, low): the highest down-converted and the lowest pump frequency
+    that an absorption step must separate, over the base point and, on a
+    ``frequency`` axis, every point of the sweep."""
+    high, low = max(sig, idl), pump
+    if axis == "frequency":
+        high, low = max(high, stop), min(low, 2.0 * start)
+    return high, low
+
+
+def _absorption_step(material):
+    """The (below, above) sample pair of the step that ``_split_absorption``
+    put in a material, or None for a material without one."""
+    if material.name.endswith(_SPLIT_LOSS):
+        ni = material.n_imag.tolist()
+        for j in range(len(ni) - 1):
+            if ni[j] != ni[j + 1]:
+                return float(material.omega[j]), float(material.omega[j + 1])
+    return None
 
 
 def _resolve(text):
@@ -261,29 +303,32 @@ def _resolve(text):
     pairs = _parse_pairs(text)
     values = {}
     for key, (dimension, default) in _KEYS.items():
-        value, line, col = pairs.get(key, (default, None, None))
-        if key not in pairs or dimension == "word":
-            values[key] = value
+        entry = pairs.get(key)
+        if entry is None or dimension == "word":
+            values[key] = default if entry is None else entry[0]
         elif dimension == "list":
             values[key] = tuple(filter(None, map(str.strip,
-                                                 value.split(","))))
+                                                 entry[0].split(","))))
         elif dimension == "count":
             try:
-                values[key] = int(value)
+                values[key] = int(entry[0])
             except ValueError:
-                raise ConfigError(f"{key}: '{value}' is not an integer",
-                                  line, col) from None
+                raise ConfigError(f"{key}: '{entry[0]}' is not an integer",
+                                  *_position(entry)) from None
         else:
             if dimension == "axis":
                 dimension = _KEYS.get(values["scan_axis"], (None,))[0]
-            values[key] = _parse_quantity(key, value, line, col,
-                                          dimension=dimension)
+            try:
+                values[key] = _parse_quantity(key, entry[0],
+                                              dimension=dimension)
+            except ValueError as exc:
+                raise ConfigError(str(exc), *_position(entry)) from None
 
     name = values["material"]
     if name not in BUILTIN_MATERIALS:
         raise ConfigError(f"unknown material '{name}' (have: "
                           + ", ".join(sorted(BUILTIN_MATERIALS)) + ")",
-                          *pairs["material"][1:])
+                          *_position(pairs["material"]))
     material = BUILTIN_MATERIALS[name]()
 
     freq = values.pop("frequency")
@@ -291,11 +336,11 @@ def _resolve(text):
     if "frequency" in pairs and (sig is not None or idl is not None):
         raise ConfigError("give either 'frequency' or the explicit "
                           "signal/idler pair, not both",
-                          *pairs["frequency"][1:])
+                          *_position(pairs["frequency"]))
     if (sig is None) != (idl is None):
         key = "signal_frequency" if sig is not None else "idler_frequency"
         raise ConfigError("signal_frequency and idler_frequency must be "
-                          "given together", *pairs[key][1:])
+                          "given together", *_position(pairs[key]))
     if sig is None:
         sig = idl = freq
         values.update(signal_frequency=freq, idler_frequency=freq)
@@ -305,27 +350,26 @@ def _resolve(text):
     n_imag, n_imag_pump = values["n_imag"], values["n_imag_pump"]
     for key in ("n_imag", "n_imag_pump"):
         if values[key] is not None and values[key] < 0.0:
-            raise ConfigError(f"{key} must be >= 0", *pairs[key][1:])
+            raise ConfigError(f"{key} must be >= 0", *_position(pairs[key]))
     if n_imag is not None:
         if n_imag_pump is None or n_imag_pump == n_imag:
             material = material.with_absorption(n_imag)
         else:
             # the step lies between the down-converted modes and the pump
             # at every point: on a frequency axis, of the whole sweep
-            high, low = max(sig, idl), values["pump_frequency"]
             start, stop = values["scan_start"], values["scan_stop"]
-            if values["scan_axis"] == "frequency" \
-                    and _SCAN not in (start, stop):
-                high, low = max(high, stop), min(low, 2.0 * start)
+            axis = None if _SCAN in (start, stop) else values["scan_axis"]
+            high, low = _step_span(axis, start, stop, sig, idl,
+                                   values["pump_frequency"])
             try:
                 material = _split_absorption(material, n_imag, n_imag_pump,
                                              high, low)
             except ValueError as exc:
-                raise ConfigError(str(exc), *pairs["n_imag_pump"][1:]) \
-                    from None
+                raise ConfigError(str(exc),
+                                  *_position(pairs["n_imag_pump"])) from None
     elif n_imag_pump is not None:
         raise ConfigError("n_imag_pump requires n_imag",
-                          *pairs["n_imag_pump"][1:])
+                          *_position(pairs["n_imag_pump"]))
 
     try:
         cfg = ExperimentConfig(
@@ -422,6 +466,19 @@ class ScanRequest:
                 "a crystal_length scan puts the pump plane on each slab's "
                 f"entry face, -L/2; pump_z = {self.base.pump_z!r} is not "
                 f"the base slab's {-0.5 * self.base.crystal.length!r}")
+        step = _absorption_step(self.base.crystal.material)
+        if step is not None:
+            base = self.base
+            high, low = _step_span(self.axis, *self.range[:2],
+                                   base.signal_frequency,
+                                   base.idler_frequency, base.pump_frequency)
+            if not (high < step[0] and step[1] < low):
+                raise ValueError(
+                    f"the absorption step of material "
+                    f"{base.crystal.material.name!r} ({step[0]!r} to "
+                    f"{step[1]!r} rad/s) does not lie between the "
+                    f"down-converted modes (up to {high!r} rad/s) and the "
+                    f"pump (from {low!r} rad/s) at every point")
 
 
 def scan_request_from_config(text, method="farfield", tol=1e-6):

@@ -104,6 +104,36 @@ def test_vacuum_is_unity():
     assert dispersion_eval(vacuum(), OMEGA) == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("omega, n_real, n_imag, message", [
+    ([1e15, 2e15], [1.6, 1.7, 1.8], [0.0, 0.0], "equal length"),
+    ([], [], [], "empty dispersion table"),
+    ([1e15, 2e15], [1.6, np.nan], [0.0, 0.0], "must be finite"),
+    ([1e15, np.inf], [1.6, 1.7], [0.0, 0.0], "must be finite"),
+    ([2e15, 2e15], [1.6, 1.7], [0.0, 0.0], "strictly increasing"),
+    ([2e15, 1e15], [1.6, 1.7], [0.0, 0.0], "strictly increasing"),
+    ([1e15, 2e15], [1.6, 1.7], [0.0, -1e-9], "gain"),
+], ids=["lengths", "empty", "nan", "inf", "repeated", "decreasing",
+        "gain"])
+def test_table_rejections(omega, n_real, n_imag, message):
+    with pytest.raises(ValueError, match=message):
+        MaterialDispersion(np.array(omega), np.array(n_real),
+                           np.array(n_imag))
+
+
+def test_tables_are_read_only_copies():
+    mat = bbo_ordinary()
+    for table in (mat.omega, mat.n_real, mat.n_imag):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert bbo_ordinary() is mat and vacuum() is vacuum()
+    # the caller's arrays are copied, not frozen in place
+    omega, n = np.array([1e15, 2e15]), np.array([1.6, 1.7])
+    custom = MaterialDispersion(omega, n, np.zeros(2))
+    omega[0] = n[0] = 0.5
+    assert omega.flags.writeable and n.flags.writeable
+    assert custom.omega[0] == 1e15 and custom.n_real[0] == 1.6
+
+
 # ---------------------------------------------------------------------------
 # Loss conventions
 # ---------------------------------------------------------------------------

@@ -95,8 +95,18 @@ def test_wrong_dimension_suffix_rejected():
 def test_bad_numbers():
     with pytest.raises(ConfigError, match="is not a number"):
         load_config("crystal_length = abc\n")
-    with pytest.raises(ConfigError, match="finite"):
-        load_config("n_imag = inf\n")
+    for value in ("inf", "nan", "-inf", "1e400"):
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(f"n_imag = {value}\n")
+    # a value's position is its first character, past any blanks
+    with pytest.raises(ConfigError, match=r"line 2, col 16: key "
+                       r"'pump_field': value must be finite") as info:
+        load_config("n_imag = 1e-6\n pump_field =  nan  # lost\n")
+    assert (info.value.line, info.value.col) == (2, 16)
+    with pytest.raises(ConfigError, match="'coupling' is not a length; "
+                       "suffix 'mm' rejected") as info:
+        load_config("# glued suffix\ncoupling=2mm\n")
+    assert (info.value.line, info.value.col) == (2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,27 @@ def test_split_absorption_holds_at_every_frequency_point():
         with pytest.raises(ConfigError, match="no absorption step") as info:
             load(split + axis.format(1.77e15))
         assert (info.value.line, info.value.col) == (2, 15)
+
+
+def test_request_rejects_points_across_the_absorption_step():
+    # Built in Python, a frequency sweep over a split-loss base keeps the
+    # base point's step (at 5.31e15): from 2.385e15 down the pump would
+    # take the down-converted modes' n'' (rate_I 2.83e-39 at 2.0e15, where
+    # that point's own config gives 5.93e-36), so the request is refused.
+    base = load_config("n_imag = 1e-6\nn_imag_pump = 5e-5\n")
+    with pytest.raises(ValueError, match="absorption step .* does not lie "
+                       "between the down-converted modes"):
+        ScanRequest(base=base, axis="frequency", range=(2.0e15, 3.54e15, 5),
+                    observables=("rate_I",))
+    # points that keep to their side of the step pass, as do steps that a
+    # config built for its own range, and materials without a step
+    ScanRequest(base=base, axis="frequency", range=(2.7e15, 3.54e15, 5),
+                observables=("rate_I",))
+    ScanRequest(base=base, axis="crystal_length", range=(1e-3, 3e-3, 5),
+                observables=("rate_I",))
+    uniform = load_config("n_imag = 1e-6\n")
+    ScanRequest(base=uniform, axis="frequency", range=(1.0e15, 3.54e15, 5),
+                observables=("rate_I",))
 
 
 def test_scan_keys_are_parsed_by_load_config(tmp_path):
