@@ -108,7 +108,7 @@ slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 The per-node kernel (_Channels, then _angular_rows) takes complex kappa on
 the contours and kappa on the real axis on the tail stencil, from the
 public integrands and at the far field's kappa = 0, all through one
-kinematics, _path_kinematics. A node takes two complex exponentials,
+kinematics, _path_leg. A node takes two complex exponentials,
 e^{i k_z L/2} of each split mode, and one at a degenerate split, where
 signal and idler are one mode; every slab phase is a product of them and
 of the pump's, with half the rounding error of exp of the rounded sum
@@ -150,15 +150,17 @@ follows the same rule.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .greens import Chi2Geometry
-from .materials import (C_LIGHT, EPS0, HBAR, TE, TEM, TM, CrystalSlab,
-                        ModeKinematics, noise_factor, reject)
+from .materials import (C_LIGHT, EPS0, HBAR, TEM, CrystalSlab,
+                        noise_factor, reject)
 from .quadrature import ConvergenceError
 
 __all__ = [
@@ -192,6 +194,7 @@ _TAIL_RATIO_LIMIT = 0.1
 _PATH_NODES = 8
 _PATH_NODES_MAX = 64
 _RAY_ANGLE = 0.25 * np.pi
+_EPS = np.finfo(float).eps
 # Bessel rows (_bessel_rows), by |z|: the power series below _SERIES_BELOW,
 # the trapezoid rule on Bessel's integral up to _HANKEL_FROM, the Hankel
 # expansion beyond. Each stops where its first omitted term is below
@@ -413,10 +416,12 @@ class _Modes:
         self.omega_s, self.omega_i, self.omega_p = omega_s, omega_i, omega_p
         self.length, self.pump_z = length, pump_z
         self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
-        self.degenerate = bool(np.all((omega_s == omega_i) & (n_s == n_i)))
+        same = (omega_s == omega_i) & (n_s == n_i)
+        # a point compares Python numbers: a bool, with no all()
+        self.degenerate = same if isinstance(same, bool) else bool(same.all())
         self.eps_s = n_s * n_s
         self.eps_i = n_i * n_i
-        # The pump in the scheme of _split_factors: k_p, h_p = e^{i k_p L/2},
+        # The pump in the scheme of _path_leg: k_p, h_p = e^{i k_p L/2},
         # r_p and t m = t_p / (1 - r_p^2 h_p^4).
         self.k_p = n_p * omega_p / C_LIGHT
         self.h_p = np.exp(0.5j * self.k_p * length)
@@ -427,8 +432,9 @@ class _Modes:
         self.q_i = omega_i / C_LIGHT
         self.k_s = n_s * omega_s / C_LIGHT
         self.k_i = n_i * omega_i / C_LIGHT
-        self.noise = (np.conj(noise_factor(self.eps_s))
-                      * np.conj(noise_factor(self.eps_i)))
+        a_s = noise_factor(self.eps_s).conjugate()
+        self.noise = a_s * (a_s if self.degenerate else
+                            noise_factor(self.eps_i).conjugate())
 
     @classmethod
     def of(cls, cfg):
@@ -458,108 +464,90 @@ def _prefactor(cfg, modes):
             * modes.noise)
 
 
-def _path_kinematics(omega, n, k_perp):
-    """kinematics at k_perp = (kappa, 0), kappa on a contour (Im kappa^2 < 0)
-    or real inside the propagating disc (0 <= kappa < q).
+# One split mode at the nodes (_path_leg): its longitudinal wave numbers,
+# the TM legs' in-crystal direction cosine, its half-slab phase and its
+# Fresnel pieces, these two as (2, ...) stacks over (TE, TM).
+_Leg = collections.namedtuple("_Leg", "k_z q_z c h r tm")
+
+
+def _path_leg(omega, n, eps, s, half_l):
+    """_Leg(k_z, q_z, c, h, r, tm) of one split mode at s = kappa^2: kappa
+    on a contour (Im kappa^2 < 0) or real inside the propagating disc
+    (0 <= kappa < q), half_l = i L/2.
 
     Both longitudinal components take the principal root. On a contour
     k^2 - s has Im > 0 (Im k^2 >= 0), so the root is branch_sqrt's, and
     q^2 - s is off the cut of the vacuum root; on the real disc both roots
-    are those of ``kinematics`` bit for bit.
+    are those of ``kinematics`` bit for bit. c = k_z/k, h = e^{i k_z L/2},
+    and r and tm = t M are the TE and TM coefficients of ``fresnel`` with
+    M = 1/(1 - r^2 h^4), so both polarizations share one exponential.
     """
-    s = k_perp[0] * k_perp[0]
     k = (n + 0j) * omega / C_LIGHT
     q = omega / C_LIGHT
-    return ModeKinematics(omega=omega, k=k, k_z=np.sqrt(k * k - s), q=q,
-                          q_z=np.sqrt(q * q - s), k_perp=k_perp)
-
-
-def _split_factors(kin, eps, h):
-    """Fresnel pieces of one split mode at its half-slab phase h.
-
-    h = e^{i k_z L/2}. Returns {polarization: (r, t m)} with the TE and TM
-    coefficients of ``fresnel`` and M = 1/(1 - r^2 h^4), so both
-    polarizations share one exponential.
-    """
-    kz, qz = kin.k_z, kin.q_z
+    kz = np.sqrt(k * k - s)
+    qz = np.sqrt(q * q - s)
+    h = np.exp(half_l * kz)
     h2 = h * h
-    h4 = h2 * h2
-    out = {}
-    for sigma, load, lift in ((TE, qz, 2.0 * kz),
-                              (TM, eps * qz, 2.0 * (kin.k / kin.q) * kz)):
-        inv = 1.0 / (kz + load)
-        r = (kz - load) * inv
-        out[sigma] = (r, lift * inv / (1.0 - r * r * h4))
-    return out
+    load = eps * qz
+    inv = 1.0 / np.array((kz + qz, kz + load))
+    r = np.array((kz - qz, kz - load)) * inv
+    lift = np.array((2.0 * kz, 2.0 * (k / q) * kz))
+    return _Leg(kz, qz, kz / k, h, r,
+                lift * inv / (1.0 - r * r * (h2 * h2)))
 
 
 class _Channels:
     """kappa-dependent pieces shared by every integration path.
 
-    Vectorized over kappa. Holds the split-mode kinematics, the four X
-    factors keyed by (signal, idler) polarization, and the slab phase
-    csinc(dk L/2) e^{i sk L/2}. Every kappa, real (the public integrands,
-    the tail stencil, the far field's kappa = 0) or complex (the contour
-    nodes), goes through _path_kinematics.
+    Vectorized over kappa; every kappa, real (the public integrands, the
+    tail stencil, the far field's kappa = 0) or complex (the contour
+    nodes), goes through _path_leg. The fields:
+
+        sig, idl  the signal and idler _Leg;
+        delta_k   the longitudinal mismatch k_p - k_zs - k_zi;
+        x         the X factors, a (2, 2, ...) stack over the signal and
+                  idler polarizations, each in (TE, TM);
+        slab      the slab phase csinc(dk L/2) e^{i sk L/2}.
 
     A node costs two complex exponentials, h_s = e^{i k_zs L/2} and
     h_i = e^{i k_zi L/2}; the pump's h_p = e^{i k_p L/2} is one per
     _Modes. At a degenerate split (``_Modes.degenerate``) the idler leg is
-    the signal's: its kinematics, h and Fresnel pieces are computed once,
-    which is the same arithmetic on the same inputs, so the node costs one
-    exponential. Every L-scale phase is a product of them: M = 1/(1 - r^2 h^4)
-    for both polarizations of a mode, the slab phase
-    e^{i sk L/2} = h_p h_s h_i and the back-face loop e^{i sk L}, its
-    square. Each factor carries the rounding of its own k_z L/2 only,
-    while exp of the rounded sum sk L/2 also carries the rounding of that
-    sum: on a 2 mm slab the product is within 8.6e-12 of the 40-digit
-    phase and the exp of the sum 1.7e-11 (the loop, 1.7e-11 and 3.4e-11).
-    The X factors are (t m)_p (t m)_s (t m)_i (1 + r_p r_s r_i e^{i sk L})
-    with the coefficients of ``fresnel``; they match ``x_factor`` of the
-    public pieces to 5e-12.
+    the signal's, computed once, which is the same arithmetic on the same
+    inputs, so the node costs one exponential. Every L-scale phase is a
+    product of them: M = 1/(1 - r^2 h^4) for both polarizations of a mode,
+    the slab phase e^{i sk L/2} = h_p h_s h_i and the back-face loop
+    e^{i sk L}, its square. Each factor carries the rounding of its own
+    k_z L/2 only, while exp of the rounded sum sk L/2 also carries the
+    rounding of that sum: on a 2 mm slab the product is within 8.6e-12 of
+    the 40-digit phase and the exp of the sum 1.7e-11 (the loop, 1.7e-11
+    and 3.4e-11). The X factors are (t m)_p (t m)_s (t m)_i (1 + r_p r_s
+    r_i e^{i sk L}) with the coefficients of ``fresnel``; they match
+    ``x_factor`` of the public pieces to 5e-12.
     """
 
     def __init__(self, modes, kappa):
-        k_perp = (kappa, np.zeros_like(kappa))
+        s = kappa * kappa
         half_l = 0.5j * modes.length
-        self.kin_s = _path_kinematics(modes.omega_s, modes.n_s, k_perp)
-        h_s = np.exp(half_l * self.kin_s.k_z)
-        sig = _split_factors(self.kin_s, modes.eps_s, h_s)
-        if modes.degenerate:
-            self.kin_i, h_i, idl = self.kin_s, h_s, sig
-        else:
-            self.kin_i = _path_kinematics(modes.omega_i, modes.n_i, k_perp)
-            h_i = np.exp(half_l * self.kin_i.k_z)
-            idl = _split_factors(self.kin_i, modes.eps_i, h_i)
-        kz_s, kz_i = self.kin_s.k_z, self.kin_i.k_z
-        pm = PhaseMatch(delta_k=modes.k_p - kz_s - kz_i,
-                        sigma_k=modes.k_p + kz_s + kz_i)
-        self.pm = pm
-        half = modes.h_p * h_s * h_i
+        self.sig = sig = _path_leg(modes.omega_s, modes.n_s, modes.eps_s, s,
+                                   half_l)
+        self.idl = idl = (sig if modes.degenerate else _path_leg(
+            modes.omega_i, modes.n_i, modes.eps_i, s, half_l))
+        self.delta_k = modes.k_p - sig.k_z - idl.k_z
+        half = modes.h_p * sig.h * idl.h
         loop = modes.r_p * half * half
-        tm_p = modes.tm_p
-        self.x = {}
-        for a in (TE, TM):
-            r_s, tm_s = sig[a]
-            lead, turn = tm_p * tm_s, loop * r_s
-            for b in (TE, TM):
-                r_i, tm_i = idl[b]
-                self.x[(a, b)] = lead * tm_i * (1.0 + turn * r_i)
-        self.slab = complex_sinc(0.5 * pm.delta_k * modes.length) * half
-        # In-crystal direction cosines of the TM legs.
-        self.c_s = self.kin_s.k_z / self.kin_s.k
-        self.c_i = (self.c_s if modes.degenerate
-                    else self.kin_i.k_z / self.kin_i.k)
+        self.x = (modes.tm_p * sig.tm)[:, None] * idl.tm \
+            * (1.0 + (loop * sig.r)[:, None] * idl.r)
+        self.slab = complex_sinc(0.5 * self.delta_k * modes.length) * half
 
 
 def _angular_matrices(cfg):
     """Constant 2x2 matrix of each angular row, psi the offset direction."""
     psi = np.arctan2(cfg.offset[1], cfg.offset[0])
-    c2, s2 = np.cos(2.0 * psi), np.sin(2.0 * psi)
-    c4, s4 = np.cos(4.0 * psi), np.sin(4.0 * psi)
+    c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
     if cfg.chi2.kind == "I":
         mats = [cfg.chi2.pattern, [[c2, s2], [s2, -c2]]]
     else:
+        c4, s4 = math.cos(4.0 * psi), math.sin(4.0 * psi)
         mats = [cfg.chi2.pattern, 2.0 * s2 * np.eye(2),
                 [[s4, -c4], [-c4, -s4]], [[0.0, 2.0 * c2], [-2.0 * c2, 0.0]]]
     return np.array(mats, dtype=complex)
@@ -709,14 +697,15 @@ def _angular_rows(cfg, ch, kappa, rho):
     contour nodes): J0, J2 and J4 are even, so either root of s = kappa^2
     gives the same rows.
     """
-    cc = ch.c_s * ch.c_i
-    tt = ch.x[(TE, TE)]
-    mm = cc * cc * ch.x[(TM, TM)]
-    denom = 4.0 * np.pi * ch.kin_s.k_z * ch.kin_i.k_z
+    c_s, c_i = ch.sig.c, ch.idl.c
+    cc = c_s * c_i
+    tt = ch.x[0, 0]
+    mm = cc * cc * ch.x[1, 1]
+    denom = 4.0 * np.pi * ch.sig.k_z * ch.idl.k_z
     if cfg.chi2.kind == "II":
         denom = 2.0 * denom
-        me = ch.c_s * ch.c_s * ch.x[(TM, TE)]
-        em = ch.c_i * ch.c_i * ch.x[(TE, TM)]
+        me = c_s * c_s * ch.x[1, 0]
+        em = c_i * c_i * ch.x[0, 1]
         first = tt + me + em + mm
     else:
         first = tt + mm
@@ -748,10 +737,11 @@ def _polarization_sum(pattern, ch, phi):
     contraction of its source legs and by its X factor.
     """
     s, c = np.sin(phi), np.cos(phi)
-    a = np.array([[s, -c], [-ch.c_s * c, -ch.c_s * s]])
-    b = np.array([[-s, c], [ch.c_i * c, ch.c_i * s]])
-    x = np.array([[ch.x[(p, q)] for q in (TE, TM)] for p in (TE, TM)])
-    return np.einsum("sln,tmn,san,ab,tbn,stn->nlm", a, b, a, pattern, b, x)
+    c_s, c_i = ch.sig.c, ch.idl.c
+    a = np.array([[s, -c], [-c_s * c, -c_s * s]])
+    b = np.array([[-s, c], [c_i * c, c_i * s]])
+    return np.einsum("sln,tmn,san,ab,tbn,stn->nlm", a, b, a, pattern, b,
+                     ch.x)
 
 
 def _integrand(k_perp, cfg, kind):
@@ -769,9 +759,9 @@ def _integrand(k_perp, cfg, kind):
     b = _polarization_sum(Chi2Geometry(kind).pattern, ch, np.arctan2(ky, kx))
     dx, dy = cfg.offset
     phase = np.exp(1j * (kx * dx + ky * dy)) \
-        * np.exp(1j * (ch.kin_s.q_z * cfg.z_signal
-                       + ch.kin_i.q_z * cfg.z_idler))
-    w = ch.slab * phase / (_TWO_PI ** 2 * ch.kin_s.k_z * ch.kin_i.k_z)
+        * np.exp(1j * (ch.sig.q_z * cfg.z_signal
+                       + ch.idl.q_z * cfg.z_idler))
+    w = ch.slab * phase / (_TWO_PI ** 2 * ch.sig.k_z * ch.idl.k_z)
     return (b * w[:, None, None]).reshape(shape + (2, 2))
 
 
@@ -960,7 +950,7 @@ def _path_sums(rows, phase, d_c, orders, solved=None):
         return None
     lead = np.array([[0.5], [-0.5 * np.exp(1j * phase.rise(d_c, 0.0))]])
     terms = values.reshape(-1, 2, len(t)) * (lead * dsdt)
-    ends = np.cumsum(orders)
+    ends = itertools.accumulate(orders)
     return [(terms[..., end - n:end] @ _laguerre(n)[1]).sum(axis=-1)
             for n, end in zip(orders, ends)]
 
@@ -991,9 +981,9 @@ def _path_head(rows, phase, modes, d_c, tol, solved=None):
                 sums[-1] if sums else None, err)
         solved = None
         sums += new
-        size = float(np.sum(np.abs(sums[-1])))
-        floor = np.finfo(float).eps * phi * size
-        err = float(np.sum(np.abs(sums[-1] - sums[-2]))) + floor
+        size = float(np.abs(sums[-1]).sum())
+        floor = _EPS * phi * size
+        err = float(np.abs(sums[-1] - sums[-2]).sum()) + floor
         if err <= 0.5 * tol * size:
             return sums[-1], err
         if floor > 0.5 * tol * size:

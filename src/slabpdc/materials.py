@@ -146,17 +146,18 @@ def reject(bad, error, message):
     i as ``index`` (0 for one point), so a check applied to a stack rejects
     the same point, with the same message, as its one-point form would.
     """
+    i = _first(bad)
+    if i is not None:
+        exc = error(message(i))
+        exc.index = i
+        raise exc
+
+
+def _first(bad):
+    """reject's point: the first i where ``bad`` holds, or None."""
     if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-    elif not bad:
-        return
-    else:
-        i = 0
-    exc = error(message(i))
-    exc.index = i
-    raise exc
+        return int(np.argmax(bad)) if bad.any() else None
+    return 0 if bad else None
 
 
 def dispersion_eval(material, omega):
@@ -172,9 +173,12 @@ def dispersion_eval(material, omega):
     bounded = not (material.unbounded or material.omega.size == 1)
     lo, hi = material.omega_min, material.omega_max
     slack = _RANGE_SLACK * hi
-    bad = np.logical_not((w > 0) & (w < np.inf))
-    if bounded:
-        bad = bad | (w < lo - slack) | (w > hi + slack)
+
+    def outside(x):
+        bad = ~((x > 0) & (x < np.inf))
+        if bounded:
+            bad = bad | (x < lo - slack) | (x > hi + slack)
+        return bad
 
     def message(i):
         x = np.ravel(omega)[i]
@@ -185,7 +189,10 @@ def dispersion_eval(material, omega):
         return (f"omega = {x:.6e} rad/s outside the sampled range "
                 f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
 
-    reject(bad, DispersionRangeError, message)
+    # the range is an interval, so a stack is inside if its extremes are;
+    # a NaN makes them NaN, which is outside, and an empty stack has none
+    if w.ndim == 0 or (w.size and (outside(w.min()) or outside(w.max()))):
+        reject(outside(w), DispersionRangeError, message)
     # np.interp holds the edge samples past the ends: within the slack, or
     # at any omega for an unbounded table
     nr = np.interp(w, material.omega, material.n_real)
@@ -364,9 +371,8 @@ def _checked(eps, name):
     else:
         eps = complex(eps)
     zero = eps == 0
-    bad = np.asarray(zero | (eps != eps))
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = _first(zero | (eps != eps))
+    if i is not None:
         exc = (ZeroDivisionError(f"{name} singular at eps = 0")
                if np.ravel(zero)[i] else ValueError(f"{name}: eps is NaN"))
         exc.index = i

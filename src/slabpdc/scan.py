@@ -663,7 +663,7 @@ def _gain_columns(sw):
     # |a|^2 - 1 cancels about 11 digits at small n'', so the column keeps
     # the rounding of the one-point formula: noise_factor's checks run once
     # on the (point, mode) stack, its core point by point in Python complex
-    # arithmetic.
+    # arithmetic, once per point where signal and idler share an index.
     n_s, n_i = (np.broadcast_to(sw.index(w), (sw.count,)).tolist()
                 for w in (sw.omega_s, sw.omega_i))
     eps = [(s * s, i * i) for s, i in zip(n_s, n_i)]
@@ -672,8 +672,9 @@ def _gain_columns(sw):
     except (ZeroDivisionError, ValueError) as exc:
         exc.index //= 2
         raise
-    return [[float(abs(_noise_factor(a) * _noise_factor(b)) ** 2 - 1.0)
-             for a, b in eps]]
+    a_s = [_noise_factor(a) for a, _ in eps]
+    a_i = a_s if n_s == n_i else [_noise_factor(b) for _, b in eps]
+    return [[float(abs(a * b) ** 2 - 1.0) for a, b in zip(a_s, a_i)]]
 
 
 def _matrix_columns(sw):

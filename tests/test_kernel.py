@@ -19,9 +19,8 @@ import pytest
 
 from slabpdc import amplitude
 from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
-                               _Modes, _split_factors, _stencil,
-                               amplitude_numeric, complex_sinc, phase_terms,
-                               x_factor)
+                               _Leg, _Modes, _stencil, amplitude_numeric,
+                               complex_sinc, phase_terms, x_factor)
 from slabpdc.materials import (C_LIGHT, TE, TEM, TM, branch_sqrt, fresnel,
                                kinematics)
 from test_amplitude import OMEGA, _split_cfg, make_cfg
@@ -63,13 +62,16 @@ def _public_channels(modes, kappa):
     fres_p = fresnel(TEM, kin_p, modes.n_p * modes.n_p, length)
     pm = phase_terms(kin_s, kin_i, kin_p)
     return SimpleNamespace(
-        kin_s=kin_s, kin_i=kin_i, pm=pm,
-        x={(a, b): x_factor(a, b, fres_p, fres_s[a], fres_i[b],
-                            pm.sigma_k, length)
-           for a in (TE, TM) for b in (TE, TM)},
+        sig=SimpleNamespace(k_z=kin_s.k_z, q_z=kin_s.q_z,
+                            c=kin_s.k_z / kin_s.k),
+        idl=SimpleNamespace(k_z=kin_i.k_z, q_z=kin_i.q_z,
+                            c=kin_i.k_z / kin_i.k),
+        delta_k=pm.delta_k,
+        x=np.array([[x_factor(a, b, fres_p, fres_s[a], fres_i[b],
+                              pm.sigma_k, length) for b in (TE, TM)]
+                    for a in (TE, TM)]),
         slab=complex_sinc(0.5 * pm.delta_k * length)
-        * np.exp(0.5j * pm.sigma_k * length),
-        c_s=kin_s.k_z / kin_s.k, c_i=kin_i.k_z / kin_i.k)
+        * np.exp(0.5j * pm.sigma_k * length))
 
 
 def _rel(got, want):
@@ -96,16 +98,12 @@ def _check_public_composition(modes):
         (np.linspace(0.0, 0.999, 400), 1.0 - np.geomspace(1e-3, 1e-9, 40)))
     ch = _Channels(modes, kappa)
     ref = _public_channels(modes, kappa)
-    for attr in ("kin_s", "kin_i"):
-        for field in ("k", "k_z", "q_z"):
-            assert np.array_equal(getattr(getattr(ch, attr), field),
-                                  getattr(getattr(ref, attr), field))
-    assert np.array_equal(ch.pm.delta_k, ref.pm.delta_k)
-    assert np.array_equal(ch.pm.sigma_k, ref.pm.sigma_k)
-    assert np.array_equal(ch.c_s, ref.c_s)
-    assert np.array_equal(ch.c_i, ref.c_i)
-    for key in ref.x:
-        assert _rel(ch.x[key], ref.x[key]) <= 1e-10
+    for leg in ("sig", "idl"):
+        for field in ("k_z", "q_z", "c"):
+            assert np.array_equal(getattr(getattr(ch, leg), field),
+                                  getattr(getattr(ref, leg), field))
+    assert np.array_equal(ch.delta_k, ref.delta_k)
+    assert _rel(ch.x, ref.x) <= 1e-10
     assert _rel(ch.slab, ref.slab) <= 1e-10
     # The rows the radial engine integrates, for both conversion types, on
     # axis and off, relative to each row's largest value: TT - MM and its
@@ -131,8 +129,7 @@ def test_stacked_normal_channels_match_public_composition(loss, length):
     ch = modes.normal
     ref = _public_channels(modes, 0.0)
     assert np.shape(ch.slab) == (5,)
-    for key in ref.x:
-        assert _rel(ch.x[key], ref.x[key]) <= 1e-10
+    assert _rel(ch.x, ref.x) <= 1e-10
     assert _rel(ch.slab, ref.slab) <= 1e-10
 
 
@@ -157,8 +154,8 @@ def test_modes_mark_degenerate_points():
 def test_degenerate_channels_match_two_mode_branch(monkeypatch, loss, length,
                                                   m):
     # At a degenerate split the idler leg is the signal's, computed once;
-    # the two-mode branch computes it from its own kinematics and
-    # _split_factors calls. Same arithmetic on the same inputs: bit for bit.
+    # the two-mode branch computes it from its own _path_leg call. Same
+    # arithmetic on the same inputs: bit for bit.
     modes = _modes(loss, length, m, degenerate=True)
     own = _modes(loss, length, m, degenerate=True)
     own.degenerate = False
@@ -167,28 +164,25 @@ def test_degenerate_channels_match_two_mode_branch(monkeypatch, loss, length,
     if m is not None:
         kappa = kappa[:, None]
     calls = []
-    kinematics_ = amplitude._path_kinematics
+    path_leg = amplitude._path_leg
 
     def counting(*args):
         calls.append(args)
-        return kinematics_(*args)
+        return path_leg(*args)
 
-    monkeypatch.setattr(amplitude, "_path_kinematics", counting)
+    monkeypatch.setattr(amplitude, "_path_leg", counting)
     for kap in (0.0, kappa):
         ch = _Channels(modes, kap)
         assert len(calls) == 1
         ref = _Channels(own, kap)
         assert len(calls) == 3
         calls.clear()
-        for field in ("k", "k_z", "q_z"):
-            assert np.array_equal(getattr(ch.kin_i, field),
-                                  getattr(ref.kin_i, field))
-        for key in ref.x:
-            assert np.array_equal(ch.x[key], ref.x[key])
+        for field in _Leg._fields:
+            assert np.array_equal(getattr(ch.idl, field),
+                                  getattr(ref.idl, field))
+        assert np.array_equal(ch.x, ref.x)
         assert np.array_equal(ch.slab, ref.slab)
-        assert np.array_equal(ch.c_i, ref.c_i)
-        assert np.array_equal(ch.pm.delta_k, ref.pm.delta_k)
-        assert np.array_equal(ch.pm.sigma_k, ref.pm.sigma_k)
+        assert np.array_equal(ch.delta_k, ref.delta_k)
     assert np.shape(ch.slab) == (np.shape(kappa) if m is None
                                  else (len(kappa), m))
 
@@ -197,8 +191,7 @@ def test_vacuum_channels_are_unity():
     modes = _Modes(OMEGA, OMEGA, 2.0 * OMEGA, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j,
                    2e-3, -1e-3)
     ch = _Channels(modes, np.array([0.0, 1e5, 0.5 * modes.q_s]))
-    for x in ch.x.values():
-        assert np.array_equal(x, np.ones(3))
+    assert np.array_equal(ch.x, np.ones((2, 2, 3)))
 
 
 def test_vacuum_qz_is_branch_sqrt_bit_for_bit():
@@ -272,17 +265,17 @@ def test_channels_match_40_digit_values(loss):
     kap_max = min(modes.q_s, modes.q_i)
     kappa = kap_max * np.array([0.0, 0.3, 0.8, 0.99, 0.999])
     ch = _Channels(modes, kappa)
-    h_s = np.exp(0.5j * modes.length * ch.kin_s.k_z)
-    split = _split_factors(ch.kin_s, modes.eps_s, h_s)
+    pols = (TE, TM)
     for j, kap in enumerate(kappa):
         slab, x, sig = _mp_node(modes, kap)
         assert abs(ch.slab[j] - slab) <= 2e-11 * abs(slab)
-        for key, want in x.items():
-            assert abs(ch.x[key][j] - want) <= 2e-11 * abs(want)
-        for p in (TE, TM):
-            r, tm = split[p]
-            assert abs(r[j] - sig[p][0]) <= 1e-14 * max(abs(sig[p][0]), 1.0)
-            assert abs(tm[j] - sig[p][1]) <= 2e-11 * abs(sig[p][1])
+        for (a, b), want in x.items():
+            got = ch.x[pols.index(a), pols.index(b), j]
+            assert abs(got - want) <= 2e-11 * abs(want)
+        for i, p in enumerate(pols):
+            r, tm = ch.sig.r[i, j], ch.sig.tm[i, j]
+            assert abs(r - sig[p][0]) <= 1e-14 * max(abs(sig[p][0]), 1.0)
+            assert abs(tm - sig[p][1]) <= 2e-11 * abs(sig[p][1])
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +287,9 @@ def _bessel_rows(kind, x):
     the rows are the Bessel factors: [J0, J2] for "I", [J0, J2, J4, 0] for
     "II"."""
     one = np.ones_like(x)
-    ch = SimpleNamespace(c_s=0.0 * one, c_i=0.0 * one,
-                         x={(a, b): one for a in (TE, TM) for b in (TE, TM)},
-                         kin_s=SimpleNamespace(k_z=one),
-                         kin_i=SimpleNamespace(k_z=one),
+    leg = SimpleNamespace(k_z=one, c=0.0 * one)
+    ch = SimpleNamespace(sig=leg, idl=leg,
+                         x=np.array([[one, one], [one, one]]),
                          slab=(8.0 if kind == "II" else 4.0) * np.pi * one)
     return _angular_rows(make_cfg(kind=kind), ch, x, 1.0)
 
@@ -555,7 +547,7 @@ def test_numeric_amplitude_builds_channels_once(monkeypatch, name):
                                   "displaced"])
 def test_stencil_rows_take_the_path_kinematics(name):
     # The stencil kappa of a cut go through the kernel as complex numbers on
-    # the real axis. There _path_kinematics gives the roots of the public
+    # the real axis. There _path_leg gives the roots of the public
     # kinematics bit for bit, and on axis the rows are those of the real
     # kappa bit for bit; with an offset the Bessel rows in complex
     # arithmetic move them by rounding.
@@ -572,8 +564,8 @@ def test_stencil_rows_take_the_path_kinematics(name):
                          (modes.omega_i, modes.n_i)):
             public = kinematics(omega, n, (kap, np.zeros_like(kap)))
             for node in (kap, kap + 0j):
-                path = amplitude._path_kinematics(
-                    omega, n, (node, np.zeros_like(node)))
+                path = amplitude._path_leg(omega, n, n * n, node * node,
+                                           0.5j * modes.length)
                 assert np.array_equal(path.k_z, public.k_z)
                 assert np.array_equal(path.q_z, public.q_z)
         real = _angular_rows(cfg, _Channels(modes, kap), kap, rho)

@@ -82,6 +82,19 @@ def test_dispersion_eval_rejects_the_first_bad_point():
         dispersion_eval(mat, omegas[2:])
     assert stacked.value.index == 0
     assert str(stacked.value) == "omega must be positive, got -1.0"
+    # a first offender that is not the stack's extreme, and a NaN mid-stack
+    for material, omegas, where in ((mat, [3e15, 1e16, 2e16], 1),
+                                    (mat, [3e15, np.nan, 5e15], 1),
+                                    (vacuum(), [3e15, np.nan, -1.0], 1)):
+        with pytest.raises(DispersionRangeError) as stacked:
+            dispersion_eval(material, np.array(omegas))
+        assert stacked.value.index == where
+        with pytest.raises(DispersionRangeError) as single:
+            dispersion_eval(material, omegas[where])
+        assert str(stacked.value) == str(single.value)
+    # an empty stack has no point to reject
+    empty = dispersion_eval(mat, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 def test_constant_material_unbounded():

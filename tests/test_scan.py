@@ -435,16 +435,16 @@ def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return path_kinematics(*args, **kwargs)
+            return path_leg(*args, **kwargs)
 
-        monkeypatch.setattr(amplitude, "_path_kinematics", counted)
+        monkeypatch.setattr(amplitude, "_path_leg", counted)
         text = SCAN_TEXT.replace("scan_count = 5", f"scan_count = {count}")
         result = run_scan(scan_request_from_config(text))
         monkeypatch.undo()
         assert len(result.rows) == count
         return len(calls)
 
-    path_kinematics = amplitude._path_kinematics
+    path_leg = amplitude._path_leg
     assert kernel_calls(5) == kernel_calls(50) > 0
 
 
