@@ -289,6 +289,10 @@ def test_request_validation():
     with pytest.raises(ValueError, match="duplicate"):
         ScanRequest(base=base, axis="n_imag", range=(0, 1, 5),
                     observables=("rate_I", "rate_I"))
+    # a bare name is not a sequence of names, not its letters
+    with pytest.raises(ValueError, match="sequence of observable names"):
+        ScanRequest(base=base, axis="n_imag", range=(0, 1, 5),
+                    observables="rate_I")
     with pytest.raises(ValueError, match="method"):
         ScanRequest(base=base, axis="n_imag", range=(0, 1, 5),
                     observables=("rate_I",), method="magic")
@@ -579,12 +583,23 @@ observables = rate_I
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])
-@pytest.mark.parametrize("axis, start, stop", [
-    ("n_imag", 0.0, 1e-4),
-    ("crystal_length", 1.5e-3, 2.5e-3),
-    ("frequency", 3.3e15, 3.5e15),
+@pytest.mark.parametrize("axis, start, stop, count", [
+    pytest.param("n_imag", 0.0, 1e-4, 7, id="n_imag-0.0-0.0001"),
+    pytest.param("crystal_length", 1.5e-3, 2.5e-3, 7,
+                 id="crystal_length-0.0015-0.0025"),
+    pytest.param("frequency", 3.3e15, 3.5e15, 7,
+                 id="frequency-3300000000000000.0-3500000000000000.0"),
+    # passes sinc zeros of the normal-incidence mismatch, where the
+    # leading term is small and its rounding shows most
+    pytest.param("frequency", 3.3e15, 3.54e15, 101,
+                 id="frequency-sinc-zeros-101"),
 ])
-def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop):
+def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop,
+                                                     count):
+    # A cell is its point's own amplitude_farfield, bit for bit; on the
+    # crystal_length axis the prefactor divides an (m,) array of lengths
+    # where a point divides one float, which may round an ulp apart.
+    bound = 1e-15 if axis == "crystal_length" else 0.0
     degenerate = f"conversion = {kind}\nn_imag = 2e-6\nz_signal = 0.4\n" \
         "z_idler = 0.6\n"
     bases = [degenerate]
@@ -593,7 +608,7 @@ def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop):
                      "idler_frequency = 3.64e15\n")
     for base in bases:
         text = base + (f"scan_axis = {axis}\nscan_start = {start!r}\n"
-                       f"scan_stop = {stop!r}\nscan_count = 7\n"
+                       f"scan_stop = {stop!r}\nscan_count = {count}\n"
                        "observables = amplitude_matrix, rate_I, rate_II\n")
         result = run_scan(scan_request_from_config(text))
         point = base.replace("n_imag = 2e-6\n", "") if axis == "n_imag" \
@@ -602,13 +617,13 @@ def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop):
             cfg = load_config(point + f"{axis} = {x!r}\n")
             want = amplitude_farfield(cfg).matrix
             got = np.array(row[:4]).reshape(2, 2)
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
             for kind_r, got_rate in zip(("I", "II"), row[4:]):
                 cfg_r = load_config(point.replace(f"conversion = {kind}",
                                                   f"conversion = {kind_r}")
                                     + f"{axis} = {x!r}\n")
                 want_rate = rate(amplitude_farfield(cfg_r))
-                assert abs(got_rate - want_rate) <= 1e-10 * want_rate
+                assert abs(got_rate - want_rate) <= bound * want_rate
 
 
 def test_sinc_profile_on_delta_k_axis():
@@ -940,9 +955,8 @@ def test_cli_rate_text(tmp_path):
         lines = out.read_text().splitlines()
         name, value = lines[0].split(" = ")
         assert name == "rate"
-        # the CLI evaluates a one-point stack, which may round differently
         want = rate(amplitude_farfield(load_config(text)))
-        assert float(value) == pytest.approx(want, rel=1e-14) and want > 0.0
+        assert float(value) == want > 0.0
         assert lines[1].startswith("amplitude_xx = ")
 
 
@@ -975,6 +989,66 @@ def test_cli_rate_csv_and_json(tmp_path):
     assert list(from_csv) == list(from_json) == list(from_text)
     assert from_csv == from_json == from_text
     assert from_csv["amplitude_xx_re"] != 0.0
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("conversion = I\n", id="I-lossless"),
+    pytest.param("conversion = II\nn_imag = 1e-6\n", id="II-uniform-loss"),
+    pytest.param(
+        "conversion = I\nsignal_frequency = 3.44e15\n"
+        "idler_frequency = 3.64e15\nn_imag = 2e-6\nn_imag_pump = 1.2e-5\n"
+        "z_signal = 0.1\nz_idler = 0.1\n",
+        id="I-split-split-loss"),
+    pytest.param(
+        "conversion = II\nsignal_frequency = 3.44e15\n"
+        "idler_frequency = 3.64e15\nn_imag = 3e-6\nz_signal = 0.3\n"
+        "z_idler = 0.3\n", id="II-split-uniform-loss"),
+    pytest.param(
+        "conversion = II\ncrystal_length = 0.1 mm\nz_signal = 0.15 mm\n"
+        "z_idler = 0.15 mm\nn_imag = 5e-6\n", id="II-thin"),
+    pytest.param(
+        "n_imag = 1e-6\nz_signal = 0.1\nz_idler = 0.1\noffset_x = 2e-5\n",
+        id="I-displaced"),
+])
+def test_rate_output_carries_the_library_amplitude(tmp_path, text):
+    # point_result and `slabpdc rate` print amplitude_farfield's and
+    # amplitude_numeric's floats bit for bit, in every format
+    cfg = load_config(text)
+    path = _write_cfg(tmp_path, text)
+    routes = [("numeric", amplitude_numeric(cfg, 1e-6))]
+    if cfg.collinear:
+        routes.append(("farfield", amplitude_farfield(cfg)))
+    for method, amp in routes:
+        entries = amp.matrix.ravel().tolist()
+        labels = ("xx", "xy", "yx", "yy")
+        assert point_result(cfg, method).rows == ((rate(amp), *entries),)
+        cells = {"rate": rate(amp)}
+        for lab, z in zip(labels, entries):
+            cells[f"amplitude_{lab}_re"] = z.real
+            cells[f"amplitude_{lab}_im"] = z.imag
+        out = {}
+        for fmt in ("text", "csv", "json"):
+            target = tmp_path / f"rate.{fmt}"
+            assert main(["rate", "--config", path, "--method", method,
+                         "--format", fmt, "--out", str(target)]) == 0
+            out[fmt] = target.read_text()
+        assert out["text"].splitlines() == [f"rate = {rate(amp)!r}"] + [
+            f"amplitude_{lab} = {z!r}" for lab, z in zip(labels, entries)]
+        header, row = out["csv"].splitlines()
+        assert header.split(",") == list(cells)
+        assert row.split(",") == [repr(v) for v in cells.values()]
+        doc = json.loads(out["json"])
+        assert [repr(doc[name]) for name in cells] == \
+            [repr(v) for v in cells.values()]
+    # a refused request raises the library's error, message, value and
+    # estimate alike
+    with pytest.raises(ConvergenceError) as lib:
+        amplitude_numeric(cfg, 1e-13)
+    with pytest.raises(ConvergenceError) as point:
+        point_result(cfg, "numeric", 1e-13)
+    assert str(point.value) == str(lib.value)
+    assert point.value.error == lib.value.error
+    assert np.array_equal(point.value.value, lib.value.value)
 
 
 def test_cli_scan_csv(tmp_path):
