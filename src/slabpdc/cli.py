@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .quadrature import ConvergenceError
+from .materials import ConvergenceError
 from .scan import (PRESET_NAMES, ConfigError, ScanError, emit, load_config,
                    point_result, preset, preset_text, run_scan,
                    scan_request_from_config, __version__)

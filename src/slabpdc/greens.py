@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import Chi2Geometry
 from .materials import TE, TM, C_LIGHT, ModeKinematics, branch_sqrt, fresnel
 from .quadrature import QuadratureSpec, integrate_radial
 
@@ -107,37 +108,8 @@ def vector_wave_N(k_perp, k_z, k, sign=1):
 
 
 # --------------------------------------------------------------------------
-# chi(2) geometry and products
+# chi(2) products
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chi2Geometry:
-    """Transverse nonlinear coupling pattern of the conversion process.
-
-    Type I couples parallel outgoing polarizations (pattern = identity on
-    the x, y block); Type II couples perpendicular ones (exchange matrix).
-    The patterns are fixed by the conversion type and are not user data;
-    d is the scalar susceptibility strength in m/V and multiplies the
-    amplitude prefactor, not the contraction.
-    """
-
-    kind: str
-    d: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("I", "II"):
-            raise ValueError(f"conversion type must be 'I' or 'II', "
-                             f"got {self.kind!r}")
-        if not 0 < self.d < np.inf:
-            raise ValueError("susceptibility strength d must be positive "
-                             "and finite")
-
-    @property
-    def pattern(self):
-        if self.kind == "I":
-            return np.eye(2)
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 def _check_mirrored(a, b):
     if a.k_perp[0] != -b.k_perp[0] or a.k_perp[1] != -b.k_perp[1]:

@@ -51,6 +51,27 @@ class DispersionRangeError(ValueError):
     """Frequency outside the sampled dispersion range."""
 
 
+class ConvergenceError(RuntimeError):
+    """Quadrature failed to reach the requested tolerance.
+
+    Carries the best available value and its error estimate so callers can
+    decide whether the achieved accuracy is still usable. Raised by the
+    numeric amplitude and by the Green tensor's quadrature; defined here,
+    beside the other error every route can raise, so that no route loads
+    another's module for it.
+    """
+
+    def __init__(self, message, value, error):
+        super().__init__(message)
+        self.value = value
+        self.error = error
+
+    def __reduce__(self):
+        # the default rebuilds cls(*args) from the message alone; a pickle
+        # (a process pool's result) or copy needs value and error too
+        return type(self), (*self.args, self.value, self.error), self.__dict__
+
+
 @dataclass(frozen=True)
 class MaterialDispersion:
     """Complex refractive index n(omega), linearly interpolated in omega.
@@ -106,6 +127,11 @@ class MaterialDispersion:
     def with_absorption(self, n_imag):
         """Copy with n'' replaced by a frequency-independent scalar."""
         return replace(self, n_imag=np.full_like(self.n_real, float(n_imag)))
+
+    def __reduce__(self):
+        # rebuilt through __post_init__: an unpickled array is writable
+        return type(self), (self.omega, self.n_real, self.n_imag, self.name,
+                            self.unbounded)
 
     @property
     def omega_min(self):

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .materials import ConvergenceError
+
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (standard dqk15 table).
 # Even-index Kronrod nodes coincide with the embedded 7-point Gauss rule.
 _XGK = np.array([
@@ -50,19 +52,6 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # (21k nodes) raised an amplitude's peak RSS from 84 to 93 MB; 128 panels
 # (1920 nodes) stay within 1 MB of 32-panel blocks at the speed of one call.
 _BLOCK_PANELS = 128
-
-
-class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance.
-
-    Carries the best available value and its error estimate so callers can
-    decide whether the achieved accuracy is still usable.
-    """
-
-    def __init__(self, message, value, error):
-        super().__init__(message)
-        self.value = value
-        self.error = error
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,6 @@ error, where that point's own config fails.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -86,11 +85,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .amplitude import (ExperimentConfig, PhaseMatch, _Modes,
-                        _numeric_matrices, amplitude_farfield,
-                        amplitude_numeric, check_point, farfield_matrices,
-                        phase_terms, rate, rates, sinc_profile)
-from .greens import Chi2Geometry
+from .amplitude import (Chi2Geometry, ExperimentConfig, PhaseMatch, _engine,
+                        _Modes, amplitude_farfield, amplitude_numeric,
+                        check_point, farfield_matrices, phase_terms, rate,
+                        rates, sinc_profile)
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
                         _checked, _noise_factor, kinematics)
 
@@ -162,6 +160,12 @@ class ScanError(RuntimeError):
         self.rows = rows
         self.columns = columns
         self.__cause__ = cause
+
+    def __reduce__(self):
+        # the default rebuilds cls(*args) from the message alone; a pickle
+        # (a process pool's result) or copy needs the diagnostics too
+        return type(self), (*self.args, self.completed, self.__cause__,
+                            self.rows, self.columns), self.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +624,7 @@ class _Sweep:
             chi2 = replace(base.chi2, kind=kind)
             cfg = base if chi2 == base.chi2 else replace(base, chi2=chi2)
             self._amps[key] = farfield_matrices(cfg, stack) \
-                if self.method == "farfield" else _numeric_matrices(
+                if self.method == "farfield" else _engine()._numeric_matrices(
                     cfg, stack, self.tol, self.numeric.setdefault(key, []))
         return self._amps[key]
 
@@ -854,8 +858,11 @@ def _json(result):
     Only the head (``schema_version``, ``metadata``) goes through
     ``json.dumps``; the rows are written from one ``%`` template per row,
     at indent 6 inside the ``rows`` list of a sweep, inlined at indent 2
-    after the head for an axis-less result.
+    after the head for an axis-less result. ``json`` is imported here, by
+    the one format that uses it.
     """
+    import json
+
     names, texts = result.cells
     inline = result.axis is None
     pad = "  " if inline else "      "

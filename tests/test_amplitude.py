@@ -14,10 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slabpdc import amplitude, load_config
+from slabpdc import load_config, radial
 from slabpdc.amplitude import (BiphotonAmplitude, ExperimentConfig,
-                               PhaseMatch, _angular_matrices, _angular_rows,
-                               _Channels, _Modes, amplitude_farfield,
+                               PhaseMatch, _angular_rows, _Channels,
+                               _Modes, amplitude_farfield,
                                amplitude_numeric, complex_sinc,
                                integrand_typeI, integrand_typeII,
                                phase_terms, rate, sinc_profile, x_factor)
@@ -27,6 +27,7 @@ from slabpdc.materials import (TE, TEM, TM, C_LIGHT, CrystalSlab,
                                dispersion_eval, fresnel, kinematics, vacuum)
 from slabpdc.quadrature import (ConvergenceError, QuadratureSpec,
                                 integrate_angular, integrate_radial)
+from slabpdc.radial import _angular_matrices
 
 OMEGA = 3.54e15      # degenerate split frequency [rad/s]
 LENGTH = 2.0e-3
@@ -598,7 +599,7 @@ _PATH_SPREAD = {
 def _path_run(monkeypatch, cfg):
     """amplitude_numeric's path head: its arguments and its result."""
     seen = {}
-    path_head = amplitude._path_head
+    path_head = radial._path_head
 
     def spy(rows, phase, modes, d_c, tol, solved=None):
         out = path_head(rows, phase, modes, d_c, tol, solved)
@@ -606,7 +607,7 @@ def _path_run(monkeypatch, cfg):
                     solved=solved, out=out)
         return out
 
-    monkeypatch.setattr(amplitude, "_path_head", spy)
+    monkeypatch.setattr(radial, "_path_head", spy)
     amplitude_numeric(cfg, tol=1e-6)
     monkeypatch.undo()
     assert seen["out"] is not None
@@ -662,8 +663,8 @@ def _sc_path(seen, order=16):
     """I(s_c) alone, Gauss-Laguerre of this order: the contour from the
     cut, or the ray from grazing for the full disc."""
     phase, d_c = seen["phase"], seen["d_c"]
-    _, d, dsdt = amplitude._path_nodes(phase, d_c, (order,))
-    w = amplitude._laguerre(order)[1]
+    _, d, dsdt = radial._path_nodes(phase, d_c, (order,))
+    w = radial._laguerre(order)[1]
     return 0.5 * np.exp(1j * phase.rise(d_c, 0.0)) \
         * ((seen["rows"](_kappa(phase, d[1])) * dsdt[1]) @ w)
 
@@ -690,10 +691,10 @@ def test_path_estimate_bounds_realized_deviation(monkeypatch):
         seen = _path_run(monkeypatch, cfg)
         head, err = seen["out"]
         args = (seen["rows"], seen["phase"], seen["d_c"])
-        best, = amplitude._path_sums(*args, (64,))
+        best, = radial._path_sums(*args, (64,))
         assert _norm(head - best) <= err
         if cfg is close:
-            low, high = amplitude._path_sums(*args, (8, 16))
+            low, high = radial._path_sums(*args, (8, 16))
             assert _norm(low - best) >= 1e-10 * _norm(best)
             assert _norm(low - best) <= _norm(high - low) <= err
 
@@ -757,8 +758,8 @@ def test_disc_estimate_bounds_realized_deviation(monkeypatch, name):
     # The returned disc against order 64 on the same two contours.
     seen = _disc_run(monkeypatch, _DISC_SPREAD[name])
     head, err = seen["out"]
-    best, = amplitude._path_sums(seen["rows"], seen["phase"], seen["d_c"],
-                                 (64,))
+    best, = radial._path_sums(seen["rows"], seen["phase"], seen["d_c"],
+                              (64,))
     assert _norm(head - best) <= err
 
 
@@ -788,7 +789,7 @@ def test_refused_closure_returns_the_converged_disc(monkeypatch, cfg):
     phase = seen["phase"]
     assert seen["d_c"] == phase.kap_max
     head, _ = seen["out"]
-    best, = amplitude._path_sums(seen["rows"], phase, phase.kap_max, (128,))
+    best, = radial._path_sums(seen["rows"], phase, phase.kap_max, (128,))
     assert _norm(head - best) <= 1e-10 * _norm(best)
 
 
@@ -818,7 +819,7 @@ def test_path_head_refuses_rows_that_are_not_finite():
     # doubles, with no value to carry.
     cfg = make_cfg(z=1.2e-3)
     modes = _Modes.of(cfg)
-    phase = amplitude._DetectorPhase(cfg, modes)
+    phase = radial._DetectorPhase(cfg, modes)
     sizes = []
 
     def rows(kap):
@@ -826,7 +827,7 @@ def test_path_head_refuses_rows_that_are_not_finite():
         return np.full((1, kap.size), np.inf + 0j)
 
     with pytest.raises(ConvergenceError, match="not finite") as info:
-        amplitude._path_head(rows, phase, modes, phase.kap_max, 1e-6)
+        radial._path_head(rows, phase, modes, phase.kap_max, 1e-6)
     assert info.value.value is None and info.value.error == np.inf
     assert sizes == [48]
 
@@ -837,8 +838,8 @@ def test_path_head_refuses_rows_that_are_not_finite():
 
 def _plane(rows, phase, order=64):
     """I_SD(0), the contour from s = 0 alone, at this order."""
-    _, d, dsdt = amplitude._path_nodes(phase, phase.kap_max, (order,))
-    w = amplitude._laguerre(order)[1]
+    _, d, dsdt = radial._path_nodes(phase, phase.kap_max, (order,))
+    w = radial._laguerre(order)[1]
     return 0.5 * ((rows(_kappa(phase, d[0])) * dsdt[0]) @ w)
 
 
@@ -856,7 +857,7 @@ def _ray(cfg, rows, phase, alpha, order=64):
     spread = cfg.z_signal / cfg.signal_frequency \
         + cfg.z_idler / cfg.idler_frequency
     decay = 0.5 * np.sin(alpha) * C_LIGHT * spread
-    x, w = amplitude._laguerre(order)
+    x, w = radial._laguerre(order)
     s = x / decay * np.exp(-1j * alpha)
     d = s / (k + np.sqrt(k * k - s))
     terms = rows(np.sqrt(s)) * np.exp(1j * phase.rise(d, 0.0) + x)
@@ -892,7 +893,7 @@ def test_full_plane_path_matches_straight_rays(name):
     # of the real s axis, where e^{i rise} grows like e^{t}, fails here.
     cfg = _RAY_SPREAD[name]
     modes = _Modes.of(cfg)
-    phase = amplitude._DetectorPhase(cfg, modes)
+    phase = radial._DetectorPhase(cfg, modes)
     rho = float(np.hypot(*cfg.offset))
 
     def rows(kap):
@@ -917,11 +918,11 @@ def test_cut_amplitude_tracks_the_full_plane(monkeypatch, z, kind):
         seen = _path_run(monkeypatch, cfg)
         rows, phase = seen["rows"], seen["phase"]
         assert seen["d_c"] < phase.kap_max
-        got, _ = amplitude._integrate_oscillatory(rows, phase, seen["modes"],
-                                                  1e-6)
+        got, _ = radial._integrate_oscillatory(rows, phase, seen["modes"],
+                                               1e-6)
         got = got * np.exp(-1j * phase.psi_ref)
         plane = _plane(rows, phase)
-        disc, = amplitude._path_sums(rows, phase, phase.kap_max, (64,))
+        disc, = radial._path_sums(rows, phase, phase.kap_max, (64,))
         scale = _norm(plane)
         sector = _norm(plane - disc)
         assert sector >= 3e-9 * scale
@@ -948,13 +949,13 @@ def _cut_cases(rng, count):
         cfg = replace(cfg, z_idler=rng.uniform(0.5, 2.0))
         modes = _Modes.of(cfg)
         # Psi is linear in the distances: scale both to the wanted cycles.
-        phase = amplitude._DetectorPhase(cfg, modes)
+        phase = radial._DetectorPhase(cfg, modes)
         psi = phase.rise(phase.kap_max, 0.0)
         scale = -2.0 * np.pi * ratio * kept / psi
         if scale * min(1.0, cfg.z_idler) <= 0.5 * length:
             continue
         cfg = replace(cfg, z_signal=scale, z_idler=scale * cfg.z_idler)
-        cases.append((amplitude._DetectorPhase(cfg, modes), kept, ratio))
+        cases.append((radial._DetectorPhase(cfg, modes), kept, ratio))
     return cases
 
 

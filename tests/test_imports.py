@@ -1,4 +1,4 @@
-"""scipy is loaded only by the Green tensor; the exports resolve.
+"""What a slabpdc process loads, and the public surface it loads it through.
 
 No amplitude route imports scipy: the far field (``preset``, ``scan``, the
 default ``rate``) needs no Bessel function, and the numeric route, collinear
@@ -6,21 +6,28 @@ or displaced, computes its Bessel rows in numpy, so a ``slabpdc`` process
 does not pay for importing scipy. The Green tensor, the acceptance gate's
 oracle, imports ``scipy.special`` on first use, and the displaced numeric
 route builds its Bessel tables on first use; either first call must give
-the same numbers as any later one. Each test runs a fresh interpreter, since
-the test process itself has long since loaded scipy.
+the same numbers as any later one.
+
+Nor does a far-field process load the modules it never calls: ``import
+slabpdc`` imports no submodule, the numeric engine (``radial``) loads with
+the first numeric amplitude, and the Green tensor with its GK15 driver
+(``greens``, ``quadrature``) with their first use. The tests of loading run
+a fresh interpreter, since the test process itself has long since loaded
+every module and scipy.
 """
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import slabpdc
-from slabpdc import (C_LIGHT, CrystalSlab, amplitude_numeric, load_config,
-                     scattering_green_point, vacuum)
 
 _SRC = str(Path(slabpdc.__file__).resolve().parent.parent)
 _TESTS = str(Path(__file__).resolve().parent)
@@ -59,29 +66,49 @@ def _child(code, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# The deferred routes go through the package's names at call time, so that
+# importing this module in a child loads none of their modules.
 def deferred_amplitudes():
     """First numeric amplitudes, collinear and displaced (Bessel tables)."""
-    return [amplitude_numeric(load_config(text)).matrix
+    return [slabpdc.amplitude_numeric(slabpdc.load_config(text)).matrix
             for text in (_PATH, _DISPLACED_II, _THIN_DISPLACED_II)]
 
 
 def deferred_green():
     """First call of the Green tensor, the one route that imports scipy."""
-    return scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
-                                  50.0 * C_LIGHT,
-                                  CrystalSlab(material=vacuum(), length=2e-3))
+    slab = slabpdc.CrystalSlab(material=slabpdc.vacuum(), length=2e-3)
+    return slabpdc.scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
+                                          50.0 * slabpdc.C_LIGHT, slab)
+
+
+def test_import_loads_no_submodule(tmp_path):
+    code = """\
+import sys
+import slabpdc
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "slabpdc")
+import json
+print(json.dumps(loaded))
+"""
+    assert _child(code, tmp_path) == ["slabpdc"]
 
 
 def test_farfield_cli_loads_no_scipy(tmp_path):
+    # Nor the numeric engine, the Green tensor and its quadrature, or json:
+    # csv and text output do not use it.
     (tmp_path / "exp.cfg").write_text("n_imag = 1e-6\n")
     code = """\
-import json, sys
-import slabpdc, slabpdc.cli as cli
+import sys
+import slabpdc.cli as cli
 assert cli.main(["preset", "fig4", "--out", "fig4.csv"]) == 0
 assert cli.main(["rate", "--config", "exp.cfg", "--out", "rate.txt"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "slabpdc", "json"))
+import json
+print(json.dumps(loaded))
 """
-    assert _child(code, tmp_path) == []
+    assert _child(code, tmp_path) == ["slabpdc", "slabpdc.amplitude",
+                                      "slabpdc.cli", "slabpdc.materials",
+                                      "slabpdc.scan"]
 
 
 def test_numeric_amplitudes_load_no_scipy(tmp_path):
@@ -102,31 +129,45 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 def test_deferred_routes_match_on_first_call(tmp_path):
+    # Each stage reports the slabpdc submodules and the scipy packages
+    # loaded so far. The first calls load their modules; the second calls,
+    # in the same process, and those of this process give the same numbers.
     code = """\
 import json, sys
 import numpy as np
 from test_imports import deferred_amplitudes, deferred_green
-def scipy_modules():
-    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-before = scipy_modules()
+def stage():
+    return {"slabpdc": sorted(m for m in sys.modules
+                              if m.startswith("slabpdc.")),
+            "scipy": [m for m in ("scipy", "scipy.special", "scipy.optimize")
+                      if m in sys.modules]}
+report = [stage()]
 amps = deferred_amplitudes()
-after_amps = scipy_modules()
-np.savez("values.npz", *amps, deferred_green())
-print(json.dumps({"before": before, "amplitudes": after_amps,
-                  "special": "scipy.special" in sys.modules,
-                  "optimize": "scipy.optimize" in sys.modules}))
+report.append(stage())
+green = deferred_green()
+report.append(stage())
+np.savez("values.npz", *amps, green, *deferred_amplitudes(), deferred_green())
+print(json.dumps(report))
 """
     report = _child(code, tmp_path)
-    assert report == {"before": [], "amplitudes": [], "special": True,
-                      "optimize": False}
-    with np.load(tmp_path / "values.npz") as first:
-        got = [first[f"arr_{i}"] for i in range(len(first.files))]
+    numeric = ["slabpdc.amplitude", "slabpdc.materials", "slabpdc.radial",
+               "slabpdc.scan"]
+    assert report == [
+        {"slabpdc": [], "scipy": []},
+        {"slabpdc": numeric, "scipy": []},
+        {"slabpdc": sorted(numeric + ["slabpdc.greens", "slabpdc.quadrature"]),
+         "scipy": ["scipy", "scipy.special"]},
+    ]
+    with np.load(tmp_path / "values.npz") as saved:
+        got = [saved[f"arr_{i}"] for i in range(len(saved.files))]
     want = deferred_amplitudes() + [deferred_green()]
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w)
+    first, second = got[:len(want)], got[len(want):]
+    for f, s, w in zip(first, second, want, strict=True):
+        assert np.array_equal(f, s)
+        assert np.array_equal(f, w)
 
 
-def test_every_export_resolves():
+def test_every_export_resolves(tmp_path):
     # A name left in __all__ after its definition is deleted breaks
     # ``from slabpdc import *`` and nothing else.
     missing = [name for name in slabpdc.__all__ if not hasattr(slabpdc, name)]
@@ -135,3 +176,109 @@ def test_every_export_resolves():
     namespace = {}
     exec("from slabpdc import *", namespace)
     assert set(slabpdc.__all__) <= set(namespace)
+    # In a fresh process: dir() lists every export before any resolves, and
+    # each submodule is an attribute of the package before it is imported,
+    # in an order that reaches each one before a later one imports it.
+    code = """\
+import sys
+import slabpdc
+names = sorted(set(slabpdc.__all__) - set(dir(slabpdc)))
+modules = []
+for name in ("materials", "quadrature", "amplitude", "greens", "radial",
+             "scan", "cli"):
+    key = "slabpdc." + name
+    fresh = key not in sys.modules
+    modules.append([name, fresh, getattr(slabpdc, name) is sys.modules[key]])
+import json
+print(json.dumps({"undirected": names, "modules": modules}))
+"""
+    report = _child(code, tmp_path)
+    assert report["undirected"] == []
+    assert [fresh and same for _, fresh, same in report["modules"]] \
+        == [True] * 7
+    with pytest.raises(AttributeError, match="no attribute 'radiall'"):
+        slabpdc.radiall
+
+
+def test_reexported_names_are_one_object():
+    # Every import path of a moved class gives the same class, so that an
+    # ``except`` clause or an isinstance check through any of them holds.
+    from slabpdc import amplitude, cli, greens, materials, quadrature, scan
+    assert quadrature.ConvergenceError is materials.ConvergenceError \
+        is cli.ConvergenceError is slabpdc.ConvergenceError
+    assert greens.Chi2Geometry is amplitude.Chi2Geometry \
+        is scan.Chi2Geometry is slabpdc.Chi2Geometry
+
+
+def test_experiment_config_survives_pickle():
+    # A process pool sends configs to its workers: the copy gives the same
+    # amplitudes bit for bit, and its dispersion tables stay read-only.
+    for text in ("conversion = II\nn_imag = 1e-6\n",
+                 "n_imag = 1e-6\nz_signal = 0.1\nz_idler = 0.1\n"
+                 "offset_x = 2e-5\n"):
+        cfg = slabpdc.load_config(text)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back is not cfg
+        assert back.offset == cfg.offset and back.chi2 == cfg.chi2
+        for name in ("omega", "n_real", "n_imag"):
+            table = getattr(back.crystal.material, name)
+            assert np.array_equal(table, getattr(cfg.crystal.material, name))
+            assert not table.flags.writeable
+        assert np.array_equal(slabpdc.amplitude_numeric(back).matrix,
+                              slabpdc.amplitude_numeric(cfg).matrix)
+        if cfg.collinear:
+            assert np.array_equal(slabpdc.amplitude_farfield(back).matrix,
+                                  slabpdc.amplitude_farfield(cfg).matrix)
+
+
+def _refused_scan():
+    """The ScanError of a numeric sweep whose third point is refused."""
+    text = """\
+n_imag = 1e-6
+scan_axis = crystal_length
+scan_start = 0.5 mm
+scan_stop = 3 mm
+scan_count = 6
+observables = amplitude_matrix
+"""
+    request = slabpdc.scan_request_from_config(text, method="numeric",
+                                               tol=5e-11)
+    with pytest.raises(slabpdc.ScanError) as info:
+        slabpdc.run_scan(request)
+    return info.value
+
+
+@pytest.mark.parametrize("clone", [
+    lambda exc: pickle.loads(pickle.dumps(exc)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_errors_cross_a_process_boundary(clone):
+    # A pool returns a worker's exception pickled: message, value, error
+    # and the sweep's diagnostics all come back, and every import path of
+    # ConvergenceError still catches the copy.
+    from slabpdc import cli, materials, quadrature, scan
+    exc = slabpdc.ConvergenceError("contour refused", 1.5 + 2j, 3e-9)
+    exc.index = 4
+    back = clone(exc)
+    assert type(back) is slabpdc.ConvergenceError
+    assert (str(back), back.args, back.value, back.error, back.index) \
+        == ("contour refused", ("contour refused",), 1.5 + 2j, 3e-9, 4)
+    for module in (slabpdc, materials, quadrature, cli):
+        with pytest.raises(module.ConvergenceError):
+            raise back
+
+    error = _refused_scan()
+    back = clone(error)
+    assert type(back) is scan.ScanError
+    assert str(back) == str(error)
+    assert back.completed == error.completed == 2
+    assert back.columns == error.columns
+    assert len(back.rows) == len(error.rows) == 2
+    for got, want in zip(back.rows, error.rows, strict=True):
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+    cause = back.__cause__
+    assert type(cause) is slabpdc.ConvergenceError
+    assert str(cause) == str(error.__cause__)
+    assert "rounding floor" in str(cause)
+    assert np.array_equal(cause.value, error.__cause__.value)
+    assert cause.error == error.__cause__.error
+    assert cause.index == error.__cause__.index == 2

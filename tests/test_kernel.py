@@ -17,12 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slabpdc import amplitude
-from slabpdc.amplitude import (_angular_rows, _Channels, _DetectorPhase,
-                               _Leg, _Modes, _stencil, amplitude_numeric,
-                               complex_sinc, phase_terms, x_factor)
+from slabpdc import amplitude, radial
+from slabpdc.amplitude import (_angular_rows, _Channels, _Leg, _Modes,
+                               amplitude_numeric, complex_sinc, phase_terms,
+                               x_factor)
 from slabpdc.materials import (C_LIGHT, TE, TEM, TM, branch_sqrt, fresnel,
                                kinematics)
+from slabpdc.radial import _DetectorPhase, _stencil
 from test_amplitude import OMEGA, _split_cfg, make_cfg
 
 # Index triples (signal, idler, pump): lossless, uniform absorption, and
@@ -305,7 +306,7 @@ def _path_arguments():
         # at d = s/(kappa_max + u).
         k = phase.kap_max
         s_c = 4.0 * np.pi * 512 / (z / k * 2.0)
-        _, d, _ = amplitude._path_nodes(
+        _, d, _ = radial._path_nodes(
             phase, s_c / (k + np.sqrt(k * k - s_c)), (8, 16, 64))
         out.append(np.sqrt(d * (2.0 * k - d)).ravel() * rho)
     return np.concatenate(out)
@@ -349,7 +350,7 @@ def test_bessel_rows_match_scipy_over_the_lower_half_plane():
     arc = np.exp(-1j * np.linspace(0.0, np.pi, 33))
     z = np.concatenate([z[np.abs(z.imag) <= 300.0]] + [
         edge * (1.0 + side) * arc
-        for edge in (amplitude._SERIES_BELOW, amplitude._HANKEL_FROM)
+        for edge in (radial._SERIES_BELOW, radial._HANKEL_FROM)
         for side in (-1e-9, 1e-9)])
     scale = np.exp(np.abs(z.imag)) / np.sqrt(np.maximum(np.abs(z), 1.0))
     for kind in ("I", "II"):
@@ -380,8 +381,8 @@ _ONE_WAVENUMBER = {
 def _route_start(phase):
     """d_c of the route: the 512-cycle cut, or grazing for the full disc."""
     cycles = -phase.rise(phase.kap_max, 0.0) / (2.0 * np.pi)
-    if cycles > 1.5 * amplitude._KEPT_CYCLES:
-        return phase.cut(amplitude._KEPT_CYCLES)
+    if cycles > 1.5 * radial._KEPT_CYCLES:
+        return phase.cut(radial._KEPT_CYCLES)
     return phase.kap_max
 
 
@@ -422,7 +423,7 @@ def test_path_nodes_match_40_digit_phase(z, split):
     mp, psi = _mp_phase(phase, cfg, modes)
     d_c = _route_start(phase)
     assert d_c < phase.kap_max
-    t, d, _ = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
+    t, d, _ = radial._path_nodes(phase, d_c, (8, 16, 32, 64))
     d0 = np.array([[0.0], [d_c]])
     factor = np.exp(1j * phase.rise(d, d0) + t)
     floor = _factor_floor(phase, d, t)
@@ -442,7 +443,7 @@ def test_one_wavenumber_tangents_are_descent_paths(name):
     cfg = _ONE_WAVENUMBER[name]
     phase = _DetectorPhase(cfg, _Modes.of(cfg))
     d_c = _route_start(phase)
-    t, d, dsdt = amplitude._path_nodes(phase, d_c, (8, 16, 32, 64))
+    t, d, dsdt = radial._path_nodes(phase, d_c, (8, 16, 32, 64))
     tangents = 1 if d_c == phase.kap_max else 2
     d, dsdt = d[:tangents], dsdt[:tangents]
     u = phase.kap_max - d
@@ -492,13 +493,13 @@ def test_numeric_route_node_counts_are_frozen(monkeypatch, cfg, nodes):
     # path from the axis comes from the refused cut's call, so the disc
     # evaluates the ray's 24 nodes and then 64.
     counted = []
-    channels = amplitude._Channels
+    channels = radial._Channels
 
     def counting(modes, kappa):
         counted.append(np.size(kappa))
         return channels(modes, kappa)
 
-    monkeypatch.setattr(amplitude, "_Channels", counting)
+    monkeypatch.setattr(radial, "_Channels", counting)
     amplitude_numeric(cfg, tol=1e-6)
     assert sum(counted) == nodes
 
@@ -509,13 +510,13 @@ def test_refused_cut_hands_the_disc_its_axis_path(monkeypatch):
     # lays and evaluates that contour afresh.
     cfg = make_cfg(kind="I", z=1.2e-3)
     reused = amplitude_numeric(cfg, tol=1e-6).matrix
-    head = amplitude._path_head
+    head = radial._path_head
 
     def afresh(rows, phase, modes, d_c, tol, solved=None):
         assert (solved is not None) == (d_c == phase.kap_max)
         return head(rows, phase, modes, d_c, tol, None)
 
-    monkeypatch.setattr(amplitude, "_path_head", afresh)
+    monkeypatch.setattr(radial, "_path_head", afresh)
     assert np.array_equal(amplitude_numeric(cfg, tol=1e-6).matrix, reused)
 
 
@@ -535,10 +536,10 @@ def test_numeric_amplitude_builds_channels_once(monkeypatch, name):
     # from grazing in one call too.
     calls = {"_Channels": 0, "_path_nodes": 0}
     for fname in calls:
-        def counting(*args, _name=fname, _f=getattr(amplitude, fname)):
+        def counting(*args, _name=fname, _f=getattr(radial, fname)):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(amplitude, fname, counting)
+        monkeypatch.setattr(radial, fname, counting)
     amplitude_numeric(_ONE_CALL_CFGS[name], tol=1e-6)
     assert calls == {"_Channels": 1, "_path_nodes": 1}
 

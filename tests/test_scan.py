@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slabpdc import amplitude, scan
+from slabpdc import amplitude, radial, scan
 from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
 from slabpdc.materials import DispersionRangeError, noise_factor
@@ -372,8 +372,8 @@ def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
         calls.append(modes)
         return numeric_matrix(cfg, modes, tol)
 
-    numeric_matrix = amplitude._numeric_matrix
-    monkeypatch.setattr(amplitude, "_numeric_matrix", counted)
+    numeric_matrix = radial._numeric_matrix
+    monkeypatch.setattr(radial, "_numeric_matrix", counted)
     result = run_scan(scan_request_from_config(SCAN_TEXT, method="numeric"))
     count = len(result.rows)
     assert len(calls) == 2 * count + 2
@@ -519,8 +519,8 @@ observables = amplitude_matrix
         lengths.append(modes.length)
         return numeric_matrix(cfg, modes, tol)
 
-    numeric_matrix = amplitude._numeric_matrix
-    monkeypatch.setattr(amplitude, "_numeric_matrix", counted)
+    numeric_matrix = radial._numeric_matrix
+    monkeypatch.setattr(radial, "_numeric_matrix", counted)
     with pytest.raises(ScanError, match="axis point 2") as info:
         run_scan(scan_request_from_config(text, method="numeric", tol=5e-11))
     monkeypatch.undo()
