@@ -27,7 +27,7 @@ media; the explicit flip below keeps the rule airtight for edge cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -126,7 +126,9 @@ class MaterialDispersion:
 
     def with_absorption(self, n_imag):
         """Copy with n'' replaced by a frequency-independent scalar."""
-        return replace(self, n_imag=np.full_like(self.n_real, float(n_imag)))
+        return type(self)(self.omega, self.n_real,
+                          np.full_like(self.n_real, float(n_imag)),
+                          self.name, self.unbounded)
 
     def __reduce__(self):
         # rebuilt through __post_init__: an unpickled array is writable
@@ -299,15 +301,26 @@ def kinematics(omega, n, k_perp=(0.0, 0.0)):
     k = n omega/c, q = omega/c, longitudinal components by the Im >= 0
     branch rule. Valid for any transverse vector, including the evanescent
     sector |k_perp| > q. omega and n may be arrays over axis points, and
-    k_perp may be arrays over nodes; all of them broadcast together.
+    k_perp may be arrays over nodes; all of them broadcast together. A
+    k_perp that is not finite or not real raises ValueError at its first
+    such node.
     """
     reject(np.logical_not((omega > 0) & (omega < np.inf)), ValueError,
            lambda i: "omega must be positive and finite")
     reject(np.logical_not(np.isfinite(n)), ValueError,
            lambda i: "index n must be finite")
-    kx, ky = np.asarray(k_perp[0], dtype=float), np.asarray(k_perp[1], dtype=float)
-    if kx.ndim == 0:
+    kx, ky = np.asarray(k_perp[0]), np.asarray(k_perp[1])
+    if kx.dtype.kind == "c" or ky.dtype.kind == "c":
+        reject((kx.imag != 0) | (ky.imag != 0), ValueError,
+               lambda i: "k_perp must be real")
+        kx, ky = kx.real, ky.real
+    kx, ky = kx.astype(float, copy=False), ky.astype(float, copy=False)
+    if kx.ndim == ky.ndim == 0:
         kx, ky = float(kx), float(ky)
+        bad = not (math.isfinite(kx) and math.isfinite(ky))
+    else:
+        bad = np.logical_not(np.isfinite(kx) & np.isfinite(ky))
+    reject(bad, ValueError, lambda i: "k_perp must be finite")
     kap2 = kx * kx + ky * ky
     k = (n + 0j) * omega / C_LIGHT
     q = omega / C_LIGHT

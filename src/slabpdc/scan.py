@@ -58,8 +58,9 @@ round-trip decimal, ``repr``) is rendered once per result
 (:attr:`ScanResult.cells`) and shared by the CSV and JSON forms. A column
 is complex when any of its cells is, and is then written as paired
 ``_re`` / ``_im`` columns in both formats. CSV: one header row (axis
-first, when there is one), one row per point; non-finite cells read
-``nan``, ``inf``, ``-inf``. JSON: byte for byte the ``json.dumps(doc,
+first, when there is one), one row per point; non-finite cells (of a
+hand-built result: a sweep rejects them) read ``nan``, ``inf``,
+``-inf``. JSON: byte for byte the ``json.dumps(doc,
 indent=2)`` layout of an object with ``schema_version`` and ``metadata``,
 then the sweep's ``rows`` list or the single axis-less row inlined;
 non-finite cells read ``NaN``, ``Infinity``, ``-Infinity`` as ``json``
@@ -81,7 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -90,7 +91,7 @@ from .amplitude import (Chi2Geometry, ExperimentConfig, PhaseMatch, _engine,
                         check_point, farfield_matrices, phase_terms, rate,
                         rates, sinc_profile)
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
-                        _checked, _noise_factor, kinematics)
+                        _checked, _noise_factor, kinematics, reject)
 
 __version__ = "0.1.0"
 
@@ -127,6 +128,9 @@ _KEYS = {
     "scan_count": ("count", _SCAN),
     "observables": ("list", _SCAN),
 }
+
+# every key's default, in table order
+_DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}
 
 # suffix: (the dimension it marks, its scale to SI)
 _SUFFIXES = {"rad/s": ("frequency", 1.0), "nm": ("length", 1e-9),
@@ -309,11 +313,12 @@ def _resolve(text):
     point's plane is its own slab's entry face.
     """
     pairs = _parse_pairs(text)
-    values = {}
-    for key, (dimension, default) in _KEYS.items():
-        entry = pairs.get(key)
-        if entry is None or dimension == "word":
-            values[key] = default if entry is None else entry[0]
+    values = dict(_DEFAULTS)
+    # the keys given, in table order: the first bad one is reported
+    for key in filter(pairs.__contains__, _KEYS):
+        entry, dimension = pairs[key], _KEYS[key][0]
+        if dimension == "word":
+            values[key] = entry[0]
         elif dimension == "list":
             values[key] = tuple(filter(None, map(str.strip,
                                                  entry[0].split(","))))
@@ -495,12 +500,15 @@ class ScanRequest:
 def scan_request_from_config(text, method="farfield", tol=1e-6):
     """Build a :class:`ScanRequest` from config text with scan keys."""
     cfg, values = _resolve(text)
-    missing = [key for key, value in values.items() if value is _SCAN]
+    echo, missing = {}, []
+    for key, value in values.items():
+        if _DEFAULTS[key] is not _SCAN:
+            echo[key] = value
+        elif value is _SCAN:
+            missing.append(key)
     if missing:
         raise ConfigError("scan definition incomplete; missing: "
                           + ", ".join(missing))
-    echo = {key: value for key, value in values.items()
-            if _KEYS[key][1] is not _SCAN}
     try:
         return ScanRequest(base=cfg, axis=values["scan_axis"],
                            range=(values["scan_start"], values["scan_stop"],
@@ -575,6 +583,9 @@ class _Sweep:
     ``amplitude_farfield`` (a one-point stack): bit for bit on the
     ``n_imag`` and ``frequency`` axes, within 1e-15 on ``crystal_length``,
     where the prefactor's complex division of the (m,) lengths is numpy's.
+    Each piece is made once per sweep and kept (``_once``): the dispersion
+    of each distinct frequency (the idler's is the signal's at a degenerate
+    split), each conversion type's config, amplitudes and rates.
     """
 
     def __init__(self, base, axis, x, method, tol, numeric):
@@ -583,67 +594,88 @@ class _Sweep:
         self.count = len(x)
         self.length = x if axis == "crystal_length" else base.crystal.length
         if axis == "frequency":
-            self.omega_p, sig, idl = 2.0 * x, x, x
+            omega_p, sig, idl = 2.0 * x, x, x
         else:
-            self.omega_p, sig, idl = (base.pump_frequency,
-                                      base.signal_frequency,
-                                      base.idler_frequency)
+            omega_p, sig, idl = (base.pump_frequency, base.signal_frequency,
+                                 base.idler_frequency)
         pump_z = None if axis == "crystal_length" else base.pump_z
-        self.omega_s, self.omega_i, self.pump_z = check_point(
-            self.length, base.pump_field, self.omega_p, sig, idl,
+        sig, idl, self.pump_z = check_point(
+            self.length, base.pump_field, omega_p, sig, idl,
             base.z_signal, base.z_idler, pump_z, base.offset)
+        self.omegas = (sig, idl, omega_p)
+        # the idler's mode: the signal's where they share a frequency (one
+        # array on the frequency axis, one number elsewhere)
+        self.idler = 0 if idl is sig or (np.ndim(sig) == 0 and idl == sig) \
+            else 1
         self.n_imag = x if axis == "n_imag" else None
-        self._modes = {}
-        self._amps = {}
+        self._memo = {}
 
-    def index(self, omega, lossless=False):
-        """Complex indices at omega, an (m,) or (1,) array."""
-        n = np.atleast_1d(self.base.crystal.index(omega))
+    def _once(self, key, make):
+        """make(), called on the first use of key and kept."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def index(self, mode, lossless=False):
+        """Complex indices of mode 0 (signal), 1 (idler) or 2 (pump), an (m,)
+        or (1,) array; the lossless and ``n_imag`` axis variants keep the
+        real part of the one dispersion evaluation."""
+        mode = self.idler if mode == 1 else mode
+        n = self._once(("index", mode), lambda: np.atleast_1d(
+            self.base.crystal.index(self.omegas[mode])))
         if lossless or self.n_imag is not None:
-            n = n.real + 1j * (0.0 if lossless else self.n_imag)
+            n = self._once(("index", mode, lossless), lambda: n.real + 1j * (
+                0.0 if lossless else self.n_imag))
         return n
 
     def modes(self, lossless=False):
         """The _Modes of the stack."""
-        if lossless not in self._modes:
-            omegas = (self.omega_s, self.omega_i, self.omega_p)
-            self._modes[lossless] = _Modes(
-                *omegas, *(self.index(w, lossless) for w in omegas),
-                self.length, self.pump_z)
-        return self._modes[lossless]
+        return self._once(("modes", lossless), lambda: _Modes(
+            *self.omegas, *(self.index(j, lossless) for j in range(3)),
+            self.length, self.pump_z))
+
+    def config(self, kind):
+        """The base config with conversion type kind: what every point
+        shares (type, drive and detectors)."""
+        base = self.base
+        return base if kind == base.chi2.kind else self._once(
+            ("config", kind),
+            lambda: replace(base, chi2=replace(base.chi2, kind=kind)))
 
     def amplitude(self, kind, lossless=False):
         """One conversion type's (m, 2, 2) amplitudes, or (1, 2, 2) where
         every point has one config (the lossless ``n_imag`` axis): one
         far-field evaluation over the stack, or one integral per point."""
-        key = (kind, lossless)
-        if key not in self._amps:
-            # the stack first, so that a bad point fails at its own index;
-            # cfg is what every point shares: type, drive and detectors
-            stack, base = self.modes(lossless), self.base
-            chi2 = replace(base.chi2, kind=kind)
-            cfg = base if chi2 == base.chi2 else replace(base, chi2=chi2)
-            self._amps[key] = farfield_matrices(cfg, stack) \
+        key = ("amplitude", kind, lossless)
+        if key not in self._memo:
+            # the stack first, so that a bad point fails at its own index
+            stack, cfg = self.modes(lossless), self.config(kind)
+            self._memo[key] = farfield_matrices(cfg, stack) \
                 if self.method == "farfield" else _engine()._numeric_matrices(
-                    cfg, stack, self.tol, self.numeric.setdefault(key, []))
-        return self._amps[key]
+                    cfg, stack, self.tol,
+                    self.numeric.setdefault((kind, lossless), []))
+        return self._memo[key]
+
+    def rates(self, kind, lossless=False):
+        """rates() of one conversion type's amplitudes."""
+        return self._once(("rates", kind, lossless),
+                          lambda: rates(self.amplitude(kind, lossless)))
 
 
 def _rate_columns(kind):
     def columns(sw):
-        return [rates(sw.amplitude(kind))]
+        return [sw.rates(kind)]
     return columns
 
 
 def _ratio_columns(sw):
-    return [rates(sw.amplitude(kind)) / rates(sw.amplitude(kind, True))
-            for kind in ("I", "II")]
+    return [sw.rates(kind) / sw.rates(kind, True) for kind in ("I", "II")]
 
 
 def _sinc_columns(sw):
-    kin = [kinematics(w, sw.index(w))
-           for w in (sw.omega_s, sw.omega_i, sw.omega_p)]
-    pm = phase_terms(*kin)
+    kin_s = kinematics(sw.omegas[0], sw.index(0))
+    kin_i = kin_s if sw.idler == 0 else kinematics(sw.omegas[1], sw.index(1))
+    pm = phase_terms(kin_s, kin_i, kinematics(sw.omegas[2], sw.index(2)))
     if sw.axis == "delta_k":
         # the axis value is the real half-phase dk L/2; absorption keeps
         # its grip on the imaginary parts
@@ -657,16 +689,18 @@ def _gain_columns(sw):
     # the rounding of the one-point formula: noise_factor's checks run once
     # on the (point, mode) stack, its core point by point in Python complex
     # arithmetic, once per point where signal and idler share an index.
-    n_s, n_i = (np.broadcast_to(sw.index(w), (sw.count,)).tolist()
-                for w in (sw.omega_s, sw.omega_i))
-    eps = [(s * s, i * i) for s, i in zip(n_s, n_i)]
+    n_s, n_i = (np.broadcast_to(sw.index(j), (sw.count,)).tolist()
+                for j in (0, 1))
+    eps_s = [n * n for n in n_s]
+    eps_i = eps_s if n_i == n_s else [n * n for n in n_i]
     try:
-        _checked(np.array(eps), "noise_factor")
+        # (point, mode) order: the flat index of a bad eps halves to its point
+        _checked(np.array((eps_s, eps_i)).T, "noise_factor")
     except (ZeroDivisionError, ValueError) as exc:
         exc.index //= 2
         raise
-    a_s = [_noise_factor(a) for a, _ in eps]
-    a_i = a_s if n_s == n_i else [_noise_factor(b) for _, b in eps]
+    a_s = [*map(_noise_factor, eps_s)]
+    a_i = a_s if eps_i is eps_s else [*map(_noise_factor, eps_i)]
     return [[float(abs(a * b) ** 2 - 1.0) for a, b in zip(a_s, a_i)]]
 
 
@@ -696,9 +730,10 @@ def run_scan(req):
     stacked checks raise at the first failing point, and the points before
     it are evaluated again until they all pass, so a failure that an
     earlier check hid is still found first; the numeric amplitudes that a
-    failed pass completed are kept, not computed again. Any error aborts
-    the sweep and is re-raised as :class:`ScanError`, with the completed
-    rows attached.
+    failed pass completed are kept, not computed again. A cell that is not
+    finite (a rate that overflows, a ratio of two that underflow) fails its
+    point as a ValueError naming its column. Any error aborts the sweep and
+    is re-raised as :class:`ScanError`, with the completed rows attached.
     """
     start, stop, count = req.range
     axis_values = np.linspace(start, stop, count)
@@ -711,9 +746,13 @@ def run_scan(req):
         try:
             sweep = _Sweep(req.base, req.axis, axis_values[:done],
                            req.method, req.tol, numeric)
-            columns = [np.broadcast_to(col, (done,)).tolist()
-                       for obs in req.observables
-                       for col in _OBSERVABLES[obs][1](sweep)]
+            cols = [np.broadcast_to(col, (done,))
+                    for obs in req.observables
+                    for col in _OBSERVABLES[obs][1](sweep)]
+            for name, col in zip(names, cols):
+                reject(~np.isfinite(col), ValueError,
+                       lambda i: f"{name} is not finite: {col[i].item()!r}")
+            columns = [col.tolist() for col in cols]
             break
         except Exception as exc:
             done, error = min(getattr(exc, "index", 0), done - 1), exc
@@ -847,7 +886,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_numbers(texts):
-    if _JSON_NONFINITE.keys().isdisjoint(texts):
+    # a finite float's repr has no "n": one scan of the joined column
+    if "n" not in "".join(texts):
         return texts
     return [_JSON_NONFINITE.get(t, t) for t in texts]
 
@@ -856,21 +896,25 @@ def _json(result):
     """The ``json.dumps(doc, indent=2)`` text of the result's document.
 
     Only the head (``schema_version``, ``metadata``) goes through
-    ``json.dumps``; the rows are written from one ``%`` template per row,
-    at indent 6 inside the ``rows`` list of a sweep, inlined at indent 2
-    after the head for an axis-less result. ``json`` is imported here, by
-    the one format that uses it.
+    ``json.dumps``; the rows are one join: each cell follows its column's
+    key text, and each row ends in one tail, at indent 6 inside the
+    ``rows`` list of a sweep, inlined at indent 2 after the head for an
+    axis-less result. ``json`` is imported here, by the one format that
+    uses it.
     """
     import json
 
     names, texts = result.cells
     inline = result.axis is None
-    pad = "  " if inline else "      "
-    row = ",\n".join(pad + json.dumps(name).replace("%", "%%") + ": %s"
-                     for name in names)
-    if not inline:
-        row = "    {\n" + row + "\n    }"
-    body = ",\n".join(map(row.__mod__, zip(*map(_json_numbers, texts))))
+    keys = [(",\n  " if inline else ",\n      ") + json.dumps(name) + ": "
+            for name in names]
+    body = ""
+    if keys:
+        keys[0] = keys[0][2:] if inline else "    {" + keys[0][1:]
+        tail = ",\n" if inline else "\n    },\n"
+        cells = (x for key, column in zip(keys, map(_json_numbers, texts))
+                 for x in (repeat(key), column))
+        body = "".join(chain.from_iterable(zip(*cells, repeat(tail))))[:-2]
     doc = {"schema_version": _SCHEMA_VERSION, "metadata": result.metadata}
     if not inline:
         doc["rows"] = []

@@ -238,6 +238,30 @@ def test_kinematics_over_axis_points():
         assert info.value.index == where
 
 
+def test_kinematics_rejects_bad_transverse_vectors():
+    # A non-finite or complex k_perp is rejected at entry, at its first bad
+    # node, as omega and n are; a real one keeps its value bit for bit, and
+    # a scalar component broadcasts against an array one.
+    nan, inf = float("nan"), float("inf")
+    n = 1.67 + 1e-6j
+    for k_perp, message, where in (
+            ((nan, 0.0), "finite", 0), ((inf, 0.0), "finite", 0),
+            ((0.0, -inf), "finite", 0), ((1e5 + 1j, 0.0), "real", 0),
+            ((np.array([0.0, 1e5, nan]), np.zeros(3)), "finite", 2),
+            ((np.array([0.0, 1e5 + 2j]), 0.0), "real", 1),
+            ((np.zeros(3), np.array([0.0, 1.0, inf])), "finite", 2)):
+        with pytest.raises(ValueError, match=f"k_perp must be {message}") \
+                as info:
+            kinematics(3.54e15, n, k_perp)
+        assert info.value.index == where
+    kap = np.array([0.0, 1e5, 3e6])
+    for k_perp in ((1e5, 0.0), (kap, 0.5 * kap), (kap + 0j, kap), (0.0, kap)):
+        kin = kinematics(3.54e15, n, k_perp)
+        kx, ky = np.real(k_perp[0]), np.real(k_perp[1])
+        assert np.array_equal(kin.k_z, branch_sqrt(
+            kin.k * kin.k - (kx * kx + ky * ky)))
+
+
 def test_kinematics_array_transverse():
     kap = np.linspace(0.0, 1e7, 7)
     kin = kinematics(OMEGA, 1.67, (kap, np.zeros_like(kap)))

@@ -61,6 +61,18 @@ def test_duplicate_key():
         load_config("n_imag = 1e-6\nn_imag = 2e-6\n")
 
 
+def test_first_bad_key_in_table_order_is_reported():
+    # Values are read in the key table's order, not the text's: of two bad
+    # values the one whose key comes first in the table is reported.
+    text = "pump_field = y\nscan_count = 2.5\ncrystal_length = x\n"
+    for lines in (text, "".join(reversed(text.splitlines(True)))):
+        with pytest.raises(ConfigError, match="'crystal_length': 'x'") \
+                as info:
+            load_config(lines)
+        assert info.value.line == lines.splitlines().index(
+            "crystal_length = x") + 1
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = load_config("\n# full-line comment\nn_imag = 1e-6  # trailing\n")
     assert cfg.crystal.index(3.54e15).imag == pytest.approx(1e-6)
@@ -468,6 +480,37 @@ def test_farfield_ratio_scan_shares_normal_channels_between_types(
     assert len(built) == len({id(m) for m in built}) == 2
 
 
+@pytest.mark.parametrize("name, evals, checks, rates_calls", [
+    ("fig3", 2, 1, 0), ("fig4", 1, 1, 0), ("fig5", 2, 2, 4),
+    ("fig6", 2, 2, 4)])
+def test_preset_sweeps_do_each_piece_once(monkeypatch, name, evals, checks,
+                                          rates_calls):
+    # One dispersion evaluation per distinct frequency (signal and idler
+    # share theirs at the presets' degenerate split), one config check per
+    # conversion type besides the stack's, and one rates() per amplitude
+    # stack. These counts do not depend on the machine.
+    from slabpdc import materials
+
+    req = preset(name)
+    calls = {"dispersion_eval": 0, "check_point": 0, "rates": 0}
+
+    def counting(fname, real):
+        def counted(*args, **kwargs):
+            calls[fname] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(materials, "dispersion_eval", counting(
+        "dispersion_eval", materials.dispersion_eval))
+    checked = counting("check_point", amplitude.check_point)
+    for module in (amplitude, scan):
+        monkeypatch.setattr(module, "check_point", checked)
+    monkeypatch.setattr(scan, "rates", counting("rates", scan.rates))
+    run_scan(req)
+    assert calls == {"dispersion_eval": evals, "check_point": checks,
+                     "rates": rates_calls}
+
+
 def test_scan_determinism():
     a = run_scan(scan_request_from_config(SCAN_TEXT))
     b = run_scan(scan_request_from_config(SCAN_TEXT))
@@ -596,7 +639,8 @@ observables = rate_I
 ])
 def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop,
                                                      count):
-    # A cell is its point's own amplitude_farfield, bit for bit; on the
+    # A cell is its point's own amplitude_farfield, bit for bit, and so
+    # are the rates and their ratios to the point's lossless config; on the
     # crystal_length axis the prefactor divides an (m,) array of lengths
     # where a point divides one float, which may round an ulp apart.
     bound = 1e-15 if axis == "crystal_length" else 0.0
@@ -609,7 +653,8 @@ def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop,
     for base in bases:
         text = base + (f"scan_axis = {axis}\nscan_start = {start!r}\n"
                        f"scan_stop = {stop!r}\nscan_count = {count}\n"
-                       "observables = amplitude_matrix, rate_I, rate_II\n")
+                       "observables = amplitude_matrix, rate_I, rate_II, "
+                       "rate_ratio_to_lossless\n")
         result = run_scan(scan_request_from_config(text))
         point = base.replace("n_imag = 2e-6\n", "") if axis == "n_imag" \
             else base
@@ -618,12 +663,57 @@ def test_farfield_columns_match_per_point_amplitudes(kind, axis, start, stop,
             want = amplitude_farfield(cfg).matrix
             got = np.array(row[:4]).reshape(2, 2)
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
-            for kind_r, got_rate in zip(("I", "II"), row[4:]):
-                cfg_r = load_config(point.replace(f"conversion = {kind}",
-                                                  f"conversion = {kind_r}")
-                                    + f"{axis} = {x!r}\n")
-                want_rate = rate(amplitude_farfield(cfg_r))
+            for kind_r, got_rate, got_ratio in zip(("I", "II"), row[4:6],
+                                                   row[6:]):
+                own = point.replace(f"conversion = {kind}",
+                                    f"conversion = {kind_r}") \
+                    + f"{axis} = {x!r}\n"
+                want_rate = rate(amplitude_farfield(load_config(own)))
                 assert abs(got_rate - want_rate) <= bound * want_rate
+                lossless = own.replace("n_imag = 2e-6\n", "").replace(
+                    f"n_imag = {x!r}\n", "") + "n_imag = 0.0\n"
+                want_ratio = want_rate / rate(amplitude_farfield(
+                    load_config(lossless)))
+                assert abs(got_ratio - want_ratio) <= 2 * bound * want_ratio
+
+
+@pytest.mark.parametrize("drive, observable, column", [
+    ("pump_field = 1e-300\n", "rate_ratio_to_lossless",
+     "rate_ratio_to_lossless_I"),
+    ("pump_field = 1e300\ncoupling = 1e10\n", "rate_I", "rate_I")])
+def test_non_finite_cell_aborts_the_scan(tmp_path, drive, observable,
+                                         column):
+    # Rates that underflow to 0/0 or overflow make no silent NaN column:
+    # the scan fails at the first such cell, and the CLI exits 1.
+    text = (drive + "scan_axis = n_imag\nscan_start = 0.0\n"
+            "scan_stop = 1e-5\nscan_count = 4\n"
+            f"observables = {observable}\n")
+    with np.errstate(all="ignore"):
+        with pytest.raises(ScanError, match=f"at axis point 0 \\(n_imag = "
+                           f"0.0\\).*{column} is not finite") as info:
+            run_scan(scan_request_from_config(text))
+        assert info.value.completed == 0 and info.value.rows == ()
+        assert isinstance(info.value.__cause__, ValueError)
+        assert main(["scan", "--config", _write_cfg(tmp_path, text)]) == 1
+
+
+def test_non_finite_cell_keeps_the_rows_before_it():
+    # Both rates overflow first at the second point of this length sweep:
+    # the error names the first column there, and the first row is kept.
+    text = ("pump_field = 2e176\nn_imag = 1e-6\n"
+            "scan_axis = crystal_length\nscan_start = 2 mm\n"
+            "scan_stop = 3 mm\nscan_count = 5\n"
+            "observables = rate_II, rate_I\n")
+    with np.errstate(over="ignore"):
+        with pytest.raises(ScanError, match=r"at axis point 1 "
+                           r"\(crystal_length = 0\.00225\d*\) after 1 "
+                           r"completed rows: rate_II is not finite: inf") \
+                as info:
+            run_scan(scan_request_from_config(text))
+    assert info.value.completed == 1
+    assert info.value.columns == ("rate_II", "rate_I")
+    (row,) = info.value.rows
+    assert all(map(np.isfinite, row)) and min(row) > 1e307
 
 
 def test_sinc_profile_on_delta_k_axis():
@@ -699,9 +789,9 @@ def test_gain_column_fails_at_the_first_bad_point():
     # One stacked check raises where the point-by-point calls, signal first,
     # would: at point 1 (a NaN idler), not at the zeros that follow.
     nan = float("nan")
-    rows = {"s": [1.6, 1.6, 0.0, 1.6], "i": [1.6, nan, 1.6, 0.0]}
-    sweep = SimpleNamespace(omega_s="s", omega_i="i", count=4,
-                            index=lambda w: np.array(rows[w], dtype=complex))
+    rows = [[1.6, 1.6, 0.0, 1.6], [1.6, nan, 1.6, 0.0]]    # signal, idler
+    sweep = SimpleNamespace(count=4, index=lambda mode: np.array(
+        rows[mode], dtype=complex))
     with pytest.raises(ValueError, match="noise_factor: eps is NaN") as info:
         scan._gain_columns(sweep)
     assert info.value.index == 1
@@ -915,6 +1005,45 @@ def test_emit_without_rows():
     assert doc == _rowwise_emit(result, "json")
     assert b'"rows": []' in doc and json.loads(doc)["rows"] == []
     assert emit(result, format="csv") == b"n_imag,rate_I\n"
+
+
+def _dumped(result):
+    """json.dumps(doc, indent=2) of the result's document, built from its
+    rows: the layout emit's JSON must equal byte for byte."""
+    names, texts = result.cells
+    rows = [dict(zip(names, map(float, row))) for row in zip(*texts)]
+    doc = {"schema_version": 1, "metadata": result.metadata}
+    if result.axis is not None:
+        doc["rows"] = rows
+    elif rows:
+        (row,) = rows
+        doc.update(row)
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def test_json_is_json_dumps_of_its_document():
+    nan, inf = float("nan"), float("inf")
+    results = [run_scan(preset(name)) for name in PRESET_NAMES]
+    for text in ("", "conversion = II\nn_imag = 1e-6\n"):
+        results.append(point_result(load_config(text)))
+    results.append(point_result(load_config("z_signal = 0.1\n"
+                                            "z_idler = 0.1\n"), "numeric"))
+    meta = {"tool": "x%s", "config": {"\u00f1": None, "q": [1, "%d"]}}
+    results += [
+        ScanResult("n_imag", (), ("rate_I",), (), meta),          # no rows
+        ScanResult(None, (), (), (), {}),                         # no names
+        ScanResult(None, (), (), ((),), meta),
+        ScanResult(None, (), ("rate",), (), {}),                  # no row
+        ScanResult("n_imag", (0.0, 1.0), ("only",), ((2.0,), (-0.0,)), {}),
+        ScanResult("n_imag", (0.0, nan, 2.0),
+                   ('loss_%s "q"', "\u00f1_rate", "amp"),
+                   ((nan, inf, complex(nan, -inf)),
+                    (-inf, 0.5, complex(1.0, nan)),
+                    (1e-300, -0.0, 1.0)), meta),
+        ScanResult(None, (), ('100% "x"', "\u00e9"), ((inf, 2j),), meta),
+    ]
+    for result in results:
+        assert emit(result, format="json") == _dumped(result)
 
 
 def test_emit_splits_complex_per_column():
