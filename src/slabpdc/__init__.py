@@ -12,8 +12,8 @@ Every module loads on first use: ``import slabpdc`` imports none of them,
 and each export below imports its module on its first access (PEP 562). A
 far-field process (``slabpdc preset``, the default ``slabpdc rate``) loads
 materials, amplitude, scan and cli. radial loads with the first numeric
-amplitude, and greens and quadrature, the Green-tensor oracle and its
-GK15 driver, with the first use of one of their names.
+amplitude or Green tensor, and greens and quadrature, the Green-tensor
+oracle and its GK15 driver, with the first use of one of their names.
 """
 
 from importlib import import_module

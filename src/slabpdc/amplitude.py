@@ -85,11 +85,11 @@ radial._numeric_matrices takes the config the points share and the
 checked stack, and hands _numeric_matrix one point's _Modes, sliced from
 it, at a time.
 
-No amplitude, far-field or numeric, collinear or displaced, imports
-scipy: the Bessel rows and the Gauss-Laguerre rule are numpy's, and
+The package needs numpy alone: no amplitude, far-field or numeric, and
+not the Green tensor, imports scipy. The Bessel rows (radial._bessel_rows,
+which greens shares) and the Gauss-Laguerre rule are numpy code, and
 importing scipy.special would add about 0.25 s and 25 MB to a slabpdc
-process. Only greens uses it, as an independent oracle. New numeric code
-follows the same rule.
+process. New numeric code follows the same rule.
 """
 
 from __future__ import annotations
@@ -518,8 +518,8 @@ def _angular_rows(cfg, ch, kappa, rho):
     # J_n grows like e^{|Im kappa rho|} and overflows far out on a contour,
     # in the Hankel regime's cos and sin; _path_sums refuses the rows.
     with np.errstate(invalid="ignore", over="ignore"):
-        bessel = _engine()._bessel_rows(kappa * rho,
-                                        3 if cfg.chi2.kind == "II" else 2)
+        bessel = _engine()._bessel_rows(
+            kappa * rho, (0, 2, 4) if cfg.chi2.kind == "II" else (0, 2))
         rows = [weight * first * bessel[0], weight * (tt - mm) * bessel[1]]
         if cfg.chi2.kind == "II":
             rows += [weight * ((tt + mm) - (em + me)) * bessel[2],

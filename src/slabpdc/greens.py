@@ -27,8 +27,8 @@ point evaluator below.
 SI units: wave vectors 1/m, lengths m, the Green tensor 1/m. Complex
 square roots follow the Im >= 0 branch rule of materials.branch_sqrt.
 
-scipy.special is imported inside the point evaluator: at module level it
-would add about 0.25 s and 25 MB to every slabpdc process.
+The point evaluator takes J0, J1 and J2 from the numeric route's Bessel
+rows (radial._bessel_rows), the package's one Bessel implementation.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .amplitude import Chi2Geometry
 from .materials import TE, TM, C_LIGHT, ModeKinematics, branch_sqrt, fresnel
 from .quadrature import QuadratureSpec, integrate_radial
+from .radial import _bessel_rows
 
 __all__ = [
     "WaveFunction",
@@ -221,16 +222,13 @@ def scattering_green_point(r_d, r_A, omega, crystal, spec=None):
 
     def profile(kappa, q_z):
         """Radial profiles of the five independent tensor entries."""
-        from scipy.special import j0, j1, jv
-
         k_z = branch_sqrt((eps - 1.0) * (q * q) + q_z * q_z)
         kin = ModeKinematics(omega, n * q, k_z, q, q_z, (kappa, 0.0 * kappa))
         fres_te = fresnel(TE, kin, eps, length)
         fres_tm = fresnel(TM, kin, eps, length)
         f_te = f_factor(TE, z_d, z_A, kin, fres_te, length)
         f_tm = f_factor(TM, z_d, z_A, kin, fres_tm, length)
-        arg = kappa * rho
-        b0, b1, b2 = j0(arg), j1(arg), jv(2, arg)
+        b0, b1, b2 = _bessel_rows(kappa * rho, (0, 1, 2))
         pref = (1j / (8.0 * np.pi ** 2)) * kappa / kin.k_z
         tt = kin.q_z * kin.k_z / (q * kin.k)     # transverse-transverse TM
         dz = kin.q_z * kappa / (q * kin.k)       # detector-transverse, source-z

@@ -65,6 +65,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not np.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
+        if not 0 <= self.abs_floor < np.inf:
+            raise ValueError("abs_floor must be finite and >= 0")
         if not (self.max_subdivisions >= 1
                 and float(self.max_subdivisions).is_integer()):
             raise ValueError("max_subdivisions must be an integer >= 1")
@@ -122,6 +126,8 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     spec = spec or QuadratureSpec()
     if not b > a:
         raise ValueError("integration requires b > a")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("integration limits must be finite")
     n_seed = 1
     if max_panel is not None and max_panel > 0:
         n_seed = max(1, int(np.ceil((b - a) / max_panel)))
@@ -179,11 +185,14 @@ def integrate_angular(f, rel_tol=1e-10, abs_floor=0.0, max_doublings=16):
     if not (rel_tol > 0 and abs_floor >= 0 and max_doublings >= 1):
         raise ValueError("integrate_angular needs rel_tol > 0, abs_floor >= 0 "
                          "and max_doublings >= 1")
+    if not np.isfinite([rel_tol, abs_floor]).all() or max_doublings % 1:
+        raise ValueError("integrate_angular needs a finite rel_tol and "
+                         "abs_floor and an integer max_doublings")
     n = 8
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     prev = 2.0 * np.pi * np.mean(np.asarray(f(phi), dtype=complex), axis=0)
     diff = np.inf
-    for _ in range(max_doublings):
+    for _ in range(int(max_doublings)):
         n *= 2
         phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         cur = 2.0 * np.pi * np.mean(np.asarray(f(phi), dtype=complex), axis=0)

@@ -63,12 +63,13 @@ at 1 cm (Type I, collinear, degenerate). The disc route returns the disc
 alone, without the evanescent sector: 4e-5 of the amplitude for a 0.1 mm
 slab 0.15 mm out, 1.3e-5 for a 2 mm slab at 1.2 mm, 4.7e-6 at 3 mm.
 
-The Bessel rows J0, J2 and J4 of complex z = kappa rho are numpy code
-(_bessel_rows): the power series (DLMF 10.2.2) at small |z|, Bessel's
+The package's one Bessel implementation, the rows of complex z = kappa rho
+(_bessel_rows: J0, J2 and J4 for _angular_rows, J0, J1 and J2 for greens),
+is numpy code: the power series (DLMF 10.2.2) at small |z|, Bessel's
 integral (DLMF 10.9.1) by the trapezoid rule in between, and the Hankel
 expansion (DLMF 10.17.3) at large |z|. Against 30-digit values they are
-within 2.2e-16 absolute on the real axis up to 400 and 2.2e-15 relative at
-the path nodes of 20 um and 0.2 mm offsets, where |Im z| reaches 74.
+within 2.8e-16 absolute on the real axis up to 5000 and 2.2e-15 relative
+at the path nodes of 20 um and 0.2 mm offsets, where |Im z| reaches 74.
 """
 
 from __future__ import annotations
@@ -133,61 +134,63 @@ def _reach(log_c, power):
 
 
 @functools.cache
-def _series_table(count):
-    """(reach, c) for J0, J2 (and J4 if count is 3), built on first use:
-    J_n = sum_j c[n, j] z^{2j}, c = (-1)^k/(4^j k! (k + n)!) at j = k + n/2
-    (DLMF 10.2.2), and reach[M - 1] the largest |z| at which each order's
-    first term omitted with M powers is _BESSEL_TRUNCATION of its first."""
-    orders = range(0, 2 * count, 2)
+def _series_table(orders):
+    """(reach, c, odd) for J_n, n in orders, built on first use:
+    J_n = z^(n mod 2) sum_j c[n, j] z^{2j}, c = (-1)^k/(2^{2k+n} k! (k + n)!)
+    at j = k + n//2 (DLMF 10.2.2), reach[M - 1] the largest |z| at which
+    each order's first term omitted with M powers is _BESSEL_TRUNCATION of
+    its first, and odd the rows of odd n."""
     reach = []
     while not reach or reach[-1] < _SERIES_BELOW:
         m = len(reach) + 1
         reach.append(min(
             _reach(math.lgamma(n + 1) - math.lgamma(m - n // 2 + 1)
-                   - math.lgamma(m + n // 2 + 1), 2 * m - n)
+                   - math.lgamma(m - n // 2 + n + 1), 2 * (m - n // 2))
             if m > n // 2 else 0.0 for n in orders))
-    coef = np.zeros((count, len(reach)))
+    coef = np.zeros((len(orders), len(reach)))
     for i, n in enumerate(orders):
         for k in range(len(reach) - n // 2):
             coef[i, k + n // 2] = (-1) ** k / (
-                4 ** (k + n // 2) * math.factorial(k) * math.factorial(k + n))
+                2 ** (2 * k + n) * math.factorial(k) * math.factorial(k + n))
     coef.flags.writeable = False
-    return tuple(reach), coef
+    return tuple(reach), coef, [i for i, n in enumerate(orders) if n % 2]
 
 
 @functools.cache
-def _trapezoid_reach(count):
+def _trapezoid_reach(orders):
     """reach[K - 1], the largest |z| that K + 1 trapezoid nodes serve: the
     rule aliases J_{4K-n} into J_n, and |J_nu(z)| <= |z/2|^nu e^{|Im z|}/nu!
     (DLMF 10.14.4), against the J_n scale e^{|Im z|}/sqrt(|z|)."""
     reach = []
     while not reach or reach[-1] < _HANKEL_FROM:
-        nu = 4 * len(reach) + 6 - 2 * count
+        nu = 4 * len(reach) + 4 - max(orders)
         reach.append(_reach(0.5 * math.log(2.0) - math.lgamma(nu + 1),
                             nu + 0.5) if nu > 0 else 0.0)
     return tuple(reach)
 
 
 @functools.cache
-def _trapezoid_nodes(k, count):
-    """sin(theta_j) and the weights (1/K) w_j cos(n theta_j) of the K + 1
-    trapezoid nodes theta_j = j pi/(2K), for J0, J2 (and J4)."""
+def _trapezoid_nodes(k, orders):
+    """sin(theta_j), the weights (1/K) w_j cos(n theta_j), sin for odd n, of
+    the K + 1 trapezoid nodes theta_j = j pi/(2K), and the rows of odd n."""
     theta = np.arange(k + 1) * (0.5 * np.pi / k)
-    weights = np.cos(np.multiply.outer((0, 2, 4)[:count], theta)) / k
+    odd = [i for i, n in enumerate(orders) if n % 2]
+    weights = np.cos(np.multiply.outer(orders, theta)) / k
+    weights[odd] = np.sin(np.multiply.outer(orders, theta)[odd]) / k
     weights[:, [0, -1]] *= 0.5
     sines = np.sin(theta)
     sines.flags.writeable = weights.flags.writeable = False
-    return sines, weights
+    return sines, weights, odd
 
 
 @functools.cache
-def _hankel_table(count):
-    """(-1)^{n/2+k} a_2k(n) over (-1)^{n/2+k} a_2k+1(n) for J0, J2 (and J4)
-    (DLMF 10.17.1), up to the first pair k whose terms at |z| =
-    _HANKEL_FROM are below _BESSEL_TRUNCATION."""
-    n = np.arange(0, 2 * count, 2)[:, None]
+def _hankel_table(orders):
+    """(-1)^{n//2+k} a_2k(n) over (-1)^{n//2+k} a_2k+1(n) for J_n, n in
+    orders (DLMF 10.17.1), up to the first pair k whose terms at |z| =
+    _HANKEL_FROM are below _BESSEL_TRUNCATION, and the rows of odd n."""
+    n = np.array(orders)[:, None]
     k = np.arange(1, 64)
-    a = np.cumprod(np.hstack([np.ones((count, 1)),
+    a = np.cumprod(np.hstack([np.ones((len(orders), 1)),
                               (4 * n * n - (2 * k - 1) ** 2) / (8.0 * k)]),
                    axis=1)
     small = np.abs(a) / _HANKEL_FROM ** np.arange(64) < _BESSEL_TRUNCATION
@@ -195,7 +198,7 @@ def _hankel_table(count):
     sign = (-1.0) ** (n // 2 + np.arange(pairs))
     table = np.vstack([sign * a[:, :2 * pairs:2], sign * a[:, 1:2 * pairs:2]])
     table.flags.writeable = False
-    return table
+    return table, [i for i, n in enumerate(orders) if n % 2]
 
 
 def _powers(x, m):
@@ -206,55 +209,68 @@ def _powers(x, m):
     return np.multiply.accumulate(p, out=p)
 
 
-def _bessel_series(z, count, top):
-    """DLMF 10.2.2 in z^2, M powers from the largest |z|."""
-    reach, coef = _series_table(count)
+def _bessel_series(z, orders, top):
+    """DLMF 10.2.2 in z^2, M powers from the largest |z|, times z for odd n."""
+    reach, coef, odd = _series_table(orders)
     m = bisect.bisect_left(reach, top) + 1
-    return coef[:, :m] @ _powers(z * z, m)
+    out = coef[:, :m] @ _powers(z * z, m)
+    if odd:
+        out[odd] *= z
+    return out
 
 
-def _bessel_trapezoid(z, count, top):
-    """(2/pi) int_0^{pi/2} cos(z sin theta) cos(n theta) dtheta, n even
-    (DLMF 10.9.1), K from the largest |z|: one cos and one matmul."""
-    k = bisect.bisect_left(_trapezoid_reach(count), top) + 1
-    sines, weights = _trapezoid_nodes(k, count)
-    return weights @ np.cos(np.multiply.outer(sines, z))
+def _bessel_trapezoid(z, orders, top):
+    """(2/pi) int_0^{pi/2} of cos(z sin theta) cos(n theta), n even, or of
+    sin(z sin theta) sin(n theta), n odd (DLMF 10.9.1), K from the largest
+    |z|; both integrands are even about 0 and pi/2: the rule is spectral."""
+    k = bisect.bisect_left(_trapezoid_reach(orders), top) + 1
+    sines, weights, odd = _trapezoid_nodes(k, orders)
+    arg = np.multiply.outer(sines, z)
+    out = weights @ np.cos(arg)
+    if odd:
+        out[odd] = weights[odd] @ np.sin(arg)
+    return out
 
 
-def _bessel_hankel(z, count):
-    """DLMF 10.17.3 with cos(z - n pi/2 - pi/4) = (-1)^{n/2} (cos z +
-    sin z)/sqrt 2, so that a large real z keeps its absolute accuracy. J_n
-    of even n is even, so z is taken with Re z >= 0."""
-    z = np.where(z.real < 0.0, -z, z)
+def _bessel_hankel(z, orders):
+    """DLMF 10.17.3 with cos(z - n pi/2 - pi/4) = (-1)^{n//2} times (cos z +
+    sin z)/sqrt 2, n even, or (sin z - cos z)/sqrt 2, n odd, so that a large
+    real z keeps its absolute accuracy; z is taken with Re z >= 0."""
+    flip = z.real < 0.0
+    z = np.where(flip, -z, z)
     w = 1.0 / z
-    table = _hankel_table(count)
-    even_odd = table @ _powers(w * w, table.shape[1])
+    table, odd = _hankel_table(orders)
+    p, q = (table @ _powers(w * w, table.shape[1])).reshape(2, len(orders), -1)
     c, s = np.cos(z), np.sin(z)
-    return ((c + s) * even_odd[:count] - (s - c) * w * even_odd[count:]) \
-        / np.sqrt(np.pi * z)
+    root = np.sqrt(np.pi * z)
+    out = ((c + s) * p - (s - c) * w * q) / root
+    if odd:
+        out[odd] = ((s - c) * p[odd] + (c + s) * w * q[odd]) \
+            / np.where(flip, -root, root)
+    return out
 
 
-def _bessel_rows(z, count):
-    """J0, J2 (and J4 if count is 3) at n values z (or one), shape
-    (count, n), each z in its regime of |z|. A call that one regime covers
-    skips the split."""
+def _bessel_rows(z, orders):
+    """J_n for n in orders ((0, 2) or (0, 2, 4) for _angular_rows, (0, 1, 2)
+    for greens) at n values z (or one), shape (len(orders), n), each z in its
+    regime of |z|. A call that one regime covers skips the split."""
     z = np.atleast_1d(z)
     size = np.abs(z)
     top = size.max()
     if top < _SERIES_BELOW:
-        return _bessel_series(z, count, top)
+        return _bessel_series(z, orders, top)
     if top < _HANKEL_FROM and size.min() >= _SERIES_BELOW:
-        return _bessel_trapezoid(z, count, top)
-    out = np.empty((count, z.size), np.result_type(z, 1.0))
+        return _bessel_trapezoid(z, orders, top)
+    out = np.empty((len(orders), z.size), np.result_type(z, 1.0))
     series, hankel = size < _SERIES_BELOW, size >= _HANKEL_FROM
     middle = ~(series | hankel)
     if series.any():
-        out[:, series] = _bessel_series(z[series], count, size[series].max())
+        out[:, series] = _bessel_series(z[series], orders, size[series].max())
     if middle.any():
-        out[:, middle] = _bessel_trapezoid(z[middle], count,
+        out[:, middle] = _bessel_trapezoid(z[middle], orders,
                                            size[middle].max())
     if hankel.any():
-        out[:, hankel] = _bessel_hankel(z[hankel], count)
+        out[:, hankel] = _bessel_hankel(z[hankel], orders)
     return out
 
 

@@ -669,7 +669,9 @@ def _rate_columns(kind):
 
 
 def _ratio_columns(sw):
-    return [sw.rates(kind) / sw.rates(kind, True) for kind in ("I", "II")]
+    # A 0/0 or x/0 cell comes out non-finite, quietly: run_scan rejects it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [sw.rates(kind) / sw.rates(kind, True) for kind in ("I", "II")]
 
 
 def _sinc_columns(sw):

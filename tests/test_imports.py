@@ -1,12 +1,12 @@
 """What a slabpdc process loads, and the public surface it loads it through.
 
-No amplitude route imports scipy: the far field (``preset``, ``scan``, the
-default ``rate``) needs no Bessel function, and the numeric route, collinear
-or displaced, computes its Bessel rows in numpy, so a ``slabpdc`` process
-does not pay for importing scipy. The Green tensor, the acceptance gate's
-oracle, imports ``scipy.special`` on first use, and the displaced numeric
-route builds its Bessel tables on first use; either first call must give
-the same numbers as any later one.
+The runtime needs numpy alone: no route imports scipy. The far field
+(``preset``, ``scan``, the default ``rate``) needs no Bessel function, and
+the numeric route, collinear or displaced, and the Green tensor, the
+acceptance gate's oracle, take their Bessel rows from one numpy
+implementation (``radial._bessel_rows``), whose tables are built on first
+use; a first call must give the same numbers as any later one. scipy is a
+test dependency only, as a cross-check of those rows.
 
 Nor does a far-field process load the modules it never calls: ``import
 slabpdc`` imports no submodule, the numeric engine (``radial``) loads with
@@ -75,10 +75,13 @@ def deferred_amplitudes():
 
 
 def deferred_green():
-    """First call of the Green tensor, the one route that imports scipy."""
+    """First calls of the Green tensor: the acceptance gate's two on-axis
+    points (q z = 50 and 200 at 1 m) and one off axis."""
     slab = slabpdc.CrystalSlab(material=slabpdc.vacuum(), length=2e-3)
-    return slabpdc.scattering_green_point((1e-4, 2e-5, 1.0), (0.0, 0.0, 0.0),
-                                          50.0 * slabpdc.C_LIGHT, slab)
+    return [slabpdc.scattering_green_point(r_d, (0.0, 0.0, 0.0),
+                                           q * slabpdc.C_LIGHT, slab)
+            for r_d, q in (((0.0, 0.0, 1.0), 50.0), ((0.0, 0.0, 1.0), 200.0),
+                           ((1e-4, 2e-5, 1.0), 50.0))]
 
 
 def test_import_loads_no_submodule(tmp_path):
@@ -92,8 +95,8 @@ print(json.dumps(loaded))
     assert _child(code, tmp_path) == ["slabpdc"]
 
 
-def test_farfield_cli_loads_no_scipy(tmp_path):
-    # Nor the numeric engine, the Green tensor and its quadrature, or json:
+def test_farfield_cli_loads_only_its_modules(tmp_path):
+    # Not the numeric engine, the Green tensor and its quadrature, or json:
     # csv and text output do not use it.
     (tmp_path / "exp.cfg").write_text("n_imag = 1e-6\n")
     code = """\
@@ -102,7 +105,7 @@ import slabpdc.cli as cli
 assert cli.main(["preset", "fig4", "--out", "fig4.csv"]) == 0
 assert cli.main(["rate", "--config", "exp.cfg", "--out", "rate.txt"]) == 0
 loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] in ("scipy", "slabpdc", "json"))
+                if m.split(".")[0] in ("slabpdc", "json"))
 import json
 print(json.dumps(loaded))
 """
@@ -111,27 +114,37 @@ print(json.dumps(loaded))
                                       "slabpdc.scan"]
 
 
-def test_numeric_amplitudes_load_no_scipy(tmp_path):
-    # Collinear and displaced, on a cut (Type II at 0.1 m) and over the
-    # full disc (the thin slab, with and without an offset).
+def test_no_route_loads_scipy(tmp_path):
+    # With scipy blocked, so that any import of it raises: the far-field
+    # CLI, numeric amplitudes collinear and displaced, on a cut (Type II at
+    # 0.1 m) and over the full disc (the thin slab, with and without an
+    # offset), a numeric preset, and the Green tensor on and off axis.
+    (tmp_path / "exp.cfg").write_text("n_imag = 1e-6\n")
     code = """\
 import json, sys
+sys.modules["scipy"] = None
 import slabpdc.cli as cli
 from slabpdc import amplitude_numeric, load_config
-from test_imports import _PATH, _THIN, _DISPLACED_II, _THIN_DISPLACED_II
+from test_imports import (_PATH, _THIN, _DISPLACED_II, _THIN_DISPLACED_II,
+                          deferred_green)
+assert cli.main(["preset", "fig4", "--out", "fig4.csv"]) == 0
+assert cli.main(["rate", "--config", "exp.cfg", "--out", "rate.txt"]) == 0
 for text in (_PATH, _THIN, _DISPLACED_II, _THIN_DISPLACED_II):
     amplitude_numeric(load_config(text))
 assert cli.main(["preset", "fig5", "--method", "numeric",
                  "--out", "fig5.csv"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+deferred_green()
+print(json.dumps({m: repr(sys.modules[m]) for m in sys.modules
+                  if m.split(".")[0] == "scipy"}))
 """
-    assert _child(code, tmp_path) == []
+    assert _child(code, tmp_path) == {"scipy": "None"}
 
 
 def test_deferred_routes_match_on_first_call(tmp_path):
     # Each stage reports the slabpdc submodules and the scipy packages
-    # loaded so far. The first calls load their modules; the second calls,
-    # in the same process, and those of this process give the same numbers.
+    # loaded so far, none at any stage. The first calls load their modules;
+    # the second calls, in the same process, and those of this process give
+    # the same numbers.
     code = """\
 import json, sys
 import numpy as np
@@ -146,7 +159,8 @@ amps = deferred_amplitudes()
 report.append(stage())
 green = deferred_green()
 report.append(stage())
-np.savez("values.npz", *amps, green, *deferred_amplitudes(), deferred_green())
+np.savez("values.npz", *amps, *green, *deferred_amplitudes(),
+         *deferred_green())
 print(json.dumps(report))
 """
     report = _child(code, tmp_path)
@@ -156,11 +170,11 @@ print(json.dumps(report))
         {"slabpdc": [], "scipy": []},
         {"slabpdc": numeric, "scipy": []},
         {"slabpdc": sorted(numeric + ["slabpdc.greens", "slabpdc.quadrature"]),
-         "scipy": ["scipy", "scipy.special"]},
+         "scipy": []},
     ]
     with np.load(tmp_path / "values.npz") as saved:
         got = [saved[f"arr_{i}"] for i in range(len(saved.files))]
-    want = deferred_amplitudes() + [deferred_green()]
+    want = deferred_amplitudes() + deferred_green()
     first, second = got[:len(want)], got[len(want):]
     for f, s, w in zip(first, second, want, strict=True):
         assert np.array_equal(f, s)
@@ -184,7 +198,7 @@ import sys
 import slabpdc
 names = sorted(set(slabpdc.__all__) - set(dir(slabpdc)))
 modules = []
-for name in ("materials", "quadrature", "amplitude", "greens", "radial",
+for name in ("materials", "quadrature", "amplitude", "radial", "greens",
              "scan", "cli"):
     key = "slabpdc." + name
     fresh = key not in sys.modules

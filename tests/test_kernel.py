@@ -6,9 +6,10 @@ degenerate split; here it is checked against their plain composition,
 against 40-digit values, against its own two-mode branch at a degenerate
 split (bit for bit), and for the node counts and kernel calls of the
 radial route it feeds.
-The Bessel factors of _angular_rows are checked against 30-digit values,
-on the real axis and at the complex nodes of the contours, and against
-scipy's jv over the lower half plane.
+The Bessel factors of _angular_rows, and the J0, J1 and J2 rows the Green
+tensor takes, are checked against 30-digit values, on the real axis and at
+the complex nodes of the contours, and against scipy's jv over the lower
+half plane.
 """
 
 from dataclasses import replace
@@ -313,10 +314,11 @@ def _path_arguments():
 
 
 def test_bessel_rows_match_jv():
-    # J0, J2 and J4 of the rows against 30-digit values: on the real axis,
-    # where the tail stencil of a displaced detector takes them, and at
-    # complex kappa rho on the paths (|Im| up to 74 at 0.2 mm and 1 cm),
-    # where the rows grow like e^{|Im|}.
+    # J0, J2 and J4 of the rows, and J1 of the Green tensor's rows, against
+    # 30-digit values: on the real axis, where the tail stencil of a
+    # displaced detector and the Green tensor take them, and at complex
+    # kappa rho on the paths (|Im| up to 74 at 0.2 mm and 1 cm), where the
+    # rows grow like e^{|Im|}.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     real = np.concatenate((np.geomspace(1e-6, 2.0, 60),
@@ -325,38 +327,58 @@ def test_bessel_rows_match_jv():
     path = _path_arguments()
     assert np.max(np.abs(path.imag)) > 50.0
     for x, bound in ((real, 1e-15), (path, 1e-14)):
-        want = [[complex(mp.besselj(n, mp.mpc(v.real, v.imag))) for v in x]
-                for n in (0, 2, 4)]
+        want = {n: np.array([complex(mp.besselj(n, mp.mpc(v.real, v.imag)))
+                             for v in x]) for n in (0, 1, 2, 4)}
+        scale = {n: 1.0 if x is real else np.abs(exact)
+                 for n, exact in want.items()}
         for kind in ("I", "II"):
             rows = _bessel_rows(kind, x)
             assert len(rows) == (4 if kind == "II" else 2)
-            for row, exact in zip(rows[:3], want):
-                scale = 1.0 if x is real else np.abs(exact)
-                assert np.max(np.abs(row - exact) / scale) <= bound, kind
+            for row, n in zip(rows[:3], (0, 2, 4)):
+                assert np.max(np.abs(row - want[n]) / scale[n]) <= bound, kind
             if kind == "II":
                 assert np.all(rows[3] == 0.0)
+        rows = radial._bessel_rows(x, (0, 1, 2))
+        assert rows.dtype == x.dtype
+        for row, n in zip(rows, (0, 1, 2)):
+            assert np.max(np.abs(row - want[n]) / scale[n]) <= bound, n
+    # On axis J1 and J2 are exactly 0, so the Green tensor's off-diagonal
+    # entries vanish there.
+    assert np.array_equal(radial._bessel_rows(np.zeros(2), (0, 1, 2)),
+                          [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_bessel_rows_match_scipy_over_the_lower_half_plane():
     # The numpy rows against scipy's jv, an independent implementation, on
     # a seeded log-polar draw over the lower half plane (|z| <= 400,
-    # |Im z| <= 300) and on arcs just below and just above each switch
-    # point of the three regimes, relative to the scale e^{|Im z|}/sqrt|z|
-    # of J_n there (measured worst 9.7e-16).
+    # |Im z| <= 300, so Re z < 0 as well, where the Hankel regime reflects
+    # z and flips J1's sign) and on arcs just below and just above each
+    # switch point of the three regimes, relative to the scale
+    # e^{|Im z|}/sqrt|z| of J_n there (measured worst 9.8e-16).
     jv = pytest.importorskip("scipy.special").jv
     rng = np.random.default_rng(22)
     z = 10.0 ** rng.uniform(-3.0, np.log10(400.0), 6000) \
         * np.exp(-1j * rng.uniform(0.0, np.pi, 6000))
     arc = np.exp(-1j * np.linspace(0.0, np.pi, 33))
-    z = np.concatenate([z[np.abs(z.imag) <= 300.0]] + [
+    arcs = np.concatenate([
         edge * (1.0 + side) * arc
         for edge in (radial._SERIES_BELOW, radial._HANKEL_FROM)
         for side in (-1e-9, 1e-9)])
-    scale = np.exp(np.abs(z.imag)) / np.sqrt(np.maximum(np.abs(z), 1.0))
+    z = np.concatenate([z[np.abs(z.imag) <= 300.0], arcs])
+
+    def scale(z):
+        return np.exp(np.abs(z.imag)) / np.sqrt(np.maximum(np.abs(z), 1.0))
+
     for kind in ("I", "II"):
         rows = _bessel_rows(kind, z)
         for n, row in zip((0, 2, 4), rows[:3]):
-            assert np.max(np.abs(row - jv(n, z)) / scale) <= 1e-14, (kind, n)
+            assert np.max(np.abs(row - jv(n, z)) / scale(z)) <= 1e-14, \
+                (kind, n)
+    # The Green tensor's orders, on the whole draw and on each arc alone,
+    # which one regime covers.
+    for w in [z] + np.split(arcs, 4):
+        for n, row in zip((0, 1, 2), radial._bessel_rows(w, (0, 1, 2))):
+            assert np.max(np.abs(row - jv(n, w)) / scale(w)) <= 1e-14, n
     # Far out on a contour J_n overflows: the rows come out non-finite,
     # quietly (RuntimeWarnings are errors here), for _path_sums to refuse.
     far = np.array([5.0 - 800.0j, 300.0 - 790.0j, -40.0 - 810.0j])

@@ -159,8 +159,14 @@ def test_scalar_and_single_row_stack_agree():
 
 def test_spec_rejects_unusable_tolerance():
     for tol in (0.0, -1e-8, np.nan):
-        with pytest.raises(ValueError, match="rel_tol"):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
             QuadratureSpec(rel_tol=tol)
+    # An infinite rel_tol would accept the seed partition with no goal.
+    with pytest.raises(ValueError, match="rel_tol must be finite"):
+        QuadratureSpec(rel_tol=np.inf)
+    for floor in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="abs_floor"):
+            QuadratureSpec(abs_floor=floor)
     for budget in (0, np.nan, 2.5, np.inf):
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=budget)
@@ -206,7 +212,27 @@ def test_angular_rejects_bad_inputs_before_sampling():
 
     for kwargs in ({"rel_tol": np.nan}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
                    {"abs_floor": -1e-12}, {"abs_floor": np.nan},
-                   {"max_doublings": 0}, {"max_doublings": -3}):
+                   {"max_doublings": 0}, {"max_doublings": -3},
+                   {"rel_tol": np.inf}, {"abs_floor": np.inf},
+                   {"max_doublings": 2.5}, {"max_doublings": np.inf}):
         with pytest.raises(ValueError, match="integrate_angular"):
             integrate_angular(f, **kwargs)
+    assert calls == []
+    # An integral max_doublings of float type is an integer count.
+    assert abs(integrate_angular(f, max_doublings=3.0) - np.pi) < 1e-12
+
+
+def test_radial_rejects_infinite_limits_before_evaluating():
+    # An infinite limit would otherwise spend the whole budget on NaN nodes.
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-x)
+
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
+        with pytest.raises(ValueError, match="limits must be finite"):
+            integrate_radial(f, a, b)
+    with pytest.raises(ValueError, match="b > a"):
+        integrate_radial(f, 0.0, np.nan)
     assert calls == []

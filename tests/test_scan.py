@@ -697,6 +697,21 @@ def test_non_finite_cell_aborts_the_scan(tmp_path, drive, observable,
         assert main(["scan", "--config", _write_cfg(tmp_path, text)]) == 1
 
 
+def test_non_finite_ratio_cell_gives_one_error(tmp_path, capsys):
+    # The 0/0 of two underflowed rates makes no numpy warning ahead of the
+    # scan's own error (warnings are errors here), and the CLI prints that
+    # error alone.
+    text = ("pump_field = 1e-300\nscan_axis = n_imag\nscan_start = 0.0\n"
+            "scan_stop = 1e-5\nscan_count = 4\n"
+            "observables = rate_ratio_to_lossless\n")
+    with pytest.raises(ScanError, match="rate_ratio_to_lossless_I is not "
+                       "finite: nan"):
+        run_scan(scan_request_from_config(text))
+    assert main(["scan", "--config", _write_cfg(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("slabpdc: error:") and err.count("\n") == 1, err
+
+
 def test_non_finite_cell_keeps_the_rows_before_it():
     # Both rates overflow first at the second point of this length sweep:
     # the error names the first column there, and the first row is kept.
