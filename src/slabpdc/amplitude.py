@@ -102,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import (C_LIGHT, EPS0, HBAR, TEM, CrystalSlab,
-                        noise_factor, reject)
+                        _real_k_perp, noise_factor, reject)
 
 __all__ = [
     "Chi2Geometry",
@@ -164,7 +164,7 @@ class ExperimentConfig:
     """Full description of one coincidence measurement.
 
     pump_field is the incident vacuum amplitude E_p [V/m] of the pump at
-    pump_frequency [rad/s], entering from pump_z <= -L/2. signal/idler
+    pump_frequency [rad/s], its phase taken at the entry face. signal/idler
     frequencies must add up to the pump frequency (defaults split it
     evenly). Detectors sit on the transmission side at z_signal, z_idler
     [m], displaced transversely by offset = rho_signal - rho_idler [m].
@@ -178,7 +178,6 @@ class ExperimentConfig:
     z_idler: float
     signal_frequency: float | None = None
     idler_frequency: float | None = None
-    pump_z: float | None = None
     offset: tuple = (0.0, 0.0)
 
     def __post_init__(self):
@@ -189,13 +188,12 @@ class ExperimentConfig:
             raise ValueError("offset must be two numbers (dx, dy), got "
                              f"{self.offset!r}") from None
         object.__setattr__(self, "offset", off)
-        sig, idl, pump_z = check_point(
+        sig, idl = check_point(
             self.crystal.length, self.pump_field, self.pump_frequency,
             self.signal_frequency, self.idler_frequency, self.z_signal,
-            self.z_idler, self.pump_z, off)
+            self.z_idler, off)
         object.__setattr__(self, "signal_frequency", sig)
         object.__setattr__(self, "idler_frequency", idl)
-        object.__setattr__(self, "pump_z", pump_z)
 
     @property
     def collinear(self):
@@ -203,20 +201,18 @@ class ExperimentConfig:
 
 
 def check_point(length, pump_field, pump_frequency, signal_frequency,
-                idler_frequency, z_signal, z_idler, pump_z, offset):
+                idler_frequency, z_signal, z_idler, offset):
     """The checks of one ExperimentConfig, on one point or on m stacked.
 
     Any number may be an array over axis points; a failing check raises at
     the first point that fails it (``materials.reject``). Returns the split
-    frequencies and the pump plane with their defaults filled in: an even
-    split, and the entry face -L/2.
+    frequencies, an even split where neither is given.
     """
     for name, value in (("pump_field", pump_field),
                         ("pump_frequency", pump_frequency),
                         ("signal_frequency", signal_frequency),
                         ("idler_frequency", idler_frequency),
-                        ("z_signal", z_signal), ("z_idler", z_idler),
-                        ("pump_z", pump_z)):
+                        ("z_signal", z_signal), ("z_idler", z_idler)):
         if value is not None:
             reject((value != value) | (abs(value) == math.inf), ValueError,
                    lambda i: f"{name} must be finite")
@@ -237,14 +233,9 @@ def check_point(length, pump_field, pump_frequency, signal_frequency,
     reject(mismatch > 1e-12 * pump_frequency, ValueError,
            lambda i: "energy conservation violated: signal + idler differs "
            f"from the pump frequency by {np.ravel(mismatch)[i]:.3e} rad/s")
-    if pump_z is None:
-        pump_z = -half
-    else:
-        reject(pump_z > -half, ValueError,
-               lambda i: "pump_z must lie on the incidence side, z <= -L/2")
     reject((z_signal <= half) | (z_idler <= half), ValueError,
            lambda i: "detectors must sit beyond the exit face, z > +L/2")
-    return signal_frequency, idler_frequency, pump_z
+    return signal_frequency, idler_frequency
 
 
 @dataclass(frozen=True)
@@ -347,20 +338,19 @@ def x_factor(sigma_s, sigma_i, fres_pump, fres_s, fres_i, sigma_k, length):
 class _Modes:
     """Frequency-level constants: indices, the pump's slab factors, noise.
 
-    Built from the three frequencies, their indices, the slab length and
-    the pump plane; the normal-incidence pump's pieces are the products
-    _Channels uses, with the TEM coefficients of ``fresnel``. Each input
-    may be a scalar (one config, ``_Modes.of``; ``stacked=True`` makes its
-    indices (1,) arrays, a one-point sweep) or an (m,) array over the axis
-    points of a sweep; every attribute then broadcasts over that leading
-    axis. ``degenerate`` is true when signal and idler are one mode (equal
+    Built from the three frequencies, their indices and the slab length;
+    the normal-incidence pump's pieces are the products _Channels uses,
+    with the TEM coefficients of ``fresnel``. Each input may be a scalar
+    (one config, ``_Modes.of``; ``stacked=True`` makes its indices (1,)
+    arrays, a one-point sweep) or an (m,) array over the axis points of a
+    sweep; every attribute then broadcasts over that leading axis.
+    ``degenerate`` is true when signal and idler are one mode (equal
     frequency and index) at every point.
     """
 
-    def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length,
-                 pump_z):
+    def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length):
         self.omega_s, self.omega_i, self.omega_p = omega_s, omega_i, omega_p
-        self.length, self.pump_z = length, pump_z
+        self.length = length
         self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
         same = (omega_s == omega_i) & (n_s == n_i)
         # a point compares Python numbers: a bool, with no all()
@@ -388,7 +378,7 @@ class _Modes:
                   cfg.pump_frequency)
         indices = cfg.crystal.index(np.array(omegas, dtype=float))
         indices = indices.reshape(3, 1) if stacked else indices.tolist()
-        return cls(*omegas, *indices, cfg.crystal.length, cfg.pump_z)
+        return cls(*omegas, *indices, cfg.crystal.length)
 
     @functools.cached_property
     def normal(self):
@@ -399,15 +389,15 @@ class _Modes:
 def _prefactor(cfg, modes):
     """Common amplitude prefactor: pump drive, z-integral length, noise.
 
-    hbar E_p L d / (4 pi i eps0) * (w_s^2 w_i^2 / c^4) * e^{i q_p z_p}
-    * A*(w_s) A*(w_i). The pump reference phase is carried exactly even
-    though it cancels in the rate.
+    hbar E_p L d / (4 pi i eps0) * (w_s^2 w_i^2 / c^4) * e^{-i q_p L/2}
+    * A*(w_s) A*(w_i), with the pump's phase taken at the entry face,
+    z = -L/2. That phase cancels in the rate.
     """
     om_s, om_i = modes.omega_s, modes.omega_i
     return (HBAR * cfg.pump_field * modes.length * cfg.chi2.d
             / (4j * np.pi * EPS0)
             * (om_s * om_s * om_i * om_i / C_LIGHT ** 4)
-            * np.exp(1j * (modes.omega_p / C_LIGHT) * modes.pump_z)
+            * np.exp(1j * (modes.omega_p / C_LIGHT) * (-0.5 * modes.length))
             * modes.noise)
 
 
@@ -549,9 +539,8 @@ def _polarization_sum(pattern, ch, phi):
 
 
 def _integrand(k_perp, cfg, kind):
-    kx = np.asarray(k_perp[0], dtype=float)
-    ky = np.asarray(k_perp[1], dtype=float)
-    shape = kx.shape
+    kx, ky = _real_k_perp(k_perp)
+    shape = np.shape(kx)
     kx, ky = np.atleast_1d(kx), np.atleast_1d(ky)
     kappa = np.hypot(kx, ky)
     modes = _Modes.of(cfg)
@@ -623,8 +612,8 @@ def farfield_matrices(cfg, modes):
     """The far-field amplitude at every point of modes, shape (..., 2, 2).
 
     cfg supplies the conversion type, the drive and the detector distances;
-    modes the frequencies, indices, slab length and pump plane, as scalars
-    (one (2, 2) matrix) or as (m,) arrays over axis points ((m, 2, 2)).
+    modes the frequencies, indices and slab length, as scalars (one (2, 2)
+    matrix) or as (m,) arrays over axis points ((m, 2, 2)).
 
     This is the kappa = 0 endpoint term of amplitude_numeric's integral
     (Watson's lemma in s = kappa^2). Near the axis the detector phase is
@@ -662,7 +651,7 @@ def amplitude_farfield(cfg):
     a config has one far-field amplitude, bit for bit, here, in ``slabpdc
     rate`` and in the cells of an ``n_imag`` or ``frequency`` sweep
     (``crystal_length`` cells within 1e-15): 0.12-0.16 ms in process on a
-    2-core host, against 0.07-0.11 ms with scalar indices.
+    2-core host.
     Displaced detectors must go through amplitude_numeric. The relative
     error falls like 1/z but grows near a zero of the normal-incidence
     sinc: 3.8e-3 at 1 m and 3.8e-2 at 0.1 m on a 2 mm slab at a 2% split

@@ -201,6 +201,9 @@ def scattering_green_point(r_d, r_A, omega, crystal, spec=None):
     """
     r_d = np.asarray(r_d, dtype=float)
     r_A = np.asarray(r_A, dtype=float)
+    if r_d.shape != (3,) or r_A.shape != (3,):
+        raise ValueError("source and detector points must be 3-vectors "
+                         f"(x, y, z), got shapes {r_A.shape} and {r_d.shape}")
     if not (np.isfinite(r_d).all() and np.isfinite(r_A).all()):
         raise ValueError("source and detector points must be finite")
     length = crystal.length

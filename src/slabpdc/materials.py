@@ -76,7 +76,7 @@ class ConvergenceError(RuntimeError):
 class MaterialDispersion:
     """Complex refractive index n(omega), linearly interpolated in omega.
 
-    omega, n_real, n_imag are equal-length arrays with omega strictly
+    omega, n_real, n_imag are equal-length arrays with omega >= 0 strictly
     increasing, kept as read-only copies. A material built with
     ``constant`` has no range limit.
     """
@@ -106,14 +106,21 @@ class MaterialDispersion:
             raise ValueError("dispersion samples must be finite")
         if not all(a < b for a, b in zip(om, om[1:])):
             raise ValueError("samples must be strictly increasing in omega")
+        if om[0] < 0:
+            raise ValueError("omega samples must not be negative")
         if min(ni) < 0:
             raise ValueError("n_imag < 0 (gain) is not supported")
 
     @classmethod
     def from_wavelength_samples(cls, samples, name="custom"):
         """Build from (vacuum wavelength [nm], n', n'') triples."""
-        rows = sorted(samples, key=lambda s: 2.0 * np.pi * C_LIGHT / (s[0] * 1e-9))
-        om = np.array([2.0 * np.pi * C_LIGHT / (lam * 1e-9) for lam, _, _ in rows])
+        rows = list(samples)
+        if not all(0.0 < lam < math.inf for lam, _, _ in rows):
+            raise ValueError("wavelengths must be positive and finite")
+        # increasing omega is decreasing wavelength
+        rows.sort(key=lambda s: s[0], reverse=True)
+        om = np.array([2.0 * np.pi * C_LIGHT / (lam * 1e-9)
+                       for lam, _, _ in rows])
         nr = np.array([n for _, n, _ in rows])
         ni = np.array([k for _, _, k in rows])
         return cls(om, nr, ni, name=name)
@@ -240,6 +247,10 @@ def absorption_to_n_imag(fraction, omega, convention="intensity", length=0.01):
     The distinction matters because loss-per-cm figures in the literature
     rarely say which is meant; both are supported and documented.
     """
+    # the power of the field decay that the fraction measures
+    power = {"intensity": 2.0, "amplitude": 1.0}.get(convention)
+    if power is None:
+        raise ValueError(f"unknown loss convention {convention!r}")
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
     for name, value in (("omega", omega), ("length", length)):
@@ -247,12 +258,7 @@ def absorption_to_n_imag(fraction, omega, convention="intensity", length=0.01):
             raise ValueError(f"{name} must be finite and positive")
     if fraction == 0.0:
         return 0.0
-    decay = -np.log(1.0 - fraction)
-    if convention == "intensity":
-        return decay * C_LIGHT / (2.0 * omega * length)
-    if convention == "amplitude":
-        return decay * C_LIGHT / (omega * length)
-    raise ValueError(f"unknown loss convention {convention!r}")
+    return -np.log(1.0 - fraction) * C_LIGHT / (power * omega * length)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,27 @@ def branch_sqrt(radicand):
     return w
 
 
+def _real_k_perp(k_perp):
+    """The components (k_x, k_y) of k_perp as floats, or float arrays.
+
+    A component that is not real or not finite raises ValueError at its
+    first such node, which the exception carries as ``index``.
+    """
+    kx, ky = np.asarray(k_perp[0]), np.asarray(k_perp[1])
+    if kx.dtype.kind == "c" or ky.dtype.kind == "c":
+        reject((kx.imag != 0) | (ky.imag != 0), ValueError,
+               lambda i: "k_perp must be real")
+        kx, ky = kx.real, ky.real
+    kx, ky = kx.astype(float, copy=False), ky.astype(float, copy=False)
+    if kx.ndim == ky.ndim == 0:
+        kx, ky = float(kx), float(ky)
+        bad = not (math.isfinite(kx) and math.isfinite(ky))
+    else:
+        bad = np.logical_not(np.isfinite(kx) & np.isfinite(ky))
+    reject(bad, ValueError, lambda i: "k_perp must be finite")
+    return kx, ky
+
+
 def kinematics(omega, n, k_perp=(0.0, 0.0)):
     """ModeKinematics for frequency omega and complex index n.
 
@@ -309,18 +336,7 @@ def kinematics(omega, n, k_perp=(0.0, 0.0)):
            lambda i: "omega must be positive and finite")
     reject(np.logical_not(np.isfinite(n)), ValueError,
            lambda i: "index n must be finite")
-    kx, ky = np.asarray(k_perp[0]), np.asarray(k_perp[1])
-    if kx.dtype.kind == "c" or ky.dtype.kind == "c":
-        reject((kx.imag != 0) | (ky.imag != 0), ValueError,
-               lambda i: "k_perp must be real")
-        kx, ky = kx.real, ky.real
-    kx, ky = kx.astype(float, copy=False), ky.astype(float, copy=False)
-    if kx.ndim == ky.ndim == 0:
-        kx, ky = float(kx), float(ky)
-        bad = not (math.isfinite(kx) and math.isfinite(ky))
-    else:
-        bad = np.logical_not(np.isfinite(kx) & np.isfinite(ky))
-    reject(bad, ValueError, lambda i: "k_perp must be finite")
+    kx, ky = _real_k_perp(k_perp)
     kap2 = kx * kx + ky * ky
     k = (n + 0j) * omega / C_LIGHT
     q = omega / C_LIGHT

@@ -121,7 +121,8 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     ConvergenceError with the best value (None when the seed partition
     alone exceeds the budget).
 
-    ``max_panel`` caps the seed panel width (oscillation control).
+    ``max_panel`` caps the seed panel width (oscillation control); None
+    sets no cap.
     """
     spec = spec or QuadratureSpec()
     if not b > a:
@@ -129,7 +130,9 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration limits must be finite")
     n_seed = 1
-    if max_panel is not None and max_panel > 0:
+    if max_panel is not None:
+        if not max_panel > 0:
+            raise ValueError(f"max_panel must be > 0, got {max_panel!r}")
         n_seed = max(1, int(np.ceil((b - a) / max_panel)))
     if n_seed > spec.max_subdivisions:
         raise ConvergenceError(

@@ -581,7 +581,7 @@ def _numeric_matrices(cfg, modes, tol, out):
     a failed call leaves there every point before its failure.
     """
     fields = (modes.omega_s, modes.omega_i, modes.omega_p, modes.n_s,
-              modes.n_i, modes.n_p, modes.length, modes.pump_z)
+              modes.n_i, modes.n_p, modes.length)
     size = np.broadcast(*fields).size
     for i, point in enumerate(zip(*(np.broadcast_to(v, (size,)).tolist()
                                     for v in fields))):

@@ -34,14 +34,12 @@ Scan keys: ``scan_axis`` (``n_imag`` | ``crystal_length`` | ``delta_k`` |
 Axis semantics
 --------------
 ``n_imag`` applies a frequency-flat n'' to every mode (it overrides both
-n'' keys); ``crystal_length`` rebuilds the slab, keeping the pump waist on
-the entry face (an explicit ``pump_z`` elsewhere is rejected);
-``frequency`` scans the degenerate point (signal = idler =
-x, pump = 2x); ``delta_k`` scans the real phase-mismatch half-phase
-dk L/2 directly and only supports ``sinc_profile`` (no experiment has a
-freely dialable mismatch, so rates are undefined on this axis). The
-imaginary parts of dk and sk on the delta_k axis stay pinned to the
-configured absorption.
+n'' keys); ``crystal_length`` rebuilds the slab; ``frequency`` scans the
+degenerate point (signal = idler = x, pump = 2x); ``delta_k`` scans the
+real phase-mismatch half-phase dk L/2 directly and only supports
+``sinc_profile`` (no experiment has a freely dialable mismatch, so rates
+are undefined on this axis). The imaginary parts of dk and sk on the
+delta_k axis stay pinned to the configured absorption.
 
 ``rate_ratio_to_lossless`` divides by the n'' = 0 evaluation of the same
 config at the same axis point and emits one column per conversion type.
@@ -65,10 +63,8 @@ indent=2)`` layout of an object with ``schema_version`` and ``metadata``,
 then the sweep's ``rows`` list or the single axis-less row inlined;
 non-finite cells read ``NaN``, ``Infinity``, ``-Infinity`` as ``json``
 writes them. A sweep's ``metadata.config`` echoes the experiment keys as
-resolved, in ``_KEYS`` order; its ``pump_z`` is null on a
-``crystal_length`` axis, where each row's pump plane is its own slab's
-entry face. Text, for axis-less results only: one ``name =
-repr(value)`` line per column, complex values whole. Output is
+resolved, in ``_KEYS`` order. Text, for axis-less results only: one
+``name = repr(value)`` line per column, complex values whole. Output is
 byte-deterministic for identical config text. :func:`run_scan`
 evaluates each observable as one column over the whole axis; the kernels
 work elementwise, so a cell depends only on its own point (a far-field
@@ -95,7 +91,7 @@ from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
 
 __version__ = "0.1.0"
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 _AXES = ("n_imag", "crystal_length", "delta_k", "frequency")
 _METHODS = ("farfield", "numeric")
@@ -119,7 +115,6 @@ _KEYS = {
     "coupling": (None, 1e-12),
     "pump_field": (None, 1e5),
     "z_signal": ("length", 1.0), "z_idler": ("length", 1.0),
-    "pump_z": ("length", None),
     "offset_x": ("length", 0.0), "offset_y": ("length", 0.0),
     "n_imag": (None, None), "n_imag_pump": (None, None),
     "frequency": ("frequency", 3.54e15),
@@ -308,9 +303,7 @@ def _resolve(text):
 
     Returns the ExperimentConfig and each key's value in table order: a
     scan key not given holds ``_SCAN``; ``frequency`` is folded into the
-    trio, which holds the resolved frequencies; ``pump_z`` holds the
-    resolved plane, or None on a ``crystal_length`` axis, where each
-    point's plane is its own slab's entry face.
+    trio, which holds the resolved frequencies.
     """
     pairs = _parse_pairs(text)
     values = dict(_DEFAULTS)
@@ -393,11 +386,9 @@ def _resolve(text):
             offset=(values["offset_x"], values["offset_y"]),
             **{key: values[key] for key in (
                 "pump_field", "pump_frequency", "signal_frequency",
-                "idler_frequency", "z_signal", "z_idler", "pump_z")})
+                "idler_frequency", "z_signal", "z_idler")})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    values["pump_z"] = None if values["scan_axis"] == "crystal_length" \
-        else cfg.pump_z
     return cfg, values
 
 
@@ -476,12 +467,6 @@ class ScanRequest:
         if self.axis in ("crystal_length", "frequency") \
                 and self.range[0] <= 0.0:
             raise ValueError(f"{self.axis} scan start must be positive")
-        if self.axis == "crystal_length" \
-                and self.base.pump_z != -0.5 * self.base.crystal.length:
-            raise ValueError(
-                "a crystal_length scan puts the pump plane on each slab's "
-                f"entry face, -L/2; pump_z = {self.base.pump_z!r} is not "
-                f"the base slab's {-0.5 * self.base.crystal.length!r}")
         step = _absorption_step(self.base.crystal.material)
         if step is not None:
             base = self.base
@@ -569,17 +554,16 @@ class _Sweep:
     """Points [0, m) of a sweep, stacked: the input of every column.
 
     The axis sets the stacked inputs once: ``n_imag`` puts a frequency-flat
-    n'' on every mode, ``crystal_length`` sets the slab (the pump plane
-    stays on its entry face), ``frequency`` the degenerate point
-    (x, x, 2x). What the axis leaves alone stays a scalar; indices are at
-    least (1,) arrays, so a column that does not depend on the axis value
-    (the lossless one on the ``n_imag`` axis) is evaluated once and
-    broadcast. The stack passes each point's ExperimentConfig checks
-    (``check_point``); the ``ScanRequest`` range checks already cover those
-    of the material and the slab; a point is not checked again. ``numeric``
-    maps (kind, lossless) to the numeric matrices of the leading points,
-    kept from a longer sweep over the same points that failed
-    (``run_scan``). A far-field cell is its point's own
+    n'' on every mode, ``crystal_length`` sets the slab, ``frequency`` the
+    degenerate point (x, x, 2x). What the axis leaves alone stays a scalar;
+    indices are at least (1,) arrays, so a column that does not depend on
+    the axis value (the lossless one on the ``n_imag`` axis) is evaluated
+    once and broadcast. The stack passes each point's ExperimentConfig
+    checks (``check_point``); the ``ScanRequest`` range checks already
+    cover those of the material and the slab; a point is not checked again.
+    ``numeric`` maps (kind, lossless) to the numeric matrices of the
+    leading points, kept from a longer sweep over the same points that
+    failed (``run_scan``). A far-field cell is its point's own
     ``amplitude_farfield`` (a one-point stack): bit for bit on the
     ``n_imag`` and ``frequency`` axes, within 1e-15 on ``crystal_length``,
     where the prefactor's complex division of the (m,) lengths is numpy's.
@@ -598,10 +582,9 @@ class _Sweep:
         else:
             omega_p, sig, idl = (base.pump_frequency, base.signal_frequency,
                                  base.idler_frequency)
-        pump_z = None if axis == "crystal_length" else base.pump_z
-        sig, idl, self.pump_z = check_point(
+        sig, idl = check_point(
             self.length, base.pump_field, omega_p, sig, idl,
-            base.z_signal, base.z_idler, pump_z, base.offset)
+            base.z_signal, base.z_idler, base.offset)
         self.omegas = (sig, idl, omega_p)
         # the idler's mode: the signal's where they share a frequency (one
         # array on the frequency axis, one number elsewhere)
@@ -632,7 +615,7 @@ class _Sweep:
         """The _Modes of the stack."""
         return self._once(("modes", lossless), lambda: _Modes(
             *self.omegas, *(self.index(j, lossless) for j in range(3)),
-            self.length, self.pump_z))
+            self.length))
 
     def config(self, kind):
         """The base config with conversion type kind: what every point

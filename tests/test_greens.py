@@ -312,3 +312,9 @@ def test_green_geometry_validation():
                         ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), np.inf)):
         with pytest.raises(ValueError, match="finite|positive"):
             scattering_green_point(r_d, r_A, w, crystal)
+    for r_d, r_A in (((0.0, 1.0), (0.0, 0.0, 0.0)),
+                     ((0.0, 0.0, 1.0), (0.0, 0.0)),
+                     ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+                     (((0.0, 0.0, 1.0),), (0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="3-vectors"):
+            scattering_green_point(r_d, r_A, omega, crystal)

@@ -125,12 +125,25 @@ def test_vacuum_is_unity():
     ([2e15, 2e15], [1.6, 1.7], [0.0, 0.0], "strictly increasing"),
     ([2e15, 1e15], [1.6, 1.7], [0.0, 0.0], "strictly increasing"),
     ([1e15, 2e15], [1.6, 1.7], [0.0, -1e-9], "gain"),
+    ([-1e15, 2e15], [1.6, 1.7], [0.0, 0.0], "must not be negative"),
 ], ids=["lengths", "empty", "nan", "inf", "repeated", "decreasing",
-        "gain"])
+        "gain", "negative-omega"])
 def test_table_rejections(omega, n_real, n_imag, message):
     with pytest.raises(ValueError, match=message):
         MaterialDispersion(np.array(omega), np.array(n_real),
                            np.array(n_imag))
+
+
+def test_wavelength_samples_must_be_positive_and_finite():
+    for lam in (0.0, -532.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MaterialDispersion.from_wavelength_samples(
+                [(1064.0, 1.65, 0.0), (lam, 1.67, 0.0)])
+    # rows in any order give the table in increasing omega
+    mat = MaterialDispersion.from_wavelength_samples(
+        [(532.0, 1.67, 0.0), (266.0, 1.75, 0.0), (1064.0, 1.65, 0.0)])
+    assert mat.n_real.tolist() == [1.65, 1.67, 1.75]
+    assert np.array_equal(mat.omega, bbo_ordinary().omega)
 
 
 def test_tables_are_read_only_copies():
@@ -174,6 +187,9 @@ def test_absorption_validation():
         absorption_to_n_imag(-0.1, OMEGA)
     with pytest.raises(ValueError):
         absorption_to_n_imag(0.1, OMEGA, convention="per-mile")
+    # the convention is checked before the zero-fraction shortcut
+    with pytest.raises(ValueError, match="unknown loss convention"):
+        absorption_to_n_imag(0.0, OMEGA, convention="bogus")
     for omega in (-OMEGA, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="omega"):
             absorption_to_n_imag(0.1, omega)

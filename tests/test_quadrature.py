@@ -235,4 +235,8 @@ def test_radial_rejects_infinite_limits_before_evaluating():
             integrate_radial(f, a, b)
     with pytest.raises(ValueError, match="b > a"):
         integrate_radial(f, 0.0, np.nan)
+    # a seed-panel cap that is not > 0 is not read as "no cap"
+    for max_panel in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="max_panel must be > 0"):
+            integrate_radial(f, 0.0, 1.0, max_panel=max_panel)
     assert calls == []

@@ -54,6 +54,10 @@ def test_unknown_key_with_position():
         load_config("# header\nbirefringence = 0.1\n")
     assert info.value.line == 2
     assert info.value.col == 1
+    # the pump's phase is referenced at the entry face: no key moves it
+    with pytest.raises(ConfigError) as info:
+        load_config("pump_z = -1 mm\n")
+    assert str(info.value) == "line 1, col 1: unknown key 'pump_z'"
 
 
 def test_duplicate_key():
@@ -133,7 +137,6 @@ def test_empty_text_gives_documented_defaults():
     assert cfg.pump_frequency == 7.08e15
     assert cfg.chi2.kind == "I"
     assert cfg.z_signal == 1.0 and cfg.z_idler == 1.0
-    assert cfg.pump_z == -1e-3
     assert cfg.crystal.index(3.54e15).imag == 0.0
 
 
@@ -320,34 +323,6 @@ def test_request_validation():
     with pytest.raises(ValueError, match="positive"):
         ScanRequest(base=base, axis="crystal_length", range=(0.0, 1e-3, 5),
                     observables=("rate_I",))
-
-
-def test_crystal_length_scan_rejects_a_pump_z_off_the_entry_face(tmp_path):
-    # The sweep puts the pump plane on each slab's entry face, -L/2, so a
-    # pump_z set elsewhere would be silently ignored (or, on a long enough
-    # slab, would not even be on the incidence side): it is rejected.
-    axis = ("scan_axis = crystal_length\nscan_start = 1 mm\n"
-            "scan_stop = 3 mm\nscan_count = 3\n"
-            "observables = amplitude_matrix\n")
-    for pump_z in ("-3 mm", "-1.2 mm"):
-        with pytest.raises(ConfigError, match="entry face"):
-            scan_request_from_config(f"pump_z = {pump_z}\n{axis}")
-        with pytest.raises(ValueError, match="entry face"):
-            ScanRequest(base=load_config(f"pump_z = {pump_z}\n"),
-                        axis="crystal_length", range=(1e-3, 3e-3, 3),
-                        observables=("rate_I",))
-        cfg = _write_cfg(tmp_path, f"pump_z = {pump_z}\n{axis}")
-        assert main(["scan", "--config", cfg]) == 1
-    # On the entry face, given or by default, the sweep runs; other axes
-    # keep an explicit pump_z.
-    for text in ("pump_z = -1 mm\n", ""):
-        result = run_scan(scan_request_from_config(text + axis))
-        for x, row in zip(result.axis_values, result.rows):
-            own = amplitude_farfield(
-                load_config(f"crystal_length = {x!r}\n")).matrix.ravel()
-            assert np.max(np.abs(np.array(row) - own)) \
-                <= 1e-12 * np.max(np.abs(own))
-    scan_request_from_config("pump_z = -3 mm\n" + SCAN_TEXT)
 
 
 def test_non_integer_count_rejected():
@@ -891,7 +866,7 @@ def test_csv_shape_and_round_trip():
 def test_json_document():
     result = run_scan(scan_request_from_config(SCAN_TEXT))
     doc = json.loads(emit(result, format="json").decode())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["metadata"]["axis"] == "n_imag"
     assert doc["metadata"]["count"] == 5
     assert doc["metadata"]["config"]["material"] == "bbo_ordinary"
@@ -900,19 +875,18 @@ def test_json_document():
 
 
 def test_json_config_echo():
-    # The experiment keys as resolved, in one fixed order; a crystal_length
-    # sweep gives each row its own slab's entry face, so pump_z reads null.
+    # The experiment keys as resolved, in one fixed order, on every axis.
     axis = ("scan_axis = {}\nscan_start = {}\nscan_stop = {}\n"
             "scan_count = 2\nobservables = {}\n")
     default = {"material": "bbo_ordinary", "crystal_length": 0.002,
                "pump_frequency": 7.08e15, "signal_frequency": 3.54e15,
                "idler_frequency": 3.54e15, "conversion": "I",
                "coupling": 1e-12, "pump_field": 1e5, "z_signal": 1.0,
-               "z_idler": 1.0, "pump_z": -0.001, "offset_x": 0.0,
-               "offset_y": 0.0, "n_imag": None, "n_imag_pump": None}
+               "z_idler": 1.0, "offset_x": 0.0, "offset_y": 0.0,
+               "n_imag": None, "n_imag_pump": None}
     split = {**default, "crystal_length": 0.003, "signal_frequency": 3.44e15,
              "idler_frequency": 3.64e15, "conversion": "II",
-             "pump_z": -0.0015, "n_imag": 2e-6, "n_imag_pump": 1.2e-5}
+             "n_imag": 2e-6, "n_imag_pump": 1.2e-5}
     for text, want in (
             (axis.format("n_imag", 0.0, 1e-6, "rate_I"), default),
             ("crystal_length = 3 mm\nconversion = II\n"
@@ -920,7 +894,7 @@ def test_json_config_echo():
              "n_imag = 2e-6\nn_imag_pump = 1.2e-5\n"
              + axis.format("delta_k", 0.1, 1.0, "sinc_profile"), split),
             (axis.format("crystal_length", "1 mm", "3 mm", "rate_I"),
-             {**default, "pump_z": None})):
+             default)):
         doc = json.loads(emit(run_scan(scan_request_from_config(text)),
                               format="json"))
         assert list(doc["metadata"]["config"].items()) == list(want.items())
@@ -964,7 +938,7 @@ def _rowwise_emit(result, format):
         lines = [",".join(name for name, _ in flat[0])]
         lines += [",".join(repr(v) for _, v in cells) for cells in flat]
         return ("\n".join(lines) + "\n").encode()
-    doc = {"schema_version": 1, "metadata": result.metadata}
+    doc = {"schema_version": 2, "metadata": result.metadata}
     if result.axis is None:
         (cells,) = flat
         doc.update(cells)
@@ -1027,7 +1001,7 @@ def _dumped(result):
     rows: the layout emit's JSON must equal byte for byte."""
     names, texts = result.cells
     rows = [dict(zip(names, map(float, row))) for row in zip(*texts)]
-    doc = {"schema_version": 1, "metadata": result.metadata}
+    doc = {"schema_version": 2, "metadata": result.metadata}
     if result.axis is not None:
         doc["rows"] = rows
     elif rows:
@@ -1210,8 +1184,9 @@ def test_cli_preset_dump_config(tmp_path):
 
 
 def test_cli_validation_failures_exit_1(tmp_path):
-    bad = _write_cfg(tmp_path, "birefringence = 0.1\n")
-    assert main(["rate", "--config", bad]) == 1
+    for text in ("birefringence = 0.1\n", "pump_z = -1 mm\n"):
+        bad = _write_cfg(tmp_path, text)
+        assert main(["rate", "--config", bad]) == 1
     assert main(["rate", "--config", str(tmp_path / "absent.cfg")]) == 1
     no_scan = _write_cfg(tmp_path, "n_imag = 1e-6\n", name="plain.cfg")
     assert main(["scan", "--config", no_scan]) == 1
