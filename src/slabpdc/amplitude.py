@@ -74,16 +74,16 @@ Stacked points
 --------------
 A sweep varies one scalar of the config. The frequency-level kernels
 (dispersion, kinematics, Fresnel and X factors, noise factors) broadcast
-over a leading axis of m sweep points, and so does _Channels at kappa = 0:
-_Modes.normal holds it once per mode set for both conversion types, and
-farfield_matrices evaluates a whole sweep at once; amplitude_farfield is
-the one-point stack, so a config's far field is the same bit for bit from
-either (within 1e-15 on a crystal_length sweep). Every kernel works
-elementwise, so a point's value does not depend on the points stacked with
-it. The numeric route integrates point by point on the same split:
+over a leading axis of stacked points, and so does _Channels at kappa = 0:
+farfield_matrices gives both conversion types over a whole stack (a
+sweep's points, then their lossless reference) in one pass, and
+amplitude_farfield is the one-point stack, so a config's far field is the
+same bit for bit from either (within 1e-15 on a crystal_length sweep).
+Every kernel works elementwise, so a point's value does not depend on the
+points stacked with it. The numeric route integrates point by point:
 radial._numeric_matrices takes the config the points share and the
-checked stack, and hands _numeric_matrix one point's _Modes, sliced from
-it, at a time.
+fields of the checked stack, and hands _numeric_matrix one point's
+_Modes, sliced from them, at a time.
 
 The package needs numpy alone: no amplitude, far-field or numeric, and
 not the Green tensor, imports scipy. The Bessel rows (radial._bessel_rows,
@@ -380,11 +380,6 @@ class _Modes:
         indices = indices.reshape(3, 1) if stacked else indices.tolist()
         return cls(*omegas, *indices, cfg.crystal.length)
 
-    @functools.cached_property
-    def normal(self):
-        """_Channels at normal incidence, kappa = 0; shared by both types."""
-        return _Channels(self, 0.0)
-
 
 def _prefactor(cfg, modes):
     """Common amplitude prefactor: pump drive, z-integral length, noise.
@@ -477,6 +472,22 @@ class _Channels:
         self.slab = complex_sinc(0.5 * self.delta_k * modes.length) * half
 
 
+def _channel_sums(ch, kinds):
+    """TT, MM, EM, ME of _angular_rows (EM, ME None without "II") and per
+    conversion type in kinds its weight and J0 channel sum, each piece
+    formed once."""
+    c_s, c_i = ch.sig.c, ch.idl.c
+    cc = c_s * c_i
+    tt, mm = ch.x[0, 0], cc * cc * ch.x[1, 1]
+    denom = 4.0 * np.pi * ch.sig.k_z * ch.idl.k_z
+    me = em = None
+    if "II" in kinds:
+        me, em = c_s * c_s * ch.x[1, 0], c_i * c_i * ch.x[0, 1]
+    return tt, mm, em, me, [
+        (ch.slab / (2.0 * denom), tt + me + em + mm) if kind == "II"
+        else (ch.slab / denom, tt + mm) for kind in kinds]
+
+
 def _angular_rows(cfg, ch, kappa, rho):
     """Rows of the angular integral per unit kappa, detector phase excluded.
 
@@ -484,25 +495,13 @@ def _angular_rows(cfg, ch, kappa, rho):
     "II") times a channel sum and its Bessel factor of kappa rho. With
     TT = X_TE,TE, MM = (c_s c_i)^2 X_TM,TM, EM = c_i^2 X_TE,TM and
     ME = c_s^2 X_TM,TE the rows are (TT+MM) J0, (TT-MM) J2 for "I" and
-    (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II".
-    On axis J_n(0) = 0 for n > 0, so only the J0 row is returned; the
-    radial measure kappa dkappa is the caller's. kappa may be complex (the
-    contour nodes): J0, J2 and J4 are even, so either root of s = kappa^2
-    gives the same rows.
+    (TT+ME+EM+MM) J0, (TT-MM) J2, ((TT+MM)-(EM+ME)) J4, (EM-ME) J2 for "II"
+    (_channel_sums). On axis J_n(0) = 0 for n > 0, so only the J0 row is
+    returned; the radial measure kappa dkappa is the caller's. kappa may be
+    complex (the contour nodes): J0, J2 and J4 are even, so either root of
+    s = kappa^2 gives the same rows.
     """
-    c_s, c_i = ch.sig.c, ch.idl.c
-    cc = c_s * c_i
-    tt = ch.x[0, 0]
-    mm = cc * cc * ch.x[1, 1]
-    denom = 4.0 * np.pi * ch.sig.k_z * ch.idl.k_z
-    if cfg.chi2.kind == "II":
-        denom = 2.0 * denom
-        me = c_s * c_s * ch.x[1, 0]
-        em = c_i * c_i * ch.x[0, 1]
-        first = tt + me + em + mm
-    else:
-        first = tt + mm
-    weight = ch.slab / denom
+    tt, mm, em, me, ((weight, first),) = _channel_sums(ch, (cfg.chi2.kind,))
     if rho == 0.0:
         return np.asarray(weight * first)[None]
     # J_n grows like e^{|Im kappa rho|} and overflows far out on a contour,
@@ -609,11 +608,13 @@ def _engine():
 
 
 def farfield_matrices(cfg, modes):
-    """The far-field amplitude at every point of modes, shape (..., 2, 2).
+    """The far-field amplitudes of both conversion types at every point of
+    modes: {"I": ..., "II": ...}, each of shape (..., 2, 2).
 
-    cfg supplies the conversion type, the drive and the detector distances;
-    modes the frequencies, indices and slab length, as scalars (one (2, 2)
-    matrix) or as (m,) arrays over axis points ((m, 2, 2)).
+    cfg supplies the drive and the detector distances (one pass serves
+    both types), modes the frequencies, indices and slab length, as
+    scalars (one (2, 2) matrix per type) or as (m,) arrays over stacked
+    points ((m, 2, 2)).
 
     This is the kappa = 0 endpoint term of amplitude_numeric's integral
     (Watson's lemma in s = kappa^2). Near the axis the detector phase is
@@ -636,12 +637,14 @@ def farfield_matrices(cfg, modes):
     if not cfg.collinear:
         raise ValueError("far-field form needs zero transverse offset; use "
                          "amplitude_numeric for displaced detectors")
-    (row,) = _angular_rows(cfg, modes.normal, 0.0, 0.0)
-    psi0 = modes.q_s * cfg.z_signal + modes.q_i * cfg.z_idler
-    spread = cfg.z_signal / modes.q_s + cfg.z_idler / modes.q_i
-    return np.multiply.outer(
-        _prefactor(cfg, modes) * row * np.exp(1j * psi0) / (1j * spread),
-        cfg.chi2.pattern)
+    *_, sums = _channel_sums(_Channels(modes, 0.0), ("I", "II"))
+    pref = _prefactor(cfg, modes)
+    phase = np.exp(1j * (modes.q_s * cfg.z_signal + modes.q_i * cfg.z_idler))
+    spread = 1j * (cfg.z_signal / modes.q_s + cfg.z_idler / modes.q_i)
+    # each type left to right, as the J0 row's ((pref r) e^{i psi0}) / (i Z)
+    return {kind: np.multiply.outer(pref * (weight * first) * phase / spread,
+                                    Chi2Geometry(kind).pattern)
+            for kind, (weight, first) in zip(("I", "II"), sums)}
 
 
 def amplitude_farfield(cfg):
@@ -650,12 +653,13 @@ def amplitude_farfield(cfg):
     farfield_matrices on a one-point stack, (1,) indices as in a sweep, so
     a config has one far-field amplitude, bit for bit, here, in ``slabpdc
     rate`` and in the cells of an ``n_imag`` or ``frequency`` sweep
-    (``crystal_length`` cells within 1e-15): 0.12-0.16 ms in process on a
-    2-core host.
+    (``crystal_length`` cells within 1e-15): 0.11-0.15 ms in process on a
+    2-core host, both conversion types in one pass.
     Displaced detectors must go through amplitude_numeric. The relative
     error falls like 1/z but grows near a zero of the normal-incidence
     sinc: 3.8e-3 at 1 m and 3.8e-2 at 0.1 m on a 2 mm slab at a 2% split
     (farfield_matrices).
     """
-    (matrix,) = farfield_matrices(cfg, _Modes.of(cfg, stacked=True))
+    (matrix,) = farfield_matrices(cfg, _Modes.of(cfg, stacked=True))[
+        cfg.chi2.kind]
     return BiphotonAmplitude.from_matrix(matrix)

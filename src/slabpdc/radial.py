@@ -543,10 +543,9 @@ def _integrate_oscillatory(rows, phase, modes, tol):
 def _numeric_matrix(cfg, modes, tol):
     """amplitude_numeric's (2, 2) matrix at the one point of modes.
 
-    As for farfield_matrices, cfg supplies the conversion type, the drive
-    and the detectors, and modes (here Python scalars) all the rest, so a
-    sweep passes the config its points share and each point's slice of
-    its checked stack.
+    cfg supplies the conversion type, the drive and the detectors, and
+    modes (here Python scalars) all the rest, so a sweep passes the config
+    its points share and each point's slice of its checked stack.
     """
     phase = _DetectorPhase(cfg, modes)
     rho = float(np.hypot(*cfg.offset))
@@ -570,25 +569,25 @@ def _numeric_matrix(cfg, modes, tol):
     return matrix(vec)
 
 
-def _numeric_matrices(cfg, modes, tol, out):
-    """_numeric_matrix at every point of modes, shape (m, 2, 2).
+def _numeric_matrices(cfg, fields, tol, out):
+    """_numeric_matrix at every point of a stack, shape (m, 2, 2).
 
-    m is the broadcast size of the fields of modes. Each point is sliced to
-    Python scalars, so that its arithmetic is that of ``_Modes.of`` on the
-    point's own config, and an error carries its point as ``index``. The
-    list ``out`` holds the matrices of the leading points that an earlier
-    call on the same points computed; each new point is appended to it, so
-    a failed call leaves there every point before its failure.
+    fields are the seven inputs of _Modes, m their broadcast size. Each
+    point is sliced to Python scalars, so that its arithmetic and its
+    checks are those of ``_Modes.of`` on the point's own config, in point
+    order, and an error carries its point as ``index``. The dict ``out``
+    maps a point's scalars to its matrix: a point that an earlier call (or
+    an equal point before it) computed is taken from there, and each new
+    one is added, so a failed call leaves there every point before its
+    failure.
     """
-    fields = (modes.omega_s, modes.omega_i, modes.omega_p, modes.n_s,
-              modes.n_i, modes.n_p, modes.length)
     size = np.broadcast(*fields).size
-    for i, point in enumerate(zip(*(np.broadcast_to(v, (size,)).tolist()
-                                    for v in fields))):
-        if i >= len(out):
+    points = [*zip(*(np.broadcast_to(v, (size,)).tolist() for v in fields))]
+    for i, point in enumerate(points):
+        if point not in out:
             try:
-                out.append(_numeric_matrix(cfg, _Modes(*point), tol))
+                out[point] = _numeric_matrix(cfg, _Modes(*point), tol)
             except Exception as exc:
                 exc.index = i
                 raise
-    return np.array(out[:size])
+    return np.array([out[point] for point in points])

@@ -29,7 +29,8 @@ Scan keys: ``scan_axis`` (``n_imag`` | ``crystal_length`` | ``delta_k`` |
 ``frequency``), ``scan_start``, ``scan_stop``, ``scan_count``, and
 ``observables`` (comma-separated subset of ``rate_I``, ``rate_II``,
 ``rate_ratio_to_lossless``, ``sinc_profile``, ``a_factor_gain``,
-``amplitude_matrix``).
+``amplitude_matrix``). A bound takes its axis' dimension: an unknown axis
+is rejected at ``scan_axis``, a suffixed bound with no axis at the bound.
 
 Axis semantics
 --------------
@@ -53,24 +54,25 @@ one-point result of :func:`point_result` (a rate and its 2x2 amplitude,
 ``amplitude_farfield``'s or ``amplitude_numeric``'s bit for bit).
 It works column by column: the text of every cell (the shortest
 round-trip decimal, ``repr``) is rendered once per result
-(:attr:`ScanResult.cells`) and shared by the CSV and JSON forms. A column
-is complex when any of its cells is, and is then written as paired
-``_re`` / ``_im`` columns in both formats. CSV: one header row (axis
-first, when there is one), one row per point; non-finite cells (of a
-hand-built result: a sweep rejects them) read ``nan``, ``inf``,
-``-inf``. JSON: byte for byte the ``json.dumps(doc,
-indent=2)`` layout of an object with ``schema_version`` and ``metadata``,
-then the sweep's ``rows`` list or the single axis-less row inlined;
-non-finite cells read ``NaN``, ``Infinity``, ``-Infinity`` as ``json``
-writes them. A sweep's ``metadata.config`` echoes the experiment keys as
-resolved, in ``_KEYS`` order. Text, for axis-less results only: one
-``name = repr(value)`` line per column, complex values whole. Output is
-byte-deterministic for identical config text. :func:`run_scan`
-evaluates each observable as one column over the whole axis; the kernels
-work elementwise, so a cell depends only on its own point (a far-field
-cell is the point's own ``amplitude_farfield``, bit for bit, or within
-1e-15 on ``crystal_length``), and a sweep fails at the point, and with the
-error, where that point's own config fails.
+(:attr:`ScanResult.cells`) and shared by the CSV and JSON forms; a sweep
+renders it from its column arrays, a hand-built result from its rows. A
+column is complex when any of its cells is (a complex dtype), and is then
+written as paired ``_re`` / ``_im`` columns in both formats. CSV: a header
+row (axis first, when there is one), one row per point; non-finite cells
+(of a hand-built result: a sweep rejects them) read ``nan``, ``inf``,
+``-inf``. JSON: byte for byte the ``json.dumps(doc, indent=2)`` layout
+of an object with ``schema_version`` and ``metadata``, then the sweep's
+``rows`` list or the single axis-less row inlined; non-finite cells read
+``NaN``, ``Infinity``, ``-Infinity`` as ``json`` writes them. A sweep's
+``metadata.config`` echoes the experiment keys as resolved, in ``_KEYS``
+order. Text, for axis-less results only: one ``name = repr(value)`` line
+per column, complex values whole. Output is byte-deterministic for
+identical config text. :func:`run_scan` evaluates each observable as one
+column over the whole axis (a ratio's lossless reference in the same
+stack); the kernels work elementwise, so a cell depends only on its own
+point (a far-field cell is the point's own ``amplitude_farfield``, bit for
+bit, or within 1e-15 on ``crystal_length``), and a sweep fails at the
+point, and with the error, where that point's own config fails.
 """
 
 from __future__ import annotations
@@ -248,8 +250,10 @@ def _parse_quantity(key, value, *, dimension):
         raise ValueError(f"key '{key}': unknown suffix '{suffix}'")
     marks, scale = _SUFFIXES[suffix]
     if dimension != marks:
-        raise ValueError(
-            f"key '{key}' is not a {marks}; suffix '{suffix}' rejected")
+        raise ValueError(f"key '{key}' has no scan_axis to give suffix "
+                         f"'{suffix}' a dimension" if dimension is _SCAN else
+                         f"key '{key}' is not a {marks}; suffix '{suffix}' "
+                         "rejected")
     return x * scale
 
 
@@ -312,6 +316,9 @@ def _resolve(text):
         entry, dimension = pairs[key], _KEYS[key][0]
         if dimension == "word":
             values[key] = entry[0]
+            if key == "scan_axis" and entry[0] not in _AXES:
+                raise ConfigError(f"scan_axis must be one of {_AXES}, got "
+                                  f"'{entry[0]}'", *_position(entry))
         elif dimension == "list":
             values[key] = tuple(filter(None, map(str.strip,
                                                  entry[0].split(","))))
@@ -323,7 +330,8 @@ def _resolve(text):
                                   *_position(entry)) from None
         else:
             if dimension == "axis":
-                dimension = _KEYS.get(values["scan_axis"], (None,))[0]
+                dimension = _SCAN if values["scan_axis"] is _SCAN \
+                    else _KEYS.get(values["scan_axis"], (None,))[0]
             try:
                 values[key] = _parse_quantity(key, entry[0],
                                               dimension=dimension)
@@ -396,8 +404,9 @@ def load_config(text):
     """Resolve config text to an :class:`ExperimentConfig`.
 
     Scan keys are part of the schema: they are parsed here too, so a
-    malformed one is rejected with its position, and otherwise ignored;
-    anything else unknown is rejected with its position.
+    malformed one (an unknown axis, a suffixed bound with no axis) is
+    rejected with its position, and otherwise ignored; anything else
+    unknown is rejected with its position.
     """
     cfg, _ = _resolve(text)
     return cfg
@@ -524,26 +533,28 @@ class ScanResult:
     def cells(self):
         """(names, texts): the flat column names, axis first, and per name
         the ``repr`` of its cells, point by point, all in tuples. A column
-        with a complex cell is split into ``name_re`` / ``name_im``."""
-        names, texts = [], []
-        if self.axis is not None:
-            names.append(self.axis)
-            texts.append(_reprs(self.axis_values))
-        values = list(zip(*self.rows)) or repeat(())
-        for name, column in zip(self.columns, values):
-            if any(map(isinstance, column, repeat(complex))):
-                names += [name + "_re", name + "_im"]
-                texts += [_reprs(v.real for v in column),
-                          _reprs(v.imag for v in column)]
-            else:
-                names.append(name)
-                texts.append(_reprs(column))
-        return tuple(names), tuple(texts)
+        with a complex cell is split into ``name_re`` / ``name_im``.
+        :func:`run_scan` sets them from its column arrays; a hand-built
+        result's come from its rows, one array per column."""
+        return _cells(self.axis, self.axis_values, self.columns, map(
+            np.array, list(zip(*self.rows)) or [()] * len(self.columns)))
 
 
-def _reprs(values):
-    # through a list: tuple() of a bare map grows its tuple step by step
-    return tuple([*map(repr, map(float, values))])
+def _cells(axis, axis_values, names, columns):
+    """ScanResult.cells of column arrays; a complex dtype marks a column to
+    split into its real and imaginary parts."""
+    flat, texts = [], []
+    named = zip(names, columns)
+    if axis is not None:
+        named = chain([(axis, np.asarray(axis_values, float))], named)
+    for name, column in named:
+        split = column.dtype.kind == "c"
+        flat += [name + "_re", name + "_im"] if split else [name]
+        parts = (column.real, column.imag) if split \
+            else (column.astype(float, copy=False),)
+        # through a list: tuple() of a bare map grows its tuple step by step
+        texts += [tuple([*map(repr, part.tolist())]) for part in parts]
+    return tuple(flat), tuple(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -556,26 +567,25 @@ class _Sweep:
     The axis sets the stacked inputs once: ``n_imag`` puts a frequency-flat
     n'' on every mode, ``crystal_length`` sets the slab, ``frequency`` the
     degenerate point (x, x, 2x). What the axis leaves alone stays a scalar;
-    indices are at least (1,) arrays, so a column that does not depend on
-    the axis value (the lossless one on the ``n_imag`` axis) is evaluated
-    once and broadcast. The stack passes each point's ExperimentConfig
-    checks (``check_point``); the ``ScanRequest`` range checks already
-    cover those of the material and the slab; a point is not checked again.
-    ``numeric`` maps (kind, lossless) to the numeric matrices of the
-    leading points, kept from a longer sweep over the same points that
-    failed (``run_scan``). A far-field cell is its point's own
-    ``amplitude_farfield`` (a one-point stack): bit for bit on the
-    ``n_imag`` and ``frequency`` axes, within 1e-15 on ``crystal_length``,
-    where the prefactor's complex division of the (m,) lengths is numpy's.
-    Each piece is made once per sweep and kept (``_once``): the dispersion
-    of each distinct frequency (the idler's is the signal's at a degenerate
-    split), each conversion type's config, amplitudes and rates.
+    indices are at least (1,) arrays. The stack passes each point's
+    ExperimentConfig checks (``check_point``); the ``ScanRequest`` range
+    checks already cover those of the material and the slab; a point is
+    not checked again. Where a column needs it (``lossless``), the stack
+    goes on with the points' lossless reference: r = 1 point on the
+    ``n_imag`` axis, where they share it, else r = m; an error at stacked
+    point m + j is reported at axis point j. One far-field pass gives both
+    conversion types over the whole stack; the numeric route integrates
+    its points in turn, reusing those (``numeric``, by type) of a longer
+    sweep that failed (``run_scan``). Each piece is made once and kept
+    (``_once``): the dispersion of each distinct frequency (the idler's is
+    the signal's at a degenerate split), the stack, amplitudes and rates.
     """
 
-    def __init__(self, base, axis, x, method, tol, numeric):
+    def __init__(self, base, axis, x, method, tol, numeric, lossless):
         self.base, self.axis, self.x = base, axis, x
         self.method, self.tol, self.numeric = method, tol, numeric
         self.count = len(x)
+        self.reference = lossless * (1 if axis == "n_imag" else self.count)
         self.length = x if axis == "crystal_length" else base.crystal.length
         if axis == "frequency":
             omega_p, sig, idl = 2.0 * x, x, x
@@ -611,38 +621,42 @@ class _Sweep:
                 0.0 if lossless else self.n_imag))
         return n
 
-    def modes(self, lossless=False):
-        """The _Modes of the stack."""
-        return self._once(("modes", lossless), lambda: _Modes(
-            *self.omegas, *(self.index(j, lossless) for j in range(3)),
-            self.length))
+    def fields(self):
+        """The _Modes inputs of the stack: the m points, then their
+        reference (a scalar is every point's value, the reference's too)."""
+        m, r = self.count, self.reference
 
-    def config(self, kind):
-        """The base config with conversion type kind: what every point
-        shares (type, drive and detectors)."""
-        base = self.base
-        return base if kind == base.chi2.kind else self._once(
-            ("config", kind),
-            lambda: replace(base, chi2=replace(base.chi2, kind=kind)))
+        def stacked(points, reference):
+            if not r or np.ndim(points) == 0:
+                return points
+            out = np.empty(m + r, np.result_type(points, reference))
+            out[:m], out[m:] = points, reference
+            return out
 
-    def amplitude(self, kind, lossless=False):
-        """One conversion type's (m, 2, 2) amplitudes, or (1, 2, 2) where
-        every point has one config (the lossless ``n_imag`` axis): one
-        far-field evaluation over the stack, or one integral per point."""
-        key = ("amplitude", kind, lossless)
-        if key not in self._memo:
-            # the stack first, so that a bad point fails at its own index
-            stack, cfg = self.modes(lossless), self.config(kind)
-            self._memo[key] = farfield_matrices(cfg, stack) \
-                if self.method == "farfield" else _engine()._numeric_matrices(
-                    cfg, stack, self.tol,
-                    self.numeric.setdefault((kind, lossless), []))
-        return self._memo[key]
+        return self._once("fields", lambda: [*map(
+            stacked, (*self.omegas, *map(self.index, range(3)), self.length),
+            (*self.omegas, *(self.index(j, r > 0) for j in range(3)),
+             self.length))])
+
+    def amplitude(self, kind):
+        """One conversion type's (m + r, 2, 2) amplitudes over the stack."""
+        try:
+            if self.method == "farfield":
+                return self._once("farfield", lambda: farfield_matrices(
+                    self.base, _Modes(*self.fields())))[kind]
+            return self._once(kind, lambda: _engine()._numeric_matrices(
+                replace(self.base, chi2=Chi2Geometry(kind, self.base.chi2.d)),
+                self.fields(), self.tol, self.numeric.setdefault(kind, {})))
+        except Exception as exc:
+            # stacked point m + j is reference point j, axis point j
+            if getattr(exc, "index", 0) >= self.count:
+                exc.index -= self.count
+            raise
 
     def rates(self, kind, lossless=False):
-        """rates() of one conversion type's amplitudes."""
-        return self._once(("rates", kind, lossless),
-                          lambda: rates(self.amplitude(kind, lossless)))
+        """rates() of one conversion type's points, or of their reference."""
+        stack = self._once(("rates", kind), lambda: rates(self.amplitude(kind)))
+        return stack[self.count:] if lossless else stack[:self.count]
 
 
 def _rate_columns(kind):
@@ -652,9 +666,7 @@ def _rate_columns(kind):
 
 
 def _ratio_columns(sw):
-    # A 0/0 or x/0 cell comes out non-finite, quietly: run_scan rejects it.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return [sw.rates(kind) / sw.rates(kind, True) for kind in ("I", "II")]
+    return [sw.rates(kind) / sw.rates(kind, True) for kind in ("I", "II")]
 
 
 def _sinc_columns(sw):
@@ -690,7 +702,7 @@ def _gain_columns(sw):
 
 
 def _matrix_columns(sw):
-    matrices = sw.amplitude(sw.base.chi2.kind)
+    matrices = sw.amplitude(sw.base.chi2.kind)[:sw.count]
     return list(matrices.reshape(-1, 4).T)
 
 
@@ -724,16 +736,20 @@ def run_scan(req):
     axis_values = np.linspace(start, stop, count)
     names = tuple(name for obs in req.observables
                   for name in _OBSERVABLES[obs][0])
+    lossless = "rate_ratio_to_lossless" in req.observables
     done, error = count, None
     columns = [[] for _ in names]
     numeric = {}
     while done:
         try:
             sweep = _Sweep(req.base, req.axis, axis_values[:done],
-                           req.method, req.tol, numeric)
-            cols = [np.broadcast_to(col, (done,))
-                    for obs in req.observables
-                    for col in _OBSERVABLES[obs][1](sweep)]
+                           req.method, req.tol, numeric, lossless)
+            # a non-finite cell (a 0/0 ratio, say) fails as its column's
+            # error below, with no numpy warning ahead of it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cols = [np.broadcast_to(col, (done,))
+                        for obs in req.observables
+                        for col in _OBSERVABLES[obs][1](sweep)]
             for name, col in zip(names, cols):
                 reject(~np.isfinite(col), ValueError,
                        lambda i: f"{name} is not finite: {col[i].item()!r}")
@@ -762,8 +778,11 @@ def run_scan(req):
         "tol": req.tol,
         "config": dict(req.echo),
     }
-    return ScanResult(axis=req.axis, axis_values=tuple(axis_values.tolist()),
-                      columns=names, rows=rows, metadata=metadata)
+    result = ScanResult(axis=req.axis, axis_values=tuple(axis_values.tolist()),
+                        columns=names, rows=rows, metadata=metadata)
+    # fill the cache of the cached_property from the column arrays
+    vars(result)["cells"] = _cells(req.axis, axis_values, names, cols)
+    return result
 
 
 def point_result(cfg, method="farfield", tol=1e-6):
@@ -771,7 +790,7 @@ def point_result(cfg, method="farfield", tol=1e-6):
 
     The amplitude is ``amplitude_farfield(cfg)`` or ``amplitude_numeric(cfg,
     tol)`` itself, bit for bit, on cfg as it was checked when built: about
-    0.12-0.18 ms in process on the far field (2-core host).
+    0.13-0.17 ms in process on the far field (2-core host).
     """
     _check_route(method, tol)
     amp = amplitude_farfield(cfg) if method == "farfield" \

@@ -127,7 +127,7 @@ def _check_public_composition(modes):
 @pytest.mark.parametrize("length", [1e-4, 2e-3])
 def test_stacked_normal_channels_match_public_composition(loss, length):
     modes = _modes(loss, length, m=5)
-    ch = modes.normal
+    ch = _Channels(modes, 0.0)
     ref = _public_channels(modes, 0.0)
     assert np.shape(ch.slab) == (5,)
     assert _rel(ch.x, ref.x) <= 1e-10

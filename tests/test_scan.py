@@ -6,6 +6,7 @@ returning partial tables.
 """
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from slabpdc import amplitude, radial, scan
 from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
-from slabpdc.materials import DispersionRangeError, noise_factor
+from slabpdc.materials import (CrystalSlab, DispersionRangeError,
+                               MaterialDispersion, noise_factor)
 from slabpdc.quadrature import ConvergenceError
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
                           ScanResult, emit, load_config, point_result, preset,
@@ -233,6 +235,29 @@ def test_scan_keys_are_parsed_by_load_config(tmp_path):
     assert (cfg.signal_frequency, cfg.crystal.length) == (3.54e15, 2e-3)
 
 
+def test_scan_bounds_need_a_known_axis():
+    # A bound's suffix is checked against its axis' dimension: with the
+    # axis missing or unknown, the axis is what gets reported, at scan_axis
+    # (plain bounds too) or, where there is none, at the suffixed bound.
+    cases = [("scan_start = 2 mm\n", (1, 14), "'scan_start' has no "
+              "scan_axis to give suffix 'mm' a dimension"),
+             ("n_imag = 1e-6\nscan_stop = 3e15 rad/s\n", (2, 13),
+              "'scan_stop' has no scan_axis to give suffix 'rad/s'"),
+             ("scan_axis = bogus\nscan_start = 1 mm\n", (1, 13),
+              "scan_axis must be one of .*got 'bogus'"),
+             ("scan_axis = bogus\nscan_start = 0.0\n", (1, 13),
+              "scan_axis must be one of .*got 'bogus'")]
+    for text, position, message in cases:
+        for load in (load_config, scan_request_from_config):
+            with pytest.raises(ConfigError, match=message) as info:
+                load(text + "scan_count = 3\nobservables = rate_I\n")
+            assert (info.value.line, info.value.col) == position
+    # a known axis still gives its bounds their dimension
+    assert load_config("scan_axis = crystal_length\nscan_start = 1 mm\n")
+    with pytest.raises(ConfigError, match="is not a length; suffix 'mm'"):
+        load_config("scan_axis = frequency\nscan_start = 1 mm\n")
+
+
 def test_semantic_errors_become_config_errors():
     with pytest.raises(ConfigError, match="positive"):
         load_config("crystal_length = 0 mm\n")
@@ -352,7 +377,8 @@ def test_ratio_scan_rows():
 
 def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
     # On the n_imag axis the lossless config is the same at every point, so
-    # the numeric route computes it once per conversion type.
+    # the numeric route computes it once per conversion type; point 0, at
+    # n'' = 0, is that config too, and is not integrated again.
     calls = []
 
     def counted(cfg, modes, tol):
@@ -363,7 +389,7 @@ def test_ratio_scan_computes_lossless_amplitude_once(monkeypatch):
     monkeypatch.setattr(radial, "_numeric_matrix", counted)
     result = run_scan(scan_request_from_config(SCAN_TEXT, method="numeric"))
     count = len(result.rows)
-    assert len(calls) == 2 * count + 2
+    assert len(calls) == 2 * count
 
 
 def test_numeric_scan_checks_no_point_twice(monkeypatch):
@@ -441,33 +467,67 @@ def test_farfield_ratio_scan_kernel_calls_do_not_grow_with_points(
 
 def test_farfield_ratio_scan_shares_normal_channels_between_types(
         monkeypatch):
-    # Both conversion types read one normal-incidence evaluation per mode
-    # set: two mode sets (absorbing and lossless), not four columns.
-    built = []
+    # Both conversion types, and the lossless reference stacked after the
+    # points, read one normal-incidence evaluation of one mode stack.
+    built = {"_Modes": [], "_Channels": []}
 
-    def counted(modes, kappa):
-        built.append(modes)
-        return channels(modes, kappa)
+    def counting(name, real):
+        def counted(*args):
+            built[name].append(args)
+            return real(*args)
+        return counted
 
-    channels = amplitude._Channels
-    monkeypatch.setattr(amplitude, "_Channels", counted)
+    for name in built:
+        monkeypatch.setattr(scan if name == "_Modes" else amplitude, name,
+                            counting(name, getattr(amplitude, name)))
     run_scan(scan_request_from_config(SCAN_TEXT))
-    assert len(built) == len({id(m) for m in built}) == 2
+    assert len(built["_Modes"]) == len(built["_Channels"]) == 1
+    # the 5 points and their one lossless reference on the n_imag axis
+    (modes, kappa), = built["_Channels"]
+    assert kappa == 0.0 and modes.n_s.shape == (6,)
+    assert modes.n_s[5] == modes.n_s[0].real
+
+
+@pytest.mark.parametrize("axis, start, stop", [
+    ("n_imag", "0.0", "1e-5"), ("crystal_length", "1 mm", "3 mm"),
+    ("frequency", "3.5e15", "3.54e15")])
+def test_sweep_stacks_a_lossless_reference_only_for_ratios(
+        monkeypatch, axis, start, stop):
+    # The reference is one point on the n_imag axis and one per point on
+    # the others; a sweep with no ratio column builds none.
+    sizes = []
+
+    def counted(*fields):
+        sizes.append(np.broadcast(*fields).size)
+        return modes(*fields)
+
+    modes = amplitude._Modes
+    monkeypatch.setattr(scan, "_Modes", counted)
+    text = (f"n_imag = 1e-6\nscan_axis = {axis}\nscan_start = {start}\n"
+            f"scan_stop = {stop}\nscan_count = 4\nobservables = ")
+    for observables, size in (("rate_I, rate_II, amplitude_matrix", 4),
+                              ("rate_I, rate_ratio_to_lossless",
+                               5 if axis == "n_imag" else 8)):
+        run_scan(scan_request_from_config(text + observables + "\n"))
+        assert sizes.pop() == size and not sizes
 
 
 @pytest.mark.parametrize("name, evals, checks, rates_calls", [
-    ("fig3", 2, 1, 0), ("fig4", 1, 1, 0), ("fig5", 2, 2, 4),
-    ("fig6", 2, 2, 4)])
+    ("fig3", 2, 1, 0), ("fig4", 1, 1, 0), ("fig5", 2, 1, 2),
+    ("fig6", 2, 1, 2)])
 def test_preset_sweeps_do_each_piece_once(monkeypatch, name, evals, checks,
                                           rates_calls):
     # One dispersion evaluation per distinct frequency (signal and idler
-    # share theirs at the presets' degenerate split), one config check per
-    # conversion type besides the stack's, and one rates() per amplitude
-    # stack. These counts do not depend on the machine.
+    # share theirs at the presets' degenerate split), one config check (the
+    # stack's: the far field takes both conversion types from one pass, with
+    # no config per type), and one rates() per type over the stack of the
+    # points and their lossless reference. These counts do not depend on
+    # the machine.
     from slabpdc import materials
 
     req = preset(name)
-    calls = {"dispersion_eval": 0, "check_point": 0, "rates": 0}
+    calls = {"dispersion_eval": 0, "check_point": 0, "rates": 0,
+             "replace": 0}
 
     def counting(fname, real):
         def counted(*args, **kwargs):
@@ -481,9 +541,10 @@ def test_preset_sweeps_do_each_piece_once(monkeypatch, name, evals, checks,
     for module in (amplitude, scan):
         monkeypatch.setattr(module, "check_point", checked)
     monkeypatch.setattr(scan, "rates", counting("rates", scan.rates))
+    monkeypatch.setattr(scan, "replace", counting("replace", scan.replace))
     run_scan(req)
     assert calls == {"dispersion_eval": evals, "check_point": checks,
-                     "rates": rates_calls}
+                     "rates": rates_calls, "replace": 0}
 
 
 def test_scan_determinism():
@@ -555,6 +616,91 @@ observables = amplitude_matrix
     cfg = _write_cfg(tmp_path, text)
     assert main(["scan", "--config", cfg, "--method", "numeric",
                  "--tol", "5e-11"]) == 2
+
+
+def test_numeric_ratio_scan_keeps_points_and_reference_on_retry(
+        monkeypatch):
+    # The failing pass integrates points 0 and 1 of Type I and fails at 2;
+    # the retry over points 0 and 1 keeps those two and integrates their
+    # lossless reference alone, then Type II: no amplitude twice, and every
+    # ratio is its point's own.
+    text = ("n_imag = 1e-6\nscan_axis = crystal_length\nscan_start = 0.5 mm\n"
+            "scan_stop = 3 mm\nscan_count = 6\n"
+            "observables = rate_ratio_to_lossless\n")
+    calls = []
+
+    def counted(cfg, modes, tol):
+        calls.append((cfg.chi2.kind, modes.length, modes.n_s.imag))
+        return numeric_matrix(cfg, modes, tol)
+
+    numeric_matrix = radial._numeric_matrix
+    monkeypatch.setattr(radial, "_numeric_matrix", counted)
+    with pytest.raises(ScanError, match="axis point 2") as info:
+        run_scan(scan_request_from_config(text, method="numeric", tol=5e-11))
+    monkeypatch.undo()
+    assert calls == [("I", 5e-4, 1e-6), ("I", 1e-3, 1e-6), ("I", 1.5e-3, 1e-6),
+                     ("I", 5e-4, 0.0), ("I", 1e-3, 0.0),
+                     ("II", 5e-4, 1e-6), ("II", 1e-3, 1e-6),
+                     ("II", 5e-4, 0.0), ("II", 1e-3, 0.0)]
+    for x, row in zip((5e-4, 1e-3), info.value.rows):
+        for kind, ratio in zip(("I", "II"), row):
+            lossy, lossless = (rate(amplitude_numeric(load_config(
+                f"conversion = {kind}\nn_imag = {n}\n"
+                f"crystal_length = {x!r}\n"), tol=5e-11)) for n in (1e-6, 0))
+            assert ratio == lossy / lossless
+
+
+@pytest.mark.parametrize("method", ["farfield", "numeric"])
+@pytest.mark.parametrize("axis, start, stop", [
+    ("crystal_length", 1e-3, 3e-3), ("n_imag", 1e-4, 1e-3)])
+def test_failing_lossless_reference_fails_at_its_point(method, axis, start,
+                                                       stop):
+    # With n' = 0 the absorbing eps = -n''^2 is fine, and the lossless
+    # reference's is 0: the stacked failure at m + j is reported at axis
+    # point j (0 on the n_imag axis, whose reference is one point), with
+    # the error of that point's own lossless config. On the n_imag axis the
+    # numeric route fails first on the absorbing point 0 itself.
+    base = replace(load_config(""), crystal=CrystalSlab(
+        material=MaterialDispersion.constant(0.0, 1e-3)))
+    req = ScanRequest(base=base, axis=axis, range=(start, stop, 4),
+                      observables=("rate_I", "rate_ratio_to_lossless"),
+                      method=method)
+    with pytest.raises(ScanError, match=r"at axis point 0 .* after 0 "
+                       r"completed rows: ") as info:
+        run_scan(req)
+    assert info.value.completed == 0 and info.value.rows == ()
+    if method == "numeric" and axis == "n_imag":
+        assert isinstance(info.value.__cause__, ConvergenceError)
+    else:
+        assert type(info.value.__cause__) is ZeroDivisionError
+        assert str(info.value.__cause__) == "noise_factor singular at eps = 0"
+
+
+def test_reference_failure_is_found_in_one_retry(monkeypatch):
+    # n' falls to 0 at 3.5e15 rad/s, axis point 1 of this frequency sweep:
+    # only that point's lossless reference has eps = 0. Its stacked index
+    # 5 + 1 maps back to point 1, so one retry over point 0 ends the scan;
+    # the retry loop does not walk down from the stacked index.
+    material = MaterialDispersion([1e15, 3.5e15, 8e15], [1.5, 0.0, 1.5],
+                                  [1e-3, 1e-3, 1e-3])
+    base = replace(load_config(""),
+                   crystal=CrystalSlab(material=material))
+    req = ScanRequest(base=base, axis="frequency",
+                      range=(3.375e15, 3.875e15, 5),
+                      observables=("rate_ratio_to_lossless",))
+    built = []
+
+    def counted(*fields):
+        built.append(np.broadcast(*fields).size)
+        return modes(*fields)
+
+    modes = amplitude._Modes
+    monkeypatch.setattr(scan, "_Modes", counted)
+    with pytest.raises(ScanError, match=r"at axis point 1 .* after 1 "
+                       r"completed rows: noise_factor singular") as info:
+        run_scan(req)
+    assert built == [10, 2]
+    assert info.value.completed == 1 and len(info.value.rows) == 1
 
 
 def test_detector_inside_slab_aborts_at_its_point():
