@@ -22,7 +22,7 @@ Geometry and units
 SI throughout. The slab occupies z in [-L/2, +L/2]; the pump arrives from
 z < -L/2, detectors sit at z_signal, z_idler > +L/2 on the transmission
 side, separated transversely by ``offset`` = rho_signal - rho_idler.
-Frequencies satisfy omega_signal + omega_idler = omega_pump exactly.
+The pump frequency is omega_signal + omega_idler by construction.
 
 Polarization bookkeeping
 ------------------------
@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (C_LIGHT, EPS0, HBAR, TEM, CrystalSlab,
+from .materials import (C_LIGHT, EPS0, HBAR, TEM, CrystalSlab, _real,
                         _real_k_perp, noise_factor, reject)
 
 __all__ = [
@@ -148,6 +148,7 @@ class Chi2Geometry:
         if self.kind not in ("I", "II"):
             raise ValueError(f"conversion type must be 'I' or 'II', "
                              f"got {self.kind!r}")
+        object.__setattr__(self, "d", _real("d", self.d))
         if not 0 < self.d < np.inf:
             raise ValueError("susceptibility strength d must be positive "
                              "and finite")
@@ -163,79 +164,72 @@ class Chi2Geometry:
 class ExperimentConfig:
     """Full description of one coincidence measurement.
 
-    pump_field is the incident vacuum amplitude E_p [V/m] of the pump at
-    pump_frequency [rad/s], its phase taken at the entry face. signal/idler
-    frequencies must add up to the pump frequency (defaults split it
-    evenly). Detectors sit on the transmission side at z_signal, z_idler
-    [m], displaced transversely by offset = rho_signal - rho_idler [m].
+    pump_field is the incident vacuum amplitude E_p [V/m] of the pump, its
+    phase taken at the entry face. The pump splits into the signal and
+    idler frequencies [rad/s], so its own frequency is their sum
+    (``pump_frequency``, read-only). Detectors sit on the transmission side
+    at z_signal, z_idler [m], displaced transversely by
+    offset = rho_signal - rho_idler [m]. Every number is stored as a float.
     """
 
     crystal: CrystalSlab
     chi2: Chi2Geometry
     pump_field: float
-    pump_frequency: float
+    signal_frequency: float
+    idler_frequency: float
     z_signal: float
     z_idler: float
-    signal_frequency: float | None = None
-    idler_frequency: float | None = None
     offset: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         try:
             dx, dy = self.offset
-            off = (float(dx), float(dy))
+            off = (_real("offset", dx), _real("offset", dy))
         except (TypeError, ValueError):
             raise ValueError("offset must be two numbers (dx, dy), got "
                              f"{self.offset!r}") from None
         object.__setattr__(self, "offset", off)
-        sig, idl = check_point(
-            self.crystal.length, self.pump_field, self.pump_frequency,
-            self.signal_frequency, self.idler_frequency, self.z_signal,
-            self.z_idler, off)
-        object.__setattr__(self, "signal_frequency", sig)
-        object.__setattr__(self, "idler_frequency", idl)
+        for name in ("pump_field", "signal_frequency", "idler_frequency",
+                     "z_signal", "z_idler"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        check_point(self.crystal.length, self.pump_field,
+                    self.signal_frequency, self.idler_frequency,
+                    self.z_signal, self.z_idler, off)
+
+    @property
+    def pump_frequency(self):
+        """The pump's frequency [rad/s]: signal + idler."""
+        return self.signal_frequency + self.idler_frequency
 
     @property
     def collinear(self):
         return self.offset == (0.0, 0.0)
 
 
-def check_point(length, pump_field, pump_frequency, signal_frequency,
-                idler_frequency, z_signal, z_idler, offset):
+def check_point(length, pump_field, signal_frequency, idler_frequency,
+                z_signal, z_idler, offset):
     """The checks of one ExperimentConfig, on one point or on m stacked.
 
     Any number may be an array over axis points; a failing check raises at
-    the first point that fails it (``materials.reject``). Returns the split
-    frequencies, an even split where neither is given.
+    the first point that fails it (``materials.reject``).
     """
     for name, value in (("pump_field", pump_field),
-                        ("pump_frequency", pump_frequency),
                         ("signal_frequency", signal_frequency),
                         ("idler_frequency", idler_frequency),
                         ("z_signal", z_signal), ("z_idler", z_idler)):
-        if value is not None:
-            reject((value != value) | (abs(value) == math.inf), ValueError,
-                   lambda i: f"{name} must be finite")
+        reject((value != value) | (abs(value) == math.inf), ValueError,
+               lambda i: f"{name} must be finite")
     if not (math.isfinite(offset[0]) and math.isfinite(offset[1])):
         raise ValueError("offset must be finite")
     reject(pump_field <= 0, ValueError,
            lambda i: "pump_field must be positive")
-    reject(pump_frequency <= 0, ValueError,
-           lambda i: "pump_frequency must be positive")
-    half = 0.5 * length
-    if signal_frequency is None and idler_frequency is None:
-        signal_frequency = idler_frequency = 0.5 * pump_frequency
-    elif signal_frequency is None or idler_frequency is None:
-        raise ValueError("give both split frequencies or neither")
     reject((signal_frequency <= 0) | (idler_frequency <= 0), ValueError,
            lambda i: "split frequencies must be positive")
-    mismatch = abs(signal_frequency + idler_frequency - pump_frequency)
-    reject(mismatch > 1e-12 * pump_frequency, ValueError,
-           lambda i: "energy conservation violated: signal + idler differs "
-           f"from the pump frequency by {np.ravel(mismatch)[i]:.3e} rad/s")
+    reject(signal_frequency + idler_frequency == math.inf, ValueError,
+           lambda i: "the pump frequency, signal + idler, must be finite")
+    half = 0.5 * length
     reject((z_signal <= half) | (z_idler <= half), ValueError,
            lambda i: "detectors must sit beyond the exit face, z > +L/2")
-    return signal_frequency, idler_frequency
 
 
 @dataclass(frozen=True)
@@ -338,18 +332,20 @@ def x_factor(sigma_s, sigma_i, fres_pump, fres_s, fres_i, sigma_k, length):
 class _Modes:
     """Frequency-level constants: indices, the pump's slab factors, noise.
 
-    Built from the three frequencies, their indices and the slab length;
-    the normal-incidence pump's pieces are the products _Channels uses,
-    with the TEM coefficients of ``fresnel``. Each input may be a scalar
-    (one config, ``_Modes.of``; ``stacked=True`` makes its indices (1,)
-    arrays, a one-point sweep) or an (m,) array over the axis points of a
-    sweep; every attribute then broadcasts over that leading axis.
-    ``degenerate`` is true when signal and idler are one mode (equal
-    frequency and index) at every point.
+    Built from the signal and idler frequencies, the three indices (signal,
+    idler, pump) and the slab length; the pump's frequency is the pair's
+    sum, omega_p = omega_s + omega_i. The normal-incidence pump's pieces
+    are the products _Channels uses, with the TEM coefficients of
+    ``fresnel``. Each input may be a scalar (one config, ``_Modes.of``;
+    ``stacked=True`` makes its indices (1,) arrays, a one-point sweep) or
+    an (m,) array over the axis points of a sweep; every attribute then
+    broadcasts over that leading axis. ``degenerate`` is true when signal
+    and idler are one mode (equal frequency and index) at every point.
     """
 
-    def __init__(self, omega_s, omega_i, omega_p, n_s, n_i, n_p, length):
-        self.omega_s, self.omega_i, self.omega_p = omega_s, omega_i, omega_p
+    def __init__(self, omega_s, omega_i, n_s, n_i, n_p, length):
+        self.omega_s, self.omega_i = omega_s, omega_i
+        self.omega_p = omega_p = omega_s + omega_i
         self.length = length
         self.n_s, self.n_i, self.n_p = n_s, n_i, n_p
         same = (omega_s == omega_i) & (n_s == n_i)
@@ -374,11 +370,10 @@ class _Modes:
 
     @classmethod
     def of(cls, cfg, stacked=False):
-        omegas = (cfg.signal_frequency, cfg.idler_frequency,
-                  cfg.pump_frequency)
-        indices = cfg.crystal.index(np.array(omegas, dtype=float))
+        sig, idl = cfg.signal_frequency, cfg.idler_frequency
+        indices = cfg.crystal.index(np.array((sig, idl, sig + idl)))
         indices = indices.reshape(3, 1) if stacked else indices.tolist()
-        return cls(*omegas, *indices, cfg.crystal.length)
+        return cls(sig, idl, *indices, cfg.crystal.length)
 
 
 def _prefactor(cfg, modes):

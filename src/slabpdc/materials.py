@@ -188,6 +188,18 @@ def reject(bad, error, message):
         raise exc
 
 
+def _real(name, value):
+    """float(value), or ValueError("<name> must be a real number") for an
+    array, text, a complex number (numpy's too, which float() would cut to
+    its real part) or anything else float() refuses."""
+    if not isinstance(value, (str, bytes, complex, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a real number")
+
+
 def _first(bad):
     """reject's point: the first i where ``bad`` holds, or None."""
     if isinstance(bad, np.ndarray):
@@ -483,6 +495,7 @@ class CrystalSlab:
     length: float = 2e-3
 
     def __post_init__(self):
+        object.__setattr__(self, "length", _real("length", self.length))
         if not 0 < self.length < np.inf:
             raise ValueError("crystal length must be positive and finite")
 

@@ -59,7 +59,6 @@ class QuadratureSpec:
     """Tolerances and budget for the adaptive driver."""
 
     rel_tol: float = 1e-8
-    abs_floor: float = 0.0
     max_subdivisions: int = 4000
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
         if not np.isfinite(self.rel_tol):
             raise ValueError("rel_tol must be finite")
-        if not 0 <= self.abs_floor < np.inf:
-            raise ValueError("abs_floor must be finite and >= 0")
         if not (self.max_subdivisions >= 1
                 and float(self.max_subdivisions).is_integer()):
             raise ValueError("max_subdivisions must be an integer >= 1")
@@ -111,15 +108,15 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     entries much smaller than the vector as a whole are not chased to
     relative precision individually. The seed partition is evaluated at
     once; refinement then runs in rounds until the summed error estimate
-    drops to the goal: target = max(rel_tol*|value|_1, abs_floor), or the
-    roundoff floor of the integrand if that is larger. Each round bisects,
-    worst first, the fewest panels whose errors add up to more than
-    err_total - goal, and evaluates all their children in one blocked
-    pass. A round that needs more panels than the subdivision budget has
-    left bisects at most half of what is left, so the budget follows the
-    worst children down, as a one-panel heap's would. A spent budget raises
-    ConvergenceError with the best value (None when the seed partition
-    alone exceeds the budget).
+    drops to the goal: target = rel_tol*|value|_1, or the roundoff floor
+    of the integrand if that is larger. Each round bisects, worst first,
+    the fewest panels whose errors add up to more than err_total - goal,
+    and evaluates all their children in one blocked pass. A round that
+    needs more panels than the subdivision budget has left bisects at most
+    half of what is left, so the budget follows the worst children down,
+    as a one-panel heap's would. A spent budget raises ConvergenceError
+    with the best value (None when the seed partition alone exceeds the
+    budget).
 
     ``max_panel`` caps the seed panel width (oscillation control); None
     sets no cap.
@@ -146,8 +143,7 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
     while True:
         total = val.sum(axis=-1)
         err_total = float(err.sum())
-        target = max(spec.rel_tol * float(np.sum(np.abs(total))),
-                     spec.abs_floor)
+        target = spec.rel_tol * float(np.sum(np.abs(total)))
         goal = max(target, 50.0 * np.finfo(float).eps * float(resabs.sum()))
         if err_total <= goal:
             return total, err_total
@@ -176,32 +172,30 @@ def integrate_radial(f, a, b, spec=None, max_panel=None):
             f, edges[kids], edges[kids + 1])
 
 
-def integrate_angular(f, rel_tol=1e-10, abs_floor=0.0, max_doublings=16):
+def integrate_angular(f, rel_tol=1e-10):
     """Integral of a periodic function over [0, 2 pi).
 
     Trapezoid rule on a uniform grid, doubled until two successive grids
-    agree; for smooth periodic integrands this converges spectrally.
+    agree to rel_tol (or to the rounding floor); for smooth periodic
+    integrands this converges spectrally. After 16 doublings (2^19
+    samples) it raises ConvergenceError with the last grid's value.
     f is called with an array of angles and must return samples along the
     first axis.  Each sample may itself be a scalar or an array (a 2x2
     matrix, say); the result keeps that trailing shape.
     """
-    if not (rel_tol > 0 and abs_floor >= 0 and max_doublings >= 1):
-        raise ValueError("integrate_angular needs rel_tol > 0, abs_floor >= 0 "
-                         "and max_doublings >= 1")
-    if not np.isfinite([rel_tol, abs_floor]).all() or max_doublings % 1:
-        raise ValueError("integrate_angular needs a finite rel_tol and "
-                         "abs_floor and an integer max_doublings")
+    if not 0 < rel_tol < np.inf:
+        raise ValueError("integrate_angular needs a finite rel_tol > 0")
     n = 8
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     prev = 2.0 * np.pi * np.mean(np.asarray(f(phi), dtype=complex), axis=0)
     diff = np.inf
-    for _ in range(int(max_doublings)):
+    for _ in range(16):
         n *= 2
         phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         cur = 2.0 * np.pi * np.mean(np.asarray(f(phi), dtype=complex), axis=0)
         diff = float(np.max(np.abs(cur - prev)))
         scale = float(np.max(np.abs(cur)))
-        if diff <= max(rel_tol * scale, abs_floor, 50.0 * np.finfo(float).eps * scale):
+        if diff <= max(rel_tol, 50.0 * np.finfo(float).eps) * scale:
             return cur
         prev = cur
     raise ConvergenceError(

@@ -572,7 +572,7 @@ def _numeric_matrix(cfg, modes, tol):
 def _numeric_matrices(cfg, fields, tol, out):
     """_numeric_matrix at every point of a stack, shape (m, 2, 2).
 
-    fields are the seven inputs of _Modes, m their broadcast size. Each
+    fields are the six inputs of _Modes, m their broadcast size. Each
     point is sliced to Python scalars, so that its arithmetic and its
     checks are those of ``_Modes.of`` on the point's own config, in point
     order, and an error carries its point as ``index``. The dict ``out``

@@ -15,8 +15,9 @@ so a frequency key never accepts a wavelength. Unknown keys, malformed
 lines and values, wrong suffixes and duplicate keys are rejected with
 line/column positions, scan keys included, by :func:`load_config` too.
 
-``frequency`` is the degenerate shorthand (signal = idler, pump = twice);
-else ``signal_frequency`` and ``idler_frequency`` come together.
+``frequency`` is the degenerate shorthand, folded into the pair (signal =
+idler = frequency); else ``signal_frequency`` and ``idler_frequency`` come
+together. The pump's frequency is always their sum and is not a key.
 ``n_imag`` is the absorption of the down-converted modes, ``n_imag_pump``
 that of the pump (default ``n_imag``); omitting both keeps the material
 table's own. Split absorption is a step in n'' between the two: on a
@@ -36,10 +37,10 @@ Axis semantics
 --------------
 ``n_imag`` applies a frequency-flat n'' to every mode (it overrides both
 n'' keys); ``crystal_length`` rebuilds the slab; ``frequency`` scans the
-degenerate point (signal = idler = x, pump = 2x); ``delta_k`` scans the
-real phase-mismatch half-phase dk L/2 directly and only supports
-``sinc_profile`` (no experiment has a freely dialable mismatch, so rates
-are undefined on this axis). The imaginary parts of dk and sk on the
+degenerate point (signal = idler = x, so the pump is 2x); ``delta_k``
+scans the real phase-mismatch half-phase dk L/2 directly and only
+supports ``sinc_profile`` (no experiment has a freely dialable mismatch,
+so rates are undefined on this axis). The imaginary parts of dk and sk on the
 delta_k axis stay pinned to the configured absorption.
 
 ``rate_ratio_to_lossless`` divides by the n'' = 0 evaluation of the same
@@ -93,7 +94,7 @@ from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
 
 __version__ = "0.1.0"
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 _AXES = ("n_imag", "crystal_length", "delta_k", "frequency")
 _METHODS = ("farfield", "numeric")
@@ -104,13 +105,12 @@ _SCAN = object()    # the default of a scan key: a sweep needs them all
 
 # Every config key: its suffix dimension and its default, in the order the
 # JSON metadata echoes the resolved experiment keys (``frequency`` folds
-# into the explicit trio; the scan keys are not echoed). A ``word`` stays
+# into the explicit pair; the scan keys are not echoed). A ``word`` stays
 # text, a ``list`` is split at commas, a ``count`` is an integer, a scan
 # bound takes the dimension of its ``axis``, and anything else is a float.
 _KEYS = {
     "material": ("word", "bbo_ordinary"),
     "crystal_length": ("length", 2e-3),
-    "pump_frequency": ("frequency", None),
     "signal_frequency": ("frequency", None),
     "idler_frequency": ("frequency", None),
     "conversion": ("word", "I"),
@@ -281,11 +281,11 @@ def _split_absorption(material, n_low, n_high, high, low):
                               unbounded=material.unbounded)
 
 
-def _step_span(axis, start, stop, sig, idl, pump):
+def _step_span(axis, start, stop, sig, idl):
     """(high, low): the highest down-converted and the lowest pump frequency
     that an absorption step must separate, over the base point and, on a
     ``frequency`` axis, every point of the sweep."""
-    high, low = max(sig, idl), pump
+    high, low = max(sig, idl), sig + idl
     if axis == "frequency":
         high, low = max(high, stop), min(low, 2.0 * start)
     return high, low
@@ -307,7 +307,7 @@ def _resolve(text):
 
     Returns the ExperimentConfig and each key's value in table order: a
     scan key not given holds ``_SCAN``; ``frequency`` is folded into the
-    trio, which holds the resolved frequencies.
+    signal/idler pair, which holds the resolved frequencies.
     """
     pairs = _parse_pairs(text)
     values = dict(_DEFAULTS)
@@ -358,8 +358,6 @@ def _resolve(text):
     if sig is None:
         sig = idl = freq
         values.update(signal_frequency=freq, idler_frequency=freq)
-    if values["pump_frequency"] is None:
-        values["pump_frequency"] = sig + idl
 
     n_imag, n_imag_pump = values["n_imag"], values["n_imag_pump"]
     for key in ("n_imag", "n_imag_pump"):
@@ -373,8 +371,7 @@ def _resolve(text):
             # at every point: on a frequency axis, of the whole sweep
             start, stop = values["scan_start"], values["scan_stop"]
             axis = None if _SCAN in (start, stop) else values["scan_axis"]
-            high, low = _step_span(axis, start, stop, sig, idl,
-                                   values["pump_frequency"])
+            high, low = _step_span(axis, start, stop, sig, idl)
             try:
                 material = _split_absorption(material, n_imag, n_imag_pump,
                                              high, low)
@@ -393,8 +390,8 @@ def _resolve(text):
                               d=values["coupling"]),
             offset=(values["offset_x"], values["offset_y"]),
             **{key: values[key] for key in (
-                "pump_field", "pump_frequency", "signal_frequency",
-                "idler_frequency", "z_signal", "z_idler")})
+                "pump_field", "signal_frequency", "idler_frequency",
+                "z_signal", "z_idler")})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, values
@@ -481,7 +478,7 @@ class ScanRequest:
             base = self.base
             high, low = _step_span(self.axis, *self.range[:2],
                                    base.signal_frequency,
-                                   base.idler_frequency, base.pump_frequency)
+                                   base.idler_frequency)
             if not (high < step[0] and step[1] < low):
                 raise ValueError(
                     f"the absorption step of material "
@@ -566,14 +563,15 @@ class _Sweep:
 
     The axis sets the stacked inputs once: ``n_imag`` puts a frequency-flat
     n'' on every mode, ``crystal_length`` sets the slab, ``frequency`` the
-    degenerate point (x, x, 2x). What the axis leaves alone stays a scalar;
-    indices are at least (1,) arrays. The stack passes each point's
-    ExperimentConfig checks (``check_point``); the ``ScanRequest`` range
-    checks already cover those of the material and the slab; a point is
-    not checked again. Where a column needs it (``lossless``), the stack
-    goes on with the points' lossless reference: r = 1 point on the
-    ``n_imag`` axis, where they share it, else r = m; an error at stacked
-    point m + j is reported at axis point j. One far-field pass gives both
+    degenerate pair (x, x). The pump is signal + idler at every point
+    (``omegas``). What the axis leaves alone stays a scalar; indices are at
+    least (1,) arrays. The stack passes each point's ExperimentConfig
+    checks (``check_point``); the ``ScanRequest`` range checks already
+    cover those of the material and the slab; a point is not checked
+    again. Where a column needs it (``lossless``), the stack goes on with
+    the points' lossless reference: r = 1 point on the ``n_imag`` axis,
+    where they share it, else r = m; an error at stacked point m + j is
+    reported at axis point j. One far-field pass gives both
     conversion types over the whole stack; the numeric route integrates
     its points in turn, reusing those (``numeric``, by type) of a longer
     sweep that failed (``run_scan``). Each piece is made once and kept
@@ -587,15 +585,11 @@ class _Sweep:
         self.count = len(x)
         self.reference = lossless * (1 if axis == "n_imag" else self.count)
         self.length = x if axis == "crystal_length" else base.crystal.length
-        if axis == "frequency":
-            omega_p, sig, idl = 2.0 * x, x, x
-        else:
-            omega_p, sig, idl = (base.pump_frequency, base.signal_frequency,
-                                 base.idler_frequency)
-        sig, idl = check_point(
-            self.length, base.pump_field, omega_p, sig, idl,
-            base.z_signal, base.z_idler, base.offset)
-        self.omegas = (sig, idl, omega_p)
+        sig, idl = (x, x) if axis == "frequency" else (
+            base.signal_frequency, base.idler_frequency)
+        check_point(self.length, base.pump_field, sig, idl, base.z_signal,
+                    base.z_idler, base.offset)
+        self.omegas = (sig, idl, sig + idl)
         # the idler's mode: the signal's where they share a frequency (one
         # array on the frequency axis, one number elsewhere)
         self.idler = 0 if idl is sig or (np.ndim(sig) == 0 and idl == sig) \
@@ -634,8 +628,9 @@ class _Sweep:
             return out
 
         return self._once("fields", lambda: [*map(
-            stacked, (*self.omegas, *map(self.index, range(3)), self.length),
-            (*self.omegas, *(self.index(j, r > 0) for j in range(3)),
+            stacked, (*self.omegas[:2], *map(self.index, range(3)),
+                      self.length),
+            (*self.omegas[:2], *(self.index(j, r > 0) for j in range(3)),
              self.length))])
 
     def amplitude(self, kind):

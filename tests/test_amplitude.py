@@ -43,52 +43,79 @@ def make_cfg(kind="I", n_imag=1e-6, length=LENGTH, z=0.2, omega_s=None,
     return ExperimentConfig(
         crystal=CrystalSlab(material=mat, length=length),
         chi2=Chi2Geometry(kind=kind, d=d),
-        pump_field=pump_field, pump_frequency=om_s + om_i,
-        z_signal=z, z_idler=z,
-        signal_frequency=om_s, idler_frequency=om_i, offset=offset)
+        pump_field=pump_field, signal_frequency=om_s, idler_frequency=om_i,
+        z_signal=z, z_idler=z, offset=offset)
 
 
 # ---------------------------------------------------------------------------
 # Configuration validation
 # ---------------------------------------------------------------------------
 
-def test_default_split_is_degenerate_collinear():
-    cfg = ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                           pump_field=1e5, pump_frequency=2.0 * OMEGA,
-                           z_signal=1.0, z_idler=1.0)
-    assert cfg.signal_frequency == OMEGA
-    assert cfg.idler_frequency == OMEGA
-    assert cfg.signal_frequency == cfg.idler_frequency and cfg.collinear
-
-
-def test_energy_conservation_enforced():
-    with pytest.raises(ValueError, match="energy conservation"):
-        ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                         pump_field=1e5, pump_frequency=2.0 * OMEGA,
-                         z_signal=1.0, z_idler=1.0,
-                         signal_frequency=OMEGA,
-                         idler_frequency=1.01 * OMEGA)
+def test_pump_frequency_is_the_pair_sum():
+    cfg = make_cfg(omega_s=0.98 * OMEGA, omega_i=1.02 * OMEGA)
+    assert cfg.pump_frequency == cfg.signal_frequency + cfg.idler_frequency
+    assert make_cfg().pump_frequency == 2.0 * OMEGA
+    # derived, never an input: not a constructor argument, not settable
+    with pytest.raises(TypeError, match="pump_frequency"):
+        replace(cfg, pump_frequency=2.0 * OMEGA)
+    with pytest.raises(AttributeError):
+        cfg.pump_frequency = 2.0 * OMEGA
+    # a pair of finite frequencies whose sum overflows has no pump
+    for build in (lambda: replace(cfg, signal_frequency=1e308,
+                                  idler_frequency=1e308),
+                  lambda: load_config("signal_frequency = 1e308\n"
+                                      "idler_frequency = 1e308\n")):
+        with pytest.raises(ValueError, match="signal \\+ idler, must be "
+                           "finite"):
+            build()
 
 
 def test_single_split_frequency_rejected():
-    with pytest.raises(ValueError, match="both"):
+    with pytest.raises(TypeError, match="idler_frequency"):
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                         pump_field=1e5, pump_frequency=2.0 * OMEGA,
-                         z_signal=1.0, z_idler=1.0,
+                         pump_field=1e5, z_signal=1.0, z_idler=1.0,
                          signal_frequency=OMEGA)
+
+
+def test_scalar_fields_must_be_real_numbers():
+    cfg = make_cfg()
+    for change in (dict(pump_field=np.array([1e5, 2e5])),
+                   dict(z_signal=np.array([1.0, 2.0])),
+                   dict(z_idler=[1.0]),
+                   dict(signal_frequency=np.full(2, OMEGA),
+                        idler_frequency=np.full(2, OMEGA)),
+                   dict(pump_field="strong"), dict(pump_field="1e5"),
+                   dict(pump_field=None), dict(idler_frequency=OMEGA + 1j),
+                   dict(z_signal=np.complex128(1.0)),
+                   dict(z_idler=np.complex64(1.0))):
+        name = next(iter(change))
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            replace(cfg, **change)
+    for build, name in (
+            (lambda: CrystalSlab(length=np.array([1e-3, 2e-3])), "length"),
+            (lambda: Chi2Geometry("I", d=[1e-12]), "d")):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            build()
+    # float() keeps the bits of the numbers a config is built from
+    third = np.float64(1.0) / 3.0
+    kept = replace(cfg, pump_field=third, z_signal=np.float64(0.3), z_idler=1)
+    assert type(kept.pump_field) is float and kept.pump_field == third
+    assert (kept.z_signal, kept.z_idler) == (0.3, 1.0)
+    assert type(CrystalSlab(length=np.float64(2e-3)).length) is float
 
 
 def test_detector_plane_bounds():
     with pytest.raises(ValueError, match="beyond the exit face"):
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                         pump_field=1e5, pump_frequency=2.0 * OMEGA,
-                         z_signal=1e-4, z_idler=1.0)
+                         pump_field=1e5, signal_frequency=OMEGA,
+                         idler_frequency=OMEGA, z_signal=1e-4, z_idler=1.0)
 
 
 def test_offset_must_be_two_numbers():
     cfg = make_cfg()
     for offset in ((1e-6, 2e-6, 3e-6), (1e-6,), (), 1e-6, None,
-                   (1e-6, None), ("a", "b")):
+                   (1e-6, None), ("a", "b"), ("1e-6", "0"),
+                   (np.complex128(1e-6), 0.0)):
         with pytest.raises(ValueError, match="offset must be two numbers"):
             replace(cfg, offset=offset)
     # any pair of reals is kept as two Python floats
@@ -100,15 +127,14 @@ def test_offset_must_be_two_numbers():
 def test_positivity_checks():
     with pytest.raises(ValueError):
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                         pump_field=0.0, pump_frequency=2.0 * OMEGA,
-                         z_signal=1.0, z_idler=1.0)
+                         pump_field=0.0, signal_frequency=OMEGA,
+                         idler_frequency=OMEGA, z_signal=1.0, z_idler=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(crystal=CrystalSlab(), chi2=Chi2Geometry("I"),
-                         pump_field=1e5, pump_frequency=-1.0,
-                         z_signal=1.0, z_idler=1.0)
+                         pump_field=1e5, signal_frequency=-1.0,
+                         idler_frequency=OMEGA, z_signal=1.0, z_idler=1.0)
     cfg = make_cfg()
     for change in (dict(pump_field=np.nan), dict(pump_field=np.inf),
-                   dict(pump_frequency=np.inf),
                    dict(signal_frequency=np.nan), dict(idler_frequency=np.inf),
                    dict(z_signal=np.nan), dict(z_idler=np.inf),
                    dict(offset=(np.nan, 0.0)),
@@ -1035,6 +1061,7 @@ def test_vacuum_crystal_amplitude_is_finite():
     cfg = ExperimentConfig(
         crystal=CrystalSlab(material=vacuum(), length=LENGTH),
         chi2=Chi2Geometry("I", d=1e-12), pump_field=1e5,
-        pump_frequency=2.0 * OMEGA, z_signal=1.0, z_idler=1.0)
+        signal_frequency=OMEGA, idler_frequency=OMEGA, z_signal=1.0,
+        z_idler=1.0)
     amp = amplitude_farfield(cfg)
     assert np.isfinite(rate(amp)) and rate(amp) > 0.0

@@ -48,7 +48,7 @@ def _modes(loss, length, m=None, degenerate=False):
         shift = 1.0 + 1e-3 * np.arange(m)
         om_s, om_i = om_s * shift, om_i * shift
         n_s, n_i, n_p = (n * shift for n in (n_s, n_i, n_p))
-    return _Modes(om_s, om_i, om_s + om_i, n_s, n_i, n_p, length)
+    return _Modes(om_s, om_i, n_s, n_i, n_p, length)
 
 
 def _public_channels(modes, kappa):
@@ -136,17 +136,15 @@ def test_stacked_normal_channels_match_public_composition(loss, length):
 
 def test_modes_mark_degenerate_points():
     n = _LOSSES["split"][0]
-    assert _Modes(OMEGA, OMEGA, 2.0 * OMEGA, n, n, n, 1e-3).degenerate
+    assert _Modes(OMEGA, OMEGA, n, n, n, 1e-3).degenerate
     assert not _modes("split", 1e-3).degenerate
     # Equal frequencies with unequal indices are two modes.
-    assert not _Modes(OMEGA, OMEGA, 2.0 * OMEGA, n, n + 1e-9, n,
-                      1e-3).degenerate
+    assert not _Modes(OMEGA, OMEGA, n, n + 1e-9, n, 1e-3).degenerate
     assert _modes("split", 1e-3, m=5, degenerate=True).degenerate
     # A stack is degenerate only if every point is.
     om_i = np.full(5, OMEGA)
     om_i[3] *= 1.0 + 1e-12
-    assert not _Modes(np.full(5, OMEGA), om_i, OMEGA + om_i, n, n, n,
-                      1e-3).degenerate
+    assert not _Modes(np.full(5, OMEGA), om_i, n, n, n, 1e-3).degenerate
 
 
 @pytest.mark.parametrize("loss", sorted(_LOSSES))
@@ -189,8 +187,7 @@ def test_degenerate_channels_match_two_mode_branch(monkeypatch, loss, length,
 
 
 def test_vacuum_channels_are_unity():
-    modes = _Modes(OMEGA, OMEGA, 2.0 * OMEGA, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j,
-                   2e-3)
+    modes = _Modes(OMEGA, OMEGA, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 2e-3)
     ch = _Channels(modes, np.array([0.0, 1e5, 0.5 * modes.q_s]))
     assert np.array_equal(ch.x, np.ones((2, 2, 3)))
 

@@ -60,6 +60,10 @@ def test_unknown_key_with_position():
     with pytest.raises(ConfigError) as info:
         load_config("pump_z = -1 mm\n")
     assert str(info.value) == "line 1, col 1: unknown key 'pump_z'"
+    # the pump's frequency is always signal + idler: no key sets it
+    with pytest.raises(ConfigError) as info:
+        load_config("frequency = 3.54e15\npump_frequency = 7.08e15\n")
+    assert str(info.value) == "line 2, col 1: unknown key 'pump_frequency'"
 
 
 def test_duplicate_key():
@@ -1012,7 +1016,7 @@ def test_csv_shape_and_round_trip():
 def test_json_document():
     result = run_scan(scan_request_from_config(SCAN_TEXT))
     doc = json.loads(emit(result, format="json").decode())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["metadata"]["axis"] == "n_imag"
     assert doc["metadata"]["count"] == 5
     assert doc["metadata"]["config"]["material"] == "bbo_ordinary"
@@ -1025,8 +1029,8 @@ def test_json_config_echo():
     axis = ("scan_axis = {}\nscan_start = {}\nscan_stop = {}\n"
             "scan_count = 2\nobservables = {}\n")
     default = {"material": "bbo_ordinary", "crystal_length": 0.002,
-               "pump_frequency": 7.08e15, "signal_frequency": 3.54e15,
-               "idler_frequency": 3.54e15, "conversion": "I",
+               "signal_frequency": 3.54e15, "idler_frequency": 3.54e15,
+               "conversion": "I",
                "coupling": 1e-12, "pump_field": 1e5, "z_signal": 1.0,
                "z_idler": 1.0, "offset_x": 0.0, "offset_y": 0.0,
                "n_imag": None, "n_imag_pump": None}
@@ -1084,7 +1088,7 @@ def _rowwise_emit(result, format):
         lines = [",".join(name for name, _ in flat[0])]
         lines += [",".join(repr(v) for _, v in cells) for cells in flat]
         return ("\n".join(lines) + "\n").encode()
-    doc = {"schema_version": 2, "metadata": result.metadata}
+    doc = {"schema_version": 3, "metadata": result.metadata}
     if result.axis is None:
         (cells,) = flat
         doc.update(cells)
@@ -1147,7 +1151,7 @@ def _dumped(result):
     rows: the layout emit's JSON must equal byte for byte."""
     names, texts = result.cells
     rows = [dict(zip(names, map(float, row))) for row in zip(*texts)]
-    doc = {"schema_version": 2, "metadata": result.metadata}
+    doc = {"schema_version": 3, "metadata": result.metadata}
     if result.axis is not None:
         doc["rows"] = rows
     elif rows:
@@ -1330,7 +1334,8 @@ def test_cli_preset_dump_config(tmp_path):
 
 
 def test_cli_validation_failures_exit_1(tmp_path):
-    for text in ("birefringence = 0.1\n", "pump_z = -1 mm\n"):
+    for text in ("birefringence = 0.1\n", "pump_z = -1 mm\n",
+                 "pump_frequency = 7.08e15\n"):
         bad = _write_cfg(tmp_path, text)
         assert main(["rate", "--config", bad]) == 1
     assert main(["rate", "--config", str(tmp_path / "absent.cfg")]) == 1
