@@ -338,8 +338,9 @@ class _Modes:
     are the products _Channels uses, with the TEM coefficients of
     ``fresnel``. Each input may be a scalar (one config, ``_Modes.of``;
     ``stacked=True`` makes its indices (1,) arrays, a one-point sweep) or
-    an (m,) array over the axis points of a sweep; every attribute then
-    broadcasts over that leading axis. ``degenerate`` is true when signal
+    an array over the points of a sweep: (m,), or a ``crystal_length``
+    sweep's (2, 1) indices against its (m,) lengths; every attribute then
+    broadcasts to the points' shape. ``degenerate`` is true when signal
     and idler are one mode (equal frequency and index) at every point.
     """
 
@@ -608,8 +609,8 @@ def farfield_matrices(cfg, modes):
 
     cfg supplies the drive and the detector distances (one pass serves
     both types), modes the frequencies, indices and slab length, as
-    scalars (one (2, 2) matrix per type) or as (m,) arrays over stacked
-    points ((m, 2, 2)).
+    scalars (one (2, 2) matrix per type) or as arrays over stacked points
+    (shape (..., 2, 2), the points' broadcast shape first).
 
     This is the kappa = 0 endpoint term of amplitude_numeric's integral
     (Watson's lemma in s = kappa^2). Near the axis the detector phase is

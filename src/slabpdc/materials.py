@@ -459,15 +459,18 @@ def local_field(eps):
     return _local_field(_checked(eps, "local_field"))
 
 
+def _noise_delta(eps):
+    """A - 1 = -2 i eps0 eps'' L[eps] of a checked eps, formed directly: the
+    one form of the noise factor, which stays exact however small it is."""
+    return -2j * EPS0 * eps.imag * _local_field(eps)
+
+
 def _noise_factor(eps):
     """noise_factor of a checked eps: a Python complex or a complex array."""
     lossless = eps.imag == 0.0
     if isinstance(eps, complex):
-        if lossless:
-            return 1.0 + 0.0j
-        return 1.0 - 2j * EPS0 * eps.imag * _local_field(eps)
-    return np.where(lossless, 1.0 + 0.0j,
-                    1.0 - 2j * EPS0 * eps.imag * _local_field(eps))
+        return 1.0 + 0.0j if lossless else 1.0 + _noise_delta(eps)
+    return np.where(lossless, 1.0 + 0.0j, 1.0 + _noise_delta(eps))
 
 
 def noise_factor(eps):

@@ -572,17 +572,17 @@ def _numeric_matrix(cfg, modes, tol):
 def _numeric_matrices(cfg, fields, tol, out):
     """_numeric_matrix at every point of a stack, shape (m, 2, 2).
 
-    fields are the six inputs of _Modes, m their broadcast size. Each
-    point is sliced to Python scalars, so that its arithmetic and its
-    checks are those of ``_Modes.of`` on the point's own config, in point
-    order, and an error carries its point as ``index``. The dict ``out``
-    maps a point's scalars to its matrix: a point that an earlier call (or
-    an equal point before it) computed is taken from there, and each new
-    one is added, so a failed call leaves there every point before its
-    failure.
+    fields are the six inputs of _Modes, m their broadcast size, taken in
+    the flat order of the broadcast. Each point is sliced to Python
+    scalars, so that its arithmetic and its checks are those of
+    ``_Modes.of`` on the point's own config, in point order, and an error
+    carries its point as ``index``. The dict ``out`` maps a point's scalars
+    to its matrix: a point that an earlier call (or an equal point before
+    it) computed is taken from there, and each new one is added, so a
+    failed call leaves there every point before its failure.
     """
-    size = np.broadcast(*fields).size
-    points = [*zip(*(np.broadcast_to(v, (size,)).tolist() for v in fields))]
+    points = [*zip(*(v.ravel().tolist()
+                     for v in np.broadcast_arrays(*fields)))]
     for i, point in enumerate(points):
         if point not in out:
             try:

@@ -90,7 +90,7 @@ from .amplitude import (Chi2Geometry, ExperimentConfig, PhaseMatch, _engine,
                         check_point, farfield_matrices, phase_terms, rate,
                         rates, sinc_profile)
 from .materials import (BUILTIN_MATERIALS, CrystalSlab, MaterialDispersion,
-                        _checked, _noise_factor, kinematics, reject)
+                        _checked, _noise_delta, kinematics, reject)
 
 __version__ = "0.1.0"
 
@@ -571,7 +571,10 @@ class _Sweep:
     again. Where a column needs it (``lossless``), the stack goes on with
     the points' lossless reference: r = 1 point on the ``n_imag`` axis,
     where they share it, else r = m; an error at stacked point m + j is
-    reported at axis point j. One far-field pass gives both
+    reported at axis point j. On the ``crystal_length`` axis (``rows``)
+    the indices stay axis-free: the points' and the reference's are a
+    (2, 1) stack against the (m,) lengths, and the (2, m) grid they span
+    is the stack in flat order. One far-field pass gives both
     conversion types over the whole stack; the numeric route integrates
     its points in turn, reusing those (``numeric``, by type) of a longer
     sweep that failed (``run_scan``). Each piece is made once and kept
@@ -584,6 +587,7 @@ class _Sweep:
         self.method, self.tol, self.numeric = method, tol, numeric
         self.count = len(x)
         self.reference = lossless * (1 if axis == "n_imag" else self.count)
+        self.rows = bool(self.reference) and axis == "crystal_length"
         self.length = x if axis == "crystal_length" else base.crystal.length
         sig, idl = (x, x) if axis == "frequency" else (
             base.signal_frequency, base.idler_frequency)
@@ -623,6 +627,9 @@ class _Sweep:
         def stacked(points, reference):
             if not r or np.ndim(points) == 0:
                 return points
+            if self.rows:
+                return points if points is reference \
+                    else np.stack((points, reference))
             out = np.empty(m + r, np.result_type(points, reference))
             out[:m], out[m:] = points, reference
             return out
@@ -637,15 +644,22 @@ class _Sweep:
         """One conversion type's (m + r, 2, 2) amplitudes over the stack."""
         try:
             if self.method == "farfield":
-                return self._once("farfield", lambda: farfield_matrices(
-                    self.base, _Modes(*self.fields())))[kind]
+                return self._once("farfield", lambda: {
+                    k: matrices.reshape(-1, 2, 2) for k, matrices in
+                    farfield_matrices(self.base,
+                                      _Modes(*self.fields())).items()})[kind]
             return self._once(kind, lambda: _engine()._numeric_matrices(
                 replace(self.base, chi2=Chi2Geometry(kind, self.base.chi2.d)),
                 self.fields(), self.tol, self.numeric.setdefault(kind, {})))
         except Exception as exc:
-            # stacked point m + j is reference point j, axis point j
-            if getattr(exc, "index", 0) >= self.count:
-                exc.index -= self.count
+            if hasattr(exc, "index"):
+                # the far field checks the indices alone: a (2, 1) row of
+                # them fails first at its point 0, stacked point k m
+                if self.rows and self.method == "farfield":
+                    exc.index *= self.count
+                # stacked point m + j is reference point j, axis point j
+                if exc.index >= self.count:
+                    exc.index -= self.count
             raise
 
     def rates(self, kind, lossless=False):
@@ -677,23 +691,25 @@ def _sinc_columns(sw):
 
 
 def _gain_columns(sw):
-    # |a|^2 - 1 cancels about 11 digits at small n'', so the column keeps
-    # the rounding of the one-point formula: noise_factor's checks run once
-    # on the (point, mode) stack, its core point by point in Python complex
-    # arithmetic, once per point where signal and idler share an index.
-    n_s, n_i = (np.broadcast_to(sw.index(j), (sw.count,)).tolist()
-                for j in (0, 1))
-    eps_s = [n * n for n in n_s]
-    eps_i = eps_s if n_i == n_s else [n * n for n in n_i]
+    # |A_s A_i|^2 - 1 from d = A - 1 as _noise_delta forms it, never from
+    # |A|^2 - 1, which cancels about 11 digits at small n'': per mode
+    # x = |A|^2 - 1 = 2 Re d + |d|^2, two terms >= 0, and the gain is
+    # x_s + x_i + x_s x_i, +0.0 at a lossless point, with one x where
+    # signal and idler share their index. An eps that overflows makes a
+    # NaN cell, which run_scan rejects.
+    n_s, n_i = sw.index(0), sw.index(1)
+    modes = (n_s,) if n_i is n_s else (n_s, n_i)
     try:
-        # (point, mode) order: the flat index of a bad eps halves to its point
-        _checked(np.array((eps_s, eps_i)).T, "noise_factor")
+        # (point, mode) order: a bad eps's flat index divides to its point
+        eps = _checked(np.stack(np.broadcast_arrays(
+            *(n * n for n in modes)), axis=-1), "noise_factor")
     except (ZeroDivisionError, ValueError) as exc:
-        exc.index //= 2
+        exc.index //= len(modes)
         raise
-    a_s = [*map(_noise_factor, eps_s)]
-    a_i = a_s if eps_i is eps_s else [*map(_noise_factor, eps_i)]
-    return [[float(abs(a * b) ** 2 - 1.0) for a, b in zip(a_s, a_i)]]
+    d = _noise_delta(eps)
+    x = 2.0 * d.real + (d.real * d.real + d.imag * d.imag)
+    x_s, x_i = x[..., 0], x[..., -1]
+    return [x_s + x_i + x_s * x_i]
 
 
 def _matrix_columns(sw):
@@ -739,9 +755,10 @@ def run_scan(req):
         try:
             sweep = _Sweep(req.base, req.axis, axis_values[:done],
                            req.method, req.tol, numeric, lossless)
-            # a non-finite cell (a 0/0 ratio, say) fails as its column's
-            # error below, with no numpy warning ahead of it
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a non-finite cell (a 0/0 ratio, an eps that overflows) fails
+            # as its column's error below, with no numpy warning ahead of it
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
                 cols = [np.broadcast_to(col, (done,))
                         for obs in req.observables
                         for col in _OBSERVABLES[obs][1](sweep)]

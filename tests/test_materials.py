@@ -6,10 +6,12 @@ and are frozen here at full precision.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slabpdc import scan
 from slabpdc.materials import (C_LIGHT, EPS0, TE, TEM, TM, CrystalSlab,
                                DispersionRangeError, MaterialDispersion,
                                absorption_to_n_imag, bbo_ordinary,
@@ -389,12 +391,24 @@ def test_nan_input_rejected():
 
 def test_noise_gain_band_for_ten_percent_loss():
     # the headline magnitude: 10%/cm absorption lifts |A|^4 by ~1e-12,
-    # under either loss convention
+    # under either loss convention. |A|^4 - 1 cancels about 11 digits
+    # there (7.5e-4 off at n'' = 4.46e-7); scan's a_factor_gain column,
+    # formed from A - 1, is within 1e-15 of the 40-digit value.
+    mp = pytest.importorskip("mpmath")
     for conv in ("intensity", "amplitude"):
         ni = absorption_to_n_imag(0.10, OMEGA, convention=conv)
-        a = noise_factor((1.67 + 1j * ni) ** 2)
+        n = 1.67 + 1j * ni
+        a = noise_factor(n ** 2)
         gain = abs(a) ** 4 - 1.0
         assert 1e-13 <= gain <= 1e-11
+        (column,) = scan._gain_columns(SimpleNamespace(
+            count=1, index=lambda mode: np.array([n])))
+        with mp.workdps(40):
+            eps = mp.mpc(n) ** 2
+            a_mp = 1 - mp.mpc(0, 4) / 9 * eps.imag * (eps - 1) / eps
+            want = abs(a_mp) ** 4 - 1
+        assert 1e-13 <= want <= 1e-11
+        assert abs(column[0] - want) <= 1e-15 * want
 
 
 # ---------------------------------------------------------------------------

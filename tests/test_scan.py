@@ -16,7 +16,7 @@ from slabpdc import amplitude, radial, scan
 from slabpdc.amplitude import amplitude_farfield, amplitude_numeric, rate
 from slabpdc.cli import main
 from slabpdc.materials import (CrystalSlab, DispersionRangeError,
-                               MaterialDispersion, noise_factor)
+                               MaterialDispersion)
 from slabpdc.quadrature import ConvergenceError
 from slabpdc.scan import (PRESET_NAMES, ConfigError, ScanError, ScanRequest,
                           ScanResult, emit, load_config, point_result, preset,
@@ -680,6 +680,30 @@ def test_failing_lossless_reference_fails_at_its_point(method, axis, start,
         assert str(info.value.__cause__) == "noise_factor singular at eps = 0"
 
 
+def test_axis_free_reference_row_fails_in_one_pass(monkeypatch):
+    # A crystal_length stack keeps its indices axis-free: a (2, 1) stack,
+    # the points' over their lossless reference's, against the lengths. The
+    # reference's eps = 0 (n' = 0) fails its whole row, so the first pass
+    # reports it at axis point 0, as stacked point m would be, with no retry.
+    base = replace(load_config(""), crystal=CrystalSlab(
+        material=MaterialDispersion.constant(0.0, 1e-3)))
+    req = ScanRequest(base=base, axis="crystal_length",
+                      range=(1e-3, 3e-3, 4),
+                      observables=("rate_ratio_to_lossless",))
+    built = []
+
+    def counted(*fields):
+        built.append([np.shape(v) for v in fields])
+        return modes(*fields)
+
+    modes = amplitude._Modes
+    monkeypatch.setattr(scan, "_Modes", counted)
+    with pytest.raises(ScanError, match=r"at axis point 0 .* after 0 "
+                       r"completed rows: noise_factor singular"):
+        run_scan(req)
+    assert built == [[(), (), (2, 1), (2, 1), (2, 1), (4,)]]
+
+
 def test_reference_failure_is_found_in_one_retry(monkeypatch):
     # n' falls to 0 at 3.5e15 rad/s, axis point 1 of this frequency sweep:
     # only that point's lossless reference has eps = 0. Its stacked index
@@ -837,6 +861,19 @@ def test_non_finite_ratio_cell_gives_one_error(tmp_path, capsys):
     assert err.startswith("slabpdc: error:") and err.count("\n") == 1, err
 
 
+def test_overflowing_gain_cell_gives_one_error():
+    # eps = n^2 overflows from point 1 of this scan on: that cell is NaN,
+    # and the scan fails there with no numpy warning ahead of its error
+    # (warnings are errors here).
+    text = ("scan_axis = n_imag\nscan_start = 0.0\nscan_stop = 1e200\n"
+            "scan_count = 4\nobservables = a_factor_gain\n")
+    with pytest.raises(ScanError, match=r"at axis point 1 .* after 1 "
+                       r"completed rows: a_factor_gain is not finite: "
+                       r"nan$") as info:
+        run_scan(scan_request_from_config(text))
+    assert info.value.rows == ((0.0,),)
+
+
 def test_non_finite_cell_keeps_the_rows_before_it():
     # Both rates overflow first at the second point of this length sweep:
     # the error names the first column there, and the first row is kept.
@@ -906,23 +943,45 @@ def test_preset_fig4_gain_curve():
     assert all(a < b for a, b in zip(gains, gains[1:]))
 
 
-def test_gain_column_is_the_one_point_formula():
-    # The column checks its stack once and then takes noise_factor's own
-    # arithmetic point by point, bit for bit: on the fig4 grid and on a
-    # split-frequency n_imag scan.
+def _mp_gain(mp, n_s, n_i):
+    """|A(n_s) A(n_i)|^2 - 1 at 40 digits, with A = 1 - (4 i/9) eps''
+    (eps - 1)/eps of eps = n^2, the double indices taken as exact."""
+    with mp.workdps(40):
+        gain = mp.mpf(1)
+        for n in (n_s, n_i):
+            eps = mp.mpc(n) ** 2
+            gain *= abs(1 - mp.mpc(0, 4) / 9 * eps.imag * (eps - 1) / eps) ** 2
+        return gain - 1
+
+
+def test_gain_column_matches_40_digit_values():
+    # The column never forms 1 + tiny - 1 (|a|^2 - 1 was 5e-7 off on the
+    # fig4 grid): within 1e-15 of 40-digit values, and +0.0 at a lossless
+    # point. The fig4 grid, a split-frequency n_imag scan, and a frequency
+    # scan, whose index moves in n' too.
+    mp = pytest.importorskip("mpmath")
     split = ("signal_frequency = 3.44e15\nidler_frequency = 3.64e15\n"
              "scan_axis = n_imag\nscan_start = 0.0\nscan_stop = 2e-4\n"
              "scan_count = 9\nobservables = a_factor_gain\n")
-    for req in (preset("fig4"), scan_request_from_config(split)):
+    freq = ("n_imag = 3e-5\nscan_axis = frequency\nscan_start = 3.3e15\n"
+            "scan_stop = 3.8e15\nscan_count = 7\n"
+            "observables = a_factor_gain\n")
+    for req in (preset("fig4"), scan_request_from_config(split),
+                scan_request_from_config(freq)):
         result = run_scan(req)
         index = req.base.crystal.index
-        n_s, n_i = (index(w).real for w in (req.base.signal_frequency,
-                                            req.base.idler_frequency))
         assert len(result.rows) == req.range[2]
         for x, (got,) in zip(result.axis_values, result.rows):
-            sig, idl = complex(n_s, x), complex(n_i, x)
-            a = noise_factor(sig * sig) * noise_factor(idl * idl)
-            assert got == float(abs(a) ** 2 - 1.0)
+            if req.axis == "n_imag":
+                n_s, n_i = (complex(index(w).real, x) for w in (
+                    req.base.signal_frequency, req.base.idler_frequency))
+            else:
+                n_s = n_i = index(x)
+            want = _mp_gain(mp, n_s, n_i)
+            if want == 0:
+                assert repr(got) == "0.0"
+            else:
+                assert abs(got - want) <= 1e-15 * want
 
 
 def test_gain_column_fails_at_the_first_bad_point():
