@@ -126,6 +126,13 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
+# The chi2 patterns of Chi2Geometry.pattern, shared and read-only.
+_PATTERNS = {"I": np.eye(2), "II": np.array([[0.0, 1.0], [1.0, 0.0]])}
+for _pattern in _PATTERNS.values():
+    _pattern.flags.writeable = False
+del _pattern
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -155,9 +162,8 @@ class Chi2Geometry:
 
     @property
     def pattern(self):
-        if self.kind == "I":
-            return np.eye(2)
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
+        """The 2x2 pattern, a writable copy of the shared constant."""
+        return _PATTERNS[self.kind].copy()
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,7 @@ def rate(amp):
 
 def rates(matrices):
     """rate() of every 2x2 matrix in a (..., 2, 2) stack."""
-    return np.sum(np.abs(np.asarray(matrices)) ** 2, axis=(-2, -1))
+    return (np.abs(np.asarray(matrices)) ** 2).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +550,7 @@ def _integrand(k_perp, cfg, kind):
            lambda i: f"|k_perp| = {kappa[i]:.6e} outside the open "
            f"propagating disc (0, {kap_max:.6e})")
     ch = _Channels(modes, kappa)
-    b = _polarization_sum(Chi2Geometry(kind).pattern, ch, np.arctan2(ky, kx))
+    b = _polarization_sum(_PATTERNS[kind], ch, np.arctan2(ky, kx))
     dx, dy = cfg.offset
     phase = np.exp(1j * (kx * dx + ky * dy)) \
         * np.exp(1j * (ch.sig.q_z * cfg.z_signal
@@ -639,7 +645,7 @@ def farfield_matrices(cfg, modes):
     spread = 1j * (cfg.z_signal / modes.q_s + cfg.z_idler / modes.q_i)
     # each type left to right, as the J0 row's ((pref r) e^{i psi0}) / (i Z)
     return {kind: np.multiply.outer(pref * (weight * first) * phase / spread,
-                                    Chi2Geometry(kind).pattern)
+                                    _PATTERNS[kind])
             for kind, (weight, first) in zip(("I", "II"), sums)}
 
 
@@ -649,8 +655,9 @@ def amplitude_farfield(cfg):
     farfield_matrices on a one-point stack, (1,) indices as in a sweep, so
     a config has one far-field amplitude, bit for bit, here, in ``slabpdc
     rate`` and in the cells of an ``n_imag`` or ``frequency`` sweep
-    (``crystal_length`` cells within 1e-15): 0.11-0.15 ms in process on a
-    2-core host, both conversion types in one pass.
+    (``crystal_length`` cells within 1e-15), both conversion types in one
+    pass. Its time is the traced ``amplitude.farfield.self_s`` of
+    ``perfbench/run.py``, recorded in the BENCH_*.json files.
     Displaced detectors must go through amplitude_numeric. The relative
     error falls like 1/z but grows near a zero of the normal-incidence
     sinc: 3.8e-3 at 1 m and 3.8e-2 at 0.1 m on a 2 mm slab at a 2% split

@@ -89,13 +89,17 @@ class MaterialDispersion:
 
     def __post_init__(self):
         # read-only copies: a table never changes after its checks, so one
-        # instance can be shared (the builtin factories return one)
-        tables = []
+        # instance can be shared (the builtin factories return one).
+        # dispersion_eval interpolates from private writable copies, since
+        # np.interp copies a read-only table on every call.
+        tables, private = [], []
         for name in ("omega", "n_real", "n_imag"):
             table = np.array(getattr(self, name), dtype=float, ndmin=1)
+            private.append(table.copy())
             table.flags.writeable = False
             object.__setattr__(self, name, table)
             tables.append(table.tolist())
+        object.__setattr__(self, "_tables", tuple(private))
         # the checks run on Python floats: tables hold a handful of samples
         om, nr, ni = tables
         if not (len(om) == len(nr) == len(ni)):
@@ -220,30 +224,33 @@ def dispersion_eval(material, omega):
     bounded = not (material.unbounded or material.omega.size == 1)
     lo, hi = material.omega_min, material.omega_max
     slack = _RANGE_SLACK * hi
-
-    def outside(x):
-        bad = ~((x > 0) & (x < np.inf))
-        if bounded:
-            bad = bad | (x < lo - slack) | (x > hi + slack)
-        return bad
-
-    def message(i):
-        x = np.ravel(omega)[i]
-        if not x > 0:
-            return f"omega must be positive, got {x}"
-        if not bounded:
-            return f"omega must be finite, got {x}"
-        return (f"omega = {x:.6e} rad/s outside the sampled range "
-                f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
-
+    low, high = (lo - slack, hi + slack) if bounded else (0.0, math.inf)
     # the range is an interval, so a stack is inside if its extremes are;
-    # a NaN makes them NaN, which is outside, and an empty stack has none
-    if w.ndim == 0 or (w.size and (outside(w.min()) or outside(w.max()))):
-        reject(outside(w), DispersionRangeError, message)
+    # a NaN makes them NaN, which is outside. Only a point or stack that
+    # fails this test is searched for its first offender; an empty stack
+    # has none and passes as (high, low).
+    if w.ndim == 0:
+        a = b = float(w)
+    else:
+        a, b = (float(w.min()), float(w.max())) if w.size else (high, low)
+    if not (0.0 < a and low <= a and b <= high and b < math.inf):
+
+        def message(i):
+            x = np.ravel(omega)[i]
+            if not x > 0:
+                return f"omega must be positive, got {x}"
+            if not bounded:
+                return f"omega must be finite, got {x}"
+            return (f"omega = {x:.6e} rad/s outside the sampled range "
+                    f"[{lo:.6e}, {hi:.6e}] of material {material.name!r}")
+
+        reject(~((w > 0) & (w < np.inf) & (w >= low) & (w <= high)),
+               DispersionRangeError, message)
     # np.interp holds the edge samples past the ends: within the slack, or
     # at any omega for an unbounded table
-    nr = np.interp(w, material.omega, material.n_real)
-    ni = np.interp(w, material.omega, material.n_imag)
+    om, n_real, n_imag = material._tables
+    nr = np.interp(w, om, n_real)
+    ni = np.interp(w, om, n_imag)
     if w.ndim == 0:
         return complex(float(nr), float(ni))
     n = np.empty(w.shape, dtype=complex)

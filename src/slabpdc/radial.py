@@ -116,7 +116,11 @@ _BESSEL_TRUNCATION = 2.0 ** -56
 # ---------------------------------------------------------------------------
 
 def _angular_matrices(cfg):
-    """Constant 2x2 matrix of each angular row, psi the offset direction."""
+    """Constant 2x2 matrix of each angular row, psi the offset direction.
+    Collinear detectors have the J0 row alone (_angular_rows), so they get
+    its matrix, the pattern, alone."""
+    if cfg.collinear:
+        return np.array([cfg.chi2.pattern], dtype=complex)
     psi = np.arctan2(cfg.offset[1], cfg.offset[0])
     c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
     if cfg.chi2.kind == "I":

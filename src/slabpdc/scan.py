@@ -533,25 +533,31 @@ class ScanResult:
         with a complex cell is split into ``name_re`` / ``name_im``.
         :func:`run_scan` sets them from its column arrays; a hand-built
         result's come from its rows, one array per column."""
-        return _cells(self.axis, self.axis_values, self.columns, map(
-            np.array, list(zip(*self.rows)) or [()] * len(self.columns)))
+        columns = [column if column.dtype.kind == "c" else
+                   column.astype(float, copy=False) for column in map(
+                       np.array, list(zip(*self.rows))
+                       or [()] * len(self.columns))]
+        return _cells(self.axis, np.asarray(self.axis_values, float).tolist(),
+                      self.columns, columns, [c.tolist() for c in columns])
 
 
-def _cells(axis, axis_values, names, columns):
-    """ScanResult.cells of column arrays; a complex dtype marks a column to
-    split into its real and imaginary parts."""
-    flat, texts = [], []
-    named = zip(names, columns)
+def _cells(axis, axis_values, names, columns, values):
+    """ScanResult.cells of float or complex column arrays, given with their
+    ``tolist()`` (``values``) and the axis's floats in a list; a complex
+    dtype marks a column to split into its real and imaginary parts."""
+    flat, parts = [], []
     if axis is not None:
-        named = chain([(axis, np.asarray(axis_values, float))], named)
-    for name, column in named:
-        split = column.dtype.kind == "c"
-        flat += [name + "_re", name + "_im"] if split else [name]
-        parts = (column.real, column.imag) if split \
-            else (column.astype(float, copy=False),)
-        # through a list: tuple() of a bare map grows its tuple step by step
-        texts += [tuple([*map(repr, part.tolist())]) for part in parts]
-    return tuple(flat), tuple(texts)
+        flat.append(axis)
+        parts.append(axis_values)
+    for name, column, floats in zip(names, columns, values):
+        if column.dtype.kind == "c":
+            flat += [name + "_re", name + "_im"]
+            parts += [column.real.tolist(), column.imag.tolist()]
+        else:
+            flat.append(name)
+            parts.append(floats)
+    # through a list: tuple() of a bare map grows its tuple step by step
+    return tuple(flat), tuple([tuple([*map(repr, part)]) for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +704,14 @@ def _gain_columns(sw):
     # signal and idler share their index. An eps that overflows makes a
     # NaN cell, which run_scan rejects.
     n_s, n_i = sw.index(0), sw.index(1)
-    modes = (n_s,) if n_i is n_s else (n_s, n_i)
+    eps = n_s * n_s
+    # (point, mode) order: a bad eps's flat index divides to its point
+    eps = eps[..., None] if n_i is n_s else np.stack(
+        np.broadcast_arrays(eps, n_i * n_i), axis=-1)
     try:
-        # (point, mode) order: a bad eps's flat index divides to its point
-        eps = _checked(np.stack(np.broadcast_arrays(
-            *(n * n for n in modes)), axis=-1), "noise_factor")
+        eps = _checked(eps, "noise_factor")
     except (ZeroDivisionError, ValueError) as exc:
-        exc.index //= len(modes)
+        exc.index //= eps.shape[-1]
         raise
     d = _noise_delta(eps)
     x = 2.0 * d.real + (d.real * d.real + d.imag * d.imag)
@@ -759,7 +766,8 @@ def run_scan(req):
             # as its column's error below, with no numpy warning ahead of it
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                cols = [np.broadcast_to(col, (done,))
+                cols = [col if np.shape(col) == (done,)
+                        else np.broadcast_to(col, (done,))
                         for obs in req.observables
                         for col in _OBSERVABLES[obs][1](sweep)]
             for name, col in zip(names, cols):
@@ -790,10 +798,12 @@ def run_scan(req):
         "tol": req.tol,
         "config": dict(req.echo),
     }
-    result = ScanResult(axis=req.axis, axis_values=tuple(axis_values.tolist()),
+    axis_list = axis_values.tolist()
+    result = ScanResult(axis=req.axis, axis_values=tuple(axis_list),
                         columns=names, rows=rows, metadata=metadata)
-    # fill the cache of the cached_property from the column arrays
-    vars(result)["cells"] = _cells(req.axis, axis_values, names, cols)
+    # fill the cache of the cached_property from the column arrays and the
+    # lists of their rows
+    vars(result)["cells"] = _cells(req.axis, axis_list, names, cols, columns)
     return result
 
 
@@ -801,8 +811,9 @@ def point_result(cfg, method="farfield", tol=1e-6):
     """One amplitude and its rate, as an axis-less :class:`ScanResult`.
 
     The amplitude is ``amplitude_farfield(cfg)`` or ``amplitude_numeric(cfg,
-    tol)`` itself, bit for bit, on cfg as it was checked when built: about
-    0.13-0.17 ms in process on the far field (2-core host).
+    tol)`` itself, bit for bit, on cfg as it was checked when built. The
+    far field's time is measured as ``amplitude_farfield``'s (the traced
+    ``amplitude.farfield.self_s`` recorded in the BENCH_*.json files).
     """
     _check_route(method, tol)
     amp = amplitude_farfield(cfg) if method == "farfield" \

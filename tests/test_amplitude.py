@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slabpdc import load_config, radial
+from slabpdc import amplitude, load_config, radial
 from slabpdc.amplitude import (BiphotonAmplitude, ExperimentConfig,
                                PhaseMatch, _angular_rows, _Channels,
                                _Modes, amplitude_farfield,
@@ -149,6 +149,31 @@ def test_positivity_checks():
                   lambda: bbo_ordinary().with_absorption(np.nan)):
         with pytest.raises(ValueError, match="finite"):
             build()
+
+
+def test_pattern_constants_cannot_leak():
+    # .pattern is a writable copy of a shared read-only constant, which the
+    # far field and the numeric route's row matrices read
+    patterns = {"I": np.eye(2), "II": np.array([[0.0, 1.0], [1.0, 0.0]])}
+    cfgs = {kind: make_cfg(kind) for kind in patterns}
+    before = {kind: (amplitude_farfield(cfg).matrix, _angular_matrices(cfg))
+              for kind, cfg in cfgs.items()}
+    for kind, pattern in patterns.items():
+        geometry = Chi2Geometry(kind)
+        leaked = geometry.pattern
+        leaked[...] = 7.0
+        for again in (geometry.pattern, Chi2Geometry(kind).pattern,
+                      cfgs[kind].chi2.pattern):
+            assert again.tobytes() == pattern.tobytes()
+            assert again.flags.writeable and again is not leaked
+        constant = amplitude._PATTERNS[kind]
+        assert constant.tobytes() == pattern.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 7.0
+    for kind, cfg in cfgs.items():
+        farfield, matrices = before[kind]
+        assert amplitude_farfield(cfg).matrix.tobytes() == farfield.tobytes()
+        assert _angular_matrices(cfg).tobytes() == matrices.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ incidence closed forms, loss-fraction inversions) before the implementation
 and are frozen here at full precision.
 """
 
-from dataclasses import replace
+import math
+import pickle
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,6 +101,42 @@ def test_dispersion_eval_rejects_the_first_bad_point():
     assert empty.shape == (0,) and empty.dtype == complex
 
 
+def test_range_check_edges():
+    # a point exactly at an edge of the slack-widened range passes, the next
+    # float outside it fails; each alone and inside a stack, with one
+    # message and the stack's index
+    mat = bbo_ordinary()
+    low = 1770349210314141.8        # omega_min - 1e-9 omega_max
+    high = 7081396876663551.0       # omega_max + 1e-9 omega_max
+    assert dispersion_eval(mat, low) == 1.65 + 0j
+    assert dispersion_eval(mat, high) == 1.75 + 0j
+    edges = dispersion_eval(mat, np.array([OMEGA, low, high, OMEGA]))
+    assert edges.tolist() == [dispersion_eval(mat, OMEGA), 1.65, 1.75,
+                              dispersion_eval(mat, OMEGA)]
+    outside = ("rad/s outside the sampled range [1.770349e+15, "
+               "7.081397e+15] of material 'bbo_ordinary'")
+    for material, omega, message in (
+            (mat, math.nextafter(low, -math.inf),
+             f"omega = 1.770349e+15 {outside}"),
+            (mat, math.nextafter(high, math.inf),
+             f"omega = 7.081397e+15 {outside}"),
+            (mat, math.inf, f"omega = inf {outside}"),
+            (mat, 0.0, "omega must be positive, got 0.0"),
+            (vacuum(), 0.0, "omega must be positive, got 0.0"),
+            (vacuum(), -1.0, "omega must be positive, got -1.0"),
+            (vacuum(), -math.inf, "omega must be positive, got -inf")):
+        with pytest.raises(DispersionRangeError) as single:
+            dispersion_eval(material, omega)
+        assert str(single.value) == message and single.value.index == 0
+        # the edges ahead of an offender are not offenders themselves
+        for stack, where in (([omega], 0), ([OMEGA, omega, OMEGA], 1),
+                             ([low, high, omega], 2)):
+            with pytest.raises(DispersionRangeError) as stacked:
+                dispersion_eval(material, np.array(stack))
+            assert str(stacked.value) == message
+            assert stacked.value.index == where
+
+
 def test_constant_material_unbounded():
     mat = MaterialDispersion.constant(1.5, 2e-6)
     assert dispersion_eval(mat, 1e12) == 1.5 + 2e-6j
@@ -160,6 +198,35 @@ def test_tables_are_read_only_copies():
     omega[0] = n[0] = 0.5
     assert omega.flags.writeable and n.flags.writeable
     assert custom.omega[0] == 1e15 and custom.n_real[0] == 1.6
+
+
+def test_interpolation_tables_are_private_writable_copies():
+    # np.interp copies a read-only table on every call, so dispersion_eval
+    # reads private writable copies; the public tables stay read-only
+    rng = np.random.default_rng(3)
+    omega = np.sort(rng.uniform(1e15, 8e15, 7))
+    mat = MaterialDispersion(omega, rng.uniform(1.4, 1.9, 7),
+                             rng.uniform(0.0, 1e-5, 7))
+    for public, private in zip((mat.omega, mat.n_real, mat.n_imag),
+                               mat._tables):
+        assert not public.flags.writeable and private.flags.writeable
+        assert not np.shares_memory(public, private)
+        assert public.tobytes() == private.tobytes()
+    w = np.linspace(omega[0], omega[-1], 101)
+    n = dispersion_eval(mat, w)
+    assert n.real.tobytes() == np.interp(w, mat.omega, mat.n_real).tobytes()
+    assert n.imag.tobytes() == np.interp(w, mat.omega, mat.n_imag).tobytes()
+    assert [dispersion_eval(mat, x) for x in w.tolist()] == n.tolist()
+    # the copies are not a field: equality, repr, pickling and replace see
+    # the public tables alone, and a rebuilt material makes its own copies
+    assert [f.name for f in fields(mat)] == ["omega", "n_real", "n_imag",
+                                             "name", "unbounded"]
+    assert "_tables" not in repr(mat)
+    for copy in (pickle.loads(pickle.dumps(mat)), replace(mat)):
+        assert copy._tables is not mat._tables
+        assert not copy.omega.flags.writeable
+        assert copy.omega.tobytes() == mat.omega.tobytes()
+        assert dispersion_eval(copy, w).tobytes() == n.tobytes()
 
 
 # ---------------------------------------------------------------------------
